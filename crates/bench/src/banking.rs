@@ -27,10 +27,10 @@
 //! here and re-gated by `banking_json_schema` in `repro_json.rs` and the
 //! CI `banking` job:
 //!
-//! 1. every 1-bank row's DES makespan **exactly equals** the flat quote
-//!    of the unbanked [`fem_solver::engine::DataflowEmulatedBackend`]
-//!    (banking is a scheduling overlay — the degenerate case collapses
-//!    to the pre-banking model cycle-for-cycle);
+//! 1. every 1-bank row's DES makespan **exactly equals** the flat
+//!    per-shard quote of [`fem_solver::engine::emulate_plan`] (the
+//!    degenerate case collapses to the pre-banking model
+//!    cycle-for-cycle);
 //! 2. at ≥ 8 shards on the 32-bank HBM system the optimized assignment
 //!    is **strictly faster** than round-robin on DES makespan for at
 //!    least two registry scenarios.
@@ -45,14 +45,12 @@
 use fem_accel::optimizer::optimize_bank_assignment;
 use fem_mesh::partition::ShardPlan;
 use fem_solver::engine::{
-    emulate_plan_banked, shard_compute_floors, shard_streams, DataflowEmulatedBackend,
-    ExecutionBackend, PartitionStrategy,
+    emulate_plan, emulate_plan_banked, shard_compute_floors, shard_streams, PartitionStrategy,
 };
 use fem_solver::scenarios::Scenario;
 use fpga_platform::memory::modeled_makespan_cycles;
 use fpga_platform::{BankAssignment, MemorySystem};
 use serde::Serialize;
-use std::sync::Arc;
 
 /// Shard counts the banking sweep requests per scenario.
 pub const BANKING_SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -93,8 +91,8 @@ pub struct BankingRow {
     pub bank_port_cycles_total: u64,
     /// Σ port-conflict stall cycles over banks in the DES.
     pub bank_stall_cycles_total: u64,
-    /// The unbanked [`DataflowEmulatedBackend`] quote for this plan:
-    /// the slowest per-shard flat DES makespan (cycles).
+    /// The flat [`emulate_plan`] quote for this plan: the slowest
+    /// per-shard DES makespan (cycles).
     pub flat_quote_cycles: u64,
     /// Whether `emulated_makespan_cycles == flat_quote_cycles` — must
     /// hold on every 1-bank row (the degenerate-model gate).
@@ -257,7 +255,6 @@ pub fn run_banking_study(
             .simulation(edge)
             .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
         let mesh = sim.core().mesh();
-        let geometry = sim.core().geometry();
         let npe = mesh.nodes_per_element() as u64;
         let elements = mesh.num_elements();
 
@@ -276,17 +273,12 @@ pub fn run_banking_study(
             }
             seen_counts.push(count);
             for &batch in batch_sizes {
-                let plan = Arc::new(
-                    ShardPlan::with_strategy(mesh, count, batch, strategy)
-                        .unwrap_or_else(|e| panic!("{name}: plan failed: {e}")),
-                );
-                // The pre-banking reference: the unbanked backend's
-                // slowest per-shard DES quote.
-                let flat_backend =
-                    DataflowEmulatedBackend::with_plan(Arc::clone(&plan), mesh, geometry)
-                        .unwrap_or_else(|e| panic!("{name}: flat backend failed: {e}"));
-                let flat_quote = flat_backend
-                    .shard_reports()
+                let plan = ShardPlan::with_strategy(mesh, count, batch, strategy)
+                    .unwrap_or_else(|e| panic!("{name}: plan failed: {e}"));
+                // The pre-banking reference: the slowest per-shard flat
+                // DES quote.
+                let flat_quote = emulate_plan(&plan, npe)
+                    .unwrap_or_else(|e| panic!("{name}: flat emulation failed: {e}"))
                     .iter()
                     .map(|r| r.makespan_cycles)
                     .max()
@@ -412,8 +404,8 @@ mod tests {
             }
             assert!(r.banks_used <= r.banks);
             assert!(r.capacity_respected, "{r:?}");
-            // Gate 1: the 1-bank degenerate rows reproduce the unbanked
-            // backend's quote exactly, under every policy.
+            // Gate 1: the 1-bank degenerate rows reproduce the flat
+            // per-shard quote exactly, under every policy.
             if r.banks == 1 {
                 assert!(
                     r.matches_flat_quote,

@@ -10,8 +10,8 @@
 //!   savings (N same-mesh members on one [`fem_mesh::SharedMeshContext`]
 //!   hold its bytes once, so the savings ratio equals the member count).
 //! * **Per-backend rows over the registry** — every scenario of
-//!   [`fem_solver::Scenario::registry`] under the reference, multidevice,
-//!   and dataflow-emulated backends, all served as *one* ensemble (two
+//!   [`fem_solver::Scenario::registry`] under the serial reference and
+//!   two multidevice decompositions, all served as *one* ensemble (two
 //!   shared contexts: the periodic box and the walled cavity box), with
 //!   per-member invariant verdicts and final KE/enstrophy.
 //! * **Spec-vs-setters identity** — a declaratively specified member and
@@ -194,10 +194,10 @@ fn same_mesh_specs(edge: usize, steps: usize, members: usize) -> Vec<SimulationS
             kernel: None,
         },
         BackendSpec {
-            kind: "sharded".to_string(),
+            kind: "multidevice".to_string(),
             strategy: Some("contiguous".to_string()),
-            shards: Some(2),
-            devices: None,
+            shards: None,
+            devices: Some(2),
             kernel: None,
         },
         BackendSpec {
@@ -238,10 +238,10 @@ fn spec_vs_setters_bitwise(edge: usize, steps: usize) -> bool {
         amplitude: Some(1.1),
         cfl: None,
         backend: BackendSpec {
-            kind: "sharded".to_string(),
+            kind: "multidevice".to_string(),
             strategy: Some("partitioned".to_string()),
-            shards: Some(2),
-            devices: None,
+            shards: None,
+            devices: Some(2),
             kernel: None,
         },
     };
@@ -314,10 +314,10 @@ pub fn run_ensemble_study(edge: usize, steps: usize, member_counts: &[usize]) ->
             kernel: None,
         },
         BackendSpec {
-            kind: "dataflow-emulated".to_string(),
+            kind: "multidevice".to_string(),
             strategy: Some("contiguous".to_string()),
-            shards: Some(2),
-            devices: None,
+            shards: None,
+            devices: Some(2),
             kernel: None,
         },
     ];

@@ -1,39 +1,36 @@
 //! Shard-count sweep over the scenario registry: `repro sharding`.
 //!
-//! For every entry of the solver's scenario registry and every *effective*
-//! shard count of the sweep (requested counts are clamped to the element
-//! count and deduplicated, so no cell is reported twice under different
-//! labels), the study runs the cell under **both**
-//! [`fem_solver::engine::PartitionStrategy`] variants side by side:
+//! For every entry of the solver's scenario registry, every *effective*
+//! count of the sweep (requested counts are clamped to the element count
+//! and deduplicated, so no cell is reported twice under different
+//! labels) and **both** [`fem_solver::engine::PartitionStrategy`]
+//! variants, the study runs one simulation under the
+//! [`fem_solver::engine::MultiDeviceBackend`] — the solver's one sharded
+//! executor — and reads two views off it:
 //!
-//! * reads each backend's [`fem_mesh::partition::ShardPlan`] and reports
-//!   per-shard DDR traffic (bytes in/out), owned/halo node split, the
-//!   plan-level streamed-bytes load imbalance, the unique-halo fraction
-//!   (`halo_fraction`, a true fraction in `0 ..= 1`) and the cross-shard
-//!   reduction volume (`reduction_entries`, the per-sharing-shard record
-//!   count that can exceed the node count);
-//! * runs the simulation for a few RK4 steps under the
-//!   [`fem_solver::engine::DataflowEmulatedBackend`] and checks the
-//!   trajectory is **bitwise identical** to the serial reference — the
-//!   engine's shard determinism guarantee — and bitwise stable across
-//!   the whole shard-count sweep, per strategy;
-//! * attaches the per-shard accelerator cycle emulation
-//!   ([`fem_solver::engine::ShardCycleReport`]: DES makespan, observed
-//!   II, bottleneck task II) plus the scenario's DDR roofline bound from
-//!   [`fem_accel::experiments::scenario_workload`].
+//! * the plan view ([`StrategyCell`] and per-shard [`ShardRow`]s): the
+//!   [`fem_mesh::partition::ShardPlan`]'s per-shard DDR traffic (bytes
+//!   in/out), owned/halo node split, the plan-level streamed-bytes load
+//!   imbalance, the unique-halo fraction (`halo_fraction`, a true
+//!   fraction in `0 ..= 1`) and the cross-shard reduction volume
+//!   (`reduction_entries`, the per-sharing-shard record count that can
+//!   exceed the node count); whether the trajectory is **bitwise
+//!   identical** to the serial reference — the engine's shard
+//!   determinism guarantee — and bitwise stable across the whole count
+//!   sweep, per strategy; and the per-shard accelerator cycle emulation
+//!   ([`fem_solver::engine::emulate_plan`]: DES makespan, observed II,
+//!   bottleneck task II) plus the scenario's DDR roofline bound from
+//!   [`fem_accel::experiments::scenario_workload`];
+//! * the exchange view ([`OverlapCell`] and per-device
+//!   [`DevicePhaseRow`]s): emulated frontier/interior/exchange/exposed
+//!   cycles from the inter-device link DES, measured wall-clock phase
+//!   seconds from the device workers, the resulting overlap
+//!   efficiencies, and a compute-bound vs comm-bound classification.
 //!
-//! The study then repeats the sweep over *device* counts under the
-//! [`fem_solver::engine::MultiDeviceBackend`]: every effective count ×
-//! both strategies runs the decentralized overlapped halo exchange,
-//! checks it too is bitwise identical to the serial reference, and
-//! reports per-(scenario, devices) phase timings ([`OverlapCell`]) —
-//! emulated frontier/interior/exchange/exposed cycles from the
-//! inter-device link DES, measured wall-clock phase seconds from the
-//! device workers, the resulting overlap efficiencies, and a
-//! compute-bound vs comm-bound classification. Requested counts are
-//! clamped and deduplicated exactly like shard counts, and every clamp
-//! or skip is logged to stderr *and* recorded in
-//! [`ShardingStudy::skipped_device_sweeps`] — no silent truncation.
+//! Every clamp or skip is logged to stderr *and* recorded — a clamp in
+//! the cell's `requested_*` fields, a skip in
+//! [`ShardingStudy::skipped_device_sweeps`] — so nothing is silently
+//! truncated.
 //!
 //! The `sharding_json_schema` test in `repro_json.rs` pins the JSON
 //! shape — including the gate that the graph partitioner's halo fraction
@@ -44,13 +41,13 @@
 
 use crate::scenarios::max_rel_dev;
 use fem_accel::experiments::scenario_workload;
-use fem_solver::engine::{BackendSelect, PartitionStrategy};
+use fem_solver::engine::{emulate_plan, BackendSelect, PartitionStrategy};
 use fem_solver::scenarios::Scenario;
 use fem_solver::Simulation;
 use serde::Serialize;
 
-/// Shard counts the study sweeps (the MultiDevice overlap sweep reuses
-/// the same grid as device counts).
+/// Counts the study sweeps: the plan view's shard counts and the
+/// exchange view's device counts alike.
 pub const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Elements per axis of the sweep meshes.
@@ -405,33 +402,38 @@ impl std::fmt::Display for ShardingStudy {
     }
 }
 
-/// Runs one (scenario, shard count, strategy) cell and appends its
-/// per-shard rows; `first_bits` carries the strategy's first-swept-count
+/// Runs one (scenario, count, strategy) cell: a single simulation under
+/// the [`fem_solver::engine::MultiDeviceBackend`] yields both the plan
+/// view (appending per-shard rows quoted by [`emulate_plan`] on the plan
+/// the backend ran) and the exchange view (appending per-device phase
+/// rows). `first_bits` carries the strategy's first-swept-count
 /// trajectory for the across-counts stability check.
 #[allow(clippy::too_many_arguments)]
-fn run_strategy_cell(
+fn run_cell(
     scenario: &Scenario,
     edge: usize,
     steps: usize,
     dt: f64,
     count: usize,
+    requested: usize,
     strategy: PartitionStrategy,
     reference: &Simulation,
     ref_bits: &[u64],
     first_bits: &mut Option<Vec<u64>>,
     rows: &mut Vec<ShardRow>,
-) -> StrategyCell {
+    overlap_rows: &mut Vec<DevicePhaseRow>,
+) -> (StrategyCell, OverlapCell) {
     let name = scenario.name();
     let mut sim = scenario
         .simulation(edge)
         .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
-    sim.set_backend(BackendSelect::DataflowEmulated {
-        shards: count,
+    sim.set_backend(BackendSelect::MultiDevice {
+        devices: count,
         strategy,
     })
-    .unwrap_or_else(|e| panic!("{name}: backend build failed: {e}"));
+    .unwrap_or_else(|e| panic!("{name}: multidevice backend build failed: {e}"));
     sim.advance(steps, dt)
-        .unwrap_or_else(|e| panic!("{name}: sharded({count}, {strategy}) run failed: {e}"));
+        .unwrap_or_else(|e| panic!("{name}: multidevice({count}, {strategy}) run failed: {e}"));
     let bits = sim.conserved().to_bit_vec();
     let bitwise_vs_reference = bits == ref_bits;
     let bitwise_across_shard_counts = match &first_bits {
@@ -443,14 +445,18 @@ fn run_strategy_cell(
     };
     let dev = max_rel_dev(reference.conserved(), sim.conserved());
 
+    // The plan view. The context memoizes plans, so this is the plan the
+    // backend ran on.
     let plan = sim
-        .backend()
-        .shard_plan()
-        .expect("dataflow-emulated backend carries a shard plan");
+        .core()
+        .shared_context()
+        .shard_plan(count, strategy)
+        .unwrap_or_else(|e| panic!("{name}: shard plan failed: {e}"));
     assert_eq!(plan.num_shards(), count, "{name}: effective count drifted");
-    let reports = sim.shard_reports();
-    assert_eq!(reports.len(), plan.num_shards(), "{name}: report count");
-    for (shard, rep) in plan.shards().iter().zip(reports) {
+    let npe = sim.core().mesh().nodes_per_element() as u64;
+    let reports =
+        emulate_plan(&plan, npe).unwrap_or_else(|e| panic!("{name}: shard emulation failed: {e}"));
+    for (shard, rep) in plan.shards().iter().zip(&reports) {
         rows.push(ShardRow {
             scenario: name.to_string(),
             shard_count: count,
@@ -466,7 +472,7 @@ fn run_strategy_cell(
             bottleneck_ii: rep.bottleneck_ii,
         });
     }
-    StrategyCell {
+    let strategy_cell = StrategyCell {
         strategy: strategy.to_string(),
         load_imbalance: plan.load_imbalance(),
         element_imbalance: plan.element_imbalance(),
@@ -479,45 +485,17 @@ fn run_strategy_cell(
         bitwise_across_shard_counts,
         max_shard_makespan_cycles: reports.iter().map(|r| r.makespan_cycles).max().unwrap_or(0),
         emulated_ii_worst: reports.iter().map(|r| r.observed_ii).fold(0.0, f64::max),
-    }
-}
+    };
 
-/// Runs one (scenario, device count, strategy) cell under the
-/// [`fem_solver::engine::MultiDeviceBackend`], appends its per-device
-/// phase rows, and returns the cell's overlap verdict.
-#[allow(clippy::too_many_arguments)]
-fn run_overlap_cell(
-    scenario: &Scenario,
-    edge: usize,
-    steps: usize,
-    dt: f64,
-    devices: usize,
-    requested: usize,
-    strategy: PartitionStrategy,
-    reference: &Simulation,
-    ref_bits: &[u64],
-    rows: &mut Vec<DevicePhaseRow>,
-) -> OverlapCell {
-    let name = scenario.name();
-    let mut sim = scenario
-        .simulation(edge)
-        .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
-    sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
-        .unwrap_or_else(|e| panic!("{name}: multidevice backend build failed: {e}"));
-    sim.advance(steps, dt)
-        .unwrap_or_else(|e| panic!("{name}: multidevice({devices}, {strategy}) run failed: {e}"));
-    let bits = sim.conserved().to_bit_vec();
-    let bitwise_vs_reference = bits == ref_bits;
-    let dev = max_rel_dev(reference.conserved(), sim.conserved());
-
-    let reports = sim.exchange_reports().to_vec();
-    assert_eq!(reports.len(), devices, "{name}: exchange report count");
+    // The exchange view.
+    let exchange = sim.exchange_reports();
+    assert_eq!(exchange.len(), count, "{name}: exchange report count");
     let measured = sim.measured_device_phases();
-    assert_eq!(measured.len(), devices, "{name}: phase report count");
-    for r in &reports {
-        rows.push(DevicePhaseRow {
+    assert_eq!(measured.len(), count, "{name}: phase report count");
+    for r in exchange {
+        overlap_rows.push(DevicePhaseRow {
             scenario: name.to_string(),
-            device_count: devices,
+            device_count: count,
             strategy: strategy.to_string(),
             device: r.device,
             neighbors: r.neighbors,
@@ -533,10 +511,10 @@ fn run_overlap_cell(
             makespan_cycles: r.makespan_cycles,
         });
     }
-    let frontier_total: u64 = reports.iter().map(|r| r.frontier_cycles).sum();
-    let interior_total: u64 = reports.iter().map(|r| r.interior_cycles).sum();
-    let exchange_total: u64 = reports.iter().map(|r| r.exchange_cycles).sum();
-    let exposed_total: u64 = reports.iter().map(|r| r.exposed_cycles).sum();
+    let frontier_total: u64 = exchange.iter().map(|r| r.frontier_cycles).sum();
+    let interior_total: u64 = exchange.iter().map(|r| r.interior_cycles).sum();
+    let exchange_total: u64 = exchange.iter().map(|r| r.exchange_cycles).sum();
+    let exposed_total: u64 = exchange.iter().map(|r| r.exposed_cycles).sum();
     let emulated_overlap_efficiency = if exchange_total == 0 {
         1.0
     } else {
@@ -556,9 +534,9 @@ fn run_overlap_cell(
     } else {
         "compute-bound"
     };
-    OverlapCell {
+    let overlap_cell = OverlapCell {
         scenario: name.to_string(),
-        device_count: devices,
+        device_count: count,
         requested_devices: requested,
         strategy: strategy.to_string(),
         bitwise_vs_reference,
@@ -567,8 +545,12 @@ fn run_overlap_cell(
         interior_cycles_total: interior_total,
         exchange_cycles_total: exchange_total,
         exposed_cycles_total: exposed_total,
-        halo_records_total: reports.iter().map(|r| r.halo_records_sent).sum(),
-        max_device_makespan_cycles: reports.iter().map(|r| r.makespan_cycles).max().unwrap_or(0),
+        halo_records_total: exchange.iter().map(|r| r.halo_records_sent).sum(),
+        max_device_makespan_cycles: exchange
+            .iter()
+            .map(|r| r.makespan_cycles)
+            .max()
+            .unwrap_or(0),
         emulated_overlap_efficiency,
         measured_frontier_s,
         measured_interior_s,
@@ -576,13 +558,13 @@ fn run_overlap_cell(
         measured_apply_s,
         measured_overlap_efficiency,
         bound: bound.to_string(),
-    }
+    };
+    (strategy_cell, overlap_cell)
 }
 
-/// Runs the sweep: every registered scenario × every effective shard
-/// count of `shard_counts` × both partition strategies, `steps` RK4
-/// steps each, on `edge`³-element meshes — then the MultiDevice overlap
-/// sweep over the same counts.
+/// Runs the sweep: every registered scenario × every effective count of
+/// `shard_counts` × both partition strategies, `steps` RK4 steps each, on
+/// `edge`³-element meshes.
 ///
 /// # Panics
 ///
@@ -615,38 +597,68 @@ pub fn run_sharding_study(edge: usize, steps: usize, shard_counts: &[usize]) -> 
         let mut first_partitioned: Option<Vec<u64>> = None;
         let mut seen_counts: Vec<usize> = Vec::new();
         for &requested in shard_counts {
-            // The plan clamps the shard count to the element count;
-            // label the cell with the effective value and sweep each
-            // effective count once.
+            // The plan clamps the count to the element count; label the
+            // cell with the effective value and sweep each effective
+            // count once — but never silently: every request that does
+            // not run as its own cell is logged to stderr and recorded in
+            // the study (stdout carries the JSON artifact, so the log
+            // must not go there).
             let count = requested.min(mesh_elements).max(1);
             if seen_counts.contains(&count) {
+                let reason = if count < requested {
+                    format!(
+                        "the {mesh_elements}-element mesh clamps {requested} devices \
+                         to {count}, a count already swept"
+                    )
+                } else {
+                    format!("effective device count {count} already swept")
+                };
+                eprintln!("sharding: {name}: skipping {requested}-device cell — {reason}");
+                skipped_device_sweeps.push(SkippedDeviceSweep {
+                    scenario: name.to_string(),
+                    requested_devices: requested,
+                    effective_devices: count,
+                    reason,
+                });
                 continue;
             }
             seen_counts.push(count);
-            let contiguous = run_strategy_cell(
+            if count < requested {
+                eprintln!(
+                    "sharding: {name}: clamping {requested} devices to {count} \
+                     ({mesh_elements}-element mesh)"
+                );
+            }
+            let (contiguous, overlap) = run_cell(
                 &scenario,
                 edge,
                 steps,
                 dt,
                 count,
+                requested,
                 PartitionStrategy::Contiguous,
                 &reference,
                 &ref_bits,
                 &mut first_contiguous,
                 &mut rows,
+                &mut overlap_rows,
             );
-            let partitioned = run_strategy_cell(
+            overlap_cells.push(overlap);
+            let (partitioned, overlap) = run_cell(
                 &scenario,
                 edge,
                 steps,
                 dt,
                 count,
+                requested,
                 PartitionStrategy::Partitioned,
                 &reference,
                 &ref_bits,
                 &mut first_partitioned,
                 &mut rows,
+                &mut overlap_rows,
             );
+            overlap_cells.push(overlap);
             summaries.push(ShardingSummary {
                 scenario: name.to_string(),
                 shard_count: count,
@@ -657,59 +669,6 @@ pub fn run_sharding_study(edge: usize, steps: usize, shard_counts: &[usize]) -> 
                 partitioned,
                 ddr_bound_gflops: workload.ddr_bound_gflops,
             });
-        }
-
-        // The MultiDevice overlap sweep over the same counts. Requests
-        // are clamped to the element count and deduplicated like the
-        // shard sweep, but never silently: every request that does not
-        // run as its own cell is logged to stderr and recorded in the
-        // study (stdout carries the JSON artifact, so the log must not
-        // go there).
-        let mut seen_devices: Vec<usize> = Vec::new();
-        for &requested in shard_counts {
-            let devices = requested.min(mesh_elements).max(1);
-            if seen_devices.contains(&devices) {
-                let reason = if devices < requested {
-                    format!(
-                        "the {mesh_elements}-element mesh clamps {requested} devices \
-                         to {devices}, a count already swept"
-                    )
-                } else {
-                    format!("effective device count {devices} already swept")
-                };
-                eprintln!("sharding: {name}: skipping {requested}-device cell — {reason}");
-                skipped_device_sweeps.push(SkippedDeviceSweep {
-                    scenario: name.to_string(),
-                    requested_devices: requested,
-                    effective_devices: devices,
-                    reason,
-                });
-                continue;
-            }
-            seen_devices.push(devices);
-            if devices < requested {
-                eprintln!(
-                    "sharding: {name}: clamping {requested} devices to {devices} \
-                     ({mesh_elements}-element mesh)"
-                );
-            }
-            for strategy in [
-                PartitionStrategy::Contiguous,
-                PartitionStrategy::Partitioned,
-            ] {
-                overlap_cells.push(run_overlap_cell(
-                    &scenario,
-                    edge,
-                    steps,
-                    dt,
-                    devices,
-                    requested,
-                    strategy,
-                    &reference,
-                    &ref_bits,
-                    &mut overlap_rows,
-                ));
-            }
         }
     }
     ShardingStudy {

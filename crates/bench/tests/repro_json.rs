@@ -9,10 +9,10 @@
 //! every registered scenario (≥ 4: TGV, cavity, shear layer, pulse) must
 //! pass serial-vs-colored equivalence at ≤ 1e-12 relative plus its
 //! per-scenario invariant checks. The `sharding` test pins the PR-5
-//! acceptance bar — the `Sharded` backend must be bitwise identical to
+//! acceptance bar — the sharded executor must be bitwise identical to
 //! the serial reference and across all swept shard counts on every
 //! registered scenario, with per-shard load-imbalance and
-//! `DataflowEmulated` cycle/II quotes attached — and the PR-6 bar:
+//! `emulate_plan` cycle/II quotes attached — and the PR-6 bar:
 //! every cell reports contiguous and graph-partitioned strategies side
 //! by side, both bitwise identical, `halo_fraction` a true `0 ..= 1`
 //! unique-node fraction, and the partitioned halo never above the
@@ -457,8 +457,8 @@ fn sharding_json_schema() {
             assert!(cell["emulated_ii_worst"].as_f64().expect("worst II") > 0.0);
 
             // The cell's per-shard rows: cover every element exactly
-            // once, owned-node sets complete, each with a
-            // DataflowEmulated cycle/II quote.
+            // once, owned-node sets complete, each with an
+            // `emulate_plan` cycle/II quote.
             let cell_rows: Vec<&serde_json::Value> = rows
                 .iter()
                 .filter(|r| {
@@ -791,9 +791,9 @@ fn ensemble_json_schema() {
     let savings = doc["same_mesh_savings_ratio"].as_f64().expect("savings");
     assert!(savings >= 2.0, "8-member sweep saved only {savings}x");
 
-    // Registry × backend matrix: every scenario under the reference,
-    // sharded, and dataflow-emulated backends, grouped onto exactly two
-    // shared contexts (the periodic box and the walled cavity box).
+    // Registry × backend matrix: every scenario under the serial
+    // reference and two multidevice decompositions, grouped onto exactly
+    // two shared contexts (the periodic box and the walled cavity box).
     assert_eq!(doc["backend_contexts"].as_u64(), Some(2));
     let rows = doc["backend_rows"].as_array().expect("`backend_rows`");
     assert_eq!(rows.len() % 3, 0, "rows come in backend triples");
@@ -815,7 +815,7 @@ fn ensemble_json_schema() {
             "{backends:?}"
         );
         assert!(
-            backends.contains(&"dataflow-emulated(2, contiguous)"),
+            backends.contains(&"multidevice(2, contiguous)"),
             "{backends:?}"
         );
     }

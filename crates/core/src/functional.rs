@@ -12,7 +12,7 @@ use fem_mesh::geometry::GeometryCache;
 use fem_mesh::HexMesh;
 use fem_numerics::rk::OdeSystem;
 use fem_numerics::tensor::HexBasis;
-use fem_solver::engine::{AssemblyContext, BackendCapabilities, ExecutionBackend};
+use fem_solver::engine::{AssemblyContext, ExecutionBackend};
 use fem_solver::gas::GasModel;
 use fem_solver::kernels::{
     convective_flux, fused_flux, weak_divergence, ElementWorkspace, KernelOps, KernelPath,
@@ -249,13 +249,8 @@ impl ExecutionBackend for StagedBackend {
         "staged-dataflow".to_string()
     }
 
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            shards: 1,
-            parallel: false,
-            deterministic_across_widths: true,
-            emulates_accelerator: true,
-        }
+    fn parallel(&self) -> bool {
+        false
     }
 
     fn assemble_rhs(
@@ -380,7 +375,7 @@ mod tests {
         let mut accelerated = Simulation::new(mesh, cfg.gas(), initial).unwrap();
         accelerated.set_custom_backend(Box::new(StagedBackend));
         assert_eq!(accelerated.backend().name(), "staged-dataflow");
-        assert!(accelerated.backend().capabilities().emulates_accelerator);
+        assert!(!accelerated.backend().parallel());
         accelerated.advance(5, dt).unwrap();
 
         assert_eq!(

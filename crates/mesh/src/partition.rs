@@ -50,22 +50,13 @@
 //!
 //! # Determinism under permuted element orders
 //!
-//! The solver's `Sharded` backend is bitwise identical to the serial
-//! element loop for *any* shard assignment, not just contiguous ranges.
-//! The argument no longer leans on range contiguity:
-//!
-//! 1. every shard stores its elements **sorted ascending by global
-//!    element id** and sweeps them in that order;
-//! 2. an **interior** node (`frontier[n] == false`) is touched by exactly
-//!    one shard, so its contributions arrive in ascending element order —
-//!    the serial order restricted to that node;
-//! 3. a **frontier** node's contributions are all recorded with their
-//!    source element id and applied by the owner after a stable sort by
-//!    (node, element) — again ascending global element order.
-//!
-//! Every node therefore accumulates its contributions one at a time in
-//! exactly the serial order: no regrouping, no rounding difference, the
-//! same bits for any shard count and either [`PartitionStrategy`].
+//! The solver's sharded executor is bitwise identical to the serial
+//! element loop for *any* shard assignment, not just contiguous ranges
+//! (the argument is stated in full in `fem_solver::engine`). What it
+//! needs from a plan: every shard stores its elements **sorted ascending
+//! by global element id**, the `frontier` flags mark exactly the nodes
+//! touched by more than one shard, and every frontier node has exactly
+//! one owner — for any shard count and either [`PartitionStrategy`].
 //!
 //! The same argument keeps a decentralized halo *exchange* bitwise: it
 //! never constrains **where** a frontier contribution travels, only the

@@ -156,9 +156,9 @@ mod tests {
 
     #[test]
     fn restored_trajectory_is_bitwise_identical_across_backends_and_shard_counts() {
-        // A mid-run checkpoint restored under Reference, Sharded, and
-        // MultiDevice backends (several shard/device counts) must
-        // continue on the *same* bit-exact trajectory as the
+        // A mid-run checkpoint restored under the serial reference and
+        // the sharded executor (several device counts, both strategies)
+        // must continue on the *same* bit-exact trajectory as the
         // uninterrupted serial run — restart files written on one
         // executor are valid on any other.
         use crate::engine::{BackendSelect, PartitionStrategy};
@@ -173,12 +173,12 @@ mod tests {
         straight.advance(8, dt).unwrap();
         let expect = straight.conserved().to_bit_vec();
 
-        // Mid-run checkpoint (written by a *sharded* run, so the saved
-        // state itself already crossed a backend boundary).
+        // Mid-run checkpoint (written by a *multi-device* run, so the
+        // saved state itself already crossed a backend boundary).
         let mut first = Simulation::new(mesh.clone(), cfg.gas(), initial).unwrap();
         first
-            .set_backend(BackendSelect::Sharded {
-                shards: 3,
+            .set_backend(BackendSelect::MultiDevice {
+                devices: 3,
                 strategy: PartitionStrategy::Contiguous,
             })
             .unwrap();
@@ -191,47 +191,15 @@ mod tests {
         let mut buf = Vec::new();
         ck.write(&mut buf).unwrap();
 
-        let contiguous = PartitionStrategy::Contiguous;
-        let partitioned = PartitionStrategy::Partitioned;
-        let backends = [
-            BackendSelect::Reference(AssemblyStrategy::Serial),
-            BackendSelect::Sharded {
-                shards: 1,
-                strategy: contiguous,
-            },
-            BackendSelect::Sharded {
-                shards: 2,
-                strategy: contiguous,
-            },
-            BackendSelect::Sharded {
-                shards: 7,
-                strategy: contiguous,
-            },
-            BackendSelect::Sharded {
-                shards: 2,
-                strategy: partitioned,
-            },
-            BackendSelect::Sharded {
-                shards: 7,
-                strategy: partitioned,
-            },
-            BackendSelect::DataflowEmulated {
-                shards: 4,
-                strategy: contiguous,
-            },
-            BackendSelect::DataflowEmulated {
-                shards: 4,
-                strategy: partitioned,
-            },
-            BackendSelect::MultiDevice {
-                devices: 2,
-                strategy: contiguous,
-            },
-            BackendSelect::MultiDevice {
-                devices: 3,
-                strategy: partitioned,
-            },
-        ];
+        let mut backends = vec![BackendSelect::Reference(AssemblyStrategy::Serial)];
+        for strategy in [
+            PartitionStrategy::Contiguous,
+            PartitionStrategy::Partitioned,
+        ] {
+            for devices in [1, 2, 7] {
+                backends.push(BackendSelect::MultiDevice { devices, strategy });
+            }
+        }
         for select in backends {
             let restored = Checkpoint::read(buf.as_slice()).unwrap();
             assert_eq!(restored.steps_taken, 4);

@@ -17,15 +17,16 @@
 //! The RKL assembly itself is delegated to a pluggable
 //! [`ExecutionBackend`] (see [`crate::engine`]): the classic
 //! [`AssemblyStrategy`] selection is now sugar over the reference
-//! backend, and [`Simulation::set_backend`] swaps in the shard-parallel
-//! or dataflow-emulated engines without touching the time loop.
+//! backend, and [`Simulation::set_backend`] swaps in the sharded
+//! executor ([`MultiDeviceBackend`], bitwise identical to the serial loop
+//! — see [`crate::engine`] for the argument) without touching the time
+//! loop.
 
 use crate::boundary::DirichletBc;
 use crate::diagnostics::FlowDiagnostics;
 use crate::engine::{
-    AssemblyContext, BackendSelect, DataflowEmulatedBackend, DeviceExchangeReport,
-    DevicePhaseSeconds, ExecutionBackend, MultiDeviceBackend, ReferenceBackend, ShardCycleReport,
-    ShardedBackend,
+    AssemblyContext, BackendSelect, DeviceExchangeReport, DevicePhaseSeconds, ExecutionBackend,
+    MultiDeviceBackend, ReferenceBackend,
 };
 use crate::gas::GasModel;
 use crate::kernels::KernelPath;
@@ -164,7 +165,7 @@ impl OdeSystem for SolverCore {
         // ---- Lumped-mass solve + boundary conditions: RK(Other). ----
         let t0 = Instant::now();
         let inv = self.ctx.lumped_mass();
-        if !self.backend.capabilities().parallel {
+        if !self.backend.parallel() {
             let apply = |dst: &mut [f64]| {
                 for (v, &m) in dst.iter_mut().zip(inv) {
                     *v /= m;
@@ -519,9 +520,8 @@ impl Simulation {
     }
 
     /// Selects one of the built-in execution backends (see
-    /// [`crate::engine`]): the reference host paths, the shard-parallel
-    /// owned-node scatter, or the sharded path with per-shard accelerator
-    /// cycle emulation.
+    /// [`crate::engine`]): the reference host paths or the sharded
+    /// executor ([`BackendSelect::MultiDevice`]).
     ///
     /// Prefer [`SimulationBuilder::backend`] at construction; this
     /// remains for switching backends mid-run.
@@ -533,24 +533,11 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Propagates shard-plan construction failures (e.g. a zero shard
+    /// Propagates shard-plan construction failures (e.g. a zero device
     /// count).
     pub fn set_backend(&mut self, select: BackendSelect) -> Result<(), SolverError> {
         match select {
             BackendSelect::Reference(strategy) => self.set_assembly_strategy(strategy),
-            BackendSelect::Sharded { shards, strategy } => {
-                let plan = self.core.ctx.shard_plan(shards, strategy)?;
-                self.core.backend =
-                    Box::new(ShardedBackend::with_plan(plan, self.core.ctx.geometry()));
-            }
-            BackendSelect::DataflowEmulated { shards, strategy } => {
-                let plan = self.core.ctx.shard_plan(shards, strategy)?;
-                self.core.backend = Box::new(DataflowEmulatedBackend::with_plan(
-                    plan,
-                    self.core.ctx.mesh(),
-                    self.core.ctx.geometry(),
-                )?);
-            }
             BackendSelect::MultiDevice { devices, strategy } => {
                 let plan = self.core.ctx.shard_plan(devices, strategy)?;
                 self.core.backend = Box::new(MultiDeviceBackend::with_plan(
@@ -573,13 +560,6 @@ impl Simulation {
     /// The active execution backend.
     pub fn backend(&self) -> &dyn ExecutionBackend {
         self.core.backend()
-    }
-
-    /// Per-shard accelerator cycle emulation of the active backend
-    /// (empty unless a [`BackendSelect::DataflowEmulated`] backend — or a
-    /// custom backend providing reports — is installed).
-    pub fn shard_reports(&self) -> &[ShardCycleReport] {
-        self.core.backend.shard_reports()
     }
 
     /// Per-device halo-exchange emulation of the active backend (empty

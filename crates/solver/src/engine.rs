@@ -5,77 +5,64 @@
 //! module turns that decomposition into the solver's execution model: the
 //! [`ExecutionBackend`] trait abstracts *how* the RKL residual is
 //! assembled, and the driver ([`crate::driver::Simulation`]) integrates
-//! through whichever backend is selected. Four implementations ship:
+//! through whichever backend is selected. Two implementations ship:
 //!
 //! * [`ReferenceBackend`] — the host CPU paths that existed before the
 //!   engine landed, wrapping an [`AssemblyStrategy`] (serial loop,
 //!   chunked partials, or color-parallel in-place scatter).
-//! * [`ShardedBackend`] — domain decomposition over a
-//!   [`fem_mesh::partition::ShardPlan`] built with either
-//!   [`PartitionStrategy`] (contiguous ranges or the halo-minimizing
-//!   graph partition): each shard streams its elements of the
-//!   element-major [`GeometryCache`] in ascending id order, scatters
-//!   **interior** nodes (touched by this shard alone) straight into the
-//!   shared RHS (race-free by construction), and routes every
-//!   **frontier**-node contribution through a deterministic cross-shard
-//!   reduction on the owner shard.
-//! * [`DataflowEmulatedBackend`] — the same sharded numerics, plus a
-//!   per-shard Load → Compute → Store discrete-event emulation through
-//!   [`hls_dataflow::sim`] that attaches the predicted accelerator cycle
-//!   count and steady-state II of each shard ([`ShardCycleReport`]).
-//! * [`MultiDeviceBackend`] — one long-lived worker thread per simulated
+//! * [`MultiDeviceBackend`] — the one sharded executor: domain
+//!   decomposition over a [`fem_mesh::partition::ShardPlan`] built with
+//!   either [`PartitionStrategy`] (contiguous ranges or the
+//!   halo-minimizing graph partition), one worker thread per simulated
 //!   device (the vendored rayon stub's [`rayon::scope`] threads are real
-//!   OS threads), replacing the central reduction with a decentralized
-//!   neighbor-to-neighbor halo **exchange**: each device posts its
-//!   frontier contributions to per-neighbor mailboxes as soon as its
-//!   frontier elements are assembled, overlaps its interior sweep with
-//!   the neighbors' posts in flight, and finalizes its owned frontier
-//!   nodes last, after draining its inbox. A companion DES models the
-//!   inter-device links from [`fpga_platform::pcie`] numbers and
-//!   separates compute, exchange, and *exposed* (non-overlapped)
-//!   communication per device ([`DeviceExchangeReport`]).
+//!   OS threads), and a decentralized neighbor-to-neighbor halo
+//!   **exchange**: each device posts its frontier contributions to
+//!   per-neighbor mailboxes as soon as its frontier elements are
+//!   assembled, overlaps its interior sweep with the neighbors' posts in
+//!   flight, and finalizes its owned frontier nodes last, after draining
+//!   its inbox. A companion DES models the inter-device links from
+//!   [`fpga_platform::pcie`] numbers and separates compute, exchange, and
+//!   *exposed* (non-overlapped) communication per device
+//!   ([`DeviceExchangeReport`]).
+//!
+//! The accelerator and memory mappings are plain functions of the plan,
+//! not backends: [`emulate_plan`] routes every shard through the
+//! Load → Compute → Store DES of [`hls_dataflow::sim`]
+//! ([`ShardCycleReport`]), and [`emulate_plan_banked`] routes the same
+//! plan's memory streams through a banked memory system.
 //!
 //! # The shard determinism guarantee
 //!
-//! [`ShardedBackend`] is **bitwise identical to the serial reference loop
-//! for every shard count and both partition strategies** — the argument
-//! holds for *arbitrary* element-to-shard assignments, not just
+//! [`MultiDeviceBackend`] is **bitwise identical to the serial reference
+//! loop for every device count and both partition strategies** — the
+//! argument holds for *arbitrary* element-to-device assignments, not just
 //! contiguous ranges:
 //!
-//! 1. every shard stores its elements sorted ascending by global id and
-//!    sweeps them in that order;
+//! 1. every device stores its elements sorted ascending by global id and
+//!    walks them in that order;
 //! 2. an **interior** node (`plan.frontier()[n] == false`) is touched by
-//!    exactly one shard, so the direct scatter applies its contributions
+//!    exactly one device, so the direct scatter applies its contributions
 //!    in ascending element order — the serial order restricted to that
-//!    node;
+//!    node. The frontier sweep evaluates frontier elements early, and
+//!    scattering their interior-node contributions right then would
+//!    reorder those accumulations (floating-point addition commutes but
+//!    `(x + a) + b ≠ (x + b) + a`), so it *buffers* them and the interior
+//!    sweep replays them in the ascending-element walk — each element is
+//!    evaluated once;
 //! 3. a **frontier** node's contributions (the owner's own included) are
-//!    recorded per element, never pre-summed, bucketed to the owning
-//!    shard, and applied after a stable sort by (node, element) — again
-//!    ascending global element order. Within one element a node appears
-//!    once (the generator rejects the degenerate periodic meshes that
-//!    could alias local nodes), so the (node, element) key is unique and
-//!    the order is total.
+//!    recorded per element, never pre-summed, and routed to the owning
+//!    device, which sorts everything it holds by (node, element) before
+//!    one sequential apply — again ascending global element order. Within
+//!    one element a node appears once (the generator rejects the
+//!    degenerate periodic meshes that could alias local nodes), so the
+//!    (node, element) key is unique and the order is total.
 //!
 //! Every node therefore accumulates its contributions one at a time in
 //! exactly the serial order: no regrouping, no rounding difference, the
-//! same bits for 1, 2, or 64 shards, contiguous or graph-partitioned.
-//!
-//! The argument never says *where* a frontier contribution must travel —
-//! only the (node, element) order in which the owner applies what
-//! arrives. That is why the decentralized exchange of
-//! [`MultiDeviceBackend`] stays bitwise too: routing records through
-//! per-neighbor mailboxes instead of one central stream changes the
-//! transport, not the applied order, because every owner sorts its
-//! drained records by the same total (node, element) key before the
-//! sequential apply. The one extra care the *split* sweep needs is
-//! interior nodes shared between a frontier element and an interior
-//! element of the same device: evaluating frontier elements early but
-//! scattering their interior-node contributions immediately would
-//! reorder those accumulations (floating-point addition commutes but
-//! `(x + a) + b ≠ (x + b) + a`), so the frontier sweep *buffers* its
-//! interior-node results and the interior sweep replays them in the
-//! ascending-element walk — each element evaluated once, every node
-//! accumulated in exactly the serial order.
+//! same bits for 1, 2, or 64 devices, contiguous or graph-partitioned.
+//! The argument never says *where* a frontier record travels — only the
+//! order in which its owner applies what arrives — so the mailbox
+//! transport cannot break it.
 //!
 //! # Registering new backends
 //!
@@ -97,10 +84,8 @@ pub use fem_mesh::partition::PartitionStrategy;
 use fem_mesh::partition::ShardPlan;
 use fem_mesh::HexMesh;
 use fem_numerics::tensor::HexBasis;
-use fpga_platform::{BankAssignment, MemorySystem};
 use hls_dataflow::network::{ChannelKind, NetworkBuilder};
 use hls_dataflow::sim::simulate;
-use rayon::prelude::*;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -123,25 +108,9 @@ pub struct AssemblyContext<'a> {
     pub kernel: KernelPath,
 }
 
-/// Static capability metadata a backend reports about itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendCapabilities {
-    /// Shards the backend decomposes the mesh into (1 for unsharded).
-    pub shards: usize,
-    /// Whether assembly fans out over worker threads (the driver uses
-    /// the parallel lumped-mass divide for such backends).
-    pub parallel: bool,
-    /// Whether the result is bitwise independent of the decomposition
-    /// width (shard/chunk count).
-    pub deterministic_across_widths: bool,
-    /// Whether the backend attaches accelerator cycle emulation
-    /// ([`ExecutionBackend::shard_reports`]).
-    pub emulates_accelerator: bool,
-}
-
 /// Predicted accelerator timing of one shard's element-token stream,
 /// produced by routing the shard through the Load → Compute → Store
-/// dataflow network of [`hls_dataflow::sim`].
+/// dataflow network of [`hls_dataflow::sim`] ([`emulate_plan`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCycleReport {
     /// Shard index within the plan.
@@ -171,8 +140,10 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     /// Human-readable backend identifier (stable — reported by studies).
     fn name(&self) -> String;
 
-    /// The backend's static capability metadata.
-    fn capabilities(&self) -> BackendCapabilities;
+    /// Whether assembly fans out over worker threads; the driver then
+    /// runs the lumped-mass divide in parallel too (the divide is
+    /// elementwise, so both paths give the same bits).
+    fn parallel(&self) -> bool;
 
     /// Assembles the RKL residual of `conserved`/`prim` into `out`
     /// (overwriting it; not yet mass-scaled). When `profiler` is given,
@@ -198,19 +169,6 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
         None
     }
 
-    /// Per-shard accelerator cycle emulation, if the backend provides it
-    /// (empty otherwise).
-    fn shard_reports(&self) -> &[ShardCycleReport] {
-        &[]
-    }
-
-    /// The shard plan the backend decomposes the mesh with, if any —
-    /// studies read traffic/imbalance metadata from here rather than
-    /// rebuilding a (hopefully identical) plan of their own.
-    fn shard_plan(&self) -> Option<&ShardPlan> {
-        None
-    }
-
     /// Per-device halo-exchange emulation, if the backend models an
     /// inter-device link (empty otherwise).
     fn exchange_reports(&self) -> &[DeviceExchangeReport] {
@@ -231,25 +189,9 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
 pub enum BackendSelect {
     /// The host reference paths, parameterized by [`AssemblyStrategy`].
     Reference(AssemblyStrategy),
-    /// Shard-parallel interior-scatter / frontier-merge assembly over a
-    /// [`ShardPlan`].
-    Sharded {
-        /// Requested shard count (clamped to the element count).
-        shards: usize,
-        /// How elements are assigned to shards.
-        strategy: PartitionStrategy,
-    },
-    /// [`BackendSelect::Sharded`] numerics plus per-shard accelerator
-    /// cycle emulation.
-    DataflowEmulated {
-        /// Requested shard count (clamped to the element count).
-        shards: usize,
-        /// How elements are assigned to shards.
-        strategy: PartitionStrategy,
-    },
-    /// One worker thread per simulated device with a decentralized,
-    /// overlapped neighbor-to-neighbor halo exchange plus an
-    /// inter-device link DES ([`MultiDeviceBackend`]).
+    /// The sharded executor: one worker thread per simulated device with
+    /// a decentralized, overlapped neighbor-to-neighbor halo exchange
+    /// plus an inter-device link DES ([`MultiDeviceBackend`]).
     MultiDevice {
         /// Requested device count (clamped to the element count).
         devices: usize,
@@ -262,12 +204,6 @@ impl std::fmt::Display for BackendSelect {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BackendSelect::Reference(s) => write!(f, "reference({s})"),
-            BackendSelect::Sharded { shards, strategy } => {
-                write!(f, "sharded({shards}, {strategy})")
-            }
-            BackendSelect::DataflowEmulated { shards, strategy } => {
-                write!(f, "dataflow-emulated({shards}, {strategy})")
-            }
             BackendSelect::MultiDevice { devices, strategy } => {
                 write!(f, "multidevice({devices}, {strategy})")
             }
@@ -316,15 +252,8 @@ impl ExecutionBackend for ReferenceBackend {
         format!("reference({})", self.strategy)
     }
 
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            shards: 1,
-            parallel: !matches!(self.strategy, AssemblyStrategy::Serial),
-            // Colored grouping is fixed by the color order, not the
-            // schedule; serial has no decomposition at all.
-            deterministic_across_widths: !matches!(self.strategy, AssemblyStrategy::Chunked { .. }),
-            emulates_accelerator: false,
-        }
+    fn parallel(&self) -> bool {
+        !matches!(self.strategy, AssemblyStrategy::Serial)
     }
 
     fn assemble_rhs(
@@ -359,393 +288,10 @@ impl ExecutionBackend for ReferenceBackend {
     }
 }
 
-// -------------------------------------------------------------- sharded
-
-/// One frontier contribution: element residual values destined for a
-/// node touched by several shards, forwarded to the node's owner during
-/// the cross-shard reduction. The source element id is carried so the
-/// owner can restore ascending global element order before applying.
-#[derive(Debug, Clone)]
-struct HaloContribution {
-    node: u32,
-    element: u32,
-    vals: [f64; NUM_VARS],
-}
-
-/// Shard-parallel assembly over a [`ShardPlan`] (see the module docs for
-/// the bitwise-stability argument).
-#[derive(Debug)]
-pub struct ShardedBackend {
-    plan: Arc<ShardPlan>,
-    /// Per-owner halo buckets, kept across evaluations so the steady
-    /// state reduction allocates nothing.
-    per_owner: Vec<Vec<HaloContribution>>,
-    /// O(1) fingerprint of the cache the shard plan was built against,
-    /// re-checked on every assembly so a backend installed against the
-    /// wrong mesh/geometry fails loudly instead of applying a foreign
-    /// ownership plan.
-    geometry_fingerprint: (usize, u64, u64),
-}
-
-/// Cheap identity proxy for a geometry cache: element count plus the
-/// first and last quadrature weights' raw bits.
-fn geometry_fingerprint(geometry: &GeometryCache) -> (usize, u64, u64) {
-    let ne = geometry.num_elements();
-    if ne == 0 {
-        return (0, 0, 0);
-    }
-    let first = geometry.det_w(0).first().map_or(0, |v| v.to_bits());
-    let last = geometry.det_w(ne - 1).last().map_or(0, |v| v.to_bits());
-    (ne, first, last)
-}
-
-impl ShardedBackend {
-    /// Decomposes `mesh` into (up to) `shards` shards under `strategy`.
-    /// The sweep indexes the caller's geometry cache per element id —
-    /// no staged per-shard copy ([`GeometryCache::shard`] exists for
-    /// device backends that must stage a contiguous slice).
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Mesh`] if `shards == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` does not cover `mesh`.
-    pub fn new(
-        mesh: &HexMesh,
-        geometry: &GeometryCache,
-        shards: usize,
-        strategy: PartitionStrategy,
-    ) -> Result<ShardedBackend, SolverError> {
-        assert_eq!(
-            geometry.num_elements(),
-            mesh.num_elements(),
-            "geometry cache does not cover the mesh"
-        );
-        let plan = Arc::new(ShardPlan::with_strategy(
-            mesh,
-            shards,
-            usize::MAX,
-            strategy,
-        )?);
-        Ok(ShardedBackend::with_plan(plan, geometry))
-    }
-
-    /// Wraps an already-built (possibly shared) shard plan — how ensemble
-    /// members on one [`fem_mesh::SharedMeshContext`] reuse a single plan
-    /// instead of each re-partitioning the mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` does not cover the plan's mesh.
-    pub fn with_plan(plan: Arc<ShardPlan>, geometry: &GeometryCache) -> ShardedBackend {
-        assert_eq!(
-            geometry.num_elements(),
-            plan.num_elements(),
-            "geometry cache does not cover the shard plan's mesh"
-        );
-        let per_owner = vec![Vec::new(); plan.num_shards()];
-        ShardedBackend {
-            plan,
-            per_owner,
-            geometry_fingerprint: geometry_fingerprint(geometry),
-        }
-    }
-
-    /// The underlying shard plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-}
-
-impl ExecutionBackend for ShardedBackend {
-    fn name(&self) -> String {
-        format!(
-            "sharded({}, {})",
-            self.plan.num_shards(),
-            self.plan.strategy()
-        )
-    }
-
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            shards: self.plan.num_shards(),
-            parallel: true,
-            deterministic_across_widths: true,
-            emulates_accelerator: false,
-        }
-    }
-
-    fn shard_plan(&self) -> Option<&ShardPlan> {
-        Some(self.plan.as_ref())
-    }
-
-    fn assemble_rhs(
-        &mut self,
-        ctx: &AssemblyContext<'_>,
-        conserved: &Conserved,
-        prim: &Primitives,
-        out: &mut Conserved,
-        profiler: Option<&mut PhaseProfiler>,
-    ) {
-        assert_eq!(conserved.len(), ctx.mesh.num_nodes(), "state size");
-        assert_eq!(out.len(), ctx.mesh.num_nodes(), "output size");
-        assert_eq!(
-            self.plan.num_elements(),
-            ctx.mesh.num_elements(),
-            "shard plan does not cover the mesh"
-        );
-        // det_w sampling cannot tell uniform meshes apart, so the node
-        // count (which separates e.g. periodic from walled boxes of the
-        // same size) is checked alongside the geometry fingerprint.
-        assert_eq!(
-            self.plan.num_nodes(),
-            ctx.mesh.num_nodes(),
-            "shard plan node ownership does not cover the mesh"
-        );
-        assert_eq!(
-            geometry_fingerprint(ctx.geometry),
-            self.geometry_fingerprint,
-            "assembly context geometry does not match the shard plan's mesh"
-        );
-        let npe = ctx.mesh.nodes_per_element();
-        let viscous = ctx.gas.mu > 0.0;
-        let profile = profiler.is_some();
-        let kernel = KernelOps::resolve(ctx.kernel, ctx.basis);
-        let owner = self.plan.owners();
-        let frontier = self.plan.frontier();
-
-        out.set_zero();
-        let shared = SharedRhs::new(out);
-        let agg = Mutex::new(PhaseProfiler::new());
-
-        // Phase 1 — parallel shard sweep: every shard evaluates its
-        // elements in ascending global-id order, scatters interior-node
-        // contributions straight into the shared RHS (an interior node
-        // has exactly one touching shard ⇒ race-free, and the sweep
-        // order is the serial order restricted to that node) and emits
-        // every frontier-node contribution — the owner's own included —
-        // tagged with its source element.
-        let halo_stream: Vec<HaloContribution> = self
-            .plan
-            .shards()
-            .par_iter()
-            .flat_map(|shard| {
-                let mut ws = ElementWorkspace::new(npe);
-                let mut local = PhaseProfiler::new();
-                let mut halo: Vec<HaloContribution> = Vec::new();
-                for &e32 in shard.elements() {
-                    let e = e32 as usize;
-                    eval_element(
-                        ctx.mesh,
-                        ctx.basis,
-                        ctx.gas,
-                        viscous,
-                        conserved,
-                        prim,
-                        e,
-                        &mut ws,
-                        ctx.geometry.element(e),
-                        &kernel,
-                        if profile { Some(&mut local) } else { None },
-                    );
-                    let t0 = profile.then(Instant::now);
-                    for (q, &n) in ctx.mesh.element_nodes(e).iter().enumerate() {
-                        if !frontier[n as usize] {
-                            // SAFETY: node indices come from the mesh
-                            // connectivity (in bounds) and an interior
-                            // node is touched by this shard alone, so no
-                            // two threads alias.
-                            unsafe { shared.add_node(n as usize, &ws.res, q) };
-                        } else {
-                            halo.push(HaloContribution {
-                                node: n,
-                                element: e32,
-                                vals: [
-                                    ws.res[0][q],
-                                    ws.res[1][q],
-                                    ws.res[2][q],
-                                    ws.res[3][q],
-                                    ws.res[4][q],
-                                ],
-                            });
-                        }
-                    }
-                    if let Some(t0) = t0 {
-                        local.add(Phase::RkOther, t0.elapsed());
-                    }
-                }
-                if profile {
-                    agg.lock().unwrap().merge(&local);
-                }
-                halo
-            })
-            .collect();
-
-        // Phase 2 — deterministic cross-shard reduction. One sequential
-        // pass buckets the stream per owner, then every owner restores
-        // ascending global element order with a stable sort by
-        // (node, element) — total, since a node appears at most once per
-        // element — and applies its bucket sequentially; owners target
-        // disjoint node sets, so the fan-out is race-free. The buckets
-        // are persistent per-backend buffers, so the bucketing pass
-        // reuses their capacity (the per-shard halo Vecs and the
-        // collected stream still allocate per evaluation).
-        let t0 = profile.then(Instant::now);
-        for bucket in &mut self.per_owner {
-            bucket.clear();
-        }
-        for rec in halo_stream {
-            self.per_owner[owner[rec.node as usize] as usize].push(rec);
-        }
-        self.per_owner.par_chunks_mut(1).for_each(|owner_bucket| {
-            let bucket = &mut owner_bucket[0];
-            bucket.sort_by_key(|rec| (rec.node, rec.element));
-            for rec in bucket {
-                // SAFETY: in-bounds node, and each node has exactly
-                // one owner, so concurrent owners never alias.
-                unsafe { shared.add_vals(rec.node as usize, &rec.vals) };
-            }
-        });
-        if profile {
-            let mut agg = agg.into_inner().unwrap();
-            if let Some(t0) = t0 {
-                agg.add(Phase::RkOther, t0.elapsed());
-            }
-            if let Some(p) = profiler {
-                p.merge(&agg);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------- dataflow-emulated
+// --------------------------------------------------- per-shard emulation
 
 /// Bytes one AXI beat moves in the emulation (512-bit bus).
 const AXI_BYTES_PER_CYCLE: u64 = 64;
-
-/// [`ShardedBackend`] numerics plus per-shard accelerator cycle
-/// emulation: each shard's element-token stream is routed through a
-/// Load → Compute → Store dataflow network sized from the shard's DDR
-/// traffic, and the resulting [`ShardCycleReport`]s are cached (shard
-/// structure is state-independent, so the DES runs once at construction).
-#[derive(Debug)]
-pub struct DataflowEmulatedBackend {
-    inner: ShardedBackend,
-    reports: Vec<ShardCycleReport>,
-    banked: Option<BankedEmulation>,
-}
-
-impl DataflowEmulatedBackend {
-    /// Builds the sharded backend and runs the per-shard emulation.
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Mesh`] if `shards == 0`, or if a shard network
-    /// fails to simulate (cannot happen for the generated 3-task chains,
-    /// but surfaced rather than panicking).
-    pub fn new(
-        mesh: &HexMesh,
-        geometry: &GeometryCache,
-        shards: usize,
-        strategy: PartitionStrategy,
-    ) -> Result<DataflowEmulatedBackend, SolverError> {
-        let plan = Arc::new(ShardPlan::with_strategy(
-            mesh,
-            shards,
-            usize::MAX,
-            strategy,
-        )?);
-        DataflowEmulatedBackend::with_plan(plan, mesh, geometry)
-    }
-
-    /// Wraps an already-built (possibly shared) shard plan and runs the
-    /// per-shard emulation — the shared-plan counterpart of
-    /// [`DataflowEmulatedBackend::new`], used by ensemble members on one
-    /// [`fem_mesh::SharedMeshContext`].
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Mesh`] if a shard network fails to simulate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` does not cover the plan's mesh.
-    pub fn with_plan(
-        plan: Arc<ShardPlan>,
-        mesh: &HexMesh,
-        geometry: &GeometryCache,
-    ) -> Result<DataflowEmulatedBackend, SolverError> {
-        let inner = ShardedBackend::with_plan(plan, geometry);
-        let npe = mesh.nodes_per_element() as u64;
-        // Every shard of a plan is non-empty (the plan clamps the shard
-        // count), so emulating all of them keeps `reports` index-aligned
-        // with `plan.shards()` by construction.
-        let reports: Vec<Result<ShardCycleReport, hls_dataflow::DataflowError>> = inner
-            .plan()
-            .shards()
-            .par_iter()
-            .map(|s| emulate_shard(s, npe))
-            .collect();
-        let mut out = Vec::with_capacity(reports.len());
-        for r in reports {
-            out.push(r.map_err(|e| {
-                SolverError::Mesh(fem_mesh::MeshError::InvalidParameter(format!(
-                    "shard emulation failed: {e}"
-                )))
-            })?);
-        }
-        Ok(DataflowEmulatedBackend {
-            inner,
-            reports: out,
-            banked: None,
-        })
-    }
-
-    /// Like [`DataflowEmulatedBackend::with_plan`], but additionally
-    /// routes the plan's memory streams onto `system`'s banks under
-    /// `assignment` and runs the banked DES. The banked emulation is a
-    /// scheduling overlay only — `assemble_rhs` is byte-identical to
-    /// the unbanked backend (pinned by test).
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Mesh`] if a network fails to simulate, or if
-    /// `assignment` does not cover the plan's streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` does not cover the plan's mesh.
-    pub fn with_banking(
-        plan: Arc<ShardPlan>,
-        mesh: &HexMesh,
-        geometry: &GeometryCache,
-        system: &MemorySystem,
-        assignment: &BankAssignment,
-    ) -> Result<DataflowEmulatedBackend, SolverError> {
-        let mut backend = DataflowEmulatedBackend::with_plan(plan, mesh, geometry)?;
-        let npe = mesh.nodes_per_element() as u64;
-        let banked = emulate_plan_banked(backend.plan(), npe, system, assignment).map_err(|e| {
-            SolverError::Mesh(fem_mesh::MeshError::InvalidParameter(format!(
-                "banked emulation failed: {e}"
-            )))
-        })?;
-        backend.banked = Some(banked);
-        Ok(backend)
-    }
-
-    /// The banked emulation, when constructed via
-    /// [`DataflowEmulatedBackend::with_banking`].
-    pub fn banked_report(&self) -> Option<&BankedEmulation> {
-        self.banked.as_ref()
-    }
-
-    /// The underlying shard plan.
-    pub fn plan(&self) -> &ShardPlan {
-        self.inner.plan()
-    }
-}
 
 /// Routes one shard's element stream through the 3-task pipeline DES.
 fn emulate_shard(
@@ -792,40 +338,25 @@ fn emulate_shard(
     })
 }
 
-impl ExecutionBackend for DataflowEmulatedBackend {
-    fn name(&self) -> String {
-        format!(
-            "dataflow-emulated({}, {})",
-            self.inner.plan().num_shards(),
-            self.inner.plan().strategy()
-        )
-    }
-
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            emulates_accelerator: true,
-            ..self.inner.capabilities()
-        }
-    }
-
-    fn assemble_rhs(
-        &mut self,
-        ctx: &AssemblyContext<'_>,
-        conserved: &Conserved,
-        prim: &Primitives,
-        out: &mut Conserved,
-        profiler: Option<&mut PhaseProfiler>,
-    ) {
-        self.inner.assemble_rhs(ctx, conserved, prim, out, profiler);
-    }
-
-    fn shard_reports(&self) -> &[ShardCycleReport] {
-        &self.reports
-    }
-
-    fn shard_plan(&self) -> Option<&ShardPlan> {
-        Some(self.inner.plan())
-    }
+/// Predicted accelerator timing of every shard of `plan`: each shard's
+/// element-token stream runs through its own Load → Compute → Store
+/// dataflow network, sized from the shard's DDR traffic, with `npe` (nodes
+/// per element) cycles per element through the compute task. The reports
+/// are index-aligned with `plan.shards()`.
+///
+/// # Errors
+///
+/// [`hls_dataflow::DataflowError`] if a shard network fails to validate
+/// or simulate (cannot happen for the generated 3-task chains, but
+/// surfaced rather than panicking).
+pub fn emulate_plan(
+    plan: &ShardPlan,
+    npe: u64,
+) -> Result<Vec<ShardCycleReport>, hls_dataflow::DataflowError> {
+    plan.shards()
+        .iter()
+        .map(|shard| emulate_shard(shard, npe))
+        .collect()
 }
 
 // ------------------------------------------------------ banked emulation
@@ -918,17 +449,16 @@ pub struct BankedEmulation {
     /// degenerate mode, which runs the flat pre-banking networks).
     pub bank_stats: Vec<hls_dataflow::BankStats>,
     /// Per-shard flat reports — populated only in the 1-bank degenerate
-    /// mode, where they are cycle-for-cycle identical to the unbanked
-    /// backend's [`ShardCycleReport`]s (pinned by test).
+    /// mode, where they are exactly [`emulate_plan`]'s reports.
     pub shard_reports: Vec<ShardCycleReport>,
 }
 
 /// Runs the banked dataflow emulation of a whole plan.
 ///
-/// With a 1-bank `system` (the degenerate flat model) this builds
-/// exactly the pre-banking per-shard Load → Compute → Store chains — no
-/// bank tags, no port arbitration — so the result reproduces the flat
-/// `SimulationReport` cycle-for-cycle. With a multi-bank system each
+/// With a 1-bank `system` (the degenerate flat model) this is
+/// [`emulate_plan`] — the per-shard Load → Compute → Store chains with no
+/// bank tags and no port arbitration — so the result reproduces the flat
+/// reports cycle-for-cycle. With a multi-bank system each
 /// shard becomes one pipeline of [`STREAMS_PER_SHARD`] banked endpoints
 /// (gather and geometry producers feeding the compute task, scatter
 /// tasks draining it) in a single network whose banked channels share
@@ -954,10 +484,7 @@ pub fn emulate_plan_banked(
         "assignment must cover every stream of the plan"
     );
     if system.num_banks() == 1 {
-        let mut shard_reports = Vec::with_capacity(plan.num_shards());
-        for shard in plan.shards() {
-            shard_reports.push(emulate_shard(shard, npe)?);
-        }
+        let shard_reports = emulate_plan(plan, npe)?;
         let makespan_cycles = shard_reports
             .iter()
             .map(|r| r.makespan_cycles)
@@ -1049,6 +576,29 @@ pub fn emulate_plan_banked(
 }
 
 // --------------------------------------------------------- multi-device
+
+/// One frontier contribution: element residual values destined for a
+/// node touched by several devices, routed to the node's owner. The
+/// source element id is carried so the owner can restore ascending global
+/// element order before applying.
+#[derive(Debug, Clone)]
+struct HaloContribution {
+    node: u32,
+    element: u32,
+    vals: [f64; NUM_VARS],
+}
+
+/// Cheap identity proxy for a geometry cache: element count plus the
+/// first and last quadrature weights' raw bits.
+fn geometry_fingerprint(geometry: &GeometryCache) -> (usize, u64, u64) {
+    let ne = geometry.num_elements();
+    if ne == 0 {
+        return (0, 0, 0);
+    }
+    let first = geometry.det_w(0).first().map_or(0, |v| v.to_bits());
+    let last = geometry.det_w(ne - 1).last().map_or(0, |v| v.to_bits());
+    (ne, first, last)
+}
 
 /// Clock the inter-device link DES is normalized to: link seconds from
 /// [`fpga_platform::pcie`] convert to cycles at the accelerator's
@@ -1200,13 +750,17 @@ struct DeviceState {
     measured: DevicePhaseSeconds,
 }
 
-/// One worker thread per simulated device with a decentralized,
-/// overlapped halo exchange (see the module docs for the protocol and
-/// the bitwise argument) plus a cached per-device link DES
+/// The one sharded executor: one worker thread per simulated device with
+/// a decentralized, overlapped halo exchange (see the module docs for the
+/// protocol and the bitwise argument) plus a cached per-device link DES
 /// ([`DeviceExchangeReport`]).
 #[derive(Debug)]
 pub struct MultiDeviceBackend {
     plan: Arc<ShardPlan>,
+    /// O(1) fingerprint of the cache the shard plan was built against,
+    /// re-checked on every assembly so a backend installed against the
+    /// wrong mesh/geometry fails loudly instead of applying a foreign
+    /// ownership plan.
     geometry_fingerprint: (usize, u64, u64),
     devices: Vec<DeviceState>,
     shared: Vec<DeviceShared>,
@@ -1621,8 +1175,7 @@ fn run_device(
         boxes[sender as usize].recycle.lock().unwrap().push(buf);
     }
     // The (node, element) key is total (a node appears at most once per
-    // element), so the unstable sort is deterministic and equal to the
-    // sharded backend's stable sort.
+    // element), so the unstable sort is deterministic.
     dev.pending
         .sort_unstable_by_key(|rec| (rec.node, rec.element));
     for rec in &dev.pending {
@@ -1649,17 +1202,8 @@ impl ExecutionBackend for MultiDeviceBackend {
         )
     }
 
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            shards: self.plan.num_shards(),
-            parallel: true,
-            deterministic_across_widths: true,
-            emulates_accelerator: true,
-        }
-    }
-
-    fn shard_plan(&self) -> Option<&ShardPlan> {
-        Some(self.plan.as_ref())
+    fn parallel(&self) -> bool {
+        true
     }
 
     fn exchange_reports(&self) -> &[DeviceExchangeReport] {
@@ -1685,6 +1229,9 @@ impl ExecutionBackend for MultiDeviceBackend {
             ctx.mesh.num_elements(),
             "shard plan does not cover the mesh"
         );
+        // det_w sampling cannot tell uniform meshes apart, so the node
+        // count (which separates e.g. periodic from walled boxes of the
+        // same size) is checked alongside the geometry fingerprint.
         assert_eq!(
             self.plan.num_nodes(),
             ctx.mesh.num_nodes(),
@@ -1727,34 +1274,6 @@ impl ExecutionBackend for MultiDeviceBackend {
     }
 }
 
-/// Builds a boxed built-in backend for `select` against a mesh/geometry
-/// pair. [`crate::driver::Simulation::set_backend`] calls this for the
-/// sharded selections; `Reference` selections it routes through
-/// `set_assembly_strategy` instead, which reuses the driver's cached
-/// element coloring (this constructor builds a fresh one every call).
-///
-/// # Errors
-///
-/// Propagates shard-plan and emulation failures.
-pub fn build_backend(
-    select: BackendSelect,
-    mesh: &HexMesh,
-    geometry: &GeometryCache,
-) -> Result<Box<dyn ExecutionBackend>, SolverError> {
-    Ok(match select {
-        BackendSelect::Reference(strategy) => Box::new(ReferenceBackend::new(strategy, mesh)),
-        BackendSelect::Sharded { shards, strategy } => {
-            Box::new(ShardedBackend::new(mesh, geometry, shards, strategy)?)
-        }
-        BackendSelect::DataflowEmulated { shards, strategy } => Box::new(
-            DataflowEmulatedBackend::new(mesh, geometry, shards, strategy)?,
-        ),
-        BackendSelect::MultiDevice { devices, strategy } => {
-            Box::new(MultiDeviceBackend::new(mesh, geometry, devices, strategy)?)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1762,6 +1281,7 @@ mod tests {
     use crate::scenarios::Scenario;
     use crate::tgv::TgvConfig;
     use fem_mesh::generator::BoxMeshBuilder;
+    use fpga_platform::{BankAssignment, MemorySystem};
     use proptest::prelude::*;
 
     fn bits(c: &Conserved) -> Vec<u64> {
@@ -1779,22 +1299,6 @@ mod tests {
         assert_eq!(
             BackendSelect::Reference(AssemblyStrategy::Serial).to_string(),
             "reference(serial)"
-        );
-        assert_eq!(
-            BackendSelect::Sharded {
-                shards: 4,
-                strategy: PartitionStrategy::Contiguous
-            }
-            .to_string(),
-            "sharded(4, contiguous)"
-        );
-        assert_eq!(
-            BackendSelect::DataflowEmulated {
-                shards: 2,
-                strategy: PartitionStrategy::Partitioned
-            }
-            .to_string(),
-            "dataflow-emulated(2, partitioned)"
         );
         assert_eq!(
             BackendSelect::MultiDevice {
@@ -1820,81 +1324,42 @@ mod tests {
             PartitionStrategy::Contiguous,
             PartitionStrategy::Partitioned,
         ] {
-            for shards in [1usize, 2, 3, 5, 64] {
+            for devices in [1usize, 2, 3, 5, 64] {
                 let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
                 let initial = cfg.initial_state(&mesh);
                 let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-                sim.set_backend(BackendSelect::Sharded { shards, strategy })
+                sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
                     .unwrap();
-                let caps = sim.backend().capabilities();
-                assert!(caps.deterministic_across_widths);
-                assert_eq!(caps.shards, shards.min(6 * 6 * 6));
+                assert!(sim.backend().parallel());
+                assert_eq!(
+                    sim.backend().name(),
+                    format!("multidevice({devices}, {strategy})")
+                );
                 sim.advance(4, dt).unwrap();
                 assert_eq!(
                     bits(sim.conserved()),
                     ref_bits,
-                    "shards={shards} strategy={strategy} diverged from the serial reference"
+                    "devices={devices} strategy={strategy} diverged from the serial reference"
                 );
             }
         }
     }
 
     #[test]
-    fn dataflow_emulated_matches_sharded_and_attaches_reports() {
-        let cfg = TgvConfig::standard();
+    fn emulate_plan_quotes_every_shard() {
         let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
-        let initial = cfg.initial_state(&mesh);
-        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sim.set_backend(BackendSelect::DataflowEmulated {
-            shards: 4,
-            strategy: PartitionStrategy::Contiguous,
-        })
-        .unwrap();
-        assert!(sim.backend().capabilities().emulates_accelerator);
-        let reports = sim.backend().shard_reports();
+        let plan =
+            ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap();
+        let reports = emulate_plan(&plan, mesh.nodes_per_element() as u64).unwrap();
         assert_eq!(reports.len(), 4);
         let ne: usize = reports.iter().map(|r| r.elements).sum();
         assert_eq!(ne, 5 * 5 * 5);
-        for r in reports {
+        for (g, r) in reports.iter().enumerate() {
+            assert_eq!(r.shard, g);
             assert!(r.makespan_cycles > 0);
             assert!(r.observed_ii >= r.bottleneck_ii as f64 - 0.5, "{r:?}");
             assert_eq!(r.bottleneck_ii, r.load_ii.max(r.compute_ii).max(r.store_ii));
         }
-
-        let dt = sim.suggest_dt(0.4);
-        sim.advance(3, dt).unwrap();
-
-        let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
-        let initial = cfg.initial_state(&mesh);
-        let mut sharded = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sharded
-            .set_backend(BackendSelect::Sharded {
-                shards: 4,
-                strategy: PartitionStrategy::Contiguous,
-            })
-            .unwrap();
-        sharded.advance(3, dt).unwrap();
-        assert_eq!(bits(sim.conserved()), bits(sharded.conserved()));
-    }
-
-    #[test]
-    fn sharded_profiling_records_phases() {
-        let cfg = TgvConfig::standard();
-        let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
-        let initial = cfg.initial_state(&mesh);
-        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sim.set_backend(BackendSelect::Sharded {
-            shards: 3,
-            strategy: PartitionStrategy::Partitioned,
-        })
-        .unwrap();
-        sim.set_profiling(true);
-        let dt = sim.suggest_dt(0.4);
-        sim.advance(2, dt).unwrap();
-        let p = sim.profiler();
-        assert!(p.total(Phase::RkConvection) > std::time::Duration::ZERO);
-        assert!(p.total(Phase::RkDiffusion) > std::time::Duration::ZERO);
-        assert!(p.total(Phase::RkOther) > std::time::Duration::ZERO);
     }
 
     #[test]
@@ -1902,11 +1367,11 @@ mod tests {
         let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
         let serial = ReferenceBackend::new(AssemblyStrategy::Serial, &mesh);
         assert!(serial.coloring_stats().is_none());
-        assert!(!serial.capabilities().parallel);
+        assert!(!serial.parallel());
         let colored = ReferenceBackend::new(AssemblyStrategy::Colored, &mesh);
         let stats = colored.coloring_stats().expect("coloring built");
         assert_eq!(stats.num_elements, 64);
-        assert!(colored.capabilities().deterministic_across_widths);
+        assert!(colored.parallel());
     }
 
     #[test]
@@ -1918,20 +1383,16 @@ mod tests {
             PartitionStrategy::Contiguous,
             PartitionStrategy::Partitioned,
         ] {
-            assert!(ShardedBackend::new(&mesh, &geometry, 0, strategy).is_err());
-            assert!(DataflowEmulatedBackend::new(&mesh, &geometry, 0, strategy).is_err());
             assert!(MultiDeviceBackend::new(&mesh, &geometry, 0, strategy).is_err());
         }
     }
 
     #[test]
     fn one_bank_banked_emulation_reproduces_flat_reports() {
-        // The degenerate 1-bank system must reproduce the pre-banking
-        // flat emulation cycle-for-cycle at every shard count and both
+        // The degenerate 1-bank system must reproduce the flat per-shard
+        // emulation cycle-for-cycle at every shard count and both
         // strategies.
         let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let basis = HexBasis::new(1).unwrap();
-        let geometry = GeometryCache::build(&mesh, &basis).unwrap();
         let npe = mesh.nodes_per_element() as u64;
         let flat_sys = MemorySystem::u200_flat();
         for strategy in [
@@ -1939,20 +1400,15 @@ mod tests {
             PartitionStrategy::Partitioned,
         ] {
             for shards in [1usize, 2, 4, 8] {
-                let plain =
-                    DataflowEmulatedBackend::new(&mesh, &geometry, shards, strategy).unwrap();
-                let streams = shard_streams(plain.plan(), npe);
+                let plan = ShardPlan::with_strategy(&mesh, shards, usize::MAX, strategy).unwrap();
+                let quotes = emulate_plan(&plan, npe).unwrap();
+                let streams = shard_streams(&plan, npe);
                 let a = BankAssignment::round_robin(&streams, &flat_sys);
-                let banked = emulate_plan_banked(plain.plan(), npe, &flat_sys, &a).unwrap();
-                assert_eq!(banked.shard_reports, plain.shard_reports());
+                let banked = emulate_plan_banked(&plan, npe, &flat_sys, &a).unwrap();
+                assert_eq!(banked.shard_reports, quotes);
                 assert_eq!(
                     banked.makespan_cycles,
-                    plain
-                        .shard_reports()
-                        .iter()
-                        .map(|r| r.makespan_cycles)
-                        .max()
-                        .unwrap()
+                    quotes.iter().map(|r| r.makespan_cycles).max().unwrap()
                 );
                 assert!(banked.bank_stats.is_empty());
             }
@@ -2010,50 +1466,11 @@ mod tests {
     }
 
     #[test]
-    fn banking_overlay_leaves_the_numerics_bitwise_untouched() {
-        // The banked backend must be a scheduling overlay only: the
-        // trajectory is bit-identical to the plain dataflow backend.
-        let cfg = TgvConfig::standard();
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let initial = cfg.initial_state(&mesh);
-        let mut plain = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        plain
-            .set_backend(BackendSelect::DataflowEmulated {
-                shards: 4,
-                strategy: PartitionStrategy::Contiguous,
-            })
-            .unwrap();
-        let dt = plain.suggest_dt(0.4);
-        plain.advance(3, dt).unwrap();
-
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let basis = HexBasis::new(1).unwrap();
-        let geometry = GeometryCache::build(&mesh, &basis).unwrap();
-        let plan = Arc::new(
-            ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap(),
-        );
-        let npe = mesh.nodes_per_element() as u64;
-        let hbm = MemorySystem::u280_hbm2();
-        let streams = shard_streams(&plan, npe);
-        let greedy = BankAssignment::greedy(&streams, &hbm);
-        let backend =
-            DataflowEmulatedBackend::with_banking(plan, &mesh, &geometry, &hbm, &greedy).unwrap();
-        assert!(backend.banked_report().is_some());
-        assert_eq!(backend.banked_report().unwrap().system, "u280-hbm2");
-
-        let initial = cfg.initial_state(&mesh);
-        let mut banked = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        banked.set_custom_backend(Box::new(backend));
-        banked.advance(3, dt).unwrap();
-        assert_eq!(bits(banked.conserved()), bits(plain.conserved()));
-    }
-
-    #[test]
     fn multidevice_trajectory_is_bitwise_identical_per_registry_scenario() {
-        // The tentpole guarantee: the decentralized overlapped exchange
-        // stays bitwise identical to the serial reference on every
-        // registry scenario, at every device count, under both
-        // partition strategies.
+        // The sharded executor's guarantee: the decentralized overlapped
+        // exchange stays bitwise identical to the serial reference on
+        // every registry scenario, at every device count up to one
+        // element per device, under both partition strategies.
         for scenario in Scenario::registry() {
             let mut reference = scenario.simulation(4).unwrap();
             let dt = reference.suggest_dt(0.3);
@@ -2062,13 +1479,11 @@ mod tests {
                 PartitionStrategy::Contiguous,
                 PartitionStrategy::Partitioned,
             ] {
-                for devices in [1usize, 2, 3, 4, 8] {
+                for devices in [1usize, 2, 3, 4, 5, 7, 8, 64] {
                     let mut sim = scenario.simulation(4).unwrap();
                     sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
                         .unwrap();
-                    let caps = sim.backend().capabilities();
-                    assert!(caps.deterministic_across_widths);
-                    assert!(caps.parallel);
+                    assert!(sim.backend().parallel());
                     sim.advance(2, dt).unwrap();
                     assert_eq!(
                         bits(sim.conserved()),
@@ -2092,7 +1507,6 @@ mod tests {
             strategy: PartitionStrategy::Contiguous,
         })
         .unwrap();
-        assert!(sim.backend().capabilities().emulates_accelerator);
         assert_eq!(sim.backend().name(), "multidevice(4, contiguous)");
 
         let reports = sim.exchange_reports();
@@ -2179,41 +1593,15 @@ mod tests {
         assert!(p.total(Phase::RkOther) > std::time::Duration::ZERO);
     }
 
-    #[test]
-    fn partitioned_trajectory_is_bitwise_identical_per_registry_scenario() {
-        // The tentpole guarantee, end to end: a graph-partitioned sharded
-        // advance stays bitwise identical to the serial reference on
-        // every registry scenario.
-        for scenario in Scenario::registry() {
-            let mut reference = scenario.simulation(4).unwrap();
-            let dt = reference.suggest_dt(0.3);
-            reference.advance(2, dt).unwrap();
-            for shards in [4usize, 7] {
-                let mut sim = scenario.simulation(4).unwrap();
-                sim.set_backend(BackendSelect::Sharded {
-                    shards,
-                    strategy: PartitionStrategy::Partitioned,
-                })
-                .unwrap();
-                sim.advance(2, dt).unwrap();
-                assert_eq!(
-                    bits(sim.conserved()),
-                    bits(reference.conserved()),
-                    "{} shards={shards} partitioned diverged",
-                    scenario.name()
-                );
-            }
-        }
-    }
-
     proptest! {
-        /// For every scenario in the registry, the sharded RHS (the full
-        /// composed RKU → RKL → mass → boundary pipeline) matches the
-        /// serial reference at ≤ 1e-12 relative — and in fact bitwise —
-        /// for randomized shard counts under both partition strategies.
+        /// For every scenario in the registry, the sharded executor's RHS
+        /// (the full composed RKU → RKL → mass → boundary pipeline)
+        /// matches the serial reference at ≤ 1e-12 relative — and in fact
+        /// bitwise — for randomized device counts under both partition
+        /// strategies.
         #[test]
         fn prop_sharded_rhs_matches_reference_on_every_scenario(
-            shards in 1usize..17,
+            devices in 1usize..17,
             edge in 3usize..5,
             partitioned in proptest::bool::ANY,
         ) {
@@ -2225,7 +1613,7 @@ mod tests {
             for scenario in Scenario::registry() {
                 let mut reference = scenario.simulation(edge).unwrap();
                 let mut sharded = scenario.simulation(edge).unwrap();
-                sharded.set_backend(BackendSelect::Sharded { shards, strategy }).unwrap();
+                sharded.set_backend(BackendSelect::MultiDevice { devices, strategy }).unwrap();
                 let a = reference.eval_rhs();
                 let b = sharded.eval_rhs();
                 let fa = flat(&a);
@@ -2233,7 +1621,7 @@ mod tests {
                 for (x, y) in fa.iter().zip(&flat(&b)) {
                     prop_assert!(
                         (x - y).abs() <= 1e-12 * scale,
-                        "{} shards={} {}: {} vs {}", scenario.name(), shards, strategy, x, y
+                        "{} devices={} {}: {} vs {}", scenario.name(), devices, strategy, x, y
                     );
                 }
                 prop_assert_eq!(bits(&a), bits(&b));

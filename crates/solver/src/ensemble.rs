@@ -49,7 +49,7 @@ pub struct MemberResult {
     /// Scenario name the member ran.
     pub scenario: String,
     /// Execution backend, as reported by the backend itself
-    /// (e.g. `sharded(4, contiguous)`).
+    /// (e.g. `multidevice(4, contiguous)`).
     pub backend: String,
     /// Mesh elements per axis.
     pub edge: usize,
@@ -361,10 +361,10 @@ mod tests {
         let spec = tgv_spec(
             2,
             BackendSpec {
-                kind: "sharded".to_string(),
+                kind: "multidevice".to_string(),
                 strategy: None,
-                shards: Some(2),
-                devices: None,
+                shards: None,
+                devices: Some(2),
                 kernel: None,
             },
         );

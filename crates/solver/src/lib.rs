@@ -17,8 +17,10 @@
 //!   full-matrix, selected by [`KernelPath`]), scatter.
 //! * [`driver`] — the RK4 time loop gluing RKL and RKU together.
 //! * [`engine`] — the shard-parallel execution engine: the pluggable
-//!   [`ExecutionBackend`] trait with reference, sharded (bitwise stable
-//!   across shard counts), and dataflow-emulated implementations.
+//!   [`ExecutionBackend`] trait with the reference host paths and the one
+//!   sharded executor, [`MultiDeviceBackend`] (bitwise identical to the
+//!   serial loop at every device count), plus the per-shard and banked
+//!   accelerator emulations as plain functions of the shard plan.
 //! * [`parallel`] — multi-core residual assembly: chunked partials or
 //!   color-parallel in-place scatter ([`AssemblyStrategy`]).
 //! * [`tgv`] — the Taylor-Green Vortex workload of the evaluation.
@@ -75,9 +77,8 @@ pub mod tgv;
 pub use diagnostics::FlowDiagnostics;
 pub use driver::{Simulation, SimulationBuilder, SolverCore};
 pub use engine::{
-    AssemblyContext, BackendCapabilities, BackendSelect, DataflowEmulatedBackend,
-    DeviceExchangeReport, DevicePhaseSeconds, ExecutionBackend, MultiDeviceBackend,
-    PartitionStrategy, ReferenceBackend, ShardCycleReport, ShardedBackend,
+    AssemblyContext, BackendSelect, DeviceExchangeReport, DevicePhaseSeconds, ExecutionBackend,
+    MultiDeviceBackend, PartitionStrategy, ReferenceBackend, ShardCycleReport,
 };
 pub use ensemble::{EnsembleDriver, EnsembleReport, MemberResult};
 pub use gas::GasModel;

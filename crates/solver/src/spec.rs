@@ -29,12 +29,13 @@ use std::sync::Arc;
 
 /// Declarative execution-backend selection.
 ///
-/// | `kind`               | `strategy`                              | count field                       |
-/// |----------------------|-----------------------------------------|-----------------------------------|
-/// | `reference`          | `serial` (default), `chunked`, `colored`| `shards` = chunk count (`chunked` only) |
-/// | `sharded`            | `contiguous` (default), `partitioned`   | `shards` (default 4)              |
-/// | `dataflow-emulated`  | `contiguous` (default), `partitioned`   | `shards` (default 4)              |
-/// | `multidevice`        | `contiguous` (default), `partitioned`   | `devices` (default 4)             |
+/// | `kind`        | `strategy`                               | count field                             |
+/// |---------------|------------------------------------------|-----------------------------------------|
+/// | `reference`   | `serial` (default), `chunked`, `colored` | `shards` = chunk count (`chunked` only) |
+/// | `multidevice` | `contiguous` (default), `partitioned`    | `devices` (default 4)                   |
+///
+/// The removed kinds `sharded` and `dataflow-emulated` are rejected with
+/// an error that names `multidevice` and its `devices` field.
 ///
 /// Orthogonally to the family, `kernel` selects the weak-divergence
 /// contraction every backend dispatches: `sum-factored` (default — the
@@ -42,13 +43,12 @@ use std::sync::Arc;
 /// validation reference).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BackendSpec {
-    /// Backend family: `reference`, `sharded`, `dataflow-emulated`, or
-    /// `multidevice`.
+    /// Backend family: `reference` or `multidevice`.
     pub kind: String,
     /// Family-specific strategy name (see the table above).
     pub strategy: Option<String>,
-    /// Shard count (`sharded`/`dataflow-emulated`) or chunk count
-    /// (`reference` + `chunked`); meaningless combinations are rejected.
+    /// Chunk count (`reference` + `chunked` only); meaningless
+    /// combinations are rejected.
     pub shards: Option<usize>,
     /// Device count (`multidevice` only); rejected elsewhere.
     pub devices: Option<usize>,
@@ -89,8 +89,8 @@ impl BackendSpec {
     ///
     /// # Errors
     ///
-    /// [`SolverError::InvalidSpec`] for an unknown kind or strategy
-    /// name, or a `shards` count on a combination that has none.
+    /// [`SolverError::InvalidSpec`] for an unknown or removed kind, an
+    /// unknown strategy name, or a count on a combination that has none.
     pub fn to_select(&self) -> Result<BackendSelect, SolverError> {
         let strategy = self.strategy.as_deref();
         match self.kind.as_str() {
@@ -116,16 +116,6 @@ impl BackendSpec {
                     "unknown reference strategy `{other}` (serial, chunked, colored)"
                 ))),
             },
-            "sharded" | "dataflow-emulated" => {
-                let strategy = self.partition_strategy()?;
-                self.reject_devices(&self.kind)?;
-                let shards = self.shards.unwrap_or(4);
-                Ok(if self.kind == "sharded" {
-                    BackendSelect::Sharded { shards, strategy }
-                } else {
-                    BackendSelect::DataflowEmulated { shards, strategy }
-                })
-            }
             "multidevice" => {
                 let strategy = self.partition_strategy()?;
                 self.reject_shards("multidevice (use `devices`)")?;
@@ -134,8 +124,12 @@ impl BackendSpec {
                     strategy,
                 })
             }
+            removed @ ("sharded" | "dataflow-emulated") => Err(SolverError::InvalidSpec(format!(
+                "backend kind `{removed}` was removed: use `multidevice` with `devices` in \
+                 place of `shards` (same plans, same bits)"
+            ))),
             other => Err(SolverError::InvalidSpec(format!(
-                "unknown backend kind `{other}` (reference, sharded, dataflow-emulated, multidevice)"
+                "unknown backend kind `{other}` (reference, multidevice)"
             ))),
         }
     }
@@ -372,7 +366,7 @@ mod tests {
         #[test]
         fn prop_spec_built_matches_setter_built_bitwise(
             scenario_idx in 0usize..4,
-            backend_idx in 0usize..5,
+            backend_idx in 0usize..4,
             edge in 4usize..6,
             amp_scale in 1usize..4,
             full_matrix in proptest::bool::ANY,
@@ -393,17 +387,10 @@ mod tests {
                     kernel: kernel.clone(),
                 },
                 2 => BackendSpec {
-                    kind: "sharded".to_string(),
+                    kind: "multidevice".to_string(),
                     strategy: Some("contiguous".to_string()),
-                    shards: Some(2),
-                    devices: None,
-                    kernel: kernel.clone(),
-                },
-                3 => BackendSpec {
-                    kind: "sharded".to_string(),
-                    strategy: Some("partitioned".to_string()),
-                    shards: Some(3),
-                    devices: None,
+                    shards: None,
+                    devices: Some(2),
                     kernel: kernel.clone(),
                 },
                 _ => BackendSpec {
@@ -463,10 +450,10 @@ mod tests {
             backends: vec![
                 BackendSpec::reference_serial(),
                 BackendSpec {
-                    kind: "sharded".to_string(),
+                    kind: "multidevice".to_string(),
                     strategy: Some("partitioned".to_string()),
-                    shards: Some(2),
-                    devices: None,
+                    shards: None,
+                    devices: Some(2),
                     kernel: Some("full-matrix".to_string()),
                 },
             ],
@@ -518,14 +505,6 @@ mod tests {
         };
         assert!(bad.to_select().is_err(), "shards on multidevice must fail");
         let bad = BackendSpec {
-            kind: "sharded".to_string(),
-            strategy: None,
-            shards: None,
-            devices: Some(4),
-            kernel: None,
-        };
-        assert!(bad.to_select().is_err(), "devices on sharded must fail");
-        let bad = BackendSpec {
             kernel: Some("tensor-core".to_string()),
             ..BackendSpec::reference_serial()
         };
@@ -544,6 +523,33 @@ mod tests {
             matches!(sweep.expand(), Err(SolverError::InvalidSpec(_))),
             "expansion must reject an unknown kernel name"
         );
+    }
+
+    #[test]
+    fn removed_backend_kinds_name_their_replacement() {
+        for kind in ["sharded", "dataflow-emulated"] {
+            let old = BackendSpec {
+                kind: kind.to_string(),
+                strategy: Some("partitioned".to_string()),
+                shards: Some(4),
+                devices: None,
+                kernel: None,
+            };
+            let Err(SolverError::InvalidSpec(msg)) = old.to_select() else {
+                panic!("`{kind}` must be rejected");
+            };
+            assert!(msg.contains(&format!("`{kind}`")), "{msg}");
+            assert!(msg.contains("`multidevice`"), "{msg}");
+            assert!(msg.contains("`devices`"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn committed_example_sweep_expands() {
+        let sweep: SweepSpec =
+            serde_json::from_str(include_str!("../../../examples/sweeps/design_space.json"))
+                .unwrap();
+        assert!(!sweep.expand().unwrap().is_empty());
     }
 
     #[test]
