@@ -3,7 +3,6 @@
 //! convection 21.04%).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fem_mesh::coloring::ElementColoring;
 use fem_mesh::generator::BoxMeshBuilder;
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::hex::{ElementGeometry, GeometryScratch};
@@ -12,7 +11,7 @@ use fem_solver::kernels::{
     convective_flux, fused_flux, viscous_flux, weak_divergence, ElementWorkspace, KernelOps,
     KernelPath,
 };
-use fem_solver::parallel::{assemble_rhs_chunked_into, assemble_rhs_colored_into};
+use fem_solver::parallel::{assemble_rhs_into, assemble_rhs_split_into};
 use fem_solver::state::{Conserved, Primitives};
 use fem_solver::tgv::TgvConfig;
 
@@ -80,76 +79,6 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full-mesh RHS assembly, one strategy per benchmark: the serial
-/// baseline, chunked private-partials, and color-parallel in-place
-/// scatter (the paper's scatter-hazard resolution on a multi-core host).
-/// All strategies stream the precomputed geometry cache.
-fn bench_assembly_strategies(c: &mut Criterion) {
-    let mesh = BoxMeshBuilder::tgv_box(8).build().unwrap();
-    let basis = HexBasis::new(1).unwrap();
-    let cfg = TgvConfig::standard();
-    let gas = cfg.gas();
-    let conserved = cfg.initial_state(&mesh);
-    let mut prim = Primitives::zeros(mesh.num_nodes());
-    prim.update_from(&conserved, &gas);
-    let coloring = ElementColoring::greedy(&mesh);
-    let geometry = GeometryCache::build(&mesh, &basis).unwrap();
-    let threads = fem_solver::parallel::available_threads();
-    let mut out = Conserved::zeros(mesh.num_nodes());
-
-    let mut group = c.benchmark_group("assembly_strategies");
-    group.throughput(Throughput::Elements(mesh.num_elements() as u64));
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            assemble_rhs_chunked_into(
-                &mesh,
-                &basis,
-                &gas,
-                &geometry,
-                &conserved,
-                &prim,
-                1,
-                KernelPath::SumFactored,
-                &mut out,
-                None,
-            )
-        });
-    });
-    group.bench_function("chunked", |b| {
-        b.iter(|| {
-            assemble_rhs_chunked_into(
-                &mesh,
-                &basis,
-                &gas,
-                &geometry,
-                &conserved,
-                &prim,
-                threads,
-                KernelPath::SumFactored,
-                &mut out,
-                None,
-            )
-        });
-    });
-    group.bench_function("colored", |b| {
-        b.iter(|| {
-            assemble_rhs_colored_into(
-                &mesh,
-                &basis,
-                &gas,
-                &geometry,
-                &conserved,
-                &prim,
-                &coloring,
-                KernelPath::SumFactored,
-                &mut out,
-                None,
-            )
-        });
-    });
-    group.finish();
-}
-
 /// The PR-3 optimization ladder at full-mesh granularity: seed
 /// recompute+split vs cached+split vs cached+fused, plus the one-time
 /// cache construction cost it amortizes away.
@@ -191,29 +120,18 @@ fn bench_geometry_cache(c: &mut Criterion) {
     });
     group.bench_function("rhs_cached_split", |b| {
         b.iter(|| {
-            fem_solver::parallel::assemble_rhs_split_into(
-                &mesh,
-                &basis,
-                &gas,
-                &geometry,
-                &conserved,
-                &prim,
-                fem_solver::parallel::AssemblyStrategy::Serial,
-                None,
-                &mut out,
-            )
+            assemble_rhs_split_into(&mesh, &basis, &gas, &geometry, &conserved, &prim, &mut out)
         });
     });
     group.bench_function("rhs_cached_fused", |b| {
         b.iter(|| {
-            assemble_rhs_chunked_into(
+            assemble_rhs_into(
                 &mesh,
                 &basis,
                 &gas,
                 &geometry,
                 &conserved,
                 &prim,
-                1,
                 KernelPath::SumFactored,
                 &mut out,
                 None,
@@ -258,7 +176,6 @@ fn bench_kernel_paths(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernels,
-    bench_assembly_strategies,
     bench_geometry_cache,
     bench_kernel_paths
 );

@@ -8,9 +8,8 @@
 //! repro ablations   §III optimizations disabled one at a time
 //! repro optimizer   §III-D optimization trace on the proposed design
 //! repro scaling     future-work study: RKL units across SLRs
-//! repro assembly    host-CPU chunked-vs-colored assembly scaling
 //! repro geometry    cached-vs-recompute, fused-vs-split, and the sum-factored vs full-matrix order ladder
-//! repro scenarios   cross-strategy regression matrix over the registry
+//! repro scenarios   cross-backend regression matrix over the registry
 //! repro sharding    shard + device sweep, contiguous vs graph-partitioned, with emulated II quotes and multi-device overlap timings
 //! repro banking     banked-memory frontier: shard x batch x memory-system x assignment policy, flat vs DDR4 vs HBM2
 //! repro ensemble    ensemble serving: throughput sweep, context sharing, registry x backend
@@ -67,10 +66,6 @@ fn run(cmd: &str, mode: OutputMode) -> Result<(), ExpError> {
         "ablations" => emit(&run_ablations(1_000_000)?, mode),
         "optimizer" => print_optimizer_trace(mode),
         "scaling" => emit(&fem_accel::scaling::run_scaling_study(4_200_000, 3)?, mode),
-        "assembly" => emit(
-            &fem_bench::assembly::run_assembly_scaling(&[6, 8, 10], 5),
-            mode,
-        ),
         "geometry" => emit(&fem_bench::geometry::run_geometry_study(&[8, 12], 5), mode),
         "scenarios" => emit(
             &fem_bench::scenarios::run_scenario_matrix(
@@ -112,7 +107,6 @@ fn run(cmd: &str, mode: OutputMode) -> Result<(), ExpError> {
                 "ablations",
                 "optimizer",
                 "scaling",
-                "assembly",
                 "geometry",
                 "scenarios",
                 "sharding",
@@ -126,7 +120,7 @@ fn run(cmd: &str, mode: OutputMode) -> Result<(), ExpError> {
         other => {
             eprintln!("unknown experiment `{other}`");
             eprintln!(
-                "usage: repro <fig2|fig5|table1|table2|ablations|optimizer|scaling|assembly|geometry|scenarios|sharding|banking|ensemble|all> [--json]"
+                "usage: repro <fig2|fig5|table1|table2|ablations|optimizer|scaling|geometry|scenarios|sharding|banking|ensemble|all> [--json]"
             );
             std::process::exit(2);
         }

@@ -187,23 +187,20 @@ fn same_mesh_specs(edge: usize, steps: usize, members: usize) -> Vec<SimulationS
     let backends = [
         BackendSpec::reference_serial(),
         BackendSpec {
-            kind: "reference".to_string(),
-            strategy: Some("colored".to_string()),
-            shards: None,
-            devices: None,
+            kind: "multidevice".to_string(),
+            strategy: Some("partitioned".to_string()),
+            devices: Some(3),
             kernel: None,
         },
         BackendSpec {
             kind: "multidevice".to_string(),
             strategy: Some("contiguous".to_string()),
-            shards: None,
             devices: Some(2),
             kernel: None,
         },
         BackendSpec {
             kind: "multidevice".to_string(),
             strategy: Some("partitioned".to_string()),
-            shards: None,
             devices: Some(4),
             kernel: None,
         },
@@ -240,7 +237,6 @@ fn spec_vs_setters_bitwise(edge: usize, steps: usize) -> bool {
         backend: BackendSpec {
             kind: "multidevice".to_string(),
             strategy: Some("partitioned".to_string()),
-            shards: None,
             devices: Some(2),
             kernel: None,
         },
@@ -309,14 +305,12 @@ pub fn run_ensemble_study(edge: usize, steps: usize, member_counts: &[usize]) ->
         BackendSpec {
             kind: "multidevice".to_string(),
             strategy: Some("partitioned".to_string()),
-            shards: None,
             devices: Some(4),
             kernel: None,
         },
         BackendSpec {
             kind: "multidevice".to_string(),
             strategy: Some("contiguous".to_string()),
-            shards: None,
             devices: Some(2),
             kernel: None,
         },

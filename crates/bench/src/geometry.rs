@@ -10,25 +10,19 @@
 //!    [`GeometryCache`] slices: isolates the geometry-cache win.
 //! 3. `cached+fused` — the production serial path: cached geometry plus
 //!    the fused `F_c − F_v` single-contraction kernel.
-//! 4. `cached+fused colored` — the production parallel path
-//!    ([`AssemblyStrategy::Colored`]), whose result is bitwise identical
-//!    across any worker/chunk granularity.
 //!
-//! Every path is cross-checked against the seed residual, the colored
-//! path's bitwise schedule-independence is verified across chunk
-//! granularities (the knob that subsumes thread count in the in-order
-//! rayon stub), and the table reports the cache's memory footprint — the
-//! space the optimization trades for the per-stage Jacobian rebuild.
+//! Every path is cross-checked against the seed residual, and the table
+//! reports the cache's memory footprint — the space the optimization
+//! trades for the per-stage Jacobian rebuild.
 //!
 //! The study also climbs the **order ladder**: at basis orders `p = 1..=4`
 //! it times one serial RHS assembly under each [`KernelPath`] — the
 //! O(p⁴) sum-factored three-sweep contraction vs the O(p⁶) dense
 //! full-matrix reference — locating the order where the factored path
-//! overtakes, checking both paths' colored schedules bitwise against
-//! their serial references, and bounding the full-vs-factored residual
-//! deviation at 1e-12.
+//! overtakes, checking a 2-device [`MultiDeviceBackend`] assembly on both
+//! paths bitwise against the serial one, and bounding the
+//! full-vs-factored residual deviation at 1e-12.
 
-use fem_mesh::coloring::ElementColoring;
 use fem_mesh::generator::BoxMeshBuilder;
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::hex::{ElementGeometry, GeometryScratch};
@@ -38,11 +32,10 @@ use fem_numerics::tensor::HexBasis;
 use fem_solver::kernels::{
     convective_flux, viscous_flux, weak_divergence, ElementWorkspace, KernelOpCounts, KernelPath,
 };
-use fem_solver::parallel::{
-    assemble_rhs_colored_with_chunk, assemble_rhs_into, assemble_rhs_split_into, AssemblyStrategy,
-};
+use fem_solver::parallel::{assemble_rhs_into, assemble_rhs_split_into};
 use fem_solver::state::{Conserved, Primitives};
 use fem_solver::tgv::TgvConfig;
+use fem_solver::{AssemblyContext, ExecutionBackend, MultiDeviceBackend, PartitionStrategy};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -53,8 +46,7 @@ pub struct GeometryRow {
     pub edge: usize,
     /// Total mesh nodes.
     pub nodes: usize,
-    /// Path label (`recompute+split`, `cached+split`, `cached+fused`,
-    /// `cached+fused colored`).
+    /// Path label (`recompute+split`, `cached+split`, `cached+fused`).
     pub path: String,
     /// Mean wall-clock milliseconds per full RHS assembly.
     pub millis_per_assembly: f64,
@@ -81,9 +73,6 @@ pub struct GeometrySummary {
     pub fused_over_split: f64,
     /// Headline: the full cached+fused serial path over the seed path.
     pub cached_fused_over_seed: f64,
-    /// Whether the colored path produced bitwise-identical residuals
-    /// across all tested chunk granularities.
-    pub colored_bitwise_stable: bool,
 }
 
 /// One order-ladder rung: sum-factored vs full-matrix weak divergence at
@@ -106,11 +95,11 @@ pub struct OrderLadderRung {
     pub factored_divergence_flops: usize,
     /// Modeled weak-divergence flops per element, full-matrix: O(p⁶).
     pub full_matrix_divergence_flops: usize,
-    /// The colored sum-factored assembly reproduced the serial
-    /// sum-factored reference bitwise at this order.
+    /// The 2-device partitioned multi-device sum-factored assembly
+    /// reproduced the serial sum-factored result bitwise at this order.
     pub factored_bitwise_vs_reference: bool,
-    /// The colored full-matrix assembly reproduced the serial full-matrix
-    /// result bitwise at this order.
+    /// The 2-device partitioned multi-device full-matrix assembly
+    /// reproduced the serial full-matrix result bitwise at this order.
     pub full_matrix_bitwise_vs_reference: bool,
     /// Max deviation of the full-matrix residual from the sum-factored
     /// reference, relative to the reference max-norm (floored at 1).
@@ -122,7 +111,7 @@ pub struct OrderLadderRung {
 pub struct GeometryStudy {
     /// Worker threads available to the rayon stub.
     pub threads: usize,
-    /// Measurements, grouped by edge then path (fixed order, 4 per edge).
+    /// Measurements, grouped by edge then path (fixed order, 3 per edge).
     pub rows: Vec<GeometryRow>,
     /// Per-edge derived speedups and the cache footprint.
     pub summaries: Vec<GeometrySummary>,
@@ -160,13 +149,12 @@ impl std::fmt::Display for GeometryStudy {
         for s in &self.summaries {
             writeln!(
                 f,
-                "  edge {:>2}: cache {:>8} B | cached/recompute {:.2}x | fused/split {:.2}x | total {:.2}x | colored bitwise stable: {}",
+                "  edge {:>2}: cache {:>8} B | cached/recompute {:.2}x | fused/split {:.2}x | total {:.2}x",
                 s.edge,
                 s.cache_memory_bytes,
                 s.cached_over_recompute,
                 s.fused_over_split,
                 s.cached_fused_over_seed,
-                s.colored_bitwise_stable
             )?;
         }
         writeln!(f, "Order ladder: sum-factored vs full-matrix contraction:")?;
@@ -266,8 +254,8 @@ const LADDER_MAX_ORDER: usize = 4;
 
 /// Times one serial RHS assembly under each [`KernelPath`] at orders
 /// `p = 1..=4` on a viscous TGV box, cross-checking the full-matrix
-/// residual against the sum-factored reference and both colored
-/// schedules bitwise against their serial counterparts.
+/// residual against the sum-factored reference and a 2-device
+/// multi-device assembly on both paths bitwise against the serial one.
 fn run_order_ladder(reps: usize) -> Vec<OrderLadderRung> {
     let mut rungs = Vec::new();
     for order in 1..=LADDER_MAX_ORDER {
@@ -282,7 +270,9 @@ fn run_order_ladder(reps: usize) -> Vec<OrderLadderRung> {
         let mut prim = Primitives::zeros(mesh.num_nodes());
         prim.update_from(&conserved, &gas);
         let geometry = GeometryCache::build(&mesh, &basis).expect("valid ladder geometry");
-        let coloring = ElementColoring::greedy(&mesh);
+        let mut multidevice =
+            MultiDeviceBackend::new(&mesh, &geometry, 2, PartitionStrategy::Partitioned)
+                .expect("valid ladder plan");
         let counts = KernelOpCounts::for_basis(&basis);
 
         let mut serial = [
@@ -292,23 +282,29 @@ fn run_order_ladder(reps: usize) -> Vec<OrderLadderRung> {
         let mut millis = [0.0f64; 2];
         let mut bitwise = [false; 2];
         for (i, path) in KernelPath::ALL.into_iter().enumerate() {
-            let assemble = |strategy, coloring, out: &mut Conserved| {
+            let assemble = |out: &mut Conserved| {
                 assemble_rhs_into(
-                    &mesh, &basis, &gas, &geometry, &conserved, &prim, strategy, coloring, path,
-                    out, None,
+                    &mesh, &basis, &gas, &geometry, &conserved, &prim, path, out, None,
                 )
             };
             // Warm-up doubles as the correctness snapshot.
-            assemble(AssemblyStrategy::Serial, None, &mut serial[i]);
+            assemble(&mut serial[i]);
             let t0 = Instant::now();
             let mut out = Conserved::zeros(mesh.num_nodes());
             for _ in 0..reps {
-                assemble(AssemblyStrategy::Serial, None, &mut out);
+                assemble(&mut out);
             }
             millis[i] = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
-            // Schedule independence: the colored scatter must reproduce
-            // the serial result bitwise on this path too.
-            assemble(AssemblyStrategy::Colored, Some(&coloring), &mut out);
+            // The multi-device executor must reproduce the serial result
+            // bitwise on this path too.
+            let ctx = AssemblyContext {
+                mesh: &mesh,
+                basis: &basis,
+                gas: &gas,
+                geometry: &geometry,
+                kernel: path,
+            };
+            multidevice.assemble_rhs(&ctx, &conserved, &prim, &mut out, None);
             bitwise[i] = bits(&out) == bits(&serial[i]);
         }
         let [millis_factored, millis_full] = millis;
@@ -350,12 +346,11 @@ pub fn run_geometry_study(edges: &[usize], reps: usize) -> GeometryStudy {
         let mut prim = Primitives::zeros(mesh.num_nodes());
         prim.update_from(&conserved, &gas);
         let geometry = GeometryCache::build(&mesh, &basis).expect("valid geometry");
-        let coloring = ElementColoring::greedy(&mesh);
 
         let mut out = Conserved::zeros(mesh.num_nodes());
         let mut seed = Conserved::zeros(mesh.num_nodes());
 
-        let paths: [AssemblyPath; 4] = [
+        let paths: [AssemblyPath; 3] = [
             (
                 "recompute+split",
                 Box::new(|out: &mut Conserved| {
@@ -365,17 +360,7 @@ pub fn run_geometry_study(edges: &[usize], reps: usize) -> GeometryStudy {
             (
                 "cached+split",
                 Box::new(|out: &mut Conserved| {
-                    assemble_rhs_split_into(
-                        &mesh,
-                        &basis,
-                        &gas,
-                        &geometry,
-                        &conserved,
-                        &prim,
-                        AssemblyStrategy::Serial,
-                        None,
-                        out,
-                    )
+                    assemble_rhs_split_into(&mesh, &basis, &gas, &geometry, &conserved, &prim, out)
                 }),
             ),
             (
@@ -388,26 +373,6 @@ pub fn run_geometry_study(edges: &[usize], reps: usize) -> GeometryStudy {
                         &geometry,
                         &conserved,
                         &prim,
-                        AssemblyStrategy::Serial,
-                        None,
-                        KernelPath::SumFactored,
-                        out,
-                        None,
-                    )
-                }),
-            ),
-            (
-                "cached+fused colored",
-                Box::new(|out: &mut Conserved| {
-                    assemble_rhs_into(
-                        &mesh,
-                        &basis,
-                        &gas,
-                        &geometry,
-                        &conserved,
-                        &prim,
-                        AssemblyStrategy::Colored,
-                        Some(&coloring),
                         KernelPath::SumFactored,
                         out,
                         None,
@@ -416,7 +381,7 @@ pub fn run_geometry_study(edges: &[usize], reps: usize) -> GeometryStudy {
             ),
         ];
 
-        let mut times = [0.0f64; 4];
+        let mut times = [0.0f64; 3];
         for (i, (label, assemble)) in paths.iter().enumerate() {
             // Warm-up (also produces the correctness snapshot).
             assemble(&mut out);
@@ -439,32 +404,6 @@ pub fn run_geometry_study(edges: &[usize], reps: usize) -> GeometryStudy {
             });
         }
 
-        // Colored bitwise stability across chunk granularities — the
-        // schedule knob that varies per-thread work assignment.
-        let mut colored_bits: Option<Vec<u64>> = None;
-        let mut stable = true;
-        for chunk in [1usize, 7, 4096] {
-            let mut c = Conserved::zeros(mesh.num_nodes());
-            assemble_rhs_colored_with_chunk(
-                &mesh,
-                &basis,
-                &gas,
-                &geometry,
-                &conserved,
-                &prim,
-                &coloring,
-                chunk,
-                KernelPath::SumFactored,
-                &mut c,
-                None,
-            );
-            let b = bits(&c);
-            match &colored_bits {
-                None => colored_bits = Some(b),
-                Some(reference) => stable &= *reference == b,
-            }
-        }
-
         summaries.push(GeometrySummary {
             edge,
             nodes: mesh.num_nodes(),
@@ -472,7 +411,6 @@ pub fn run_geometry_study(edges: &[usize], reps: usize) -> GeometryStudy {
             cached_over_recompute: times[0] / times[1].max(f64::MIN_POSITIVE),
             fused_over_split: times[1] / times[2].max(f64::MIN_POSITIVE),
             cached_fused_over_seed: times[0] / times[2].max(f64::MIN_POSITIVE),
-            colored_bitwise_stable: stable,
         });
     }
     let order_ladder = run_order_ladder(reps);
@@ -496,7 +434,7 @@ mod tests {
     #[test]
     fn geometry_study_is_consistent() {
         let study = run_geometry_study(&[4], 1);
-        assert_eq!(study.rows.len(), 4);
+        assert_eq!(study.rows.len(), 3);
         assert_eq!(study.summaries.len(), 1);
         assert!(study.threads >= 1);
         assert_eq!(study.rows[0].path, "recompute+split");
@@ -514,13 +452,12 @@ mod tests {
         let s = &study.summaries[0];
         // 4³ elements × 8 nodes × (72 + 8) B.
         assert_eq!(s.cache_memory_bytes, 64 * 8 * 80);
-        assert!(s.colored_bitwise_stable);
         // The table serializes (the repro --json path).
         let json = serde_json::to_string(&study).unwrap();
         assert!(json.contains("\"summaries\""), "{json}");
         assert!(json.contains("\"order_ladder\""), "{json}");
         let shown = format!("{study}");
-        assert!(shown.contains("cached+fused colored"), "{shown}");
+        assert!(shown.contains("cached+fused"), "{shown}");
         assert!(shown.contains("Order ladder"), "{shown}");
     }
 
@@ -544,7 +481,7 @@ mod tests {
                 r.order,
                 r.max_rel_error_full_vs_factored
             );
-            // ...and both colored schedules are bitwise-deterministic.
+            // ...and the multi-device executor is bitwise serial on both.
             assert!(r.factored_bitwise_vs_reference, "p={}", r.order);
             assert!(r.full_matrix_bitwise_vs_reference, "p={}", r.order);
             // The flop model: factored O(p⁴) vs full-matrix O(p⁶), with

@@ -7,7 +7,6 @@
 
 #![deny(missing_docs)]
 
-pub mod assembly;
 pub mod banking;
 pub mod ensemble;
 pub mod geometry;

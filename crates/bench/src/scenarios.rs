@@ -1,16 +1,16 @@
-//! Cross-strategy scenario regression matrix: `repro scenarios`.
+//! Cross-backend scenario regression matrix: `repro scenarios`.
 //!
 //! Runs every entry of the solver's scenario registry
-//! ([`fem_solver::scenarios::Scenario`]) under all three
-//! [`AssemblyStrategy`] variants and reports:
+//! ([`fem_solver::scenarios::Scenario`]) on the serial loop and on
+//! [`PARALLEL_BACKENDS`] and reports:
 //!
-//! * **Equivalence** — for each RK step, the Chunked and Colored
-//!   trajectories are re-launched from the serial state of that step and
-//!   the per-field relative deviation after the step is recorded. The
-//!   per-step resync keeps the comparison tight (grouping-order rounding
-//!   does not accumulate), so every strategy must track serial at
-//!   ≤ 1e-12 on every scenario — including the wall-bounded cavity whose
-//!   Dirichlet zeroing rides inside the RK loop.
+//! * **Equivalence** — for each RK step, the parallel trajectories are
+//!   re-launched from the serial state of that step and the per-field
+//!   relative deviation after the step is recorded. Every backend must
+//!   track serial at ≤ 1e-12 on every scenario — including the
+//!   wall-bounded cavity whose Dirichlet zeroing rides inside the RK
+//!   loop. (The multi-device executor is in fact bitwise identical to
+//!   serial, so every deviation reads 0.)
 //! * **Invariants** — the scenario's physical checks (conservation, KE
 //!   decay, wall adherence, pulse spreading) evaluated on the serial run.
 //! * **Workload quotes** — the accelerator-side DDR traffic, FLOPs,
@@ -24,19 +24,32 @@ use fem_accel::experiments::{scenario_workload, ScenarioWorkload};
 use fem_numerics::rk::StateOps;
 use fem_solver::scenarios::Scenario;
 use fem_solver::state::Conserved;
-use fem_solver::AssemblyStrategy;
+use fem_solver::{AssemblyStrategy, BackendSelect, PartitionStrategy};
 use serde::Serialize;
 
-/// Maximum per-step relative deviation a strategy may show against the
+/// Maximum per-step relative deviation a backend may show against the
 /// serial reference (the acceptance bar of the regression matrix).
 pub const STRATEGY_EQUIVALENCE_TOL: f64 = 1e-12;
 
-/// One (scenario, strategy) cell of the matrix.
+/// The parallel backends every scenario is compared against serial on.
+pub const PARALLEL_BACKENDS: [BackendSelect; 2] = [
+    BackendSelect::MultiDevice {
+        devices: 2,
+        strategy: PartitionStrategy::Partitioned,
+    },
+    BackendSelect::MultiDevice {
+        devices: 4,
+        strategy: PartitionStrategy::Partitioned,
+    },
+];
+
+/// One (scenario, backend) cell of the matrix.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScenarioRow {
     /// Scenario identifier.
     pub scenario: String,
-    /// Strategy label (`serial`, `chunked(N)`, `colored`).
+    /// Backend label (`serial`, `multidevice(2, partitioned)`,
+    /// `multidevice(4, partitioned)`).
     pub strategy: String,
     /// RK steps compared.
     pub steps: usize,
@@ -76,7 +89,7 @@ pub struct ScenarioSummary {
     pub dirichlet_nodes: usize,
     /// Time step used.
     pub dt: f64,
-    /// Whether every strategy stayed within
+    /// Whether every backend stayed within
     /// [`STRATEGY_EQUIVALENCE_TOL`] of serial on every step.
     pub strategies_agree: bool,
     /// The scenario's invariant checks (evaluated on the serial run).
@@ -87,7 +100,7 @@ pub struct ScenarioSummary {
     pub workload: ScenarioWorkload,
 }
 
-/// The full cross-strategy scenario matrix.
+/// The full cross-backend scenario matrix.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScenarioMatrix {
     /// Elements per axis of every scenario mesh.
@@ -96,8 +109,8 @@ pub struct ScenarioMatrix {
     pub steps: usize,
     /// Worker threads available to the rayon stub.
     pub threads: usize,
-    /// (scenario × strategy) cells, strategies in fixed order
-    /// (serial, chunked, colored) per scenario.
+    /// (scenario × backend) cells, backends in fixed order (serial, then
+    /// [`PARALLEL_BACKENDS`]) per scenario.
     pub rows: Vec<ScenarioRow>,
     /// Per-scenario verdicts.
     pub summaries: Vec<ScenarioSummary>,
@@ -112,20 +125,20 @@ impl std::fmt::Display for ScenarioMatrix {
         )?;
         writeln!(
             f,
-            "  {:>22} {:>14} {:>14}",
-            "scenario", "strategy", "max rel dev"
+            "  {:>22} {:>28} {:>14}",
+            "scenario", "backend", "max rel dev"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "  {:>22} {:>14} {:>14.2e}",
+                "  {:>22} {:>28} {:>14.2e}",
                 r.scenario, r.strategy, r.max_rel_dev_vs_serial
             )?;
         }
         for s in &self.summaries {
             writeln!(
                 f,
-                "  {} — {} ({} nodes, {} pinned, dt {:.3e}): strategies {}, invariants {}",
+                "  {} — {} ({} nodes, {} pinned, dt {:.3e}): backends {}, invariants {}",
                 s.scenario,
                 s.description,
                 s.nodes,
@@ -181,7 +194,7 @@ pub(crate) fn max_rel_dev(reference: &Conserved, candidate: &Conserved) -> f64 {
 }
 
 /// Runs the matrix: every registered scenario on an `edge`³-element mesh
-/// for `steps` RK4 steps under serial, chunked and colored assembly.
+/// for `steps` RK4 steps on the serial loop and [`PARALLEL_BACKENDS`].
 ///
 /// # Panics
 ///
@@ -200,15 +213,15 @@ pub fn run_scenario_matrix(edge: usize, steps: usize) -> ScenarioMatrix {
         let dt = serial.suggest_dt(scenario.default_cfl());
         let start = serial.diagnostics();
 
-        let parallel_strategies = [AssemblyStrategy::chunked_auto(), AssemblyStrategy::Colored];
-        let mut others: Vec<(AssemblyStrategy, fem_solver::Simulation, f64)> = parallel_strategies
+        let mut others: Vec<(BackendSelect, fem_solver::Simulation, f64)> = PARALLEL_BACKENDS
             .iter()
-            .map(|&strategy| {
+            .map(|&select| {
                 let mut sim = scenario
                     .simulation(edge)
                     .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
-                sim.set_assembly_strategy(strategy);
-                (strategy, sim, 0.0f64)
+                sim.set_backend(select)
+                    .unwrap_or_else(|e| panic!("{name}: {select} attach failed: {e}"));
+                (select, sim, 0.0f64)
             })
             .collect();
 
@@ -217,13 +230,13 @@ pub fn run_scenario_matrix(edge: usize, steps: usize) -> ScenarioMatrix {
             serial
                 .step(dt)
                 .unwrap_or_else(|e| panic!("{name}: serial step failed: {e}"));
-            for (strategy, sim, dev) in &mut others {
+            for (select, sim, dev) in &mut others {
                 // Per-step resync: restart from the serial state so the
-                // comparison measures one step's grouping error, not an
+                // comparison measures one step's error, not an
                 // accumulated trajectory drift.
                 sim.conserved_mut().copy_from(&before);
                 sim.step(dt)
-                    .unwrap_or_else(|e| panic!("{name}: {strategy} step failed: {e}"));
+                    .unwrap_or_else(|e| panic!("{name}: {select} step failed: {e}"));
                 *dev = dev.max(max_rel_dev(serial.conserved(), sim.conserved()));
             }
         }
@@ -237,11 +250,11 @@ pub fn run_scenario_matrix(edge: usize, steps: usize) -> ScenarioMatrix {
             max_rel_dev_vs_serial: 0.0,
         });
         let mut agree = true;
-        for (strategy, _, dev) in &others {
+        for (select, _, dev) in &others {
             agree &= *dev <= STRATEGY_EQUIVALENCE_TOL;
             rows.push(ScenarioRow {
                 scenario: name.to_string(),
-                strategy: strategy.to_string(),
+                strategy: select.to_string(),
                 steps,
                 max_rel_dev_vs_serial: *dev,
             });
@@ -290,18 +303,17 @@ mod tests {
     fn matrix_runs_all_scenarios_and_strategies() {
         let m = run_scenario_matrix(4, 2);
         assert_eq!(m.summaries.len(), 4);
-        assert_eq!(m.rows.len(), 12, "3 strategies per scenario");
+        assert_eq!(m.rows.len(), 12, "3 backends per scenario");
         for triple in m.rows.chunks(3) {
             assert_eq!(triple[0].strategy, "serial");
-            assert!(triple[1].strategy.starts_with("chunked("));
-            assert_eq!(triple[2].strategy, "colored");
+            assert_eq!(triple[1].strategy, "multidevice(2, partitioned)");
+            assert_eq!(triple[2].strategy, "multidevice(4, partitioned)");
             for r in triple {
-                assert!(
-                    r.max_rel_dev_vs_serial <= STRATEGY_EQUIVALENCE_TOL,
+                // The multi-device executor is bitwise serial.
+                assert_eq!(
+                    r.max_rel_dev_vs_serial, 0.0,
                     "{} / {}: dev {}",
-                    r.scenario,
-                    r.strategy,
-                    r.max_rel_dev_vs_serial
+                    r.scenario, r.strategy, r.max_rel_dev_vs_serial
                 );
             }
         }

@@ -2,12 +2,12 @@
 //!
 //! Downstream tooling (plot scripts, CI dashboards) parses this output;
 //! these tests run the actual binary and assert the JSON document shape
-//! for the `fig5`, `assembly`, `geometry`, `scenarios`, `sharding`,
+//! for the `fig5`, `geometry`, `scenarios`, `sharding`,
 //! `banking`, `ensemble` and `table1` subcommands, so schema drift is
 //! caught at
 //! test time rather than by consumers. The `scenarios` test pins the PR-4 acceptance bar:
 //! every registered scenario (≥ 4: TGV, cavity, shear layer, pulse) must
-//! pass serial-vs-colored equivalence at ≤ 1e-12 relative plus its
+//! pass serial-vs-multi-device equivalence at ≤ 1e-12 relative plus its
 //! per-scenario invariant checks. The `sharding` test pins the PR-5
 //! acceptance bar — the sharded executor must be bitwise identical to
 //! the serial reference and across all swept shard counts on every
@@ -27,12 +27,11 @@
 //! RHS path must beat the seed recompute+split path by ≥1.5× on the TGV
 //! n=12 viscous benchmark (hard-enforced when `REPRO_PERF_GATE` is set —
 //! the CI `repro-artifacts` job gates the release build — and a warning
-//! otherwise, since wall-clock ratios are noisy on loaded runners), with
-//! a bitwise schedule-independent `Colored` strategy — and the PR-9
-//! bar: the geometry study's sum-factored vs full-matrix order ladder
-//! spans p = 1..4, pins the exact O(p⁴)/O(p⁶) flop models, holds both
-//! kernel paths to ≤ 1e-12 mutual agreement with per-path bitwise
-//! colored-vs-serial flags, and (under `REPRO_PERF_GATE`) requires the
+//! otherwise, since wall-clock ratios are noisy on loaded runners) — and
+//! the PR-9 bar: the geometry study's sum-factored vs full-matrix order
+//! ladder spans p = 1..4, pins the exact O(p⁴)/O(p⁶) flop models, holds
+//! both kernel paths to ≤ 1e-12 mutual agreement with per-path bitwise
+//! multi-device-vs-serial flags, and (under `REPRO_PERF_GATE`) requires the
 //! factored path ahead of the dense path from p = 3. The `ensemble`
 //! test pins the PR-7 acceptance bar: the 8-member same-mesh sweep must
 //! share its [`fem_mesh::SharedMeshContext`] at a measured ≥ 2× memory
@@ -106,54 +105,20 @@ fn fig5_json_schema() {
 }
 
 #[test]
-fn assembly_json_schema() {
-    let doc = repro_json("assembly");
-
-    assert!(doc["threads"].as_u64().is_some(), "missing `threads`");
-    let colors = doc["colors_by_edge"]
-        .as_array()
-        .expect("`colors_by_edge` is an array");
-    assert!(!colors.is_empty());
-
-    // Three strategies per mesh edge, in a fixed order.
-    let rows = doc["rows"].as_array().expect("`rows` is an array");
-    assert_eq!(rows.len() % 3, 0, "rows come in strategy triples");
-    for row in rows.chunks(3) {
-        assert_eq!(row[0]["strategy"].as_str(), Some("serial"));
-        assert_eq!(row[2]["strategy"].as_str(), Some("colored"));
-        assert!(row[1]["strategy"]
-            .as_str()
-            .expect("strategy string")
-            .starts_with("chunked("));
-        for r in row {
-            assert!(r["edge"].as_u64().is_some());
-            assert!(r["nodes"].as_u64().is_some());
-            let ms = r["millis_per_assembly"].as_f64().expect("numeric time");
-            assert!(ms > 0.0, "non-positive time {ms}");
-            assert!(r["speedup_vs_serial"].as_f64().expect("speedup") > 0.0);
-            // Parallel strategies must agree with serial to rounding.
-            let err = r["max_rel_error_vs_serial"].as_f64().expect("rel err");
-            assert!(err < 1e-12, "assembly deviates from serial: {err}");
-        }
-    }
-}
-
-#[test]
 fn geometry_json_schema() {
     let doc = repro_json("geometry");
 
     assert!(doc["threads"].as_u64().is_some(), "missing `threads`");
 
-    // Four paths per mesh edge, in the optimization-ladder order.
+    // Three paths per mesh edge, in the optimization-ladder order.
     let rows = doc["rows"].as_array().expect("`rows` is an array");
-    assert_eq!(rows.len() % 4, 0, "rows come in path quadruples");
+    assert_eq!(rows.len() % 3, 0, "rows come in path triples");
     assert!(!rows.is_empty());
-    for quad in rows.chunks(4) {
-        assert_eq!(quad[0]["path"].as_str(), Some("recompute+split"));
-        assert_eq!(quad[1]["path"].as_str(), Some("cached+split"));
-        assert_eq!(quad[2]["path"].as_str(), Some("cached+fused"));
-        assert_eq!(quad[3]["path"].as_str(), Some("cached+fused colored"));
-        for r in quad {
+    for triple in rows.chunks(3) {
+        assert_eq!(triple[0]["path"].as_str(), Some("recompute+split"));
+        assert_eq!(triple[1]["path"].as_str(), Some("cached+split"));
+        assert_eq!(triple[2]["path"].as_str(), Some("cached+fused"));
+        for r in triple {
             assert!(r["edge"].as_u64().is_some());
             assert!(r["nodes"].as_u64().is_some());
             let ms = r["millis_per_assembly"].as_f64().expect("numeric time");
@@ -165,10 +130,9 @@ fn geometry_json_schema() {
         }
     }
 
-    // Per-edge summaries: cache footprint, ladder speedups, and the
-    // colored bitwise-stability flag (must hold unconditionally).
+    // Per-edge summaries: cache footprint and ladder speedups.
     let summaries = doc["summaries"].as_array().expect("`summaries` array");
-    assert_eq!(summaries.len() * 4, rows.len());
+    assert_eq!(summaries.len() * 3, rows.len());
     let mut saw_edge_12 = false;
     for s in summaries {
         let edge = s["edge"].as_u64().expect("edge");
@@ -184,11 +148,6 @@ fn geometry_json_schema() {
             let v = s[key].as_f64().unwrap_or_else(|| panic!("missing {key}"));
             assert!(v.is_finite() && v > 0.0, "`{key}` not positive: {v}");
         }
-        assert_eq!(
-            s["colored_bitwise_stable"].as_bool(),
-            Some(true),
-            "colored path not schedule-independent"
-        );
         if edge == 12 {
             saw_edge_12 = true;
             // Acceptance: cached+fused beats the seed recompute+split
@@ -215,7 +174,7 @@ fn geometry_json_schema() {
     // PR-9: the sum-factored vs full-matrix order ladder. One rung per
     // polynomial order 1..=4, each carrying both kernel-path timings,
     // the exact flop model, a ≤1e-12 cross-path agreement bound, and
-    // per-path colored-vs-serial bitwise flags.
+    // per-path multidevice(2, partitioned)-vs-serial bitwise flags.
     let ladder = doc["order_ladder"].as_array().expect("`order_ladder`");
     let orders: Vec<u64> = ladder
         .iter()
@@ -245,7 +204,7 @@ fn geometry_json_schema() {
             Some(90 * npe + 30 * npe * npe),
             "p={p}: full-matrix flop model drifted"
         );
-        // Both paths are schedule-independent at every order ...
+        // The multi-device executor is bitwise serial on both paths ...
         for key in [
             "factored_bitwise_vs_reference",
             "full_matrix_bitwise_vs_reference",
@@ -289,17 +248,20 @@ fn scenarios_json_schema() {
     assert!(doc["steps"].as_u64().is_some(), "missing `steps`");
     assert!(doc["threads"].as_u64().is_some(), "missing `threads`");
 
-    // Three strategy rows per scenario, in a fixed order, every one of
+    // Three backend rows per scenario, in a fixed order, every one of
     // them within the 1e-12 equivalence bar.
     let rows = doc["rows"].as_array().expect("`rows` is an array");
-    assert_eq!(rows.len() % 3, 0, "rows come in strategy triples");
+    assert_eq!(rows.len() % 3, 0, "rows come in backend triples");
     for triple in rows.chunks(3) {
         assert_eq!(triple[0]["strategy"].as_str(), Some("serial"));
-        assert!(triple[1]["strategy"]
-            .as_str()
-            .expect("strategy string")
-            .starts_with("chunked("));
-        assert_eq!(triple[2]["strategy"].as_str(), Some("colored"));
+        assert_eq!(
+            triple[1]["strategy"].as_str(),
+            Some("multidevice(2, partitioned)")
+        );
+        assert_eq!(
+            triple[2]["strategy"].as_str(),
+            Some("multidevice(4, partitioned)")
+        );
         for r in triple {
             assert!(r["scenario"].as_str().is_some());
             assert!(r["steps"].as_u64().is_some());

@@ -3,39 +3,35 @@
 //! Every simulation needs the same mesh-derived read-only data: the mesh
 //! itself, its element basis, the precomputed [`GeometryCache`], the
 //! assembled lumped mass vector, the CFL length scale, and — lazily —
-//! the greedy [`ElementColoring`] and any [`ShardPlan`]s the execution
-//! backends decompose it with. Before this module each `Simulation`
-//! owned a private copy of all of it; an ensemble of N members on the
-//! same mesh paid N× the memory for bitwise-identical bytes.
+//! any [`ShardPlan`]s the execution backends decompose it with. Before
+//! this module each `Simulation` owned a private copy of all of it; an
+//! ensemble of N members on the same mesh paid N× the memory for
+//! bitwise-identical bytes.
 //!
 //! [`SharedMeshContext`] packages that data behind one immutable
 //! `Arc`-shared handle:
 //!
 //! * the eager parts (mesh, basis, geometry, lumped mass, min spacing)
 //!   are computed once in [`SharedMeshContext::build`];
-//! * the coloring is built on first request ([`SharedMeshContext::coloring`])
-//!   through a `OnceLock`, so concurrent ensemble members race to build
-//!   it at most once;
 //! * shard plans are memoized per requested `(shards, strategy)` pair
-//!   ([`SharedMeshContext::shard_plan`]), so every member selecting the
-//!   same sharded backend reuses one plan.
+//!   ([`SharedMeshContext::shard_plan`]) behind a mutex, so every member
+//!   selecting the same sharded backend reuses one plan.
 //!
 //! Nothing behind the handle is ever mutated after construction — the
-//! lazy caches only *add* entries, and the values they hand out are
+//! lazy plan cache only *adds* entries, and the values it hands out are
 //! `Arc`s of immutable data. That immutability is what makes sharing
 //! across concurrently running simulations sound, and
 //! [`SharedMeshContext::memory_bytes`] is what makes it *measurable*:
 //! an ensemble report can quote resident bytes with sharing against the
 //! sum each member would privately own without it.
 
-use crate::coloring::ElementColoring;
 use crate::geometry::GeometryCache;
 use crate::hex::HexMesh;
 use crate::partition::{PartitionStrategy, ShardPlan};
 use crate::MeshError;
 use fem_numerics::linalg::Vec3;
 use fem_numerics::tensor::HexBasis;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// One memoized shard plan (keyed by the *requested* shard count — the
 /// plan itself may clamp to fewer shards on small meshes).
@@ -55,7 +51,6 @@ pub struct SharedMeshContext {
     geometry: GeometryCache,
     lumped_mass: Vec<f64>,
     min_spacing: f64,
-    coloring: OnceLock<Arc<ElementColoring>>,
     plans: Mutex<Vec<PlanEntry>>,
 }
 
@@ -105,7 +100,6 @@ impl SharedMeshContext {
             geometry,
             lumped_mass,
             min_spacing,
-            coloring: OnceLock::new(),
             plans: Mutex::new(Vec::new()),
         }))
     }
@@ -133,20 +127,6 @@ impl SharedMeshContext {
     /// Smallest node spacing (CFL length scale).
     pub fn min_spacing(&self) -> f64 {
         self.min_spacing
-    }
-
-    /// The greedy element coloring, built on first request and shared by
-    /// every subsequent caller.
-    pub fn coloring(&self) -> Arc<ElementColoring> {
-        self.coloring
-            .get_or_init(|| Arc::new(ElementColoring::greedy(&self.mesh)))
-            .clone()
-    }
-
-    /// The coloring if some caller already built it (`None` otherwise —
-    /// nothing is built as a side effect).
-    pub fn coloring_if_built(&self) -> Option<Arc<ElementColoring>> {
-        self.coloring.get().cloned()
     }
 
     /// The shard plan for a requested `(shards, strategy)` pair, built on
@@ -183,23 +163,22 @@ impl SharedMeshContext {
     }
 
     /// Approximate resident bytes of everything behind the handle: mesh,
-    /// geometry cache, lumped mass, plus whatever lazy structures
-    /// (coloring, shard plans) have been built so far. An ensemble of N
+    /// geometry cache, lumped mass, plus whatever shard plans have been
+    /// built so far. An ensemble of N
     /// same-mesh members sharing one context holds this once instead of
     /// N times.
     pub fn memory_bytes(&self) -> usize {
-        let lazy = self.coloring_if_built().map_or(0, |c| c.memory_bytes())
-            + self
-                .plans
-                .lock()
-                .expect("shard-plan cache poisoned")
-                .iter()
-                .map(|e| e.plan.memory_bytes())
-                .sum::<usize>();
+        let plans = self
+            .plans
+            .lock()
+            .expect("shard-plan cache poisoned")
+            .iter()
+            .map(|e| e.plan.memory_bytes())
+            .sum::<usize>();
         self.mesh.memory_bytes()
             + self.geometry.memory_bytes()
             + self.lumped_mass.len() * std::mem::size_of::<f64>()
-            + lazy
+            + plans
     }
 }
 
@@ -224,15 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn coloring_and_plans_are_built_once_and_shared() {
+    fn plans_are_built_once_and_shared() {
         let mesh = BoxMeshBuilder::tgv_box(3).build().unwrap();
         let ctx = SharedMeshContext::build(mesh).unwrap();
-        assert!(ctx.coloring_if_built().is_none());
-        let a = ctx.coloring();
-        let b = ctx.coloring();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(ctx.coloring_if_built().is_some());
-
         let p1 = ctx.shard_plan(4, PartitionStrategy::Contiguous).unwrap();
         let p2 = ctx.shard_plan(4, PartitionStrategy::Contiguous).unwrap();
         assert!(Arc::ptr_eq(&p1, &p2), "same request must hit the cache");
@@ -247,10 +220,10 @@ mod tests {
         let ctx = SharedMeshContext::build(mesh).unwrap();
         let base = ctx.memory_bytes();
         assert!(base > 0);
-        ctx.coloring();
-        let with_coloring = ctx.memory_bytes();
-        assert!(with_coloring > base);
         ctx.shard_plan(2, PartitionStrategy::Contiguous).unwrap();
-        assert!(ctx.memory_bytes() > with_coloring);
+        let with_plan = ctx.memory_bytes();
+        assert!(with_plan > base);
+        ctx.shard_plan(2, PartitionStrategy::Contiguous).unwrap();
+        assert_eq!(ctx.memory_bytes(), with_plan, "a cache hit adds nothing");
     }
 }

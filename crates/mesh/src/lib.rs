@@ -24,7 +24,7 @@
 //!   partitioner selectable via [`partition::PartitionStrategy`].
 //! * [`context`] — the immutable [`SharedMeshContext`] handle bundling a
 //!   mesh with its basis, geometry cache, lumped mass, and lazily built
-//!   coloring/shard plans, so ensemble members on one mesh share a
+//!   shard plans, so ensemble members on one mesh share a
 //!   single copy instead of each rebuilding and holding their own.
 //! * [`io`] — compact binary serialization.
 //!
@@ -41,7 +41,6 @@
 
 #![deny(missing_docs)]
 
-pub mod coloring;
 pub mod context;
 pub mod generator;
 pub mod geometry;
@@ -51,7 +50,6 @@ pub mod partition;
 pub mod quality;
 pub mod reorder;
 
-pub use coloring::{ColoringStats, ElementColoring};
 pub use context::SharedMeshContext;
 pub use generator::BoxMeshBuilder;
 pub use geometry::GeometryCache;

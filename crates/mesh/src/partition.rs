@@ -18,8 +18,8 @@
 //!   halo it produces is an artifact of element *numbering*, not mesh
 //!   topology.
 //! * [`PartitionStrategy::Partitioned`] — greedy KL-style recursive
-//!   bisection over the element adjacency graph (elements conflict when
-//!   they share a node — the same graph the coloring uses), seeded by
+//!   bisection over the element adjacency graph (elements are adjacent
+//!   when they share a node), seeded by
 //!   the RCM node ordering of [`crate::reorder`]. Each bisection sorts
 //!   the sub-problem along the RCM front, cuts at the balance point, and
 //!   then greedily swaps boundary element pairs while the edge cut
@@ -50,9 +50,10 @@
 //!
 //! # Determinism under permuted element orders
 //!
-//! The solver's sharded executor is bitwise identical to the serial
-//! element loop for *any* shard assignment, not just contiguous ranges
-//! (the argument is stated in full in `fem_solver::engine`). What it
+//! The solver's sharded executor — its only parallel assembly path — is
+//! bitwise identical to the serial element loop for *any* shard
+//! assignment, not just contiguous ranges (the argument is stated in
+//! full in `fem_solver::engine`). What it
 //! needs from a plan: every shard stores its elements **sorted ascending
 //! by global element id**, the `frontier` flags mark exactly the nodes
 //! touched by more than one shard, and every frontier node has exactly
@@ -675,9 +676,8 @@ fn halo_metrics(mesh: &HexMesh, parts: &[Vec<u32>]) -> (usize, usize) {
     (frontier, entries)
 }
 
-/// Element conflict graph: two elements are adjacent when they share a
-/// node (the same graph the greedy coloring colors). Lists are sorted
-/// ascending.
+/// Element adjacency graph: two elements are adjacent when they share a
+/// node. Lists are sorted ascending.
 fn element_adjacency(mesh: &HexMesh) -> Vec<Vec<u32>> {
     let ne = mesh.num_elements();
     let mut node_elems: Vec<Vec<u32>> = vec![Vec::new(); mesh.num_nodes()];

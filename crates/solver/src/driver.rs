@@ -4,7 +4,7 @@
 //! one configuration path — holds the state and workspaces, shares the
 //! immutable mesh-derived data through an
 //! `Arc<`[`SharedMeshContext`]`>` (so ensemble members on one mesh hold
-//! a single geometry cache / coloring / shard-plan set), and advances the
+//! a single geometry cache / shard-plan set), and advances the
 //! compressible Navier-Stokes system in time. Its right-hand side is the
 //! paper's **RKL** kernel (the fused diffusion ⊕ convection residual over
 //! the precomputed [`GeometryCache`]) preceded by the **RKU** primitive
@@ -15,12 +15,11 @@
 //! seed's largest `RK(Other)` component, no longer exists.
 //!
 //! The RKL assembly itself is delegated to a pluggable
-//! [`ExecutionBackend`] (see [`crate::engine`]): the classic
-//! [`AssemblyStrategy`] selection is now sugar over the reference
-//! backend, and [`Simulation::set_backend`] swaps in the sharded
-//! executor ([`MultiDeviceBackend`], bitwise identical to the serial loop
-//! — see [`crate::engine`] for the argument) without touching the time
-//! loop.
+//! [`ExecutionBackend`] (see [`crate::engine`]): the serial
+//! [`ReferenceBackend`] by default, and [`Simulation::set_backend`] swaps
+//! in the parallel executor ([`MultiDeviceBackend`], bitwise identical to
+//! the serial loop — see [`crate::engine`] for the argument) without
+//! touching the time loop.
 
 use crate::boundary::DirichletBc;
 use crate::diagnostics::FlowDiagnostics;
@@ -34,7 +33,6 @@ use crate::parallel::AssemblyStrategy;
 use crate::profile::{Phase, PhaseProfiler};
 use crate::state::{Conserved, Primitives};
 use crate::SolverError;
-use fem_mesh::coloring::ColoringStats;
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::{HexMesh, SharedMeshContext};
 use fem_numerics::rk::{ButcherTableau, ExplicitRk, OdeSystem};
@@ -46,7 +44,7 @@ use std::time::Instant;
 /// Everything the RHS evaluation needs besides the conserved state.
 ///
 /// All mesh-derived immutable data (mesh, basis, geometry cache, lumped
-/// mass, coloring, shard plans) lives behind one
+/// mass, shard plans) lives behind one
 /// [`SharedMeshContext`] handle, so many simulations — e.g. the members
 /// of an ensemble sweep — can share a single copy.
 #[derive(Debug)]
@@ -107,12 +105,6 @@ impl SolverCore {
         &self.ctx
     }
 
-    /// The active host assembly strategy, reported by the backend itself
-    /// (`None` while a sharded or custom backend is active).
-    pub fn assembly_strategy(&self) -> Option<AssemblyStrategy> {
-        self.backend.reference_strategy()
-    }
-
     /// The active execution backend.
     pub fn backend(&self) -> &dyn ExecutionBackend {
         self.backend.as_ref()
@@ -122,12 +114,6 @@ impl SolverCore {
     /// [`crate::kernels::KernelPath`]).
     pub fn kernel_path(&self) -> KernelPath {
         self.kernel
-    }
-
-    /// Class statistics of the element coloring, if the active backend
-    /// built one (i.e. after selecting [`AssemblyStrategy::Colored`]).
-    pub fn coloring_stats(&self) -> Option<ColoringStats> {
-        self.backend.coloring_stats()
     }
 }
 
@@ -257,14 +243,17 @@ enum MeshSource {
 ///
 /// ```
 /// use fem_mesh::generator::BoxMeshBuilder;
-/// use fem_solver::{driver::Simulation, tgv::TgvConfig, AssemblyStrategy};
+/// use fem_solver::{driver::Simulation, tgv::TgvConfig, BackendSelect, PartitionStrategy};
 ///
 /// # fn main() -> Result<(), fem_solver::SolverError> {
 /// let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
 /// let cfg = TgvConfig::standard();
 /// let initial = cfg.initial_state(&mesh);
 /// let mut sim = Simulation::builder(mesh, cfg.gas(), initial)
-///     .assembly(AssemblyStrategy::Colored)
+///     .backend(BackendSelect::MultiDevice {
+///         devices: 2,
+///         strategy: PartitionStrategy::Partitioned,
+///     })
 ///     .profiling(true)
 ///     .build()?;
 /// let dt = sim.suggest_dt(0.4);
@@ -307,13 +296,6 @@ impl SimulationBuilder {
     /// [`BackendSelect::Reference`] with [`AssemblyStrategy::Serial`]).
     pub fn backend(mut self, select: BackendSelect) -> Self {
         self.backend = Some(select);
-        self
-    }
-
-    /// Selects a host reference assembly strategy — sugar for
-    /// [`SimulationBuilder::backend`] with [`BackendSelect::Reference`].
-    pub fn assembly(mut self, strategy: AssemblyStrategy) -> Self {
-        self.backend = Some(BackendSelect::Reference(strategy));
         self
     }
 
@@ -376,10 +358,7 @@ impl SimulationBuilder {
         let mut primitives = Primitives::zeros(mesh_nodes);
         primitives.update_from(&self.initial, &self.gas);
         let rk = ExplicitRk::new(ButcherTableau::rk4(), &self.initial);
-        let backend = Box::new(ReferenceBackend::with_coloring(
-            AssemblyStrategy::Serial,
-            ctx.coloring_if_built(),
-        ));
+        let backend = Box::new(ReferenceBackend);
         let mut sim = Simulation {
             core: SolverCore {
                 ctx,
@@ -416,7 +395,7 @@ impl Simulation {
 
     /// Starts a [`SimulationBuilder`] on an existing shared mesh context
     /// — how ensemble members on one mesh share a single geometry
-    /// cache, lumped mass, coloring, and shard-plan set.
+    /// cache, lumped mass, and shard-plan set.
     pub fn builder_shared(
         ctx: Arc<SharedMeshContext>,
         gas: GasModel,
@@ -454,7 +433,7 @@ impl Simulation {
 
     /// Evaluates the semi-discrete RHS (the full RKU → RKL → lumped-mass
     /// → boundary-zeroing pipeline the RK stages integrate) at the
-    /// current conserved state, under the active assembly strategy.
+    /// current conserved state, through the active backend.
     ///
     /// Exposed so tests can verify properties of the composed RHS — e.g.
     /// that Dirichlet-pinned nodes carry an exactly zero residual — that
@@ -489,38 +468,8 @@ impl Simulation {
         self.core.profiling = on;
     }
 
-    /// Selects how the RKL residual is assembled on the host reference
-    /// path (default: [`AssemblyStrategy::Serial`]) — sugar for
-    /// [`Simulation::set_backend`] with [`BackendSelect::Reference`].
-    ///
-    /// Prefer [`SimulationBuilder::assembly`] at construction; this
-    /// remains for switching strategies mid-run.
-    ///
-    /// The first [`AssemblyStrategy::Colored`] selection builds the
-    /// greedy element coloring in the [`SharedMeshContext`] — shared by
-    /// every simulation on the context, so subsequent switches (and
-    /// sibling ensemble members) get it free. See the
-    /// [`crate::parallel`] module docs for the determinism guarantees of
-    /// each strategy.
-    pub fn set_assembly_strategy(&mut self, strategy: AssemblyStrategy) {
-        // The context's coloring rides along whatever the strategy, so
-        // `coloring_stats()` keeps reporting once it has been built.
-        let coloring = if matches!(strategy, AssemblyStrategy::Colored) {
-            Some(self.core.ctx.coloring())
-        } else {
-            self.core.ctx.coloring_if_built()
-        };
-        self.core.backend = Box::new(ReferenceBackend::with_coloring(strategy, coloring));
-    }
-
-    /// The active host assembly strategy, reported by the backend itself
-    /// (`None` while a sharded or custom backend is active).
-    pub fn assembly_strategy(&self) -> Option<AssemblyStrategy> {
-        self.core.assembly_strategy()
-    }
-
     /// Selects one of the built-in execution backends (see
-    /// [`crate::engine`]): the reference host paths or the sharded
+    /// [`crate::engine`]): the serial reference loop or the parallel
     /// executor ([`BackendSelect::MultiDevice`]).
     ///
     /// Prefer [`SimulationBuilder::backend`] at construction; this
@@ -537,7 +486,9 @@ impl Simulation {
     /// count).
     pub fn set_backend(&mut self, select: BackendSelect) -> Result<(), SolverError> {
         match select {
-            BackendSelect::Reference(strategy) => self.set_assembly_strategy(strategy),
+            BackendSelect::Reference(AssemblyStrategy::Serial) => {
+                self.core.backend = Box::new(ReferenceBackend);
+            }
             BackendSelect::MultiDevice { devices, strategy } => {
                 let plan = self.core.ctx.shard_plan(devices, strategy)?;
                 self.core.backend = Box::new(MultiDeviceBackend::with_plan(
@@ -865,68 +816,31 @@ mod tests {
         let cfg = TgvConfig::standard();
         let initial = cfg.initial_state(&mesh);
         let mut serial = Simulation::new(mesh, cfg.gas(), initial).unwrap();
+        assert_eq!(serial.backend().name(), "reference(serial)");
         let dt = serial.suggest_dt(0.4);
         serial.advance(5, dt).unwrap();
 
-        for strategy in [AssemblyStrategy::chunked_auto(), AssemblyStrategy::Colored] {
+        for (devices, strategy) in [
+            (2, fem_mesh::PartitionStrategy::Partitioned),
+            (3, fem_mesh::PartitionStrategy::Contiguous),
+        ] {
             let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
             let initial = cfg.initial_state(&mesh);
             let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-            sim.set_assembly_strategy(strategy);
-            assert_eq!(sim.assembly_strategy(), Some(strategy));
+            sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
+                .unwrap();
             sim.advance(5, dt).unwrap();
-            let mut max_rel: f64 = 0.0;
-            for n in 0..sim.conserved().len() {
-                let a = sim.conserved().rho[n];
-                let b = serial.conserved().rho[n];
-                max_rel = max_rel.max((a - b).abs() / b.abs());
-            }
-            assert!(max_rel < 1e-10, "{strategy}: trajectory drift {max_rel}");
-        }
-    }
-
-    #[test]
-    fn colored_strategy_builds_and_reports_the_coloring() {
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let cfg = TgvConfig::standard();
-        let initial = cfg.initial_state(&mesh);
-        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        assert!(sim.core().coloring_stats().is_none());
-        sim.set_assembly_strategy(AssemblyStrategy::Colored);
-        let stats = sim.core().coloring_stats().expect("coloring built");
-        assert_eq!(stats.num_colors, 8);
-        assert_eq!(stats.num_elements, 6 * 6 * 6);
-        // Colored runs are reproducible bitwise: same dt, same steps.
-        let dt = sim.suggest_dt(0.4);
-        sim.advance(3, dt).unwrap();
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let initial = cfg.initial_state(&mesh);
-        let mut again = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        again.set_assembly_strategy(AssemblyStrategy::Colored);
-        again.advance(3, dt).unwrap();
-        for n in 0..sim.conserved().len() {
             assert_eq!(
-                sim.conserved().rho[n].to_bits(),
-                again.conserved().rho[n].to_bits(),
-                "node {n} differs"
+                sim.conserved().to_bit_vec(),
+                serial.conserved().to_bit_vec(),
+                "{}: trajectory drift",
+                sim.backend().name()
             );
+            // Switching back reinstalls the serial loop.
+            sim.set_backend(BackendSelect::Reference(AssemblyStrategy::Serial))
+                .unwrap();
+            assert!(!sim.backend().parallel());
         }
-    }
-
-    #[test]
-    fn profiling_records_phases_for_parallel_strategies() {
-        let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
-        let cfg = TgvConfig::standard();
-        let initial = cfg.initial_state(&mesh);
-        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sim.set_assembly_strategy(AssemblyStrategy::Colored);
-        sim.set_profiling(true);
-        let dt = sim.suggest_dt(0.4);
-        sim.advance(2, dt).unwrap();
-        let p = sim.profiler();
-        assert!(p.total(Phase::RkConvection) > std::time::Duration::ZERO);
-        assert!(p.total(Phase::RkDiffusion) > std::time::Duration::ZERO);
-        assert!(p.total(Phase::RkOther) > std::time::Duration::ZERO);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! assembled, and the driver ([`crate::driver::Simulation`]) integrates
 //! through whichever backend is selected. Two implementations ship:
 //!
-//! * [`ReferenceBackend`] — the host CPU paths that existed before the
-//!   engine landed, wrapping an [`AssemblyStrategy`] (serial loop,
-//!   chunked partials, or color-parallel in-place scatter).
-//! * [`MultiDeviceBackend`] — the one sharded executor: domain
+//! * [`ReferenceBackend`] — the serial host loop
+//!   ([`crate::parallel::assemble_rhs_into`]), the paper's software
+//!   baseline and the reference every other backend is checked against.
+//! * [`MultiDeviceBackend`] — the one parallel executor: domain
 //!   decomposition over a [`fem_mesh::partition::ShardPlan`] built with
 //!   either [`PartitionStrategy`] (contiguous ranges or the
 //!   halo-minimizing graph partition), one worker thread per simulated
@@ -78,7 +78,6 @@ use crate::parallel::{assemble_rhs_into, eval_element, AssemblyStrategy, SharedR
 use crate::profile::{Phase, PhaseProfiler};
 use crate::state::{Conserved, Primitives};
 use crate::SolverError;
-use fem_mesh::coloring::{ColoringStats, ElementColoring};
 use fem_mesh::geometry::GeometryCache;
 pub use fem_mesh::partition::PartitionStrategy;
 use fem_mesh::partition::ShardPlan;
@@ -157,18 +156,6 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
         profiler: Option<&mut PhaseProfiler>,
     );
 
-    /// Class statistics of the element coloring, if the backend built
-    /// one.
-    fn coloring_stats(&self) -> Option<ColoringStats> {
-        None
-    }
-
-    /// The wrapped host [`AssemblyStrategy`], for reference backends
-    /// (`None` for sharded/custom backends).
-    fn reference_strategy(&self) -> Option<AssemblyStrategy> {
-        None
-    }
-
     /// Per-device halo-exchange emulation, if the backend models an
     /// inter-device link (empty otherwise).
     fn exchange_reports(&self) -> &[DeviceExchangeReport] {
@@ -187,9 +174,11 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
 /// [`crate::driver::Simulation::set_backend`] consumes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendSelect {
-    /// The host reference paths, parameterized by [`AssemblyStrategy`].
+    /// The serial host loop ([`ReferenceBackend`]). The
+    /// [`AssemblyStrategy`] has one variant and stays only for the API the
+    /// step benchmark names.
     Reference(AssemblyStrategy),
-    /// The sharded executor: one worker thread per simulated device with
+    /// The parallel executor: one worker thread per simulated device with
     /// a decentralized, overlapped neighbor-to-neighbor halo exchange
     /// plus an inter-device link DES ([`MultiDeviceBackend`]).
     MultiDevice {
@@ -213,47 +202,26 @@ impl std::fmt::Display for BackendSelect {
 
 // ------------------------------------------------------------ reference
 
-/// The pre-engine host CPU paths behind the backend trait: serial loop,
-/// chunked partials, or color-parallel in-place scatter, selected by the
-/// wrapped [`AssemblyStrategy`].
+/// The serial host loop behind the backend trait: the paper's software
+/// baseline, against which [`MultiDeviceBackend`] is bitwise checked.
 #[derive(Debug)]
-pub struct ReferenceBackend {
-    strategy: AssemblyStrategy,
-    coloring: Option<Arc<ElementColoring>>,
-}
+pub struct ReferenceBackend;
 
 impl ReferenceBackend {
-    /// Wraps `strategy`, building the element coloring up front when the
-    /// strategy needs one.
-    pub fn new(strategy: AssemblyStrategy, mesh: &HexMesh) -> ReferenceBackend {
-        let coloring = matches!(strategy, AssemblyStrategy::Colored)
-            .then(|| Arc::new(ElementColoring::greedy(mesh)));
-        ReferenceBackend { strategy, coloring }
-    }
-
-    /// Wraps `strategy` around an already-built coloring — how the driver
-    /// makes repeated strategy switches free (the coloring is built once
-    /// per mesh and shared).
-    pub fn with_coloring(
-        strategy: AssemblyStrategy,
-        coloring: Option<Arc<ElementColoring>>,
-    ) -> ReferenceBackend {
-        ReferenceBackend { strategy, coloring }
-    }
-
-    /// The wrapped assembly strategy.
-    pub fn strategy(&self) -> AssemblyStrategy {
-        self.strategy
+    /// The serial reference backend. Both arguments are ignored: the
+    /// signature stays only for the API the step benchmark names.
+    pub fn new(_strategy: AssemblyStrategy, _mesh: &HexMesh) -> ReferenceBackend {
+        ReferenceBackend
     }
 }
 
 impl ExecutionBackend for ReferenceBackend {
     fn name(&self) -> String {
-        format!("reference({})", self.strategy)
+        "reference(serial)".to_string()
     }
 
     fn parallel(&self) -> bool {
-        !matches!(self.strategy, AssemblyStrategy::Serial)
+        false
     }
 
     fn assemble_rhs(
@@ -271,20 +239,10 @@ impl ExecutionBackend for ReferenceBackend {
             ctx.geometry,
             conserved,
             prim,
-            self.strategy,
-            self.coloring.as_deref(),
             ctx.kernel,
             out,
             profiler,
         );
-    }
-
-    fn coloring_stats(&self) -> Option<ColoringStats> {
-        self.coloring.as_deref().map(ElementColoring::stats)
-    }
-
-    fn reference_strategy(&self) -> Option<AssemblyStrategy> {
-        Some(self.strategy)
     }
 }
 
@@ -750,7 +708,8 @@ struct DeviceState {
     measured: DevicePhaseSeconds,
 }
 
-/// The one sharded executor: one worker thread per simulated device with
+/// The one sharded executor, and the only parallel assembly path: one
+/// worker thread per simulated device with
 /// a decentralized, overlapped halo exchange (see the module docs for the
 /// protocol and the bitwise argument) plus a cached per-device link DES
 /// ([`DeviceExchangeReport`]).
@@ -1363,15 +1322,13 @@ mod tests {
     }
 
     #[test]
-    fn reference_backend_reports_coloring_only_when_built() {
+    fn reference_backend_is_the_serial_loop() {
         let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
         let serial = ReferenceBackend::new(AssemblyStrategy::Serial, &mesh);
-        assert!(serial.coloring_stats().is_none());
         assert!(!serial.parallel());
-        let colored = ReferenceBackend::new(AssemblyStrategy::Colored, &mesh);
-        let stats = colored.coloring_stats().expect("coloring built");
-        assert_eq!(stats.num_elements, 64);
-        assert!(colored.parallel());
+        assert_eq!(serial.name(), "reference(serial)");
+        assert!(serial.exchange_reports().is_empty());
+        assert!(serial.measured_device_phases().is_empty());
     }
 
     #[test]

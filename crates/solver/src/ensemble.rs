@@ -11,8 +11,8 @@
 //!
 //! Members are grouped by mesh shape (wall-bounded or periodic ×
 //! edge count) and every group gets exactly one
-//! [`SharedMeshContext`]: the mesh, geometry cache, lumped mass,
-//! element coloring, and shard plans are built once and shared by every
+//! [`SharedMeshContext`]: the mesh, geometry cache, lumped mass and
+//! shard plans are built once and shared by every
 //! member in the group via `Arc`. The sharing is explicit — members are
 //! constructed through
 //! [`SimulationSpec::build_shared`] — and measured: the
@@ -22,8 +22,8 @@
 //!
 //! # Determinism contract
 //!
-//! Everything behind a shared context is immutable (the lazy
-//! coloring/shard-plan caches are build-once), and each member owns its
+//! Everything behind a shared context is immutable (the lazy shard-plan
+//! cache is build-once), and each member owns its
 //! state and workspaces outright, so a member's trajectory is
 //! *bitwise* independent of which worker ran it, in what order, or
 //! which other members share its context. Combined with the builder's
@@ -192,7 +192,7 @@ impl EnsembleDriver {
         let wall_s = t_run.elapsed().as_secs_f64();
 
         // ---- Memory accounting (after the run, so lazily built ----
-        // ---- colorings/shard plans are included in both sides).  ----
+        // ---- shard plans are included in both sides).            ----
         let shared_context_bytes: usize = contexts.iter().map(|(_, c)| c.memory_bytes()).sum();
         let unshared_context_bytes: usize = member_ctx
             .iter()
@@ -363,7 +363,6 @@ mod tests {
             BackendSpec {
                 kind: "multidevice".to_string(),
                 strategy: None,
-                shards: None,
                 devices: Some(2),
                 kernel: None,
             },

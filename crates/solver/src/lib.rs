@@ -17,12 +17,13 @@
 //!   full-matrix, selected by [`KernelPath`]), scatter.
 //! * [`driver`] — the RK4 time loop gluing RKL and RKU together.
 //! * [`engine`] — the shard-parallel execution engine: the pluggable
-//!   [`ExecutionBackend`] trait with the reference host paths and the one
-//!   sharded executor, [`MultiDeviceBackend`] (bitwise identical to the
-//!   serial loop at every device count), plus the per-shard and banked
-//!   accelerator emulations as plain functions of the shard plan.
-//! * [`parallel`] — multi-core residual assembly: chunked partials or
-//!   color-parallel in-place scatter ([`AssemblyStrategy`]).
+//!   [`ExecutionBackend`] trait with the serial reference backend and the
+//!   one parallel executor, [`MultiDeviceBackend`] (bitwise identical to
+//!   the serial loop at every device count), plus the per-shard and
+//!   banked accelerator emulations as plain functions of the shard plan.
+//! * [`parallel`] — the serial host assembly loop every backend is
+//!   checked against, and the split-kernel reference the fused kernel is
+//!   validated against.
 //! * [`tgv`] — the Taylor-Green Vortex workload of the evaluation.
 //! * [`scenarios`] — the workload registry (TGV, lid-driven cavity,
 //!   double shear layer, acoustic pulse) with per-scenario invariants.

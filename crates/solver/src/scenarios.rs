@@ -7,7 +7,7 @@
 //! workload needs: the mesh recipe, the gas model, the initial condition,
 //! an optional strong Dirichlet boundary condition, and the physical
 //! invariants a correct run must satisfy. The registry
-//! ([`Scenario::registry`]) is what the cross-strategy regression matrix,
+//! ([`Scenario::registry`]) is what the cross-backend regression matrix,
 //! the `repro scenarios` study, and the accelerator workload quotes all
 //! iterate over, so every later optimization is exercised on wall-bounded
 //! and inviscid flows as well as the canonical TGV.
@@ -18,7 +18,7 @@
 //!   kinetic energy decays into turbulence).
 //! * **lid-driven-cavity** — wall-bounded recirculating flow; exercises
 //!   the [`DirichletBc`] residual-zeroing path inside the RK loop under
-//!   every [`crate::AssemblyStrategy`].
+//!   every backend.
 //! * **double-shear-layer** — two periodic tanh shear layers with a
 //!   sinusoidal perturbation; a classic roll-up problem distinct from the
 //!   TGV's vortex topology.
@@ -776,6 +776,7 @@ fn interior_max_speed(sim: &Simulation) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{BackendSelect, PartitionStrategy};
     use crate::parallel::AssemblyStrategy;
     use proptest::prelude::*;
     use std::f64::consts::TAU;
@@ -856,9 +857,9 @@ mod tests {
 
     proptest! {
         /// Dirichlet-pinned nodes stay **bitwise** at their targets across
-        /// full RK4 steps for Serial, Chunked, and Colored assembly on
-        /// randomized non-periodic meshes, and the composed RHS is exactly
-        /// zero at every pinned node.
+        /// full RK4 steps for the serial loop and the multi-device
+        /// executor on randomized non-periodic meshes, and the composed
+        /// RHS is exactly zero at every pinned node.
         #[test]
         fn prop_pinned_nodes_stay_bitwise_fixed_across_strategies(
             nx in 3usize..5,
@@ -866,7 +867,6 @@ mod tests {
             nz in 3usize..5,
             periodic_x in proptest::bool::ANY,
             lid in 0.5f64..2.0,
-            chunks in 2usize..6,
         ) {
             let mut builder = BoxMeshBuilder::new();
             builder
@@ -878,10 +878,16 @@ mod tests {
                 lid_speed: lid,
                 ..CavityConfig::standard()
             };
-            for strategy in [
-                AssemblyStrategy::Serial,
-                AssemblyStrategy::Chunked { chunks },
-                AssemblyStrategy::Colored,
+            for select in [
+                BackendSelect::Reference(AssemblyStrategy::Serial),
+                BackendSelect::MultiDevice {
+                    devices: 2,
+                    strategy: PartitionStrategy::Partitioned,
+                },
+                BackendSelect::MultiDevice {
+                    devices: 3,
+                    strategy: PartitionStrategy::Contiguous,
+                },
             ] {
                 let mesh = builder.build().unwrap();
                 let bc = cfg.boundary(&mesh);
@@ -891,12 +897,12 @@ mod tests {
                 let mut sim = Simulation::new(mesh, cfg.gas(), initial)
                     .unwrap()
                     .with_bc(bc);
-                sim.set_assembly_strategy(strategy);
+                sim.set_backend(select).unwrap();
                 let dt = sim.suggest_dt(0.3);
 
                 // The RHS the RK loop integrates is exactly zero at every
                 // pinned node (the zero_rhs composition with the fused
-                // kernel and the colored scatter).
+                // kernel and the multi-device owner apply).
                 let rhs = sim.eval_rhs();
                 for &(n, _) in &targets {
                     let n = n as usize;

@@ -29,13 +29,15 @@ use std::sync::Arc;
 
 /// Declarative execution-backend selection.
 ///
-/// | `kind`        | `strategy`                               | count field                             |
-/// |---------------|------------------------------------------|-----------------------------------------|
-/// | `reference`   | `serial` (default), `chunked`, `colored` | `shards` = chunk count (`chunked` only) |
-/// | `multidevice` | `contiguous` (default), `partitioned`    | `devices` (default 4)                   |
+/// | `kind`        | `strategy`                            | count field           |
+/// |---------------|---------------------------------------|-----------------------|
+/// | `reference`   | `serial` (default)                    | —                     |
+/// | `multidevice` | `contiguous` (default), `partitioned` | `devices` (default 4) |
 ///
-/// The removed kinds `sharded` and `dataflow-emulated` are rejected with
-/// an error that names `multidevice` and its `devices` field.
+/// The removed kinds `sharded` and `dataflow-emulated`, and the removed
+/// `reference` strategies `chunked` and `colored`, are rejected with an
+/// error that names `multidevice` and its `devices` field. The removed
+/// `shards` field fails as an unknown field.
 ///
 /// Orthogonally to the family, `kernel` selects the weak-divergence
 /// contraction every backend dispatches: `sum-factored` (default — the
@@ -47,9 +49,6 @@ pub struct BackendSpec {
     pub kind: String,
     /// Family-specific strategy name (see the table above).
     pub strategy: Option<String>,
-    /// Chunk count (`reference` + `chunked` only); meaningless
-    /// combinations are rejected.
-    pub shards: Option<usize>,
     /// Device count (`multidevice` only); rejected elsewhere.
     pub devices: Option<usize>,
     /// Weak-divergence kernel path: `sum-factored` (default) or
@@ -63,7 +62,6 @@ impl BackendSpec {
         BackendSpec {
             kind: "reference".to_string(),
             strategy: None,
-            shards: None,
             devices: None,
             kernel: None,
         }
@@ -89,36 +87,30 @@ impl BackendSpec {
     ///
     /// # Errors
     ///
-    /// [`SolverError::InvalidSpec`] for an unknown or removed kind, an
-    /// unknown strategy name, or a count on a combination that has none.
+    /// [`SolverError::InvalidSpec`] for an unknown or removed kind or
+    /// strategy name, or a device count on the serial reference.
     pub fn to_select(&self) -> Result<BackendSelect, SolverError> {
         let strategy = self.strategy.as_deref();
         match self.kind.as_str() {
             "reference" => match strategy {
                 None | Some("serial") => {
-                    self.reject_shards("reference(serial)")?;
-                    self.reject_devices("reference(serial)")?;
+                    if let Some(n) = self.devices {
+                        return Err(SolverError::InvalidSpec(format!(
+                            "`devices: {n}` is meaningless for reference(serial)"
+                        )));
+                    }
                     Ok(BackendSelect::Reference(AssemblyStrategy::Serial))
                 }
-                Some("chunked") => {
-                    self.reject_devices("reference(chunked)")?;
-                    Ok(BackendSelect::Reference(match self.shards {
-                        Some(chunks) => AssemblyStrategy::Chunked { chunks },
-                        None => AssemblyStrategy::chunked_auto(),
-                    }))
-                }
-                Some("colored") => {
-                    self.reject_shards("reference(colored)")?;
-                    self.reject_devices("reference(colored)")?;
-                    Ok(BackendSelect::Reference(AssemblyStrategy::Colored))
-                }
+                Some(removed @ ("chunked" | "colored")) => Err(SolverError::InvalidSpec(format!(
+                    "reference strategy `{removed}` was removed: use `multidevice` with \
+                     `devices` for parallel assembly (bitwise identical to serial)"
+                ))),
                 Some(other) => Err(SolverError::InvalidSpec(format!(
-                    "unknown reference strategy `{other}` (serial, chunked, colored)"
+                    "unknown reference strategy `{other}` (serial)"
                 ))),
             },
             "multidevice" => {
                 let strategy = self.partition_strategy()?;
-                self.reject_shards("multidevice (use `devices`)")?;
                 Ok(BackendSelect::MultiDevice {
                     devices: self.devices.unwrap_or(4),
                     strategy,
@@ -142,24 +134,6 @@ impl BackendSpec {
                 "unknown {} strategy `{other}` (contiguous, partitioned)",
                 self.kind
             ))),
-        }
-    }
-
-    fn reject_shards(&self, what: &str) -> Result<(), SolverError> {
-        match self.shards {
-            Some(n) => Err(SolverError::InvalidSpec(format!(
-                "`shards: {n}` is meaningless for {what}"
-            ))),
-            None => Ok(()),
-        }
-    }
-
-    fn reject_devices(&self, what: &str) -> Result<(), SolverError> {
-        match self.devices {
-            Some(n) => Err(SolverError::InvalidSpec(format!(
-                "`devices: {n}` is meaningless for {what}"
-            ))),
-            None => Ok(()),
         }
     }
 }
@@ -235,7 +209,7 @@ impl SimulationSpec {
     }
 
     /// Builds the simulation on an existing [`SharedMeshContext`] — how
-    /// ensemble members on one mesh share geometry, coloring, and shard
+    /// ensemble members on one mesh share geometry and shard
     /// plans. The context's mesh must match what
     /// [`Scenario::mesh`] would build for this spec (the ensemble
     /// driver groups members by mesh shape to guarantee it); a
@@ -380,23 +354,20 @@ mod tests {
                     ..BackendSpec::reference_serial()
                 },
                 1 => BackendSpec {
-                    kind: "reference".to_string(),
-                    strategy: Some("colored".to_string()),
-                    shards: None,
+                    kind: "multidevice".to_string(),
+                    strategy: None,
                     devices: None,
                     kernel: kernel.clone(),
                 },
                 2 => BackendSpec {
                     kind: "multidevice".to_string(),
                     strategy: Some("contiguous".to_string()),
-                    shards: None,
                     devices: Some(2),
                     kernel: kernel.clone(),
                 },
                 _ => BackendSpec {
                     kind: "multidevice".to_string(),
                     strategy: Some("partitioned".to_string()),
-                    shards: None,
                     devices: Some(3),
                     kernel: kernel.clone(),
                 },
@@ -452,7 +423,6 @@ mod tests {
                 BackendSpec {
                     kind: "multidevice".to_string(),
                     strategy: Some("partitioned".to_string()),
-                    shards: None,
                     devices: Some(2),
                     kernel: Some("full-matrix".to_string()),
                 },
@@ -483,27 +453,19 @@ mod tests {
         let bad = BackendSpec {
             kind: "gpu".to_string(),
             strategy: None,
-            shards: None,
             devices: None,
             kernel: None,
         };
         assert!(matches!(bad.to_select(), Err(SolverError::InvalidSpec(_))));
         let bad = BackendSpec {
-            kind: "reference".to_string(),
-            strategy: Some("colored".to_string()),
-            shards: Some(8),
-            devices: None,
-            kernel: None,
+            devices: Some(2),
+            ..BackendSpec::reference_serial()
         };
-        assert!(bad.to_select().is_err(), "shards on colored must fail");
-        let bad = BackendSpec {
-            kind: "multidevice".to_string(),
-            strategy: None,
-            shards: Some(4),
-            devices: None,
-            kernel: None,
-        };
-        assert!(bad.to_select().is_err(), "shards on multidevice must fail");
+        assert!(bad.to_select().is_err(), "devices on serial must fail");
+        // The removed `shards` field fails as an unknown field.
+        let err = serde_json::from_str::<BackendSpec>(r#"{"kind": "multidevice", "shards": 4}"#)
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown field"), "{err}");
         let bad = BackendSpec {
             kernel: Some("tensor-core".to_string()),
             ..BackendSpec::reference_serial()
@@ -531,7 +493,6 @@ mod tests {
             let old = BackendSpec {
                 kind: kind.to_string(),
                 strategy: Some("partitioned".to_string()),
-                shards: Some(4),
                 devices: None,
                 kernel: None,
             };
@@ -539,6 +500,22 @@ mod tests {
                 panic!("`{kind}` must be rejected");
             };
             assert!(msg.contains(&format!("`{kind}`")), "{msg}");
+            assert!(msg.contains("`multidevice`"), "{msg}");
+            assert!(msg.contains("`devices`"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn removed_reference_strategies_name_their_replacement() {
+        for strategy in ["chunked", "colored"] {
+            let old = BackendSpec {
+                strategy: Some(strategy.to_string()),
+                ..BackendSpec::reference_serial()
+            };
+            let Err(SolverError::InvalidSpec(msg)) = old.to_select() else {
+                panic!("`{strategy}` must be rejected");
+            };
+            assert!(msg.contains(&format!("`{strategy}`")), "{msg}");
             assert!(msg.contains("`multidevice`"), "{msg}");
             assert!(msg.contains("`devices`"), "{msg}");
         }

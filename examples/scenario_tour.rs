@@ -1,6 +1,6 @@
 //! Tour of the scenario registry: runs every registered workload (TGV,
 //! lid-driven cavity, double shear layer, acoustic pulse) for a short
-//! burst under the colored assembly strategy and prints each scenario's
+//! burst on two multi-device workers and prints each scenario's
 //! invariant report — the quickest way to see the solver handle more
 //! than one flow. Each member is described declaratively as a
 //! `SimulationSpec` (the same JSON-round-trippable value the ensemble
@@ -27,10 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             amplitude: None,
             cfl: None,
             backend: BackendSpec {
-                kind: "reference".to_string(),
-                strategy: Some("colored".to_string()),
-                shards: None,
-                devices: None,
+                kind: "multidevice".to_string(),
+                strategy: Some("partitioned".to_string()),
+                devices: Some(2),
                 kernel: None,
             },
         };

@@ -1,10 +1,11 @@
-//! The cross-strategy scenario regression matrix — its own tier-1 check.
+//! The cross-backend scenario regression matrix — its own tier-1 check.
 //!
 //! Three layers of protection for the scenario registry:
 //!
 //! 1. **Matrix**: every registered scenario (TGV, lid-driven cavity,
-//!    double shear layer, acoustic pulse) must run under Serial, Chunked
-//!    and Colored assembly with per-step deviations ≤ 1e-12 relative and
+//!    double shear layer, acoustic pulse) must run on the serial loop and
+//!    on 2- and 4-device multi-device assembly with per-step deviations
+//!    ≤ 1e-12 relative and
 //!    its physical invariants intact — the acceptance bar of the
 //!    `repro scenarios` artifact, asserted here on the exact same study.
 //! 2. **Golden traces**: committed TGV kinetic-energy/enstrophy decay
@@ -16,8 +17,9 @@
 //!    `cargo test --test scenario_matrix -- --ignored` after a *wanted*
 //!    physics change.
 //! 3. **Bitwise pinning**: Dirichlet-constrained nodes of the cavity
-//!    stay bitwise at their targets across full RK4 steps under all
-//!    three strategies, and the composed RHS is exactly zero there.
+//!    stay bitwise at their targets across full RK4 steps on the serial
+//!    loop and two multi-device decompositions, and the composed RHS is
+//!    exactly zero there.
 //! 4. **Kernel paths**: every registered scenario runs its invariant
 //!    suite at p = 2 under both the sum-factored and the full-matrix
 //!    weak-divergence contraction, and the two trajectories agree.
@@ -25,7 +27,9 @@
 use fem_bench::scenarios::{run_scenario_matrix, STRATEGY_EQUIVALENCE_TOL};
 use fem_bench::{SCENARIO_MATRIX_EDGE, SCENARIO_MATRIX_STEPS};
 use fem_cfd_accel::solver::scenarios::Scenario;
-use fem_cfd_accel::solver::{AssemblyStrategy, KernelPath, Simulation};
+use fem_cfd_accel::solver::{
+    AssemblyStrategy, BackendSelect, KernelPath, PartitionStrategy, Simulation,
+};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -79,7 +83,7 @@ fn matrix_passes_equivalence_and_invariants_for_all_scenarios() {
         );
     }
 
-    // Every (scenario, strategy) cell tracks serial at ≤ 1e-12.
+    // Every (scenario, backend) cell tracks serial at ≤ 1e-12.
     assert_eq!(m.rows.len(), m.summaries.len() * 3);
     for r in &m.rows {
         assert!(
@@ -336,17 +340,23 @@ fn registry_invariants_hold_at_p2_under_both_kernel_paths() {
 #[test]
 fn cavity_pinned_nodes_stay_bitwise_fixed_under_every_strategy() {
     let scenario = Scenario::lid_cavity();
-    for strategy in [
-        AssemblyStrategy::Serial,
-        AssemblyStrategy::chunked_auto(),
-        AssemblyStrategy::Colored,
+    for select in [
+        BackendSelect::Reference(AssemblyStrategy::Serial),
+        BackendSelect::MultiDevice {
+            devices: 2,
+            strategy: PartitionStrategy::Partitioned,
+        },
+        BackendSelect::MultiDevice {
+            devices: 3,
+            strategy: PartitionStrategy::Contiguous,
+        },
     ] {
         let mesh = scenario.mesh(5).expect("cavity mesh builds");
         let initial = scenario.initial_state(&mesh);
         let bc = scenario.boundary(&mesh).expect("cavity is wall-bounded");
         let mut sim = Simulation::builder(mesh, scenario.gas(), initial)
             .bc(bc)
-            .assembly(strategy)
+            .backend(select)
             .build()
             .expect("cavity builds");
         let targets: Vec<(u32, [f64; 5])> = sim.bc().expect("cavity has a BC").targets().to_vec();
@@ -357,10 +367,10 @@ fn cavity_pinned_nodes_stay_bitwise_fixed_under_every_strategy() {
         let rhs = sim.eval_rhs();
         for &(n, _) in &targets {
             let n = n as usize;
-            assert_eq!(rhs.rho[n], 0.0, "{strategy}: rho RHS at node {n}");
-            assert_eq!(rhs.energy[n], 0.0, "{strategy}: energy RHS at node {n}");
+            assert_eq!(rhs.rho[n], 0.0, "{select}: rho RHS at node {n}");
+            assert_eq!(rhs.energy[n], 0.0, "{select}: energy RHS at node {n}");
             for d in 0..3 {
-                assert_eq!(rhs.mom[d][n], 0.0, "{strategy}: mom[{d}] RHS at node {n}");
+                assert_eq!(rhs.mom[d][n], 0.0, "{select}: mom[{d}] RHS at node {n}");
             }
         }
 
@@ -372,19 +382,19 @@ fn cavity_pinned_nodes_stay_bitwise_fixed_under_every_strategy() {
             assert_eq!(
                 sim.conserved().rho[n].to_bits(),
                 vals[0].to_bits(),
-                "{strategy}: rho moved at node {n}"
+                "{select}: rho moved at node {n}"
             );
             for d in 0..3 {
                 assert_eq!(
                     sim.conserved().mom[d][n].to_bits(),
                     vals[1 + d].to_bits(),
-                    "{strategy}: mom[{d}] moved at node {n}"
+                    "{select}: mom[{d}] moved at node {n}"
                 );
             }
             assert_eq!(
                 sim.conserved().energy[n].to_bits(),
                 vals[4].to_bits(),
-                "{strategy}: energy moved at node {n}"
+                "{select}: energy moved at node {n}"
             );
         }
     }
