@@ -4,10 +4,10 @@
 //! `repro banking`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fem_accel::emulation::{emulate_plan_banked, shard_compute_floors, shard_streams};
 use fem_accel::optimizer::optimize_bank_assignment;
 use fem_mesh::partition::{PartitionStrategy, ShardPlan};
 use fem_mesh::BoxMeshBuilder;
-use fem_solver::engine::{emulate_plan_banked, shard_compute_floors, shard_streams};
 use fpga_platform::{BankAssignment, MemorySystem};
 
 fn bench_banked_emulation(c: &mut Criterion) {

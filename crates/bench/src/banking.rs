@@ -6,7 +6,7 @@
 //! deduplicated like `repro sharding`), and every streaming batch size,
 //! the study builds the halo-minimizing
 //! [`fem_mesh::partition::ShardPlan`], decomposes it into per-shard
-//! memory streams ([`fem_solver::engine::shard_streams`]: 12 state
+//! memory streams ([`fem_accel::emulation::shard_streams`]: 12 state
 //! gathers, the geometry-cache slice, 5 RHS scatters per shard), and
 //! routes the streams through three memory systems × three
 //! bank-assignment policies:
@@ -22,13 +22,13 @@
 //!
 //! Each cell reports both the closed-form makespan bound
 //! ([`fpga_platform::memory::modeled_makespan_cycles`]) and the DES
-//! makespan from [`fem_solver::engine::emulate_plan_banked`], plus
+//! makespan from [`fem_accel::emulation::emulate_plan_banked`], plus
 //! per-bank port occupancy and stall totals. Two invariants are pinned
 //! here and re-gated by `banking_json_schema` in `repro_json.rs` and the
 //! CI `banking` job:
 //!
 //! 1. every 1-bank row's DES makespan **exactly equals** the flat
-//!    per-shard quote of [`fem_solver::engine::emulate_plan`] (the
+//!    per-shard quote of [`fem_accel::emulation::emulate_plan`] (the
 //!    degenerate case collapses to the pre-banking model
 //!    cycle-for-cycle);
 //! 2. at ≥ 8 shards on the 32-bank HBM system the optimized assignment
@@ -42,11 +42,12 @@
 //! contention at all, so it would trivially dominate; it exists to
 //! calibrate the overlay, not to compete with buildable systems.
 
+use fem_accel::emulation::{
+    emulate_plan, emulate_plan_banked, shard_compute_floors, shard_streams,
+};
 use fem_accel::optimizer::optimize_bank_assignment;
 use fem_mesh::partition::ShardPlan;
-use fem_solver::engine::{
-    emulate_plan, emulate_plan_banked, shard_compute_floors, shard_streams, PartitionStrategy,
-};
+use fem_solver::engine::PartitionStrategy;
 use fem_solver::scenarios::Scenario;
 use fpga_platform::memory::modeled_makespan_cycles;
 use fpga_platform::{BankAssignment, MemorySystem};

@@ -18,12 +18,12 @@
 //!   identical** to the serial reference — the engine's shard
 //!   determinism guarantee — and bitwise stable across the whole count
 //!   sweep, per strategy; and the per-shard accelerator cycle emulation
-//!   ([`fem_solver::engine::emulate_plan`]: DES makespan, observed II,
+//!   ([`fem_accel::emulation::emulate_plan`]: DES makespan, observed II,
 //!   bottleneck task II) plus the scenario's DDR roofline bound from
 //!   [`fem_accel::experiments::scenario_workload`];
 //! * the exchange view ([`OverlapCell`] and per-device
 //!   [`DevicePhaseRow`]s): emulated frontier/interior/exchange/exposed
-//!   cycles from the inter-device link DES, measured wall-clock phase
+//!   cycles from the inter-device link model, measured wall-clock phase
 //!   seconds from the device workers, the resulting overlap
 //!   efficiencies, and a compute-bound vs comm-bound classification.
 //!
@@ -40,10 +40,11 @@
 //! artifact on every push.
 
 use crate::scenarios::max_rel_dev;
+use fem_accel::emulation::emulate_plan;
 use fem_accel::experiments::scenario_workload;
-use fem_solver::engine::{emulate_plan, BackendSelect, PartitionStrategy};
+use fem_solver::engine::{BackendSelect, PartitionStrategy};
 use fem_solver::scenarios::Scenario;
-use fem_solver::Simulation;
+use fem_solver::{DevicePhaseSeconds, Simulation};
 use serde::Serialize;
 
 /// Counts the study sweeps: the plan view's shard counts and the
@@ -520,15 +521,13 @@ fn run_cell(
     } else {
         1.0 - exposed_total as f64 / exchange_total as f64
     };
-    let measured_frontier_s: f64 = measured.iter().map(|m| m.frontier_s).sum();
-    let measured_interior_s: f64 = measured.iter().map(|m| m.interior_s).sum();
-    let measured_wait_s: f64 = measured.iter().map(|m| m.wait_s).sum();
-    let measured_apply_s: f64 = measured.iter().map(|m| m.apply_s).sum();
-    let measured_overlap_efficiency = if measured_interior_s + measured_wait_s <= 0.0 {
-        1.0
-    } else {
-        measured_interior_s / (measured_interior_s + measured_wait_s)
-    };
+    let mut measured_total = DevicePhaseSeconds::default();
+    for m in &measured {
+        measured_total.frontier_s += m.frontier_s;
+        measured_total.interior_s += m.interior_s;
+        measured_total.wait_s += m.wait_s;
+        measured_total.apply_s += m.apply_s;
+    }
     let bound = if exposed_total > interior_total {
         "comm-bound"
     } else {
@@ -552,11 +551,11 @@ fn run_cell(
             .max()
             .unwrap_or(0),
         emulated_overlap_efficiency,
-        measured_frontier_s,
-        measured_interior_s,
-        measured_wait_s,
-        measured_apply_s,
-        measured_overlap_efficiency,
+        measured_frontier_s: measured_total.frontier_s,
+        measured_interior_s: measured_total.interior_s,
+        measured_wait_s: measured_total.wait_s,
+        measured_apply_s: measured_total.apply_s,
+        measured_overlap_efficiency: measured_total.overlap_efficiency(),
         bound: bound.to_string(),
     };
     (strategy_cell, overlap_cell)

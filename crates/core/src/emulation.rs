@@ -1,0 +1,426 @@
+//! Plan-level accelerator emulation: the solver's shard decomposition
+//! mapped onto the dataflow hardware and its memory system.
+//!
+//! The solver ([`fem_solver::engine`]) decides *what* each shard
+//! computes; this module prices *how long* the accelerator takes to
+//! stream it. Both models are plain functions of a
+//! [`fem_mesh::partition::ShardPlan`]:
+//!
+//! * [`emulate_plan`] routes every shard through the Load → Compute →
+//!   Store DES of [`hls_dataflow::sim`] ([`ShardCycleReport`]);
+//! * [`emulate_plan_banked`] routes the same plan's memory streams
+//!   ([`shard_streams`]) through a banked memory system
+//!   ([`fpga_platform::MemorySystem`]) with per-bank port arbitration
+//!   ([`BankedEmulation`]).
+
+use fem_mesh::geometry::GeometryCache;
+use fem_mesh::partition::ShardPlan;
+use fem_solver::engine::{GATHER_STREAMS_PER_SHARD, SCATTER_STREAMS_PER_SHARD};
+use hls_dataflow::network::{ChannelKind, NetworkBuilder};
+use hls_dataflow::sim::simulate;
+
+/// Predicted accelerator timing of one shard's element-token stream,
+/// produced by routing the shard through the Load → Compute → Store
+/// dataflow network of [`hls_dataflow::sim`] ([`emulate_plan`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardCycleReport {
+    /// Shard index within the plan.
+    pub shard: usize,
+    /// Element tokens the shard streams per RK stage.
+    pub elements: usize,
+    /// DES makespan of the shard's stage, in cycles.
+    pub makespan_cycles: u64,
+    /// Observed steady-state initiation interval (cycles/element).
+    pub observed_ii: f64,
+    /// The II bound of the slowest task (`max(load, compute, store)`).
+    pub bottleneck_ii: u64,
+    /// Load-task II implied by the shard's DDR read traffic.
+    pub load_ii: u64,
+    /// Compute-task II (one element node per cycle through the fused
+    /// Diffusion ⊕ Convection pipeline).
+    pub compute_ii: u64,
+    /// Store-task II implied by the shard's residual write-back traffic.
+    pub store_ii: u64,
+}
+
+// --------------------------------------------------- per-shard emulation
+
+/// Bytes one AXI beat moves in the emulation (512-bit bus).
+const AXI_BYTES_PER_CYCLE: u64 = 64;
+
+/// Routes one shard's element stream through the 3-task pipeline DES.
+fn emulate_shard(
+    shard: &fem_mesh::partition::Shard,
+    npe: u64,
+) -> Result<ShardCycleReport, hls_dataflow::DataflowError> {
+    let elements = shard.num_elements() as u64;
+    let bytes_in_pe = (shard.bytes_in() as u64).div_ceil(elements.max(1));
+    let bytes_out_pe = (shard.bytes_out() as u64).div_ceil(elements.max(1));
+    let load_ii = bytes_in_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
+    // The fused Diffusion ⊕ Convection module retires one element node per
+    // cycle once pipelined. Under the sum-factorized schedule each output
+    // node needs 5 · 3n MACs — three 1D sweeps of n MACs per variable —
+    // which an unrolled 3n-wide MAC tree (n ≤ 5 on the p ≤ 4 ladder)
+    // retires in one II=1 issue per node, so the element-level II stays
+    // npe cycles. The full-matrix schedule would need 3·npe MACs per node
+    // (n² wider) — the HLS quote assumes the factored hot path.
+    let compute_ii = npe.max(1);
+    let store_ii = bytes_out_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
+
+    let mut b = NetworkBuilder::new();
+    let lc = b.channel("load_compute", 8, ChannelKind::Fifo);
+    let cs = b.channel("compute_store", 8, ChannelKind::Fifo);
+    b.task("load_element", load_ii, load_ii + 16, vec![], vec![lc]);
+    b.task(
+        "compute_diff_conv",
+        compute_ii,
+        compute_ii + 32,
+        vec![lc],
+        vec![cs],
+    );
+    b.task("store_contrib", store_ii, store_ii + 8, vec![cs], vec![]);
+    let net = b.build(elements)?;
+    let report = simulate(&net)?;
+    Ok(ShardCycleReport {
+        shard: shard.index(),
+        elements: shard.num_elements(),
+        makespan_cycles: report.makespan,
+        observed_ii: report.observed_ii(elements),
+        bottleneck_ii: net.bottleneck_ii(),
+        load_ii,
+        compute_ii,
+        store_ii,
+    })
+}
+
+/// Predicted accelerator timing of every shard of `plan`: each shard's
+/// element-token stream runs through its own Load → Compute → Store
+/// dataflow network, sized from the shard's DDR traffic, with `npe` (nodes
+/// per element) cycles per element through the compute task. The reports
+/// are index-aligned with `plan.shards()`.
+///
+/// # Errors
+///
+/// [`hls_dataflow::DataflowError`] if a shard network fails to validate
+/// or simulate (cannot happen for the generated 3-task chains, but
+/// surfaced rather than panicking).
+pub fn emulate_plan(
+    plan: &ShardPlan,
+    npe: u64,
+) -> Result<Vec<ShardCycleReport>, hls_dataflow::DataflowError> {
+    plan.shards()
+        .iter()
+        .map(|shard| emulate_shard(shard, npe))
+        .collect()
+}
+
+// ------------------------------------------------------ banked emulation
+
+/// Memory streams per shard: the gathers, one geometry-cache slice, and
+/// the scatters.
+pub const STREAMS_PER_SHARD: usize = GATHER_STREAMS_PER_SHARD + 1 + SCATTER_STREAMS_PER_SHARD;
+
+/// Decomposes a plan's DDR traffic into per-shard memory streams, in a
+/// fixed order: for each shard (ascending index), the
+/// [`GATHER_STREAMS_PER_SHARD`] state gathers, the geometry-cache slice,
+/// then the [`SCATTER_STREAMS_PER_SHARD`] RHS scatters. Bank assignments
+/// index this order. Gather/scatter sizes come from the shard's
+/// [`fem_mesh::partition::Shard::bytes_in`]/`bytes_out` accounting
+/// (inter-batch re-reads included); the geometry slice streams
+/// [`GeometryCache::BYTES_PER_ELEMENT_NODE`] bytes per element node and
+/// is typically the heaviest stream — the one worth a private bank.
+pub fn shard_streams(plan: &ShardPlan, npe: u64) -> Vec<fpga_platform::MemoryStream> {
+    let mut out = Vec::with_capacity(plan.num_shards() * STREAMS_PER_SHARD);
+    for shard in plan.shards() {
+        let g = shard.index();
+        let elements = shard.num_elements() as u64;
+        let bytes_in_pe = (shard.bytes_in() as u64).div_ceil(elements.max(1));
+        let bytes_out_pe = (shard.bytes_out() as u64).div_ceil(elements.max(1));
+        let gather_pe = bytes_in_pe.div_ceil(GATHER_STREAMS_PER_SHARD as u64);
+        let scatter_pe = bytes_out_pe.div_ceil(SCATTER_STREAMS_PER_SHARD as u64);
+        for i in 0..GATHER_STREAMS_PER_SHARD {
+            out.push(fpga_platform::MemoryStream {
+                label: format!("s{g}:gather{i}"),
+                group: g,
+                beats_per_token: gather_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
+                tokens: elements,
+                resident_bytes: (shard.bytes_in() as u64).div_ceil(GATHER_STREAMS_PER_SHARD as u64),
+            });
+        }
+        let geom_bytes_pe = npe * GeometryCache::BYTES_PER_ELEMENT_NODE as u64;
+        out.push(fpga_platform::MemoryStream {
+            label: format!("s{g}:geometry"),
+            group: g,
+            beats_per_token: geom_bytes_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
+            tokens: elements,
+            resident_bytes: elements * geom_bytes_pe,
+        });
+        for j in 0..SCATTER_STREAMS_PER_SHARD {
+            out.push(fpga_platform::MemoryStream {
+                label: format!("s{g}:scatter{j}"),
+                group: g,
+                beats_per_token: scatter_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
+                tokens: elements,
+                resident_bytes: (shard.bytes_out() as u64)
+                    .div_ceil(SCATTER_STREAMS_PER_SHARD as u64),
+            });
+        }
+    }
+    out
+}
+
+/// Per-shard bank-independent makespan floors for
+/// [`fpga_platform::memory::modeled_makespan_cycles`]: the compute task
+/// retires one element per `npe` cycles, so shard `g` can never finish
+/// in fewer than `elements · npe` cycles no matter the bank layout.
+pub fn shard_compute_floors(plan: &ShardPlan, npe: u64) -> Vec<u64> {
+    plan.shards()
+        .iter()
+        .map(|s| s.num_elements() as u64 * npe.max(1))
+        .collect()
+}
+
+/// The outcome of routing a plan's streams through a banked memory
+/// system.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BankedEmulation {
+    /// Memory-system identifier (`u200-ddr4`, `u280-hbm2`, `flat`).
+    pub system: String,
+    /// Banks in the system.
+    pub banks: usize,
+    /// Banks carrying at least one stream.
+    pub banks_used: usize,
+    /// DES makespan of the slowest shard pipeline, in cycles.
+    pub makespan_cycles: u64,
+    /// Per-bank port occupancy/stall counters (empty in the 1-bank
+    /// degenerate mode, which runs the flat pre-banking networks).
+    pub bank_stats: Vec<hls_dataflow::BankStats>,
+    /// Per-shard flat reports — populated only in the 1-bank degenerate
+    /// mode, where they are exactly [`emulate_plan`]'s reports.
+    pub shard_reports: Vec<ShardCycleReport>,
+}
+
+/// Runs the banked dataflow emulation of a whole plan.
+///
+/// With a 1-bank `system` (the degenerate flat model) this is
+/// [`emulate_plan`] — the per-shard Load → Compute → Store chains with no
+/// bank tags and no port arbitration — so the result reproduces the flat
+/// reports cycle-for-cycle. With a multi-bank system each
+/// shard becomes one pipeline of [`STREAMS_PER_SHARD`] banked endpoints
+/// (gather and geometry producers feeding the compute task, scatter
+/// tasks draining it) in a single network whose banked channels share
+/// ports per the [`hls_dataflow`] conflict rule; per-shard token counts
+/// ride the per-task overrides.
+///
+/// # Errors
+///
+/// [`hls_dataflow::DataflowError`] if a network fails to validate or
+/// simulate (an `assignment` that does not cover the plan's streams
+/// surfaces as an unknown-bank panic upstream; callers build assignments
+/// from [`shard_streams`]).
+pub fn emulate_plan_banked(
+    plan: &ShardPlan,
+    npe: u64,
+    system: &fpga_platform::MemorySystem,
+    assignment: &fpga_platform::BankAssignment,
+) -> Result<BankedEmulation, hls_dataflow::DataflowError> {
+    let streams = shard_streams(plan, npe);
+    assert_eq!(
+        assignment.bank_of.len(),
+        streams.len(),
+        "assignment must cover every stream of the plan"
+    );
+    if system.num_banks() == 1 {
+        let shard_reports = emulate_plan(plan, npe)?;
+        let makespan_cycles = shard_reports
+            .iter()
+            .map(|r| r.makespan_cycles)
+            .max()
+            .unwrap_or(0);
+        return Ok(BankedEmulation {
+            system: system.name().to_string(),
+            banks: 1,
+            banks_used: 1,
+            makespan_cycles,
+            bank_stats: Vec::new(),
+            shard_reports,
+        });
+    }
+
+    let mut b = NetworkBuilder::new();
+    let mut si = 0usize;
+    for shard in plan.shards() {
+        let g = shard.index();
+        let elements = shard.num_elements() as u64;
+        let mut shard_tasks = Vec::with_capacity(STREAMS_PER_SHARD + 2);
+        // Gather + geometry producers, each issuing through its bank.
+        let mut compute_inputs = Vec::with_capacity(GATHER_STREAMS_PER_SHARD + 1);
+        for _ in 0..GATHER_STREAMS_PER_SHARD + 1 {
+            let s = &streams[si];
+            let c = b.banked_channel(
+                s.label.clone(),
+                8,
+                ChannelKind::Fifo,
+                assignment.bank_of[si],
+            );
+            shard_tasks.push(b.task(
+                format!("ld:{}", s.label),
+                s.beats_per_token,
+                s.beats_per_token + 16,
+                vec![],
+                vec![c],
+            ));
+            compute_inputs.push(c);
+            si += 1;
+        }
+        // Fused compute, fanning out to the scatter tasks.
+        let store_chans: Vec<usize> = (0..SCATTER_STREAMS_PER_SHARD)
+            .map(|j| b.channel(format!("s{g}:cs{j}"), 8, ChannelKind::Fifo))
+            .collect();
+        shard_tasks.push(b.task(
+            format!("s{g}:compute"),
+            npe.max(1),
+            npe.max(1) + 32,
+            compute_inputs,
+            store_chans.clone(),
+        ));
+        // Scatter tasks writing through their banks into the shard sink.
+        let mut sink_inputs = Vec::with_capacity(SCATTER_STREAMS_PER_SHARD);
+        for &cs in &store_chans {
+            let s = &streams[si];
+            let oc = b.banked_channel(
+                s.label.clone(),
+                8,
+                ChannelKind::Fifo,
+                assignment.bank_of[si],
+            );
+            shard_tasks.push(b.task(
+                format!("st:{}", s.label),
+                s.beats_per_token,
+                s.beats_per_token + 8,
+                vec![cs],
+                vec![oc],
+            ));
+            sink_inputs.push(oc);
+            si += 1;
+        }
+        shard_tasks.push(b.task(format!("s{g}:sink"), 1, 1, sink_inputs, vec![]));
+        for t in shard_tasks {
+            b.task_tokens(t, elements);
+        }
+    }
+    // Every task carries an override, so the network-wide count is inert.
+    let net = b.build(0)?;
+    let report = simulate(&net)?;
+    Ok(BankedEmulation {
+        system: system.name().to_string(),
+        banks: system.num_banks(),
+        banks_used: assignment.banks_used(),
+        makespan_cycles: report.makespan,
+        bank_stats: report.bank_stats,
+        shard_reports: Vec::new(),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fem_mesh::generator::BoxMeshBuilder;
+    use fem_mesh::partition::PartitionStrategy;
+    use fpga_platform::{BankAssignment, MemorySystem};
+
+    #[test]
+    fn emulate_plan_quotes_every_shard() {
+        let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
+        let plan =
+            ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap();
+        let reports = emulate_plan(&plan, mesh.nodes_per_element() as u64).unwrap();
+        assert_eq!(reports.len(), 4);
+        let ne: usize = reports.iter().map(|r| r.elements).sum();
+        assert_eq!(ne, 5 * 5 * 5);
+        for (g, r) in reports.iter().enumerate() {
+            assert_eq!(r.shard, g);
+            assert!(r.makespan_cycles > 0);
+            assert!(r.observed_ii >= r.bottleneck_ii as f64 - 0.5, "{r:?}");
+            assert_eq!(r.bottleneck_ii, r.load_ii.max(r.compute_ii).max(r.store_ii));
+        }
+    }
+
+    #[test]
+    fn one_bank_banked_emulation_reproduces_flat_reports() {
+        // The degenerate 1-bank system must reproduce the flat per-shard
+        // emulation cycle-for-cycle at every shard count and both
+        // strategies.
+        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
+        let npe = mesh.nodes_per_element() as u64;
+        let flat_sys = MemorySystem::u200_flat();
+        for strategy in [
+            PartitionStrategy::Contiguous,
+            PartitionStrategy::Partitioned,
+        ] {
+            for shards in [1usize, 2, 4, 8] {
+                let plan = ShardPlan::with_strategy(&mesh, shards, usize::MAX, strategy).unwrap();
+                let quotes = emulate_plan(&plan, npe).unwrap();
+                let streams = shard_streams(&plan, npe);
+                let a = BankAssignment::round_robin(&streams, &flat_sys);
+                let banked = emulate_plan_banked(&plan, npe, &flat_sys, &a).unwrap();
+                assert_eq!(banked.shard_reports, quotes);
+                assert_eq!(
+                    banked.makespan_cycles,
+                    quotes.iter().map(|r| r.makespan_cycles).max().unwrap()
+                );
+                assert!(banked.bank_stats.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn shard_streams_cover_the_plan_traffic() {
+        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
+        let plan =
+            ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap();
+        let npe = mesh.nodes_per_element() as u64;
+        let streams = shard_streams(&plan, npe);
+        assert_eq!(streams.len(), 4 * STREAMS_PER_SHARD);
+        for (g, shard) in plan.shards().iter().enumerate() {
+            let mine: Vec<_> = streams.iter().filter(|s| s.group == g).collect();
+            assert_eq!(mine.len(), STREAMS_PER_SHARD);
+            assert!(mine.iter().all(|s| s.tokens == shard.num_elements() as u64));
+            // The geometry slice is the heaviest stream at p = 1:
+            // 8 nodes × 80 B = 10 beats/element vs ~1 for the others.
+            let geom = mine.iter().max_by_key(|s| s.beats_per_token).unwrap();
+            assert!(geom.label.ends_with("geometry"), "{}", geom.label);
+            assert_eq!(geom.beats_per_token, 10);
+        }
+        let floors = shard_compute_floors(&plan, npe);
+        assert_eq!(floors.len(), 4);
+        assert_eq!(floors.iter().sum::<u64>(), mesh.num_elements() as u64 * npe);
+    }
+
+    #[test]
+    fn banked_hbm_emulation_beats_round_robin_with_a_better_layout() {
+        // On the 32-bank HBM model at 8 shards, round-robin co-locates
+        // geometry slices with state streams; the greedy planner spreads
+        // them and the DES makespan strictly improves.
+        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
+        let plan =
+            ShardPlan::with_strategy(&mesh, 8, usize::MAX, PartitionStrategy::Contiguous).unwrap();
+        let npe = mesh.nodes_per_element() as u64;
+        let hbm = MemorySystem::u280_hbm2();
+        let streams = shard_streams(&plan, npe);
+        let rr = BankAssignment::round_robin(&streams, &hbm);
+        let greedy = BankAssignment::greedy(&streams, &hbm);
+        let r_rr = emulate_plan_banked(&plan, npe, &hbm, &rr).unwrap();
+        let r_gr = emulate_plan_banked(&plan, npe, &hbm, &greedy).unwrap();
+        assert!(
+            r_gr.makespan_cycles < r_rr.makespan_cycles,
+            "greedy {} !< round-robin {}",
+            r_gr.makespan_cycles,
+            r_rr.makespan_cycles
+        );
+        // Round-robin's contention shows up as bank port stalls.
+        assert!(r_rr.bank_stats.iter().any(|b| b.stall_cycles > 0));
+        assert_eq!(r_rr.banks, 32);
+        assert!(r_rr.banks_used <= 32);
+    }
+}

@@ -14,6 +14,9 @@
 //! * [`perf`] — end-to-end performance estimation: HLS schedules → task
 //!   IIs → dataflow makespan → seconds at the achievable clock, plus DDR,
 //!   PCIe and CPU-baseline times.
+//! * [`emulation`] — the solver's shard plans mapped onto the hardware:
+//!   the per-shard Load → Compute → Store DES and the banked-memory DES,
+//!   as plain functions of a [`fem_mesh::partition::ShardPlan`].
 //! * [`functional`] — proof that the task decomposition computes exactly
 //!   what the reference solver computes.
 //! * [`experiments`] — drivers that regenerate Fig 2, Fig 5, Table I, the
@@ -25,6 +28,7 @@
 
 pub mod calibration;
 pub mod designs;
+pub mod emulation;
 pub mod experiments;
 pub mod functional;
 pub mod optimizer;

@@ -513,7 +513,7 @@ impl Simulation {
         self.core.backend()
     }
 
-    /// Per-device halo-exchange emulation of the active backend (empty
+    /// Per-device halo-exchange model of the active backend (empty
     /// unless a [`BackendSelect::MultiDevice`] backend — or a custom
     /// backend providing reports — is installed).
     pub fn exchange_reports(&self) -> &[DeviceExchangeReport] {

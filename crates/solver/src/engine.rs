@@ -20,16 +20,16 @@
 //!   per-neighbor mailboxes as soon as its frontier elements are
 //!   assembled, overlaps its interior sweep with the neighbors' posts in
 //!   flight, and finalizes its owned frontier nodes last, after draining
-//!   its inbox. A companion DES models the inter-device links from
+//!   its inbox. A closed-form link model, evaluated once when the backend
+//!   is attached, prices the inter-device links from
 //!   [`fpga_platform::pcie`] numbers and separates compute, exchange, and
 //!   *exposed* (non-overlapped) communication per device
 //!   ([`DeviceExchangeReport`]).
 //!
-//! The accelerator and memory mappings are plain functions of the plan,
-//! not backends: [`emulate_plan`] routes every shard through the
-//! Load → Compute → Store DES of [`hls_dataflow::sim`]
-//! ([`ShardCycleReport`]), and [`emulate_plan_banked`] routes the same
-//! plan's memory streams through a banked memory system.
+//! This module runs no dataflow simulation. The accelerator and memory
+//! mappings of a shard plan (the per-shard and banked DES) live in
+//! `fem_accel::emulation`; this crate only names the array counts they
+//! stream ([`GATHER_STREAMS_PER_SHARD`], [`SCATTER_STREAMS_PER_SHARD`]).
 //!
 //! # The shard determinism guarantee
 //!
@@ -81,10 +81,8 @@ use crate::SolverError;
 use fem_mesh::geometry::GeometryCache;
 pub use fem_mesh::partition::PartitionStrategy;
 use fem_mesh::partition::ShardPlan;
-use fem_mesh::HexMesh;
+use fem_mesh::{HexMesh, MeshError};
 use fem_numerics::tensor::HexBasis;
-use hls_dataflow::network::{ChannelKind, NetworkBuilder};
-use hls_dataflow::sim::simulate;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -105,30 +103,6 @@ pub struct AssemblyContext<'a> {
     pub geometry: &'a GeometryCache,
     /// The weak-divergence contraction algorithm to dispatch.
     pub kernel: KernelPath,
-}
-
-/// Predicted accelerator timing of one shard's element-token stream,
-/// produced by routing the shard through the Load → Compute → Store
-/// dataflow network of [`hls_dataflow::sim`] ([`emulate_plan`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardCycleReport {
-    /// Shard index within the plan.
-    pub shard: usize,
-    /// Element tokens the shard streams per RK stage.
-    pub elements: usize,
-    /// DES makespan of the shard's stage, in cycles.
-    pub makespan_cycles: u64,
-    /// Observed steady-state initiation interval (cycles/element).
-    pub observed_ii: f64,
-    /// The II bound of the slowest task (`max(load, compute, store)`).
-    pub bottleneck_ii: u64,
-    /// Load-task II implied by the shard's DDR read traffic.
-    pub load_ii: u64,
-    /// Compute-task II (one element node per cycle through the fused
-    /// Diffusion ⊕ Convection pipeline).
-    pub compute_ii: u64,
-    /// Store-task II implied by the shard's residual write-back traffic.
-    pub store_ii: u64,
 }
 
 /// A pluggable RHS-assembly engine (see the module docs).
@@ -156,7 +130,7 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
         profiler: Option<&mut PhaseProfiler>,
     );
 
-    /// Per-device halo-exchange emulation, if the backend models an
+    /// Per-device halo-exchange model, if the backend models an
     /// inter-device link (empty otherwise).
     fn exchange_reports(&self) -> &[DeviceExchangeReport] {
         &[]
@@ -180,7 +154,7 @@ pub enum BackendSelect {
     Reference(AssemblyStrategy),
     /// The parallel executor: one worker thread per simulated device with
     /// a decentralized, overlapped neighbor-to-neighbor halo exchange
-    /// plus an inter-device link DES ([`MultiDeviceBackend`]).
+    /// plus an inter-device link model ([`MultiDeviceBackend`]).
     MultiDevice {
         /// Requested device count (clamped to the element count).
         devices: usize,
@@ -246,78 +220,7 @@ impl ExecutionBackend for ReferenceBackend {
     }
 }
 
-// --------------------------------------------------- per-shard emulation
-
-/// Bytes one AXI beat moves in the emulation (512-bit bus).
-const AXI_BYTES_PER_CYCLE: u64 = 64;
-
-/// Routes one shard's element stream through the 3-task pipeline DES.
-fn emulate_shard(
-    shard: &fem_mesh::partition::Shard,
-    npe: u64,
-) -> Result<ShardCycleReport, hls_dataflow::DataflowError> {
-    let elements = shard.num_elements() as u64;
-    let bytes_in_pe = (shard.bytes_in() as u64).div_ceil(elements.max(1));
-    let bytes_out_pe = (shard.bytes_out() as u64).div_ceil(elements.max(1));
-    let load_ii = bytes_in_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
-    // The fused Diffusion ⊕ Convection module retires one element node per
-    // cycle once pipelined. Under the sum-factorized schedule each output
-    // node needs 5 · 3n MACs — three 1D sweeps of n MACs per variable —
-    // which an unrolled 3n-wide MAC tree (n ≤ 5 on the p ≤ 4 ladder)
-    // retires in one II=1 issue per node, so the element-level II stays
-    // npe cycles. The full-matrix schedule would need 3·npe MACs per node
-    // (n² wider) — the HLS quote assumes the factored hot path.
-    let compute_ii = npe.max(1);
-    let store_ii = bytes_out_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
-
-    let mut b = NetworkBuilder::new();
-    let lc = b.channel("load_compute", 8, ChannelKind::Fifo);
-    let cs = b.channel("compute_store", 8, ChannelKind::Fifo);
-    b.task("load_element", load_ii, load_ii + 16, vec![], vec![lc]);
-    b.task(
-        "compute_diff_conv",
-        compute_ii,
-        compute_ii + 32,
-        vec![lc],
-        vec![cs],
-    );
-    b.task("store_contrib", store_ii, store_ii + 8, vec![cs], vec![]);
-    let net = b.build(elements)?;
-    let report = simulate(&net)?;
-    Ok(ShardCycleReport {
-        shard: shard.index(),
-        elements: shard.num_elements(),
-        makespan_cycles: report.makespan,
-        observed_ii: report.observed_ii(elements),
-        bottleneck_ii: net.bottleneck_ii(),
-        load_ii,
-        compute_ii,
-        store_ii,
-    })
-}
-
-/// Predicted accelerator timing of every shard of `plan`: each shard's
-/// element-token stream runs through its own Load → Compute → Store
-/// dataflow network, sized from the shard's DDR traffic, with `npe` (nodes
-/// per element) cycles per element through the compute task. The reports
-/// are index-aligned with `plan.shards()`.
-///
-/// # Errors
-///
-/// [`hls_dataflow::DataflowError`] if a shard network fails to validate
-/// or simulate (cannot happen for the generated 3-task chains, but
-/// surfaced rather than panicking).
-pub fn emulate_plan(
-    plan: &ShardPlan,
-    npe: u64,
-) -> Result<Vec<ShardCycleReport>, hls_dataflow::DataflowError> {
-    plan.shards()
-        .iter()
-        .map(|shard| emulate_shard(shard, npe))
-        .collect()
-}
-
-// ------------------------------------------------------ banked emulation
+// ------------------------------------------------------- stream counts
 
 /// State-array gather streams per shard — one per DDR-resident input
 /// array (5 conserved + T/p/E/μ + 3 coordinates + connectivity, matching
@@ -326,212 +229,6 @@ pub const GATHER_STREAMS_PER_SHARD: usize = 12;
 
 /// Residual scatter streams per shard (the 5 RHS arrays).
 pub const SCATTER_STREAMS_PER_SHARD: usize = 5;
-
-/// Memory streams per shard: the gathers, one geometry-cache slice, and
-/// the scatters.
-pub const STREAMS_PER_SHARD: usize = GATHER_STREAMS_PER_SHARD + 1 + SCATTER_STREAMS_PER_SHARD;
-
-/// Decomposes a plan's DDR traffic into per-shard memory streams, in a
-/// fixed order: for each shard (ascending index), the
-/// [`GATHER_STREAMS_PER_SHARD`] state gathers, the geometry-cache slice,
-/// then the [`SCATTER_STREAMS_PER_SHARD`] RHS scatters. Bank assignments
-/// index this order. Gather/scatter sizes come from the shard's
-/// [`fem_mesh::partition::Shard::bytes_in`]/`bytes_out` accounting
-/// (inter-batch re-reads included); the geometry slice streams
-/// [`GeometryCache::BYTES_PER_ELEMENT_NODE`] bytes per element node and
-/// is typically the heaviest stream — the one worth a private bank.
-pub fn shard_streams(plan: &ShardPlan, npe: u64) -> Vec<fpga_platform::MemoryStream> {
-    let mut out = Vec::with_capacity(plan.num_shards() * STREAMS_PER_SHARD);
-    for shard in plan.shards() {
-        let g = shard.index();
-        let elements = shard.num_elements() as u64;
-        let bytes_in_pe = (shard.bytes_in() as u64).div_ceil(elements.max(1));
-        let bytes_out_pe = (shard.bytes_out() as u64).div_ceil(elements.max(1));
-        let gather_pe = bytes_in_pe.div_ceil(GATHER_STREAMS_PER_SHARD as u64);
-        let scatter_pe = bytes_out_pe.div_ceil(SCATTER_STREAMS_PER_SHARD as u64);
-        for i in 0..GATHER_STREAMS_PER_SHARD {
-            out.push(fpga_platform::MemoryStream {
-                label: format!("s{g}:gather{i}"),
-                group: g,
-                beats_per_token: gather_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
-                tokens: elements,
-                resident_bytes: (shard.bytes_in() as u64).div_ceil(GATHER_STREAMS_PER_SHARD as u64),
-            });
-        }
-        let geom_bytes_pe = npe * GeometryCache::BYTES_PER_ELEMENT_NODE as u64;
-        out.push(fpga_platform::MemoryStream {
-            label: format!("s{g}:geometry"),
-            group: g,
-            beats_per_token: geom_bytes_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
-            tokens: elements,
-            resident_bytes: elements * geom_bytes_pe,
-        });
-        for j in 0..SCATTER_STREAMS_PER_SHARD {
-            out.push(fpga_platform::MemoryStream {
-                label: format!("s{g}:scatter{j}"),
-                group: g,
-                beats_per_token: scatter_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
-                tokens: elements,
-                resident_bytes: (shard.bytes_out() as u64)
-                    .div_ceil(SCATTER_STREAMS_PER_SHARD as u64),
-            });
-        }
-    }
-    out
-}
-
-/// Per-shard bank-independent makespan floors for
-/// [`fpga_platform::memory::modeled_makespan_cycles`]: the compute task
-/// retires one element per `npe` cycles, so shard `g` can never finish
-/// in fewer than `elements · npe` cycles no matter the bank layout.
-pub fn shard_compute_floors(plan: &ShardPlan, npe: u64) -> Vec<u64> {
-    plan.shards()
-        .iter()
-        .map(|s| s.num_elements() as u64 * npe.max(1))
-        .collect()
-}
-
-/// The outcome of routing a plan's streams through a banked memory
-/// system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BankedEmulation {
-    /// Memory-system identifier (`u200-ddr4`, `u280-hbm2`, `flat`).
-    pub system: String,
-    /// Banks in the system.
-    pub banks: usize,
-    /// Banks carrying at least one stream.
-    pub banks_used: usize,
-    /// DES makespan of the slowest shard pipeline, in cycles.
-    pub makespan_cycles: u64,
-    /// Per-bank port occupancy/stall counters (empty in the 1-bank
-    /// degenerate mode, which runs the flat pre-banking networks).
-    pub bank_stats: Vec<hls_dataflow::BankStats>,
-    /// Per-shard flat reports — populated only in the 1-bank degenerate
-    /// mode, where they are exactly [`emulate_plan`]'s reports.
-    pub shard_reports: Vec<ShardCycleReport>,
-}
-
-/// Runs the banked dataflow emulation of a whole plan.
-///
-/// With a 1-bank `system` (the degenerate flat model) this is
-/// [`emulate_plan`] — the per-shard Load → Compute → Store chains with no
-/// bank tags and no port arbitration — so the result reproduces the flat
-/// reports cycle-for-cycle. With a multi-bank system each
-/// shard becomes one pipeline of [`STREAMS_PER_SHARD`] banked endpoints
-/// (gather and geometry producers feeding the compute task, scatter
-/// tasks draining it) in a single network whose banked channels share
-/// ports per the [`hls_dataflow`] conflict rule; per-shard token counts
-/// ride the per-task overrides.
-///
-/// # Errors
-///
-/// [`hls_dataflow::DataflowError`] if a network fails to validate or
-/// simulate (an `assignment` that does not cover the plan's streams
-/// surfaces as an unknown-bank panic upstream; callers build assignments
-/// from [`shard_streams`]).
-pub fn emulate_plan_banked(
-    plan: &ShardPlan,
-    npe: u64,
-    system: &fpga_platform::MemorySystem,
-    assignment: &fpga_platform::BankAssignment,
-) -> Result<BankedEmulation, hls_dataflow::DataflowError> {
-    let streams = shard_streams(plan, npe);
-    assert_eq!(
-        assignment.bank_of.len(),
-        streams.len(),
-        "assignment must cover every stream of the plan"
-    );
-    if system.num_banks() == 1 {
-        let shard_reports = emulate_plan(plan, npe)?;
-        let makespan_cycles = shard_reports
-            .iter()
-            .map(|r| r.makespan_cycles)
-            .max()
-            .unwrap_or(0);
-        return Ok(BankedEmulation {
-            system: system.name().to_string(),
-            banks: 1,
-            banks_used: 1,
-            makespan_cycles,
-            bank_stats: Vec::new(),
-            shard_reports,
-        });
-    }
-
-    let mut b = NetworkBuilder::new();
-    let mut si = 0usize;
-    for shard in plan.shards() {
-        let g = shard.index();
-        let elements = shard.num_elements() as u64;
-        let mut shard_tasks = Vec::with_capacity(STREAMS_PER_SHARD + 2);
-        // Gather + geometry producers, each issuing through its bank.
-        let mut compute_inputs = Vec::with_capacity(GATHER_STREAMS_PER_SHARD + 1);
-        for _ in 0..GATHER_STREAMS_PER_SHARD + 1 {
-            let s = &streams[si];
-            let c = b.banked_channel(
-                s.label.clone(),
-                8,
-                ChannelKind::Fifo,
-                assignment.bank_of[si],
-            );
-            shard_tasks.push(b.task(
-                format!("ld:{}", s.label),
-                s.beats_per_token,
-                s.beats_per_token + 16,
-                vec![],
-                vec![c],
-            ));
-            compute_inputs.push(c);
-            si += 1;
-        }
-        // Fused compute, fanning out to the scatter tasks.
-        let store_chans: Vec<usize> = (0..SCATTER_STREAMS_PER_SHARD)
-            .map(|j| b.channel(format!("s{g}:cs{j}"), 8, ChannelKind::Fifo))
-            .collect();
-        shard_tasks.push(b.task(
-            format!("s{g}:compute"),
-            npe.max(1),
-            npe.max(1) + 32,
-            compute_inputs,
-            store_chans.clone(),
-        ));
-        // Scatter tasks writing through their banks into the shard sink.
-        let mut sink_inputs = Vec::with_capacity(SCATTER_STREAMS_PER_SHARD);
-        for &cs in &store_chans {
-            let s = &streams[si];
-            let oc = b.banked_channel(
-                s.label.clone(),
-                8,
-                ChannelKind::Fifo,
-                assignment.bank_of[si],
-            );
-            shard_tasks.push(b.task(
-                format!("st:{}", s.label),
-                s.beats_per_token,
-                s.beats_per_token + 8,
-                vec![cs],
-                vec![oc],
-            ));
-            sink_inputs.push(oc);
-            si += 1;
-        }
-        shard_tasks.push(b.task(format!("s{g}:sink"), 1, 1, sink_inputs, vec![]));
-        for t in shard_tasks {
-            b.task_tokens(t, elements);
-        }
-    }
-    // Every task carries an override, so the network-wide count is inert.
-    let net = b.build(0)?;
-    let report = simulate(&net)?;
-    Ok(BankedEmulation {
-        system: system.name().to_string(),
-        banks: system.num_banks(),
-        banks_used: assignment.banks_used(),
-        makespan_cycles: report.makespan,
-        bank_stats: report.bank_stats,
-        shard_reports: Vec::new(),
-    })
-}
 
 // --------------------------------------------------------- multi-device
 
@@ -558,7 +255,16 @@ fn geometry_fingerprint(geometry: &GeometryCache) -> (usize, u64, u64) {
     (ne, first, last)
 }
 
-/// Clock the inter-device link DES is normalized to: link seconds from
+/// Attach-time validation: `Err` with `what` unless `ok`.
+fn check_covers(ok: bool, what: &str) -> Result<(), SolverError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(MeshError::InvalidParameter(what.to_string()).into())
+    }
+}
+
+/// Clock the inter-device link model is normalized to: link seconds from
 /// [`fpga_platform::pcie`] convert to cycles at the accelerator's
 /// 300 MHz fabric clock, so compute and communication share a time base.
 const LINK_CLOCK_HZ: f64 = 300.0e6;
@@ -571,13 +277,13 @@ const LINK_CHUNK_BYTES: u64 = 64 * 1024;
 /// Wire size of one halo record on the inter-device link.
 const HALO_RECORD_BYTES: u64 = std::mem::size_of::<HaloContribution>() as u64;
 
-/// Emulated timing of one device's halo-exchange step, from routing the
-/// per-device frontier → interior → apply chains and every directed
-/// neighbor link through one [`hls_dataflow::sim`] network. The link DES
-/// starts a device's outbound transfers the moment its frontier sweep
-/// finishes and lets them fly *while* the interior sweep runs — so
-/// `exposed_cycles` is exactly the communication the overlap failed to
-/// hide.
+/// Modelled timing of one device's halo-exchange step: the critical path
+/// through the per-device frontier → interior → apply chains joined by
+/// every directed neighbor link. A device's outbound transfers start the
+/// moment its frontier sweep finishes and fly *while* the interior sweep
+/// runs — so `exposed_cycles` is exactly the communication the overlap
+/// failed to hide, and `makespan = frontier + interior + exposed +
+/// apply`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceExchangeReport {
     /// Device (= shard) index within the plan.
@@ -711,8 +417,8 @@ struct DeviceState {
 /// The one sharded executor, and the only parallel assembly path: one
 /// worker thread per simulated device with
 /// a decentralized, overlapped halo exchange (see the module docs for the
-/// protocol and the bitwise argument) plus a cached per-device link DES
-/// ([`DeviceExchangeReport`]).
+/// protocol and the bitwise argument) plus a per-device link model,
+/// computed once at attach and cached ([`DeviceExchangeReport`]).
 #[derive(Debug)]
 pub struct MultiDeviceBackend {
     plan: Arc<ShardPlan>,
@@ -730,27 +436,22 @@ pub struct MultiDeviceBackend {
 
 impl MultiDeviceBackend {
     /// Decomposes `mesh` into (up to) `devices` devices under `strategy`
-    /// and runs the link DES.
+    /// and models the inter-device links.
     ///
     /// # Errors
     ///
-    /// [`SolverError::Mesh`] if `devices == 0` or the exchange network
-    /// fails to simulate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` does not cover `mesh`.
+    /// [`SolverError::Mesh`] if `devices == 0` or `geometry` does not cover
+    /// `mesh`.
     pub fn new(
         mesh: &HexMesh,
         geometry: &GeometryCache,
         devices: usize,
         strategy: PartitionStrategy,
     ) -> Result<MultiDeviceBackend, SolverError> {
-        assert_eq!(
-            geometry.num_elements(),
-            mesh.num_elements(),
-            "geometry cache does not cover the mesh"
-        );
+        check_covers(
+            geometry.num_elements() == mesh.num_elements(),
+            "geometry cache does not cover the mesh",
+        )?;
         let plan = Arc::new(ShardPlan::with_strategy(
             mesh,
             devices,
@@ -766,26 +467,27 @@ impl MultiDeviceBackend {
     ///
     /// # Errors
     ///
-    /// [`SolverError::Mesh`] if the exchange network fails to simulate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` or `mesh` does not cover the plan.
+    /// [`SolverError::Mesh`] if the plan does not cover `mesh` (element or
+    /// node count) or `geometry` does not cover the plan.
     pub fn with_plan(
         plan: Arc<ShardPlan>,
         mesh: &HexMesh,
         geometry: &GeometryCache,
     ) -> Result<MultiDeviceBackend, SolverError> {
-        assert_eq!(
-            plan.num_elements(),
-            mesh.num_elements(),
-            "shard plan does not cover the mesh"
-        );
-        assert_eq!(
-            geometry.num_elements(),
-            plan.num_elements(),
-            "geometry cache does not cover the shard plan's mesh"
-        );
+        check_covers(
+            plan.num_elements() == mesh.num_elements(),
+            "shard plan does not cover the mesh",
+        )?;
+        // Element counts cannot tell e.g. a periodic box from a walled one
+        // of the same size; the node count can.
+        check_covers(
+            plan.num_nodes() == mesh.num_nodes(),
+            "shard plan node ownership does not cover the mesh",
+        )?;
+        check_covers(
+            geometry.num_elements() == plan.num_elements(),
+            "geometry cache does not cover the shard plan's mesh",
+        )?;
         let frontier = plan.frontier();
         let owner = plan.owners();
         let nd = plan.num_shards();
@@ -813,11 +515,8 @@ impl MultiDeviceBackend {
             frontier_elements.push(fe);
         }
 
-        let reports = emulate_exchange(&plan, mesh, &frontier_elements, &records).map_err(|e| {
-            SolverError::Mesh(fem_mesh::MeshError::InvalidParameter(format!(
-                "device exchange emulation failed: {e}"
-            )))
-        })?;
+        let npe = mesh.nodes_per_element() as u64;
+        let reports = model_exchange(&plan, npe, &frontier_elements, &records);
 
         let devices = plan
             .shards()
@@ -860,109 +559,70 @@ impl MultiDeviceBackend {
     }
 }
 
-/// Routes the per-device compute chains and every directed neighbor link
-/// through one DES. Per device `d`: `frontier_d → interior_d → apply_d`;
-/// per directed neighbor pair `(s, d)`: `frontier_s → link_s_d →
-/// apply_d`, with the link latency from [`fpga_platform::pcie`]. With a
-/// single token, `apply_d` fires only once interior compute *and* every
-/// inbound post landed — its start minus the interior finish is the
-/// exposed (non-overlapped) communication.
-fn emulate_exchange(
+/// The link model, computed once per plan. Per device `d`, the chain
+/// `frontier_d → interior_d → apply_d` runs back to back, and every
+/// inbound link `s → d` starts when `frontier_s` finishes and lasts
+/// `L_sd` cycles (latency plus chunked bandwidth from
+/// [`fpga_platform::pcie`]). The apply stage therefore starts at
+/// `max(F_d + I_d, max_s(F_s + L_sd))`; its start minus the interior
+/// finish is the exposed (non-overlapped) communication. Every stage
+/// costs at least one cycle.
+fn model_exchange(
     plan: &ShardPlan,
-    mesh: &HexMesh,
+    npe: u64,
     frontier_elements: &[Vec<u32>],
     records: &[Vec<u64>],
-) -> Result<Vec<DeviceExchangeReport>, hls_dataflow::DataflowError> {
-    let npe = mesh.nodes_per_element() as u64;
-    let nd = plan.num_shards();
-    let mut b = NetworkBuilder::new();
-
-    // All channels first: tasks take fully-formed endpoint lists.
-    let chain: Vec<(usize, usize)> = (0..nd)
-        .map(|d| {
-            (
-                b.channel(format!("f{d}_i{d}"), 1, ChannelKind::Fifo),
-                b.channel(format!("i{d}_a{d}"), 1, ChannelKind::Fifo),
-            )
-        })
+) -> Vec<DeviceExchangeReport> {
+    let link_cycles = |s: usize, d: usize| {
+        let bytes = records[s][d] * HALO_RECORD_BYTES;
+        let chunks = bytes.div_ceil(LINK_CHUNK_BYTES).max(1);
+        let seconds = fpga_platform::pcie::chunked_transfer_seconds(bytes, chunks);
+        (seconds * LINK_CLOCK_HZ).ceil() as u64
+    };
+    let frontier_cycles: Vec<u64> = frontier_elements
+        .iter()
+        .map(|fe| (fe.len() as u64 * npe).max(1))
         .collect();
-    // Directed links: (sender, receiver, frontier→link ch, link→apply ch,
-    // link cycles).
-    let mut links: Vec<(usize, usize, usize, usize, u64)> = Vec::new();
-    for shard in plan.shards() {
-        let s = shard.index();
-        for &t32 in shard.neighbors() {
-            let t = t32 as usize;
-            let bytes = records[s][t] * HALO_RECORD_BYTES;
-            let chunks = bytes.div_ceil(LINK_CHUNK_BYTES).max(1);
-            let seconds = fpga_platform::pcie::chunked_transfer_seconds(bytes, chunks);
-            let cycles = (seconds * LINK_CLOCK_HZ).ceil() as u64;
-            let c_fl = b.channel(format!("f{s}_l{s}_{t}"), 1, ChannelKind::Fifo);
-            let c_la = b.channel(format!("l{s}_{t}_a{t}"), 1, ChannelKind::Fifo);
-            links.push((s, t, c_fl, c_la, cycles));
-        }
-    }
-
-    let mut frontier_tasks = Vec::with_capacity(nd);
-    let mut interior_tasks = Vec::with_capacity(nd);
-    let mut apply_tasks = Vec::with_capacity(nd);
-    for d in 0..nd {
-        let frontier_cycles = (frontier_elements[d].len() as u64 * npe).max(1);
-        let interior_count =
-            plan.shards()[d].num_elements() as u64 - frontier_elements[d].len() as u64;
-        let interior_cycles = (interior_count * npe).max(1);
-        // The owner applies one record per cycle: everything inbound plus
-        // its own self-owned records.
-        let applied: u64 = (0..nd).map(|s| records[s][d]).sum();
-
-        let f_out: Vec<usize> = std::iter::once(chain[d].0)
-            .chain(links.iter().filter(|l| l.0 == d).map(|l| l.2))
-            .collect();
-        let a_in: Vec<usize> = std::iter::once(chain[d].1)
-            .chain(links.iter().filter(|l| l.1 == d).map(|l| l.3))
-            .collect();
-        frontier_tasks.push(b.task(format!("frontier_{d}"), 1, frontier_cycles, vec![], f_out));
-        interior_tasks.push(b.task(
-            format!("interior_{d}"),
-            1,
-            interior_cycles,
-            vec![chain[d].0],
-            vec![chain[d].1],
-        ));
-        apply_tasks.push(b.task(format!("apply_{d}"), 1, applied.max(1), a_in, vec![]));
-    }
-    for &(s, t, c_fl, c_la, cycles) in &links {
-        b.task(format!("link_{s}_{t}"), 1, cycles, vec![c_fl], vec![c_la]);
-    }
-
-    let net = b.build(1)?;
-    let report = simulate(&net)?;
-    let stats = &report.task_stats;
-
-    Ok((0..nd)
-        .map(|d| {
-            let interior_finish = stats[interior_tasks[d]].last_finish;
-            let apply = &stats[apply_tasks[d]];
+    let nd = plan.num_shards();
+    plan.shards()
+        .iter()
+        .map(|shard| {
+            let d = shard.index();
+            let interior_elements = shard.num_elements() - frontier_elements[d].len();
+            let interior_cycles = (interior_elements as u64 * npe).max(1);
+            let compute_done = frontier_cycles[d] + interior_cycles;
+            // Neighbor lists are symmetric, so `d`'s neighbors are exactly
+            // the senders of its inbound links.
+            let mut exchange_cycles = 0;
+            let mut apply_start = compute_done;
+            for &s32 in shard.neighbors() {
+                let s = s32 as usize;
+                let cycles = link_cycles(s, d);
+                exchange_cycles += cycles;
+                apply_start = apply_start.max(frontier_cycles[s] + cycles);
+            }
+            // The owner applies one record per cycle: everything inbound
+            // plus its own self-owned records.
             let sent: u64 = (0..nd).filter(|&t| t != d).map(|t| records[d][t]).sum();
             let applied: u64 = (0..nd).map(|s| records[s][d]).sum();
+            let apply_cycles = applied.max(1);
             DeviceExchangeReport {
                 device: d,
-                neighbors: plan.shards()[d].neighbors().len(),
+                neighbors: shard.neighbors().len(),
                 frontier_elements: frontier_elements[d].len(),
-                interior_elements: plan.shards()[d].num_elements() - frontier_elements[d].len(),
+                interior_elements,
                 halo_records_sent: sent as usize,
                 halo_bytes_sent: sent * HALO_RECORD_BYTES,
                 halo_records_applied: applied as usize,
-                frontier_cycles: stats[frontier_tasks[d]].last_finish
-                    - stats[frontier_tasks[d]].first_start,
-                interior_cycles: interior_finish - stats[interior_tasks[d]].first_start,
-                exchange_cycles: links.iter().filter(|l| l.1 == d).map(|l| l.4).sum(),
-                exposed_cycles: apply.first_start.saturating_sub(interior_finish),
-                apply_cycles: apply.last_finish - apply.first_start,
-                makespan_cycles: apply.last_finish,
+                frontier_cycles: frontier_cycles[d],
+                interior_cycles,
+                exchange_cycles,
+                exposed_cycles: apply_start - compute_done,
+                apply_cycles,
+                makespan_cycles: apply_start + apply_cycles,
             }
         })
-        .collect())
+        .collect()
 }
 
 /// The body one device worker runs per assembly (one spawned thread per
@@ -1240,7 +900,6 @@ mod tests {
     use crate::scenarios::Scenario;
     use crate::tgv::TgvConfig;
     use fem_mesh::generator::BoxMeshBuilder;
-    use fpga_platform::{BankAssignment, MemorySystem};
     use proptest::prelude::*;
 
     fn bits(c: &Conserved) -> Vec<u64> {
@@ -1305,23 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn emulate_plan_quotes_every_shard() {
-        let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
-        let plan =
-            ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap();
-        let reports = emulate_plan(&plan, mesh.nodes_per_element() as u64).unwrap();
-        assert_eq!(reports.len(), 4);
-        let ne: usize = reports.iter().map(|r| r.elements).sum();
-        assert_eq!(ne, 5 * 5 * 5);
-        for (g, r) in reports.iter().enumerate() {
-            assert_eq!(r.shard, g);
-            assert!(r.makespan_cycles > 0);
-            assert!(r.observed_ii >= r.bottleneck_ii as f64 - 0.5, "{r:?}");
-            assert_eq!(r.bottleneck_ii, r.load_ii.max(r.compute_ii).max(r.store_ii));
-        }
-    }
-
-    #[test]
     fn reference_backend_is_the_serial_loop() {
         let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
         let serial = ReferenceBackend::new(AssemblyStrategy::Serial, &mesh);
@@ -1342,84 +984,6 @@ mod tests {
         ] {
             assert!(MultiDeviceBackend::new(&mesh, &geometry, 0, strategy).is_err());
         }
-    }
-
-    #[test]
-    fn one_bank_banked_emulation_reproduces_flat_reports() {
-        // The degenerate 1-bank system must reproduce the flat per-shard
-        // emulation cycle-for-cycle at every shard count and both
-        // strategies.
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let npe = mesh.nodes_per_element() as u64;
-        let flat_sys = MemorySystem::u200_flat();
-        for strategy in [
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::Partitioned,
-        ] {
-            for shards in [1usize, 2, 4, 8] {
-                let plan = ShardPlan::with_strategy(&mesh, shards, usize::MAX, strategy).unwrap();
-                let quotes = emulate_plan(&plan, npe).unwrap();
-                let streams = shard_streams(&plan, npe);
-                let a = BankAssignment::round_robin(&streams, &flat_sys);
-                let banked = emulate_plan_banked(&plan, npe, &flat_sys, &a).unwrap();
-                assert_eq!(banked.shard_reports, quotes);
-                assert_eq!(
-                    banked.makespan_cycles,
-                    quotes.iter().map(|r| r.makespan_cycles).max().unwrap()
-                );
-                assert!(banked.bank_stats.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn shard_streams_cover_the_plan_traffic() {
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let plan =
-            ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap();
-        let npe = mesh.nodes_per_element() as u64;
-        let streams = shard_streams(&plan, npe);
-        assert_eq!(streams.len(), 4 * STREAMS_PER_SHARD);
-        for (g, shard) in plan.shards().iter().enumerate() {
-            let mine: Vec<_> = streams.iter().filter(|s| s.group == g).collect();
-            assert_eq!(mine.len(), STREAMS_PER_SHARD);
-            assert!(mine.iter().all(|s| s.tokens == shard.num_elements() as u64));
-            // The geometry slice is the heaviest stream at p = 1:
-            // 8 nodes × 80 B = 10 beats/element vs ~1 for the others.
-            let geom = mine.iter().max_by_key(|s| s.beats_per_token).unwrap();
-            assert!(geom.label.ends_with("geometry"), "{}", geom.label);
-            assert_eq!(geom.beats_per_token, 10);
-        }
-        let floors = shard_compute_floors(&plan, npe);
-        assert_eq!(floors.len(), 4);
-        assert_eq!(floors.iter().sum::<u64>(), mesh.num_elements() as u64 * npe);
-    }
-
-    #[test]
-    fn banked_hbm_emulation_beats_round_robin_with_a_better_layout() {
-        // On the 32-bank HBM model at 8 shards, round-robin co-locates
-        // geometry slices with state streams; the greedy planner spreads
-        // them and the DES makespan strictly improves.
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let plan =
-            ShardPlan::with_strategy(&mesh, 8, usize::MAX, PartitionStrategy::Contiguous).unwrap();
-        let npe = mesh.nodes_per_element() as u64;
-        let hbm = MemorySystem::u280_hbm2();
-        let streams = shard_streams(&plan, npe);
-        let rr = BankAssignment::round_robin(&streams, &hbm);
-        let greedy = BankAssignment::greedy(&streams, &hbm);
-        let r_rr = emulate_plan_banked(&plan, npe, &hbm, &rr).unwrap();
-        let r_gr = emulate_plan_banked(&plan, npe, &hbm, &greedy).unwrap();
-        assert!(
-            r_gr.makespan_cycles < r_rr.makespan_cycles,
-            "greedy {} !< round-robin {}",
-            r_gr.makespan_cycles,
-            r_rr.makespan_cycles
-        );
-        // Round-robin's contention shows up as bank port stalls.
-        assert!(r_rr.bank_stats.iter().any(|b| b.stall_cycles > 0));
-        assert_eq!(r_rr.banks, 32);
-        assert!(r_rr.banks_used <= 32);
     }
 
     #[test]
@@ -1483,9 +1047,11 @@ mod tests {
             // latency (15 µs at 300 MHz = 4500 cycles).
             assert!(r.exchange_cycles >= 4500 * r.neighbors as u64, "{r:?}");
             assert!(r.apply_cycles >= r.halo_records_applied as u64, "{r:?}");
-            // The apply stage retires after frontier + interior compute.
-            assert!(
-                r.makespan_cycles >= r.frontier_cycles + r.interior_cycles + r.apply_cycles,
+            // The apply stage starts once interior compute finished and
+            // the exposed part of the exchange landed.
+            assert_eq!(
+                r.makespan_cycles,
+                r.frontier_cycles + r.interior_cycles + r.exposed_cycles + r.apply_cycles,
                 "{r:?}"
             );
             // These small interior sweeps cannot hide a 15 µs link
@@ -1528,6 +1094,87 @@ mod tests {
         assert_eq!(r.halo_records_sent, 0);
         assert_eq!(r.exchange_cycles, 0);
         assert_eq!(r.exposed_cycles, 0);
+    }
+
+    #[test]
+    fn exchange_model_matches_the_link_des_it_replaced() {
+        // Golden reports of the discrete-event link simulation the closed
+        // form replaced, on the TGV at edge 6 and p = 1. Columns: device,
+        // neighbors, frontier and interior elements, records sent, bytes
+        // sent, records applied, then frontier, interior, exchange,
+        // exposed, apply and makespan cycles.
+        let report = |r: &[u64; 13]| DeviceExchangeReport {
+            device: r[0] as usize,
+            neighbors: r[1] as usize,
+            frontier_elements: r[2] as usize,
+            interior_elements: r[3] as usize,
+            halo_records_sent: r[4] as usize,
+            halo_bytes_sent: r[5],
+            halo_records_applied: r[6] as usize,
+            frontier_cycles: r[7],
+            interior_cycles: r[8],
+            exchange_cycles: r[9],
+            exposed_cycles: r[10],
+            apply_cycles: r[11],
+            makespan_cycles: r[12],
+        };
+        let cases: [(usize, PartitionStrategy, &[[u64; 13]]); 2] = [
+            (
+                4,
+                PartitionStrategy::Contiguous,
+                &[
+                    [0, 2, 54, 0, 0, 0, 672, 432, 1, 9404, 4730, 672, 5835],
+                    [1, 2, 54, 0, 192, 9216, 288, 432, 1, 9173, 4672, 288, 5393],
+                    [2, 2, 54, 0, 144, 6912, 384, 432, 1, 9231, 4730, 384, 5547],
+                    [3, 2, 54, 0, 336, 16128, 0, 432, 1, 9000, 4499, 1, 4933],
+                ],
+            ),
+            (
+                3,
+                PartitionStrategy::Partitioned,
+                &[
+                    [0, 2, 72, 0, 0, 0, 576, 576, 1, 9346, 4672, 576, 5825],
+                    [1, 2, 72, 0, 144, 6912, 288, 576, 1, 9173, 4672, 288, 5537],
+                    [2, 2, 72, 0, 288, 13824, 0, 576, 1, 9000, 4499, 1, 5077],
+                ],
+            ),
+        ];
+        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
+        let basis = HexBasis::new(1).unwrap();
+        let geometry = GeometryCache::build(&mesh, &basis).unwrap();
+        for (devices, strategy, rows) in cases {
+            let backend = MultiDeviceBackend::new(&mesh, &geometry, devices, strategy).unwrap();
+            let golden: Vec<_> = rows.iter().map(report).collect();
+            assert_eq!(backend.exchange_reports(), golden, "{devices} {strategy}");
+        }
+    }
+
+    #[test]
+    fn attaching_a_plan_that_does_not_cover_the_mesh_is_an_error() {
+        // A periodic and a walled 4³ box have the same element count but
+        // 64 vs 125 nodes: the attach must refuse the periodic plan on the
+        // walled mesh rather than panic on the first assembly.
+        let periodic = BoxMeshBuilder::tgv_box(4).build().unwrap();
+        let walled = BoxMeshBuilder::tgv_box(4)
+            .periodic(false, false, false)
+            .build()
+            .unwrap();
+        assert_eq!(periodic.num_elements(), walled.num_elements());
+        assert_eq!((periodic.num_nodes(), walled.num_nodes()), (64, 125));
+        let basis = HexBasis::new(1).unwrap();
+        let geometry = GeometryCache::build(&walled, &basis).unwrap();
+        let plan =
+            ShardPlan::with_strategy(&periodic, 2, usize::MAX, PartitionStrategy::Contiguous);
+        let attach = MultiDeviceBackend::with_plan(Arc::new(plan.unwrap()), &walled, &geometry);
+        assert!(matches!(
+            attach,
+            Err(SolverError::Mesh(MeshError::InvalidParameter(_)))
+        ));
+        // A geometry cache of another element count is refused as well.
+        let small = BoxMeshBuilder::tgv_box(3).build().unwrap();
+        let small_geometry = GeometryCache::build(&small, &basis).unwrap();
+        let strategy = PartitionStrategy::Partitioned;
+        assert!(MultiDeviceBackend::new(&walled, &small_geometry, 2, strategy).is_err());
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! * [`engine`] — the shard-parallel execution engine: the pluggable
 //!   [`ExecutionBackend`] trait with the serial reference backend and the
 //!   one parallel executor, [`MultiDeviceBackend`] (bitwise identical to
-//!   the serial loop at every device count), plus the per-shard and
-//!   banked accelerator emulations as plain functions of the shard plan.
+//!   the serial loop at every device count) and its closed-form
+//!   inter-device link model. The accelerator emulations of a shard plan
+//!   live in `fem_accel::emulation`, outside this crate.
 //! * [`parallel`] — the serial host assembly loop every backend is
 //!   checked against, and the split-kernel reference the fused kernel is
 //!   validated against.
@@ -79,7 +80,7 @@ pub use diagnostics::FlowDiagnostics;
 pub use driver::{Simulation, SimulationBuilder, SolverCore};
 pub use engine::{
     AssemblyContext, BackendSelect, DeviceExchangeReport, DevicePhaseSeconds, ExecutionBackend,
-    MultiDeviceBackend, PartitionStrategy, ReferenceBackend, ShardCycleReport,
+    MultiDeviceBackend, PartitionStrategy, ReferenceBackend,
 };
 pub use ensemble::{EnsembleDriver, EnsembleReport, MemberResult};
 pub use gas::GasModel;
