@@ -446,17 +446,16 @@ fn run_cell(
     };
     let dev = max_rel_dev(reference.conserved(), sim.conserved());
 
-    // The plan view. The context memoizes plans, so this is the plan the
-    // backend ran on.
-    let plan = sim
-        .core()
-        .shared_context()
-        .shard_plan(count, strategy)
-        .unwrap_or_else(|e| panic!("{name}: shard plan failed: {e}"));
+    // The plan view: the plan the backend ran on.
+    let backend = sim
+        .backend()
+        .as_multi_device()
+        .unwrap_or_else(|| panic!("{name}: multidevice backend not installed"));
+    let plan = backend.plan();
     assert_eq!(plan.num_shards(), count, "{name}: effective count drifted");
     let npe = sim.core().mesh().nodes_per_element() as u64;
     let reports =
-        emulate_plan(&plan, npe).unwrap_or_else(|e| panic!("{name}: shard emulation failed: {e}"));
+        emulate_plan(plan, npe).unwrap_or_else(|e| panic!("{name}: shard emulation failed: {e}"));
     for (shard, rep) in plan.shards().iter().zip(&reports) {
         rows.push(ShardRow {
             scenario: name.to_string(),
@@ -489,9 +488,9 @@ fn run_cell(
     };
 
     // The exchange view.
-    let exchange = sim.exchange_reports();
+    let exchange = backend.exchange_reports();
     assert_eq!(exchange.len(), count, "{name}: exchange report count");
-    let measured = sim.measured_device_phases();
+    let measured = backend.measured_device_phases();
     assert_eq!(measured.len(), count, "{name}: phase report count");
     for r in exchange {
         overlap_rows.push(DevicePhaseRow {

@@ -5,18 +5,17 @@
 //! single-contraction stage) → Store task pipeline, fed element tokens
 //! exactly like the hardware (geometric factors streamed from the
 //! precomputed cache, not rebuilt per element), computes bit-identical
-//! residuals to the monolithic reference solver, and a whole accelerated
-//! RK4 run reproduces the reference trajectory bit-for-bit.
+//! residuals to the solver's monolithic serial element loop
+//! ([`fem_solver::engine::ReferenceBackend`]), and a whole accelerated
+//! RK4 run — the solver's own driver with [`StagedBackend`] installed —
+//! reproduces the reference trajectory bit-for-bit.
 
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::HexMesh;
-use fem_numerics::rk::OdeSystem;
 use fem_numerics::tensor::HexBasis;
 use fem_solver::engine::{AssemblyContext, ExecutionBackend};
 use fem_solver::gas::GasModel;
-use fem_solver::kernels::{
-    convective_flux, fused_flux, weak_divergence, ElementWorkspace, KernelOps, KernelPath,
-};
+use fem_solver::kernels::{convective_flux, fused_flux, ElementWorkspace, KernelOps, KernelPath};
 use fem_solver::profile::{Phase, PhaseProfiler};
 use fem_solver::state::{Conserved, Primitives};
 use hls_dataflow::functional::StagedPipeline;
@@ -105,139 +104,11 @@ pub fn staged_stage_residual_into(
     }
 }
 
-/// Allocating wrapper over [`staged_stage_residual_into`] on the default
-/// sum-factored kernel path, returning the assembled RHS.
-///
-/// # Panics
-///
-/// Panics if the state or geometry cache does not match the mesh.
-pub fn staged_stage_residual(
-    mesh: &HexMesh,
-    basis: &HexBasis,
-    gas: &GasModel,
-    geometry: &GeometryCache,
-    conserved: &Conserved,
-    primitives: &Primitives,
-) -> Conserved {
-    let mut rhs = Conserved::zeros(mesh.num_nodes());
-    staged_stage_residual_into(
-        mesh,
-        basis,
-        gas,
-        geometry,
-        conserved,
-        primitives,
-        KernelPath::SumFactored,
-        &mut rhs,
-    );
-    rhs
-}
-
-/// The monolithic reference: the same sweep as one fused element loop
-/// (what the reference CPU solver's serial hot path does).
-pub fn monolithic_stage_residual(
-    mesh: &HexMesh,
-    basis: &HexBasis,
-    gas: &GasModel,
-    geometry: &GeometryCache,
-    conserved: &Conserved,
-    primitives: &Primitives,
-) -> Conserved {
-    let npe = mesh.nodes_per_element();
-    let mut ws = ElementWorkspace::new(npe);
-    let mut rhs = Conserved::zeros(mesh.num_nodes());
-    for e in 0..mesh.num_elements() {
-        let geom = geometry.element(e);
-        ws.gather(mesh.element_nodes(e), conserved, primitives);
-        ws.zero_residuals();
-        if gas.mu > 0.0 {
-            fused_flux(&mut ws, gas, basis, geom);
-        } else {
-            convective_flux(&mut ws);
-        }
-        weak_divergence(&mut ws, basis, geom, 1.0);
-        ws.scatter_add(mesh.element_nodes(e), &mut rhs);
-    }
-    rhs
-}
-
-/// An RHS provider that evaluates the residual *through the accelerator's
-/// staged pipeline* — drop-in replacement for the solver core, used to
-/// prove whole-trajectory equivalence.
-pub struct StagedRhs {
-    mesh: HexMesh,
-    basis: HexBasis,
-    gas: GasModel,
-    geometry: GeometryCache,
-    primitives: Primitives,
-    lumped_mass: Vec<f64>,
-}
-
-impl StagedRhs {
-    /// Builds the staged RHS for a mesh/gas pair, precomputing the
-    /// geometry cache and assembling the lumped mass from it like the
-    /// reference solver does.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid meshes (inverted elements).
-    pub fn new(mesh: HexMesh, gas: GasModel) -> Self {
-        let basis = HexBasis::new(mesh.order()).expect("valid order");
-        let geometry = GeometryCache::build(&mesh, &basis).expect("valid mesh geometry");
-        let mut lumped_mass = vec![0.0; mesh.num_nodes()];
-        for e in 0..mesh.num_elements() {
-            let det_w = geometry.det_w(e);
-            for (q, &n) in mesh.element_nodes(e).iter().enumerate() {
-                lumped_mass[n as usize] += det_w[q];
-            }
-        }
-        let primitives = Primitives::zeros(mesh.num_nodes());
-        StagedRhs {
-            mesh,
-            basis,
-            gas,
-            geometry,
-            primitives,
-            lumped_mass,
-        }
-    }
-}
-
-impl OdeSystem for StagedRhs {
-    type State = Conserved;
-
-    fn rhs(&mut self, _t: f64, y: &Conserved, dydt: &mut Conserved) {
-        // RKU: primitive update.
-        self.primitives.update_from(y, &self.gas);
-        // RKL through the staged pipeline.
-        staged_stage_residual_into(
-            &self.mesh,
-            &self.basis,
-            &self.gas,
-            &self.geometry,
-            y,
-            &self.primitives,
-            KernelPath::SumFactored,
-            dydt,
-        );
-        let apply = |dst: &mut [f64], mass: &[f64]| {
-            for (v, &m) in dst.iter_mut().zip(mass) {
-                *v /= m;
-            }
-        };
-        apply(&mut dydt.rho, &self.lumped_mass);
-        for d in 0..3 {
-            apply(&mut dydt.mom[d], &self.lumped_mass);
-        }
-        apply(&mut dydt.energy, &self.lumped_mass);
-    }
-}
-
 /// The staged Load → Compute → Store task pipeline registered as a
 /// solver [`ExecutionBackend`] — the external-backend registration path
 /// ([`fem_solver::driver::Simulation::set_custom_backend`]) exercised by
 /// the accelerator's functional model itself. Every RHS evaluation
-/// routes the element tokens through [`staged_stage_residual`], so a
+/// routes the element tokens through [`staged_stage_residual_into`], so a
 /// `Simulation` running on this backend *is* the accelerated solver at
 /// functional fidelity (and bit-identical to the reference, as the tests
 /// below pin).
@@ -247,10 +118,6 @@ pub struct StagedBackend;
 impl ExecutionBackend for StagedBackend {
     fn name(&self) -> String {
         "staged-dataflow".to_string()
-    }
-
-    fn parallel(&self) -> bool {
-        false
     }
 
     fn assemble_rhs(
@@ -296,65 +163,52 @@ impl ExecutionBackend for StagedBackend {
 mod tests {
     use super::*;
     use fem_mesh::generator::BoxMeshBuilder;
-    use fem_numerics::rk::{ButcherTableau, ExplicitRk};
     use fem_solver::driver::Simulation;
+    use fem_solver::engine::ReferenceBackend;
     use fem_solver::tgv::TgvConfig;
 
-    fn setup() -> (
-        HexMesh,
-        HexBasis,
-        GasModel,
-        GeometryCache,
-        Conserved,
-        Primitives,
-    ) {
+    /// The staged sweep and the reference backend's monolithic loop on
+    /// one state, as raw bits.
+    fn staged_and_reference_bits(gas: &GasModel, kernel: KernelPath) -> (Vec<u64>, Vec<u64>) {
         let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
         let basis = HexBasis::new(1).unwrap();
-        let cfg = TgvConfig::standard();
-        let gas = cfg.gas();
-        let conserved = cfg.initial_state(&mesh);
-        let mut primitives = Primitives::zeros(mesh.num_nodes());
-        primitives.update_from(&conserved, &gas);
         let geometry = GeometryCache::build(&mesh, &basis).unwrap();
-        (mesh, basis, gas, geometry, conserved, primitives)
+        let conserved = TgvConfig::standard().initial_state(&mesh);
+        let mut primitives = Primitives::zeros(mesh.num_nodes());
+        primitives.update_from(&conserved, gas);
+        let ctx = AssemblyContext {
+            mesh: &mesh,
+            basis: &basis,
+            gas,
+            geometry: &geometry,
+            kernel,
+        };
+        let mut staged = Conserved::zeros(mesh.num_nodes());
+        staged_stage_residual_into(
+            &mesh,
+            &basis,
+            gas,
+            &geometry,
+            &conserved,
+            &primitives,
+            kernel,
+            &mut staged,
+        );
+        let mut reference = Conserved::zeros(mesh.num_nodes());
+        ReferenceBackend.assemble_rhs(&ctx, &conserved, &primitives, &mut reference, None);
+        (staged.to_bit_vec(), reference.to_bit_vec())
     }
 
     #[test]
     fn staged_residual_is_bit_identical_to_monolithic() {
-        let (mesh, basis, gas, geometry, conserved, primitives) = setup();
-        let staged = staged_stage_residual(&mesh, &basis, &gas, &geometry, &conserved, &primitives);
-        let mono =
-            monolithic_stage_residual(&mesh, &basis, &gas, &geometry, &conserved, &primitives);
-        let mut checked = 0;
-        let fields = |c: &Conserved| {
-            let mut v: Vec<Vec<f64>> = Vec::new();
-            c.for_each_field(|f| v.push(f.to_vec()));
-            v
-        };
-        for (a, b) in fields(&staged).iter().zip(fields(&mono).iter()) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "bitwise mismatch");
-                checked += 1;
+        // Viscous and inviscid gas, under both contraction paths.
+        for gas in [TgvConfig::standard().gas(), GasModel::air(0.0)] {
+            for kernel in KernelPath::ALL {
+                let (staged, reference) = staged_and_reference_bits(&gas, kernel);
+                // Five fields over the 125 nodes of the periodic 5³ box.
+                assert_eq!(staged.len(), 5 * 125);
+                assert_eq!(staged, reference, "mu={} {kernel}", gas.mu);
             }
-        }
-        assert_eq!(checked, 5 * mesh.num_nodes());
-    }
-
-    #[test]
-    fn inviscid_path_matches_too() {
-        let (mesh, basis, _, geometry, conserved, primitives) = setup();
-        let gas = GasModel::air(0.0);
-        let staged = staged_stage_residual(&mesh, &basis, &gas, &geometry, &conserved, &primitives);
-        let mono =
-            monolithic_stage_residual(&mesh, &basis, &gas, &geometry, &conserved, &primitives);
-        staged.for_each_field(|_| {});
-        let mut a = Vec::new();
-        staged.for_each_field(|f| a.extend_from_slice(f));
-        let mut b = Vec::new();
-        mono.for_each_field(|f| b.extend_from_slice(f));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
@@ -375,7 +229,7 @@ mod tests {
         let mut accelerated = Simulation::new(mesh, cfg.gas(), initial).unwrap();
         accelerated.set_custom_backend(Box::new(StagedBackend));
         assert_eq!(accelerated.backend().name(), "staged-dataflow");
-        assert!(!accelerated.backend().parallel());
+        assert!(accelerated.backend().as_multi_device().is_none());
         accelerated.advance(5, dt).unwrap();
 
         assert_eq!(
@@ -423,40 +277,5 @@ mod tests {
             factored.conserved().to_bit_vec(),
             "full-matrix and sum-factored trajectories should differ in bits"
         );
-    }
-
-    #[test]
-    fn accelerated_rk4_trajectory_matches_reference_solver() {
-        let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
-        let cfg = TgvConfig::new(0.2, 400.0);
-        let gas = cfg.gas();
-        let initial = cfg.initial_state(&mesh);
-
-        // Reference: the solver driver.
-        let mut reference = Simulation::new(mesh.clone(), gas, initial.clone()).unwrap();
-        let dt = reference.suggest_dt(0.4);
-        reference.advance(5, dt).unwrap();
-
-        // Accelerated functional model: same RK4 over the staged RHS.
-        let mut staged_sys = StagedRhs::new(mesh, gas);
-        let mut state = initial;
-        let mut rk = ExplicitRk::new(ButcherTableau::rk4(), &state);
-        for s in 0..5 {
-            rk.step(&mut staged_sys, s as f64 * dt, dt, &mut state);
-        }
-
-        let mut a = Vec::new();
-        state.for_each_field(|f| a.extend_from_slice(f));
-        let mut b = Vec::new();
-        reference
-            .conserved()
-            .for_each_field(|f| b.extend_from_slice(f));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "trajectory diverged: {x:e} vs {y:e}"
-            );
-        }
     }
 }

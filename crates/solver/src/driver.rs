@@ -24,8 +24,7 @@
 use crate::boundary::DirichletBc;
 use crate::diagnostics::FlowDiagnostics;
 use crate::engine::{
-    AssemblyContext, BackendSelect, DeviceExchangeReport, DevicePhaseSeconds, ExecutionBackend,
-    MultiDeviceBackend, ReferenceBackend,
+    AssemblyContext, BackendSelect, ExecutionBackend, MultiDeviceBackend, ReferenceBackend,
 };
 use crate::gas::GasModel;
 use crate::kernels::KernelPath;
@@ -37,7 +36,6 @@ use fem_mesh::geometry::GeometryCache;
 use fem_mesh::{HexMesh, SharedMeshContext};
 use fem_numerics::rk::{ButcherTableau, ExplicitRk, OdeSystem};
 use fem_numerics::tensor::HexBasis;
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -151,39 +149,16 @@ impl OdeSystem for SolverCore {
         // ---- Lumped-mass solve + boundary conditions: RK(Other). ----
         let t0 = Instant::now();
         let inv = self.ctx.lumped_mass();
-        if !self.backend.parallel() {
-            let apply = |dst: &mut [f64]| {
-                for (v, &m) in dst.iter_mut().zip(inv) {
-                    *v /= m;
-                }
-            };
-            apply(&mut dydt.rho);
-            for d in 0..3 {
-                apply(&mut dydt.mom[d]);
+        let apply = |dst: &mut [f64]| {
+            for (v, &m) in dst.iter_mut().zip(inv) {
+                *v /= m;
             }
-            apply(&mut dydt.energy);
-        } else {
-            // Elementwise divide is grouping-free, so the parallel path
-            // is bitwise identical to the serial one.
-            let chunk = inv
-                .len()
-                .div_ceil(crate::parallel::available_threads())
-                .max(1);
-            let apply = |dst: &mut [f64]| {
-                dst.par_chunks_mut(chunk)
-                    .zip(inv.par_chunks(chunk))
-                    .for_each(|(d, m)| {
-                        for (v, &mm) in d.iter_mut().zip(m) {
-                            *v /= mm;
-                        }
-                    });
-            };
-            apply(&mut dydt.rho);
-            for d in 0..3 {
-                apply(&mut dydt.mom[d]);
-            }
-            apply(&mut dydt.energy);
+        };
+        apply(&mut dydt.rho);
+        for d in 0..3 {
+            apply(&mut dydt.mom[d]);
         }
+        apply(&mut dydt.energy);
         if let Some(bc) = &self.bc {
             bc.zero_rhs(dydt);
         }
@@ -508,23 +483,11 @@ impl Simulation {
         self.core.backend = backend;
     }
 
-    /// The active execution backend.
+    /// The active execution backend. The multi-device executor's shard
+    /// plan, link model and measured device phases are reached through
+    /// [`ExecutionBackend::as_multi_device`].
     pub fn backend(&self) -> &dyn ExecutionBackend {
         self.core.backend()
-    }
-
-    /// Per-device halo-exchange model of the active backend (empty
-    /// unless a [`BackendSelect::MultiDevice`] backend — or a custom
-    /// backend providing reports — is installed).
-    pub fn exchange_reports(&self) -> &[DeviceExchangeReport] {
-        self.core.backend.exchange_reports()
-    }
-
-    /// Measured wall-clock seconds each device worker of the active
-    /// backend has spent per exchange phase, accumulated across
-    /// assemblies (empty for backends without device workers).
-    pub fn measured_device_phases(&self) -> Vec<DevicePhaseSeconds> {
-        self.core.backend.measured_device_phases()
     }
 
     /// Read access to the profiler.
@@ -829,6 +792,8 @@ mod tests {
             let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
             sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
                 .unwrap();
+            let md = sim.backend().as_multi_device().expect("multi-device");
+            assert_eq!(md.plan().num_shards(), devices);
             sim.advance(5, dt).unwrap();
             assert_eq!(
                 sim.conserved().to_bit_vec(),
@@ -839,7 +804,7 @@ mod tests {
             // Switching back reinstalls the serial loop.
             sim.set_backend(BackendSelect::Reference(AssemblyStrategy::Serial))
                 .unwrap();
-            assert!(!sim.backend().parallel());
+            assert!(sim.backend().as_multi_device().is_none());
         }
     }
 

@@ -66,11 +66,18 @@
 //!
 //! # Registering new backends
 //!
-//! Anything implementing [`ExecutionBackend`] plugs into the driver via
+//! A backend implements two methods, [`ExecutionBackend::name`] and
+//! [`ExecutionBackend::assemble_rhs`], and plugs into the driver via
 //! [`crate::driver::Simulation::set_custom_backend`] — the accelerator's
 //! staged functional pipeline in `fem_accel::functional` registers itself
-//! exactly this way. Built-in backends are selected by value through
-//! [`BackendSelect`] and [`crate::driver::Simulation::set_backend`].
+//! exactly this way. The driver owns everything around the assembly (the
+//! RKU update, the lumped-mass divide, the boundary conditions), so a
+//! backend never sees them. The one provided method,
+//! [`ExecutionBackend::as_multi_device`], lets callers reach the
+//! [`MultiDeviceBackend`]'s shard plan and exchange telemetry; other
+//! backends keep its `None` default. Built-in backends are selected by
+//! value through [`BackendSelect`] and
+//! [`crate::driver::Simulation::set_backend`].
 
 use crate::gas::GasModel;
 use crate::kernels::{ElementWorkspace, KernelOps, KernelPath, NUM_VARS};
@@ -113,11 +120,6 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     /// Human-readable backend identifier (stable — reported by studies).
     fn name(&self) -> String;
 
-    /// Whether assembly fans out over worker threads; the driver then
-    /// runs the lumped-mass divide in parallel too (the divide is
-    /// elementwise, so both paths give the same bits).
-    fn parallel(&self) -> bool;
-
     /// Assembles the RKL residual of `conserved`/`prim` into `out`
     /// (overwriting it; not yet mass-scaled). When `profiler` is given,
     /// per-stage Fig 2 timings are merged into it.
@@ -130,17 +132,11 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
         profiler: Option<&mut PhaseProfiler>,
     );
 
-    /// Per-device halo-exchange model, if the backend models an
-    /// inter-device link (empty otherwise).
-    fn exchange_reports(&self) -> &[DeviceExchangeReport] {
-        &[]
-    }
-
-    /// Measured wall-clock seconds each device worker has spent per
-    /// exchange phase, accumulated across assemblies (empty for backends
-    /// without device workers).
-    fn measured_device_phases(&self) -> Vec<DevicePhaseSeconds> {
-        Vec::new()
+    /// The backend as the multi-device executor, for callers that read
+    /// its shard plan, link model or measured device phases (`None` for
+    /// every other backend).
+    fn as_multi_device(&self) -> Option<&MultiDeviceBackend> {
+        None
     }
 }
 
@@ -192,10 +188,6 @@ impl ReferenceBackend {
 impl ExecutionBackend for ReferenceBackend {
     fn name(&self) -> String {
         "reference(serial)".to_string()
-    }
-
-    fn parallel(&self) -> bool {
-        false
     }
 
     fn assemble_rhs(
@@ -557,6 +549,17 @@ impl MultiDeviceBackend {
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
     }
+
+    /// Per-device halo-exchange model, computed once at attach.
+    pub fn exchange_reports(&self) -> &[DeviceExchangeReport] {
+        &self.reports
+    }
+
+    /// Measured wall-clock seconds each device worker has spent per
+    /// exchange phase, accumulated across assemblies.
+    pub fn measured_device_phases(&self) -> Vec<DevicePhaseSeconds> {
+        self.devices.iter().map(|d| d.measured).collect()
+    }
 }
 
 /// The link model, computed once per plan. Per device `d`, the chain
@@ -821,16 +824,8 @@ impl ExecutionBackend for MultiDeviceBackend {
         )
     }
 
-    fn parallel(&self) -> bool {
-        true
-    }
-
-    fn exchange_reports(&self) -> &[DeviceExchangeReport] {
-        &self.reports
-    }
-
-    fn measured_device_phases(&self) -> Vec<DevicePhaseSeconds> {
-        self.devices.iter().map(|d| d.measured).collect()
+    fn as_multi_device(&self) -> Option<&MultiDeviceBackend> {
+        Some(self)
     }
 
     fn assemble_rhs(
@@ -948,7 +943,8 @@ mod tests {
                 let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
                 sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
                     .unwrap();
-                assert!(sim.backend().parallel());
+                let md = sim.backend().as_multi_device().expect("multi-device");
+                assert_eq!(md.plan().num_shards(), devices);
                 assert_eq!(
                     sim.backend().name(),
                     format!("multidevice({devices}, {strategy})")
@@ -967,10 +963,46 @@ mod tests {
     fn reference_backend_is_the_serial_loop() {
         let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
         let serial = ReferenceBackend::new(AssemblyStrategy::Serial, &mesh);
-        assert!(!serial.parallel());
         assert_eq!(serial.name(), "reference(serial)");
-        assert!(serial.exchange_reports().is_empty());
-        assert!(serial.measured_device_phases().is_empty());
+        assert!(serial.as_multi_device().is_none());
+    }
+
+    /// A backend implementing only the two required methods.
+    #[derive(Debug)]
+    struct MinimalBackend(ReferenceBackend);
+
+    impl ExecutionBackend for MinimalBackend {
+        fn name(&self) -> String {
+            "minimal".to_string()
+        }
+
+        fn assemble_rhs(
+            &mut self,
+            ctx: &AssemblyContext<'_>,
+            conserved: &Conserved,
+            prim: &Primitives,
+            out: &mut Conserved,
+            profiler: Option<&mut PhaseProfiler>,
+        ) {
+            self.0.assemble_rhs(ctx, conserved, prim, out, profiler);
+        }
+    }
+
+    #[test]
+    fn name_and_assemble_rhs_are_a_sufficient_backend() {
+        let cfg = TgvConfig::standard();
+        let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
+        let initial = cfg.initial_state(&mesh);
+        let mut reference = Simulation::new(mesh.clone(), cfg.gas(), initial.clone()).unwrap();
+        let dt = reference.suggest_dt(0.4);
+        reference.advance(3, dt).unwrap();
+
+        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
+        sim.set_custom_backend(Box::new(MinimalBackend(ReferenceBackend)));
+        assert_eq!(sim.backend().name(), "minimal");
+        assert!(sim.backend().as_multi_device().is_none());
+        sim.advance(3, dt).unwrap();
+        assert_eq!(bits(sim.conserved()), bits(reference.conserved()));
     }
 
     #[test]
@@ -1004,7 +1036,9 @@ mod tests {
                     let mut sim = scenario.simulation(4).unwrap();
                     sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
                         .unwrap();
-                    assert!(sim.backend().parallel());
+                    let md = sim.backend().as_multi_device().expect("multi-device");
+                    let elements = sim.core().mesh().num_elements();
+                    assert_eq!(md.plan().num_shards(), devices.min(elements));
                     sim.advance(2, dt).unwrap();
                     assert_eq!(
                         bits(sim.conserved()),
@@ -1030,7 +1064,8 @@ mod tests {
         .unwrap();
         assert_eq!(sim.backend().name(), "multidevice(4, contiguous)");
 
-        let reports = sim.exchange_reports();
+        let md = sim.backend().as_multi_device().expect("multi-device");
+        let reports = md.exchange_reports();
         assert_eq!(reports.len(), 4);
         let ne: usize = reports
             .iter()
@@ -1067,13 +1102,14 @@ mod tests {
         assert!(applied > sent, "self-owned records are applied too");
 
         // Measured phases accumulate once the simulation advances.
-        assert!(sim
+        assert!(md
             .measured_device_phases()
             .iter()
             .all(|m| m.frontier_s == 0.0 && m.interior_s == 0.0));
         let dt = sim.suggest_dt(0.4);
         sim.advance(2, dt).unwrap();
-        let measured = sim.measured_device_phases();
+        let md = sim.backend().as_multi_device().expect("multi-device");
+        let measured = md.measured_device_phases();
         assert_eq!(measured.len(), 4);
         for m in &measured {
             assert!(m.frontier_s > 0.0 && m.interior_s > 0.0);

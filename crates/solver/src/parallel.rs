@@ -58,8 +58,8 @@ impl std::fmt::Display for AssemblyStrategy {
     }
 }
 
-/// Worker threads the host offers: the parallel mass divide sizes its
-/// chunks against it and the ensemble driver defaults to it.
+/// Worker threads the host offers: the ensemble driver defaults to it
+/// and the studies report it.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)

@@ -1,20 +1,23 @@
 //! Quickstart: simulate a small Taylor-Green Vortex on the CPU reference
 //! solver, verify the accelerator's functional model against it, and
-//! print the modeled FPGA speedup.
+//! print the modeled FPGA speedup. Exits non-zero if the functional model
+//! differs from the reference in a single bit.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use fem_cfd_accel::accel::designs::{proposed_design, vitis_baseline_design};
-use fem_cfd_accel::accel::functional::staged_stage_residual;
+use fem_cfd_accel::accel::functional::staged_stage_residual_into;
 use fem_cfd_accel::accel::optimizer::{optimize_design, OptimizerConfig};
 use fem_cfd_accel::accel::perf::{estimate_performance, PerfOptions};
 use fem_cfd_accel::accel::workload::RklWorkload;
 use fem_cfd_accel::mesh::generator::BoxMeshBuilder;
+use fem_cfd_accel::mesh::geometry::GeometryCache;
 use fem_cfd_accel::numerics::tensor::HexBasis;
+use fem_cfd_accel::solver::engine::{AssemblyContext, ExecutionBackend, ReferenceBackend};
 use fem_cfd_accel::solver::state::Primitives;
-use fem_cfd_accel::solver::{Simulation, TgvConfig};
+use fem_cfd_accel::solver::{Conserved, KernelPath, Simulation, TgvConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A 12³-element periodic TGV box (1728 nodes).
@@ -46,29 +49,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Verify the accelerator's Load→Compute→Store decomposition
-    //    computes the same residual, bit for bit.
+    //    computes the same residual as the reference backend, bit for bit.
+    let gas = cfg.gas();
     let basis = HexBasis::new(mesh.order())?;
     let mut prim = Primitives::zeros(mesh.num_nodes());
-    prim.update_from(&initial, &cfg.gas());
-    let geometry = fem_cfd_accel::mesh::geometry::GeometryCache::build(&mesh, &basis)?;
-    let staged = staged_stage_residual(&mesh, &basis, &cfg.gas(), &geometry, &initial, &prim);
-    let mut max_bits_diff = 0u64;
-    let reference = fem_cfd_accel::accel::functional::monolithic_stage_residual(
+    prim.update_from(&initial, &gas);
+    let geometry = GeometryCache::build(&mesh, &basis)?;
+    let kernel = KernelPath::default();
+    let mut staged = Conserved::zeros(mesh.num_nodes());
+    staged_stage_residual_into(
         &mesh,
         &basis,
-        &cfg.gas(),
+        &gas,
         &geometry,
         &initial,
         &prim,
+        kernel,
+        &mut staged,
     );
-    let mut a = Vec::new();
-    staged.for_each_field(|f| a.extend_from_slice(f));
-    let mut b = Vec::new();
-    reference.for_each_field(|f| b.extend_from_slice(f));
-    for (x, y) in a.iter().zip(&b) {
-        max_bits_diff = max_bits_diff.max(x.to_bits().abs_diff(y.to_bits()));
-    }
+    let ctx = AssemblyContext {
+        mesh: &mesh,
+        basis: &basis,
+        gas: &gas,
+        geometry: &geometry,
+        kernel,
+    };
+    let mut reference = Conserved::zeros(mesh.num_nodes());
+    ReferenceBackend.assemble_rhs(&ctx, &initial, &prim, &mut reference, None);
+    let max_bits_diff = staged
+        .to_bit_vec()
+        .iter()
+        .zip(&reference.to_bit_vec())
+        .map(|(x, y)| x.abs_diff(*y))
+        .max()
+        .unwrap_or(0);
     println!("  accelerator functional check: max bit distance = {max_bits_diff} (0 = exact)");
+    if max_bits_diff != 0 {
+        return Err(format!("functional model diverged (max bit distance {max_bits_diff})").into());
+    }
 
     // 4. Model the accelerator at paper scale.
     let w = RklWorkload::with_nodes(4_200_000, 1);
