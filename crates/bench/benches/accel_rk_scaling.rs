@@ -3,8 +3,7 @@
 //! alongside the bench statistics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fem_accel::designs::{proposed_design, vitis_baseline_design};
-use fem_accel::optimizer::{optimize_design, OptimizerConfig};
+use fem_accel::designs::{paper_design, vitis_baseline_design};
 use fem_accel::perf::{estimate_performance, PerfOptions};
 use fem_accel::workload::RklWorkload;
 use fem_mesh::generator::FIG5_MESH_SIZES;
@@ -21,8 +20,7 @@ fn bench_fig5_pipeline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &nodes, |b, &nodes| {
             b.iter(|| {
                 let w = RklWorkload::with_nodes(nodes, 1);
-                let mut p = proposed_design(&w);
-                optimize_design(&mut p, &OptimizerConfig::for_u200_slr()).unwrap();
+                let p = paper_design(&w);
                 let base = vitis_baseline_design(&w);
                 let rp = estimate_performance(&p, &opts).unwrap();
                 let rb = estimate_performance(&base, &opts).unwrap();
@@ -36,8 +34,7 @@ fn bench_fig5_pipeline(c: &mut Criterion) {
     println!("\nmodeled Fig 5 series (RK-method seconds, 20 RK4 steps):");
     for (label, nodes) in FIG5_MESH_SIZES {
         let w = RklWorkload::with_nodes(nodes, 1);
-        let mut p = proposed_design(&w);
-        optimize_design(&mut p, &OptimizerConfig::for_u200_slr()).unwrap();
+        let p = paper_design(&w);
         let base = vitis_baseline_design(&w);
         let rp = estimate_performance(&p, &opts).unwrap();
         let rb = estimate_performance(&base, &opts).unwrap();

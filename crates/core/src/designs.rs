@@ -14,6 +14,7 @@
 //!   baseline simply keeps the default single `gmem` bundle, default
 //!   partitioning, no URAM binding, and single-SLR placement.
 
+use crate::optimizer::{optimize_design, OptimizerConfig};
 use crate::workload::{RklWorkload, INPUT_ARRAYS, OUTPUT_ARRAYS};
 use hls_kernel::directives::{apply_vitis_defaults, VitisDefaults};
 use hls_kernel::ir::{Kernel, LoopBuilder, OpCount, Partition, StorageKind};
@@ -347,6 +348,20 @@ pub fn build_design(
 /// Convenience: the proposed design.
 pub fn proposed_design(workload: &RklWorkload) -> AcceleratorDesign {
     build_design("proposed", workload, DesignConfig::proposed()).expect("valid workload")
+}
+
+/// The paper's design for `workload`: the proposed design after the
+/// §III-D directive optimizer on one U200 SLR.
+///
+/// # Panics
+///
+/// Panics if the optimizer fails to schedule a task (cannot occur for
+/// [`proposed_design`]'s kernels).
+pub fn paper_design(workload: &RklWorkload) -> AcceleratorDesign {
+    let mut design = proposed_design(workload);
+    optimize_design(&mut design, &OptimizerConfig::for_u200_slr())
+        .expect("the proposed design schedules");
+    design
 }
 
 /// Convenience: the Vitis baseline design.

@@ -13,10 +13,10 @@
 //!   ([`fpga_platform::MemorySystem`]) with per-bank port arbitration
 //!   ([`BankedEmulation`]).
 
+use crate::perf::{region_network, Region, Stage};
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::partition::ShardPlan;
 use fem_solver::engine::{GATHER_STREAMS_PER_SHARD, SCATTER_STREAMS_PER_SHARD};
-use hls_dataflow::network::{ChannelKind, NetworkBuilder};
 use hls_dataflow::sim::simulate;
 
 /// Predicted accelerator timing of one shard's element-token stream,
@@ -48,6 +48,29 @@ pub struct ShardCycleReport {
 /// Bytes one AXI beat moves in the emulation (512-bit bus).
 const AXI_BYTES_PER_CYCLE: u64 = 64;
 
+/// Latency a load adds on top of its II (cycles).
+const LOAD_LATENCY: u64 = 16;
+
+/// Latency a store adds on top of its II (cycles).
+const STORE_LATENCY: u64 = 8;
+
+/// The load and store stages of one memory stream moving
+/// `beats_per_token` beats per element.
+fn load_stage(name: impl Into<String>, beats_per_token: u64) -> Stage {
+    Stage::new(name, beats_per_token, beats_per_token + LOAD_LATENCY)
+}
+
+fn store_stage(name: impl Into<String>, beats_per_token: u64) -> Stage {
+    Stage::new(name, beats_per_token, beats_per_token + STORE_LATENCY)
+}
+
+/// The fused Diffusion ⊕ Convection compute stage: `npe` cycles per
+/// element.
+fn compute_stage(npe: u64) -> Stage {
+    let ii = npe.max(1);
+    Stage::new("compute_diff_conv", ii, ii + 32)
+}
+
 /// Routes one shard's element stream through the 3-task pipeline DES.
 fn emulate_shard(
     shard: &fem_mesh::partition::Shard,
@@ -56,30 +79,22 @@ fn emulate_shard(
     let elements = shard.num_elements() as u64;
     let bytes_in_pe = (shard.bytes_in() as u64).div_ceil(elements.max(1));
     let bytes_out_pe = (shard.bytes_out() as u64).div_ceil(elements.max(1));
-    let load_ii = bytes_in_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
-    // The fused Diffusion ⊕ Convection module retires one element node per
-    // cycle once pipelined. Under the sum-factorized schedule each output
-    // node needs 5 · 3n MACs — three 1D sweeps of n MACs per variable —
-    // which an unrolled 3n-wide MAC tree (n ≤ 5 on the p ≤ 4 ladder)
-    // retires in one II=1 issue per node, so the element-level II stays
-    // npe cycles. The full-matrix schedule would need 3·npe MACs per node
-    // (n² wider) — the HLS quote assumes the factored hot path.
-    let compute_ii = npe.max(1);
-    let store_ii = bytes_out_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
-
-    let mut b = NetworkBuilder::new();
-    let lc = b.channel("load_compute", 8, ChannelKind::Fifo);
-    let cs = b.channel("compute_store", 8, ChannelKind::Fifo);
-    b.task("load_element", load_ii, load_ii + 16, vec![], vec![lc]);
-    b.task(
-        "compute_diff_conv",
-        compute_ii,
-        compute_ii + 32,
-        vec![lc],
-        vec![cs],
+    let load = load_stage(
+        "load_element",
+        bytes_in_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
     );
-    b.task("store_contrib", store_ii, store_ii + 8, vec![cs], vec![]);
-    let net = b.build(elements)?;
+    let compute = compute_stage(npe);
+    let store = store_stage(
+        "store_contrib",
+        bytes_out_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
+    );
+    let (load_ii, compute_ii, store_ii) = (load.ii, compute.ii, store.ii);
+    let net = region_network(&[Region {
+        tokens: elements,
+        loads: vec![load],
+        compute: vec![compute],
+        stores: vec![store],
+    }])?;
     let report = simulate(&net)?;
     Ok(ShardCycleReport {
         shard: shard.index(),
@@ -247,70 +262,29 @@ pub fn emulate_plan_banked(
         });
     }
 
-    let mut b = NetworkBuilder::new();
-    let mut si = 0usize;
-    for shard in plan.shards() {
-        let g = shard.index();
-        let elements = shard.num_elements() as u64;
-        let mut shard_tasks = Vec::with_capacity(STREAMS_PER_SHARD + 2);
-        // Gather + geometry producers, each issuing through its bank.
-        let mut compute_inputs = Vec::with_capacity(GATHER_STREAMS_PER_SHARD + 1);
-        for _ in 0..GATHER_STREAMS_PER_SHARD + 1 {
-            let s = &streams[si];
-            let c = b.banked_channel(
-                s.label.clone(),
-                8,
-                ChannelKind::Fifo,
-                assignment.bank_of[si],
-            );
-            shard_tasks.push(b.task(
-                format!("ld:{}", s.label),
-                s.beats_per_token,
-                s.beats_per_token + 16,
-                vec![],
-                vec![c],
-            ));
-            compute_inputs.push(c);
-            si += 1;
-        }
-        // Fused compute, fanning out to the scatter tasks.
-        let store_chans: Vec<usize> = (0..SCATTER_STREAMS_PER_SHARD)
-            .map(|j| b.channel(format!("s{g}:cs{j}"), 8, ChannelKind::Fifo))
-            .collect();
-        shard_tasks.push(b.task(
-            format!("s{g}:compute"),
-            npe.max(1),
-            npe.max(1) + 32,
-            compute_inputs,
-            store_chans.clone(),
-        ));
-        // Scatter tasks writing through their banks into the shard sink.
-        let mut sink_inputs = Vec::with_capacity(SCATTER_STREAMS_PER_SHARD);
-        for &cs in &store_chans {
-            let s = &streams[si];
-            let oc = b.banked_channel(
-                s.label.clone(),
-                8,
-                ChannelKind::Fifo,
-                assignment.bank_of[si],
-            );
-            shard_tasks.push(b.task(
-                format!("st:{}", s.label),
-                s.beats_per_token,
-                s.beats_per_token + 8,
-                vec![cs],
-                vec![oc],
-            ));
-            sink_inputs.push(oc);
-            si += 1;
-        }
-        shard_tasks.push(b.task(format!("s{g}:sink"), 1, 1, sink_inputs, vec![]));
-        for t in shard_tasks {
-            b.task_tokens(t, elements);
-        }
-    }
-    // Every task carries an override, so the network-wide count is inert.
-    let net = b.build(0)?;
+    let mut streams = streams.into_iter().zip(&assignment.bank_of);
+    let mut banked = |n: usize, stage: fn(String, u64) -> Stage| -> Vec<Stage> {
+        streams
+            .by_ref()
+            .take(n)
+            .map(|(s, &bank)| Stage {
+                bank: Some(bank),
+                ..stage(s.label, s.beats_per_token)
+            })
+            .collect()
+    };
+    let regions: Vec<Region> = plan
+        .shards()
+        .iter()
+        .map(|shard| Region {
+            tokens: shard.num_elements() as u64,
+            // The gathers and the geometry slice feed the compute task.
+            loads: banked(GATHER_STREAMS_PER_SHARD + 1, load_stage),
+            compute: vec![compute_stage(npe)],
+            stores: banked(SCATTER_STREAMS_PER_SHARD, store_stage),
+        })
+        .collect();
+    let net = region_network(&regions)?;
     let report = simulate(&net)?;
     Ok(BankedEmulation {
         system: system.name().to_string(),

@@ -6,7 +6,7 @@ use crate::calibration::{
     self, CpuCalibration, PAPER_FIG2_BREAKDOWN, PAPER_FIG5_AVG_SPEEDUP,
     PAPER_FIG5_GROWTH_1P4M_TO_4P2M, PAPER_TABLE1_PROPOSED, PAPER_TABLE1_VITIS,
 };
-use crate::designs::{build_design, proposed_design, vitis_baseline_design, DesignConfig};
+use crate::designs::{build_design, paper_design, vitis_baseline_design, DesignConfig};
 use crate::optimizer::{optimize_design, region_resources, OptimizerConfig};
 use crate::perf::{
     cpu_end_to_end_seconds, estimate_performance, fpga_end_to_end_seconds, PerfOptions,
@@ -187,8 +187,7 @@ pub fn run_fig5() -> Result<Fig5Result, ExpError> {
         let b = BoxMeshBuilder::with_node_budget(target);
         let nodes = b.node_count();
         let w = RklWorkload::with_nodes(nodes, 1);
-        let mut proposed = proposed_design(&w);
-        optimize_design(&mut proposed, &OptimizerConfig::for_u200_slr())?;
+        let proposed = paper_design(&w);
         let baseline = vitis_baseline_design(&w);
         let rp = estimate_performance(&proposed, &opts)?;
         let rb = estimate_performance(&baseline, &opts)?;
@@ -302,8 +301,7 @@ fn design_utilization(
 /// Propagates scheduling failures.
 pub fn run_table1() -> Result<Table1Result, ExpError> {
     let w = RklWorkload::with_nodes(4_200_000, 1);
-    let mut proposed = proposed_design(&w);
-    optimize_design(&mut proposed, &OptimizerConfig::for_u200_slr())?;
+    let proposed = paper_design(&w);
     let baseline = vitis_baseline_design(&w);
     let (pu, pf) = design_utilization(&proposed)?;
     let (bu, bf) = design_utilization(&baseline)?;
@@ -395,8 +393,7 @@ pub struct Table2Result {
 pub fn run_table2(nodes: usize, cal: Option<CpuCalibration>) -> Result<Table2Result, ExpError> {
     let w = RklWorkload::with_nodes(nodes, 1);
     let cal = cal.unwrap_or_else(|| CpuCalibration::roofline_default(&w));
-    let mut proposed = proposed_design(&w);
-    optimize_design(&mut proposed, &OptimizerConfig::for_u200_slr())?;
+    let proposed = paper_design(&w);
     let opts = PerfOptions::default();
     let report = estimate_performance(&proposed, &opts)?;
     let cpu_s = cpu_end_to_end_seconds(&w, &cal, opts.rk_steps);

@@ -38,7 +38,8 @@ pub mod scaling;
 pub mod workload;
 
 pub use designs::{
-    build_design, proposed_design, vitis_baseline_design, AcceleratorDesign, DesignConfig,
+    build_design, paper_design, proposed_design, vitis_baseline_design, AcceleratorDesign,
+    DesignConfig,
 };
 pub use optimizer::{optimize_design, OptStep, OptimizerConfig};
 pub use perf::{estimate_performance, PerformanceReport};

@@ -15,8 +15,9 @@ use fpga_platform::axi::{transfer_seconds, ChannelMap};
 use fpga_platform::fmax::{achievable_fmax_mhz, place_two};
 use fpga_platform::u200::U200;
 use hls_dataflow::analytic::analytic_makespan;
-use hls_dataflow::network::{ChannelKind, NetworkBuilder};
+use hls_dataflow::network::{ChannelKind, Network, NetworkBuilder};
 use hls_dataflow::sim::simulate;
+use hls_dataflow::DataflowError;
 use hls_kernel::ir::ArrayKind;
 use hls_kernel::resources::{estimate_resources, ResourceUsage};
 use hls_kernel::schedule::schedule_kernel;
@@ -57,6 +58,128 @@ pub struct TaskPerf {
     pub effective_cycles_per_element: u64,
     /// Pipeline fill latency (cycles).
     pub fill_latency: u64,
+}
+
+impl TaskPerf {
+    /// The task as a dataflow stage: it starts an element every
+    /// `effective_cycles_per_element` cycles and retires it after that
+    /// interval plus the pipeline fill.
+    pub fn stage(&self) -> Stage {
+        Stage::new(
+            self.name.clone(),
+            self.effective_cycles_per_element,
+            self.effective_cycles_per_element + self.fill_latency,
+        )
+    }
+}
+
+/// One task of a Load → Compute → Store dataflow region.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stage {
+    /// Task name.
+    pub name: String,
+    /// Initiation interval (cycles per element).
+    pub ii: u64,
+    /// Per-element latency (cycles).
+    pub latency: u64,
+    /// Memory bank a load or store streams through; `None` leaves the
+    /// stream out of the bank-port arbitration.
+    pub bank: Option<usize>,
+}
+
+impl Stage {
+    /// An unbanked stage.
+    pub fn new(name: impl Into<String>, ii: u64, latency: u64) -> Self {
+        Stage {
+            name: name.into(),
+            ii,
+            latency,
+            bank: None,
+        }
+    }
+}
+
+/// A Load → Compute → Store region streaming `tokens` element tokens.
+/// Every load feeds the first compute task, the compute tasks run in
+/// series, and the last one feeds every store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Region {
+    /// Element tokens every task of the region processes.
+    pub tokens: u64,
+    /// Tasks streaming operands in from memory.
+    pub loads: Vec<Stage>,
+    /// Compute tasks, in pipeline order.
+    pub compute: Vec<Stage>,
+    /// Tasks writing results back to memory.
+    pub stores: Vec<Stage>,
+}
+
+/// Depth of every channel of a region: enough element tokens to cover
+/// the deepest task pipeline in flight (the batch ping-pong buffers of
+/// §III-B hold many elements; at element granularity they behave as a
+/// stream with slack).
+const CHANNEL_DEPTH: usize = 8;
+
+/// Builds the dataflow network of `regions`, which run side by side in
+/// one simulation. A banked load issues its reads through its bank; a
+/// banked store writes through its bank into a per-region sink, so the
+/// store's port occupancy is arbitrated like a load's.
+///
+/// # Errors
+///
+/// [`DataflowError`] if the network fails validation (a region whose
+/// stores cannot be fed: no compute task and fewer loads than stores).
+pub fn region_network(regions: &[Region]) -> Result<Network, DataflowError> {
+    fn channel(b: &mut NetworkBuilder, name: &str, bank: Option<usize>) -> usize {
+        match bank {
+            Some(bank) => b.banked_channel(name, CHANNEL_DEPTH, ChannelKind::Fifo, bank),
+            None => b.channel(name, CHANNEL_DEPTH, ChannelKind::Fifo),
+        }
+    }
+    let mut b = NetworkBuilder::new();
+    for region in regions {
+        let mut tasks = Vec::new();
+        let mut inputs = Vec::with_capacity(region.loads.len());
+        for load in &region.loads {
+            let c = channel(&mut b, &load.name, load.bank);
+            tasks.push(b.task(&load.name, load.ii, load.latency, vec![], vec![c]));
+            inputs.push(c);
+        }
+        for (i, stage) in region.compute.iter().enumerate() {
+            let fan_out = if i + 1 == region.compute.len() {
+                region.stores.len()
+            } else {
+                1
+            };
+            let outputs: Vec<usize> = (0..fan_out)
+                .map(|j| channel(&mut b, &format!("{}:{j}", stage.name), None))
+                .collect();
+            tasks.push(b.task(
+                &stage.name,
+                stage.ii,
+                stage.latency,
+                inputs,
+                outputs.clone(),
+            ));
+            inputs = outputs;
+        }
+        let mut sink_inputs = Vec::new();
+        for (store, input) in region.stores.iter().zip(inputs) {
+            let outputs = match store.bank {
+                Some(_) => vec![channel(&mut b, &store.name, store.bank)],
+                None => vec![],
+            };
+            sink_inputs.extend(&outputs);
+            tasks.push(b.task(&store.name, store.ii, store.latency, vec![input], outputs));
+        }
+        if !sink_inputs.is_empty() {
+            tasks.push(b.task("sink", 1, 1, sink_inputs, vec![]));
+        }
+        for t in tasks {
+            b.task_tokens(t, region.tokens);
+        }
+    }
+    b.build(regions.iter().map(|r| r.tokens).max().unwrap_or(0))
 }
 
 /// The complete performance estimate of a design.
@@ -163,21 +286,13 @@ fn bundle_bytes_per_stage(design: &AcceleratorDesign) -> Vec<u64> {
     by_bundle.into_values().collect()
 }
 
-/// Estimates the performance of `design`.
+/// Per-task cycle costs of `design`'s RKL tasks, in pipeline order, with
+/// cross-task AXI bundle contention applied.
 ///
 /// # Errors
 ///
-/// Propagates HLS scheduling errors and dataflow design-rule violations
-/// (neither occurs for designs produced by [`crate::designs`]).
-pub fn estimate_performance(
-    design: &AcceleratorDesign,
-    opts: &PerfOptions,
-) -> Result<PerformanceReport, Box<dyn std::error::Error>> {
-    let device = U200::new();
-    let w = &design.workload;
-    let elements = w.num_elements as u64;
-
-    // ---- Per-task cycle costs with cross-task bundle contention. ----
+/// Propagates HLS scheduling errors.
+pub fn task_perfs(design: &AcceleratorDesign) -> Result<Vec<TaskPerf>, HlsError> {
     let beats = bundle_beats_per_element(design)?;
     let mut tasks = Vec::new();
     for (idx, k) in design.rkl_tasks.iter().enumerate() {
@@ -200,32 +315,37 @@ pub fn estimate_performance(
             fill_latency: fill,
         });
     }
+    Ok(tasks)
+}
+
+/// Estimates the performance of `design`.
+///
+/// # Errors
+///
+/// Propagates HLS scheduling errors and dataflow design-rule violations
+/// (neither occurs for designs produced by [`crate::designs`]).
+pub fn estimate_performance(
+    design: &AcceleratorDesign,
+    opts: &PerfOptions,
+) -> Result<PerformanceReport, Box<dyn std::error::Error>> {
+    let device = U200::new();
+    let w = &design.workload;
+    let elements = w.num_elements as u64;
+
+    let tasks = task_perfs(design)?;
 
     // ---- RKL stage makespan (cycles). ----
     let (rkl_cycles, used_des) = if design.config.task_level_pipelining {
         // Dataflow pipeline of the tasks in order.
-        let mut b = NetworkBuilder::new();
-        let n = tasks.len();
-        let mut chans = Vec::new();
-        for i in 0..n - 1 {
-            // Element tokens stream through FIFOs deep enough to cover
-            // the deepest task pipeline's in-flight tokens (the batch
-            // ping-pong buffers of §III-B hold many elements; at element
-            // granularity they behave as a stream with slack).
-            chans.push(b.channel(format!("stream_{i}"), 8, ChannelKind::Fifo));
-        }
-        for (i, t) in tasks.iter().enumerate() {
-            let inputs = if i == 0 { vec![] } else { vec![chans[i - 1]] };
-            let outputs = if i + 1 == n { vec![] } else { vec![chans[i]] };
-            b.task(
-                &t.name,
-                t.effective_cycles_per_element,
-                t.effective_cycles_per_element + t.fill_latency,
-                inputs,
-                outputs,
-            );
-        }
-        let net = b.build(elements)?;
+        let [load, compute @ .., store] = tasks.as_slice() else {
+            unreachable!("every design has a load and a store task")
+        };
+        let net = region_network(&[Region {
+            tokens: elements,
+            loads: vec![load.stage()],
+            compute: compute.iter().map(TaskPerf::stage).collect(),
+            stores: vec![store.stage()],
+        }])?;
         if w.num_elements <= opts.des_element_threshold {
             (simulate(&net)?.makespan, true)
         } else {
@@ -335,15 +455,11 @@ pub fn fpga_end_to_end_seconds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::{proposed_design, vitis_baseline_design};
-    use crate::optimizer::{optimize_design, OptimizerConfig};
+    use crate::designs::{paper_design, vitis_baseline_design};
     use crate::workload::RklWorkload;
 
     fn optimized_proposed(nodes: usize) -> AcceleratorDesign {
-        let w = RklWorkload::with_nodes(nodes, 1);
-        let mut d = proposed_design(&w);
-        optimize_design(&mut d, &OptimizerConfig::for_u200_slr()).unwrap();
-        d
+        paper_design(&RklWorkload::with_nodes(nodes, 1))
     }
 
     #[test]
@@ -381,9 +497,7 @@ mod tests {
 
     #[test]
     fn des_and_analytic_agree_across_the_threshold() {
-        let w_small = RklWorkload::with_nodes(20_000, 1);
-        let mut d = proposed_design(&w_small);
-        optimize_design(&mut d, &OptimizerConfig::for_u200_slr()).unwrap();
+        let d = optimized_proposed(20_000);
         let des = estimate_performance(
             &d,
             &PerfOptions {

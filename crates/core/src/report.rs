@@ -111,8 +111,7 @@ impl DesignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::designs::{proposed_design, vitis_baseline_design};
-    use crate::optimizer::{optimize_design, OptimizerConfig};
+    use crate::designs::{paper_design, vitis_baseline_design};
     use crate::workload::RklWorkload;
 
     fn opts() -> PerfOptions {
@@ -125,9 +124,7 @@ mod tests {
 
     #[test]
     fn report_has_all_sections() {
-        let w = RklWorkload::with_nodes(100_000, 1);
-        let mut d = proposed_design(&w);
-        optimize_design(&mut d, &OptimizerConfig::for_u200_slr()).unwrap();
+        let d = paper_design(&RklWorkload::with_nodes(100_000, 1));
         let r = DesignReport::generate(&d, &opts()).unwrap();
         let text = r.render(&d, true);
         for needle in [

@@ -8,8 +8,8 @@
 //! congestion/SLL clock implications, and the DDR ceiling shared by all
 //! units.
 
-use crate::designs::{proposed_design, AcceleratorDesign};
-use crate::optimizer::{optimize_design, region_resources, OptimizerConfig};
+use crate::designs::{paper_design, AcceleratorDesign};
+use crate::optimizer::region_resources;
 use crate::perf::{estimate_performance, PerfOptions};
 use crate::workload::RklWorkload;
 use fpga_platform::fmax::achievable_fmax_mhz;
@@ -46,10 +46,7 @@ pub struct ScalingStudy {
 
 /// Builds one optimized RKL unit for a shard of the workload.
 fn optimized_shard(nodes: usize, units: usize) -> AcceleratorDesign {
-    let w = RklWorkload::with_nodes(nodes / units, 1);
-    let mut d = proposed_design(&w);
-    optimize_design(&mut d, &OptimizerConfig::for_u200_slr()).expect("valid design");
-    d
+    paper_design(&RklWorkload::with_nodes(nodes / units, 1))
 }
 
 /// Runs the scaling study at `nodes` mesh nodes for 1..=`max_units`

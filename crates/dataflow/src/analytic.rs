@@ -137,8 +137,7 @@ mod tests {
             // Latency ≥ II keeps tasks internally pipelined and realistic.
             // Channel depth must cover the in-flight window
             // (max latency/II = 8 at II=1), or backpressure legitimately
-            // slows the pipeline below the model — the effect
-            // `crate::buffer::advise_depths` exists to size away.
+            // slows the pipeline below the model.
             let lats: Vec<u64> = iis.iter().map(|&ii| ii + 7).collect();
             let net = chain(&iis, &lats, 16, tokens);
             let model = analytic_makespan(&net);

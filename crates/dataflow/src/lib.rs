@@ -14,6 +14,11 @@
 //!   (SPSC, bypass detection, §III-B).
 //! * [`sim`] — the discrete-event engine: exact start/finish times,
 //!   stalls, channel occupancy, deadlock detection, optional trace.
+//! * [`analytic`] — closed-form steady-state model
+//!   (`makespan ≈ fill + N · max II`), cross-validated against the DES by
+//!   property tests.
+//! * [`functional`] — typed staged pipelines for functional (bit-level)
+//!   verification of a task decomposition against a reference.
 //!
 //! # Memory-bank port conflicts
 //!
@@ -33,11 +38,6 @@
 //! these paths and reports byte-identical results to the pre-banking
 //! engine; per-bank reserved/stall/token counters appear in
 //! [`sim::SimulationReport::bank_stats`] otherwise.
-//! * [`analytic`] — closed-form steady-state model
-//!   (`makespan ≈ fill + N · max II`), cross-validated against the DES by
-//!   property tests.
-//! * [`functional`] — typed staged pipelines for functional (bit-level)
-//!   verification of a task decomposition against a reference.
 //!
 //! # Example
 //!
@@ -63,9 +63,7 @@
 #![deny(missing_docs)]
 
 pub mod analytic;
-pub mod buffer;
 pub mod functional;
-pub mod gantt;
 pub mod network;
 pub mod sim;
 

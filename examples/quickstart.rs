@@ -7,9 +7,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fem_cfd_accel::accel::designs::{proposed_design, vitis_baseline_design};
+use fem_cfd_accel::accel::designs::{paper_design, vitis_baseline_design};
 use fem_cfd_accel::accel::functional::staged_stage_residual_into;
-use fem_cfd_accel::accel::optimizer::{optimize_design, OptimizerConfig};
 use fem_cfd_accel::accel::perf::{estimate_performance, PerfOptions};
 use fem_cfd_accel::accel::workload::RklWorkload;
 use fem_cfd_accel::mesh::generator::BoxMeshBuilder;
@@ -90,8 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Model the accelerator at paper scale.
     let w = RklWorkload::with_nodes(4_200_000, 1);
-    let mut proposed = proposed_design(&w);
-    optimize_design(&mut proposed, &OptimizerConfig::for_u200_slr())?;
+    let proposed = paper_design(&w);
     let baseline = vitis_baseline_design(&w);
     let opts = PerfOptions {
         host_in_the_loop: false,

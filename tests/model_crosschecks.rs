@@ -3,7 +3,7 @@
 //! the *actual* accelerator networks, and the HLS schedule consistency
 //! between design variants.
 
-use fem_cfd_accel::accel::designs::{proposed_design, vitis_baseline_design};
+use fem_cfd_accel::accel::designs::{paper_design, proposed_design, vitis_baseline_design};
 use fem_cfd_accel::accel::optimizer::{optimize_design, OptimizerConfig};
 use fem_cfd_accel::accel::perf::{estimate_performance, PerfOptions};
 use fem_cfd_accel::accel::workload::RklWorkload;
@@ -12,9 +12,7 @@ use fem_cfd_accel::hls::schedule::schedule_kernel;
 #[test]
 fn des_matches_analytic_on_real_designs_at_multiple_sizes() {
     for nodes in [5_000usize, 20_000, 50_000] {
-        let w = RklWorkload::with_nodes(nodes, 1);
-        let mut d = proposed_design(&w);
-        optimize_design(&mut d, &OptimizerConfig::for_u200_slr()).unwrap();
+        let d = paper_design(&RklWorkload::with_nodes(nodes, 1));
         let des = estimate_performance(
             &d,
             &PerfOptions {
@@ -43,9 +41,7 @@ fn des_matches_analytic_on_real_designs_at_multiple_sizes() {
 
 #[test]
 fn task_iis_are_schedule_consistent() {
-    let w = RklWorkload::with_nodes(100_000, 1);
-    let mut d = proposed_design(&w);
-    optimize_design(&mut d, &OptimizerConfig::for_u200_slr()).unwrap();
+    let d = paper_design(&RklWorkload::with_nodes(100_000, 1));
     let perf = estimate_performance(&d, &PerfOptions::default()).unwrap();
     // Every task's effective per-element cost is at least its scheduled
     // cost (contention can only add).
@@ -71,8 +67,7 @@ fn task_iis_are_schedule_consistent() {
 fn baseline_never_beats_proposed_anywhere() {
     for nodes in [10_000usize, 500_000, 2_000_000] {
         let w = RklWorkload::with_nodes(nodes, 1);
-        let mut p = proposed_design(&w);
-        optimize_design(&mut p, &OptimizerConfig::for_u200_slr()).unwrap();
+        let p = paper_design(&w);
         let b = vitis_baseline_design(&w);
         let opts = PerfOptions {
             host_in_the_loop: false,
