@@ -4,8 +4,11 @@
 //! `repro banking`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fem_accel::designs::paper_design;
 use fem_accel::emulation::{emulate_plan_banked, shard_compute_floors, shard_streams};
 use fem_accel::optimizer::optimize_bank_assignment;
+use fem_accel::perf::compute_task;
+use fem_accel::workload::RklWorkload;
 use fem_mesh::partition::{PartitionStrategy, ShardPlan};
 use fem_mesh::BoxMeshBuilder;
 use fpga_platform::{BankAssignment, MemorySystem};
@@ -13,6 +16,7 @@ use fpga_platform::{BankAssignment, MemorySystem};
 fn bench_banked_emulation(c: &mut Criterion) {
     let mesh = BoxMeshBuilder::tgv_box(8).build().unwrap();
     let npe = mesh.nodes_per_element() as u64;
+    let compute = compute_task(&paper_design(&RklWorkload::from_mesh(&mesh))).unwrap();
     let elements = mesh.num_elements() as u64;
     let flat = MemorySystem::u200_flat();
     let hbm = MemorySystem::u280_hbm2();
@@ -23,13 +27,13 @@ fn bench_banked_emulation(c: &mut Criterion) {
             ShardPlan::with_strategy(&mesh, shards, usize::MAX, PartitionStrategy::Partitioned)
                 .unwrap();
         let streams = shard_streams(&plan, npe);
-        let floors = shard_compute_floors(&plan, npe);
+        let floors = shard_compute_floors(&plan, &compute);
         group.throughput(Throughput::Elements(elements));
 
         let a_flat = BankAssignment::round_robin(&streams, &flat);
         group.bench_with_input(BenchmarkId::new("flat", shards), &plan, |b, plan| {
             b.iter(|| {
-                emulate_plan_banked(plan, npe, &flat, &a_flat)
+                emulate_plan_banked(plan, &compute, &streams, &flat, &a_flat)
                     .unwrap()
                     .makespan_cycles
             });
@@ -38,7 +42,7 @@ fn bench_banked_emulation(c: &mut Criterion) {
         let a_hbm = BankAssignment::round_robin(&streams, &hbm);
         group.bench_with_input(BenchmarkId::new("hbm_rr", shards), &plan, |b, plan| {
             b.iter(|| {
-                emulate_plan_banked(plan, npe, &hbm, &a_hbm)
+                emulate_plan_banked(plan, &compute, &streams, &hbm, &a_hbm)
                     .unwrap()
                     .makespan_cycles
             });

@@ -23,7 +23,9 @@
 //! Each cell reports both the closed-form makespan bound
 //! ([`fpga_platform::memory::modeled_makespan_cycles`]) and the DES
 //! makespan from [`fem_accel::emulation::emulate_plan_banked`], plus
-//! per-bank port occupancy and stall totals. Two invariants are pinned
+//! per-bank port occupancy and stall totals. Every shard's compute task
+//! runs at the HLS compute II of the paper's design for the scenario
+//! mesh ([`fem_accel::perf::compute_task`]). Two invariants are pinned
 //! here and re-gated by `banking_json_schema` in `repro_json.rs` and the
 //! CI `banking` job:
 //!
@@ -42,10 +44,13 @@
 //! contention at all, so it would trivially dominate; it exists to
 //! calibrate the overlay, not to compete with buildable systems.
 
+use fem_accel::designs::paper_design;
 use fem_accel::emulation::{
     emulate_plan, emulate_plan_banked, shard_compute_floors, shard_streams,
 };
 use fem_accel::optimizer::optimize_bank_assignment;
+use fem_accel::perf::compute_task;
+use fem_accel::workload::RklWorkload;
 use fem_mesh::partition::ShardPlan;
 use fem_solver::engine::PartitionStrategy;
 use fem_solver::scenarios::Scenario;
@@ -258,6 +263,8 @@ pub fn run_banking_study(
         let mesh = sim.core().mesh();
         let npe = mesh.nodes_per_element() as u64;
         let elements = mesh.num_elements();
+        let compute = compute_task(&paper_design(&RklWorkload::from_mesh(mesh)))
+            .unwrap_or_else(|e| panic!("{name}: scheduling the paper's design failed: {e}"));
 
         // (round-robin, optimized) DES makespans of every ≥ 8-shard
         // HBM cell — the scenario "wins" when optimized is strictly
@@ -278,14 +285,14 @@ pub fn run_banking_study(
                     .unwrap_or_else(|e| panic!("{name}: plan failed: {e}"));
                 // The pre-banking reference: the slowest per-shard flat
                 // DES quote.
-                let flat_quote = emulate_plan(&plan, npe)
+                let flat_quote = emulate_plan(&plan, &compute)
                     .unwrap_or_else(|e| panic!("{name}: flat emulation failed: {e}"))
                     .iter()
                     .map(|r| r.makespan_cycles)
                     .max()
                     .unwrap_or(0);
                 let streams = shard_streams(&plan, npe);
-                let floors = shard_compute_floors(&plan, npe);
+                let floors = shard_compute_floors(&plan, &compute);
 
                 let mut cell: Vec<(usize, u64, String, String, f64)> = Vec::new();
                 let mut hbm_cell = (0u64, 0u64);
@@ -293,7 +300,7 @@ pub fn run_banking_study(
                     for policy in policies {
                         let a = assign(policy, &streams, system, &floors);
                         let modeled = modeled_makespan_cycles(&streams, &a, &floors);
-                        let banked = emulate_plan_banked(&plan, npe, system, &a)
+                        let banked = emulate_plan_banked(&plan, &compute, &streams, system, &a)
                             .unwrap_or_else(|e| panic!("{name}: banked emulation failed: {e}"));
                         if system.name() == "u280-hbm2" {
                             if policy == "round-robin" {

@@ -18,7 +18,8 @@
 //!   identical** to the serial reference — the engine's shard
 //!   determinism guarantee — and bitwise stable across the whole count
 //!   sweep, per strategy; and the per-shard accelerator cycle emulation
-//!   ([`fem_accel::emulation::emulate_plan`]: DES makespan, observed II,
+//!   ([`fem_accel::emulation::emulate_plan`] at the compute II of the
+//!   paper's design for the scenario mesh: DES makespan, observed II,
 //!   bottleneck task II) plus the scenario's DDR roofline bound from
 //!   [`fem_accel::experiments::scenario_workload`];
 //! * the exchange view ([`OverlapCell`] and per-device
@@ -40,8 +41,11 @@
 //! artifact on every push.
 
 use crate::scenarios::max_rel_dev;
+use fem_accel::designs::paper_design;
 use fem_accel::emulation::emulate_plan;
 use fem_accel::experiments::scenario_workload;
+use fem_accel::perf::{compute_task, TaskPerf};
+use fem_accel::workload::RklWorkload;
 use fem_solver::engine::{BackendSelect, PartitionStrategy};
 use fem_solver::scenarios::Scenario;
 use fem_solver::{DevicePhaseSeconds, Simulation};
@@ -405,9 +409,9 @@ impl std::fmt::Display for ShardingStudy {
 
 /// Runs one (scenario, count, strategy) cell: a single simulation under
 /// the [`fem_solver::engine::MultiDeviceBackend`] yields both the plan
-/// view (appending per-shard rows quoted by [`emulate_plan`] on the plan
-/// the backend ran) and the exchange view (appending per-device phase
-/// rows). `first_bits` carries the strategy's first-swept-count
+/// view (appending per-shard rows quoted by [`emulate_plan`] at the
+/// `compute` timing on the plan the backend ran) and the exchange view
+/// (appending per-device phase rows). `first_bits` carries the strategy's first-swept-count
 /// trajectory for the across-counts stability check.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
@@ -418,6 +422,7 @@ fn run_cell(
     count: usize,
     requested: usize,
     strategy: PartitionStrategy,
+    compute: &TaskPerf,
     reference: &Simulation,
     ref_bits: &[u64],
     first_bits: &mut Option<Vec<u64>>,
@@ -453,9 +458,8 @@ fn run_cell(
         .unwrap_or_else(|| panic!("{name}: multidevice backend not installed"));
     let plan = backend.plan();
     assert_eq!(plan.num_shards(), count, "{name}: effective count drifted");
-    let npe = sim.core().mesh().nodes_per_element() as u64;
-    let reports =
-        emulate_plan(plan, npe).unwrap_or_else(|e| panic!("{name}: shard emulation failed: {e}"));
+    let reports = emulate_plan(plan, compute)
+        .unwrap_or_else(|e| panic!("{name}: shard emulation failed: {e}"));
     for (shard, rep) in plan.shards().iter().zip(&reports) {
         rows.push(ShardRow {
             scenario: name.to_string(),
@@ -590,6 +594,10 @@ pub fn run_sharding_study(edge: usize, steps: usize, shard_counts: &[usize]) -> 
         let mesh_elements = reference.core().mesh().num_elements();
         let mesh_nodes = reference.core().mesh().num_nodes();
         let workload = scenario_workload(name, reference.core().mesh());
+        let compute = compute_task(&paper_design(&RklWorkload::from_mesh(
+            reference.core().mesh(),
+        )))
+        .unwrap_or_else(|e| panic!("{name}: scheduling the paper's design failed: {e}"));
 
         let mut first_contiguous: Option<Vec<u64>> = None;
         let mut first_partitioned: Option<Vec<u64>> = None;
@@ -635,6 +643,7 @@ pub fn run_sharding_study(edge: usize, steps: usize, shard_counts: &[usize]) -> 
                 count,
                 requested,
                 PartitionStrategy::Contiguous,
+                &compute,
                 &reference,
                 &ref_bits,
                 &mut first_contiguous,
@@ -650,6 +659,7 @@ pub fn run_sharding_study(edge: usize, steps: usize, shard_counts: &[usize]) -> 
                 count,
                 requested,
                 PartitionStrategy::Partitioned,
+                &compute,
                 &reference,
                 &ref_bits,
                 &mut first_partitioned,

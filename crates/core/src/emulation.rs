@@ -12,11 +12,20 @@
 //!   ([`shard_streams`]) through a banked memory system
 //!   ([`fpga_platform::MemorySystem`]) with per-bank port arbitration
 //!   ([`BankedEmulation`]).
+//!
+//! Both build their networks with [`crate::perf::region_network`], the
+//! constructor [`crate::perf::estimate_performance`] uses, and run the
+//! compute task at the HLS design's timing: a [`TaskPerf`] from
+//! [`crate::perf::compute_task`], usually of
+//! [`crate::designs::paper_design`]. Loads and stores move one
+//! [`AXI_DATA_WIDTH_BITS`]-wide beat per cycle.
 
-use crate::perf::{region_network, Region, Stage};
+use crate::perf::{region_network, Region, Stage, TaskPerf};
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::partition::ShardPlan;
 use fem_solver::engine::{GATHER_STREAMS_PER_SHARD, SCATTER_STREAMS_PER_SHARD};
+use fpga_platform::axi::AXI_DATA_WIDTH_BITS;
+use fpga_platform::MemoryStream;
 use hls_dataflow::sim::simulate;
 
 /// Predicted accelerator timing of one shard's element-token stream,
@@ -36,8 +45,8 @@ pub struct ShardCycleReport {
     pub bottleneck_ii: u64,
     /// Load-task II implied by the shard's DDR read traffic.
     pub load_ii: u64,
-    /// Compute-task II (one element node per cycle through the fused
-    /// Diffusion ⊕ Convection pipeline).
+    /// Compute-task II: the design's
+    /// [`TaskPerf::effective_cycles_per_element`].
     pub compute_ii: u64,
     /// Store-task II implied by the shard's residual write-back traffic.
     pub store_ii: u64,
@@ -45,8 +54,10 @@ pub struct ShardCycleReport {
 
 // --------------------------------------------------- per-shard emulation
 
-/// Bytes one AXI beat moves in the emulation (512-bit bus).
-const AXI_BYTES_PER_CYCLE: u64 = 64;
+/// AXI beats a memory task issues per element to move `bytes`.
+fn beats(bytes: u64) -> u64 {
+    bytes.div_ceil(u64::from(AXI_DATA_WIDTH_BITS / 8)).max(1)
+}
 
 /// Latency a load adds on top of its II (cycles).
 const LOAD_LATENCY: u64 = 16;
@@ -54,40 +65,27 @@ const LOAD_LATENCY: u64 = 16;
 /// Latency a store adds on top of its II (cycles).
 const STORE_LATENCY: u64 = 8;
 
-/// The load and store stages of one memory stream moving
-/// `beats_per_token` beats per element.
+/// A load moving `beats_per_token` beats per element.
 fn load_stage(name: impl Into<String>, beats_per_token: u64) -> Stage {
     Stage::new(name, beats_per_token, beats_per_token + LOAD_LATENCY)
 }
 
+/// A store moving `beats_per_token` beats per element.
 fn store_stage(name: impl Into<String>, beats_per_token: u64) -> Stage {
     Stage::new(name, beats_per_token, beats_per_token + STORE_LATENCY)
-}
-
-/// The fused Diffusion ⊕ Convection compute stage: `npe` cycles per
-/// element.
-fn compute_stage(npe: u64) -> Stage {
-    let ii = npe.max(1);
-    Stage::new("compute_diff_conv", ii, ii + 32)
 }
 
 /// Routes one shard's element stream through the 3-task pipeline DES.
 fn emulate_shard(
     shard: &fem_mesh::partition::Shard,
-    npe: u64,
+    compute: &TaskPerf,
 ) -> Result<ShardCycleReport, hls_dataflow::DataflowError> {
     let elements = shard.num_elements() as u64;
     let bytes_in_pe = (shard.bytes_in() as u64).div_ceil(elements.max(1));
     let bytes_out_pe = (shard.bytes_out() as u64).div_ceil(elements.max(1));
-    let load = load_stage(
-        "load_element",
-        bytes_in_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
-    );
-    let compute = compute_stage(npe);
-    let store = store_stage(
-        "store_contrib",
-        bytes_out_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
-    );
+    let load = load_stage("load_element", beats(bytes_in_pe));
+    let compute = compute.stage();
+    let store = store_stage("store_contrib", beats(bytes_out_pe));
     let (load_ii, compute_ii, store_ii) = (load.ii, compute.ii, store.ii);
     let net = region_network(&[Region {
         tokens: elements,
@@ -110,9 +108,9 @@ fn emulate_shard(
 
 /// Predicted accelerator timing of every shard of `plan`: each shard's
 /// element-token stream runs through its own Load → Compute → Store
-/// dataflow network, sized from the shard's DDR traffic, with `npe` (nodes
-/// per element) cycles per element through the compute task. The reports
-/// are index-aligned with `plan.shards()`.
+/// dataflow network, with load and store sized from the shard's DDR
+/// traffic and the `compute` task's timing. The reports are
+/// index-aligned with `plan.shards()`.
 ///
 /// # Errors
 ///
@@ -121,11 +119,11 @@ fn emulate_shard(
 /// surfaced rather than panicking).
 pub fn emulate_plan(
     plan: &ShardPlan,
-    npe: u64,
+    compute: &TaskPerf,
 ) -> Result<Vec<ShardCycleReport>, hls_dataflow::DataflowError> {
     plan.shards()
         .iter()
-        .map(|shard| emulate_shard(shard, npe))
+        .map(|shard| emulate_shard(shard, compute))
         .collect()
 }
 
@@ -144,7 +142,7 @@ pub const STREAMS_PER_SHARD: usize = GATHER_STREAMS_PER_SHARD + 1 + SCATTER_STRE
 /// (inter-batch re-reads included); the geometry slice streams
 /// [`GeometryCache::BYTES_PER_ELEMENT_NODE`] bytes per element node and
 /// is typically the heaviest stream — the one worth a private bank.
-pub fn shard_streams(plan: &ShardPlan, npe: u64) -> Vec<fpga_platform::MemoryStream> {
+pub fn shard_streams(plan: &ShardPlan, npe: u64) -> Vec<MemoryStream> {
     let mut out = Vec::with_capacity(plan.num_shards() * STREAMS_PER_SHARD);
     for shard in plan.shards() {
         let g = shard.index();
@@ -154,27 +152,27 @@ pub fn shard_streams(plan: &ShardPlan, npe: u64) -> Vec<fpga_platform::MemoryStr
         let gather_pe = bytes_in_pe.div_ceil(GATHER_STREAMS_PER_SHARD as u64);
         let scatter_pe = bytes_out_pe.div_ceil(SCATTER_STREAMS_PER_SHARD as u64);
         for i in 0..GATHER_STREAMS_PER_SHARD {
-            out.push(fpga_platform::MemoryStream {
+            out.push(MemoryStream {
                 label: format!("s{g}:gather{i}"),
                 group: g,
-                beats_per_token: gather_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
+                beats_per_token: beats(gather_pe),
                 tokens: elements,
                 resident_bytes: (shard.bytes_in() as u64).div_ceil(GATHER_STREAMS_PER_SHARD as u64),
             });
         }
         let geom_bytes_pe = npe * GeometryCache::BYTES_PER_ELEMENT_NODE as u64;
-        out.push(fpga_platform::MemoryStream {
+        out.push(MemoryStream {
             label: format!("s{g}:geometry"),
             group: g,
-            beats_per_token: geom_bytes_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
+            beats_per_token: beats(geom_bytes_pe),
             tokens: elements,
             resident_bytes: elements * geom_bytes_pe,
         });
         for j in 0..SCATTER_STREAMS_PER_SHARD {
-            out.push(fpga_platform::MemoryStream {
+            out.push(MemoryStream {
                 label: format!("s{g}:scatter{j}"),
                 group: g,
-                beats_per_token: scatter_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1),
+                beats_per_token: beats(scatter_pe),
                 tokens: elements,
                 resident_bytes: (shard.bytes_out() as u64)
                     .div_ceil(SCATTER_STREAMS_PER_SHARD as u64),
@@ -185,13 +183,13 @@ pub fn shard_streams(plan: &ShardPlan, npe: u64) -> Vec<fpga_platform::MemoryStr
 }
 
 /// Per-shard bank-independent makespan floors for
-/// [`fpga_platform::memory::modeled_makespan_cycles`]: the compute task
-/// retires one element per `npe` cycles, so shard `g` can never finish
-/// in fewer than `elements · npe` cycles no matter the bank layout.
-pub fn shard_compute_floors(plan: &ShardPlan, npe: u64) -> Vec<u64> {
+/// [`fpga_platform::memory::modeled_makespan_cycles`]: the `compute`
+/// task starts one element per II, so shard `g` can never finish in
+/// fewer than `elements · II` cycles no matter the bank layout.
+pub fn shard_compute_floors(plan: &ShardPlan, compute: &TaskPerf) -> Vec<u64> {
     plan.shards()
         .iter()
-        .map(|s| s.num_elements() as u64 * npe.max(1))
+        .map(|s| s.num_elements() as u64 * compute.effective_cycles_per_element)
         .collect()
 }
 
@@ -227,26 +225,37 @@ pub struct BankedEmulation {
 /// ports per the [`hls_dataflow`] conflict rule; per-shard token counts
 /// ride the per-task overrides.
 ///
+/// `streams` are the plan's [`shard_streams`] and `assignment` places
+/// them on `system`'s banks.
+///
 /// # Errors
 ///
 /// [`hls_dataflow::DataflowError`] if a network fails to validate or
-/// simulate (an `assignment` that does not cover the plan's streams
-/// surfaces as an unknown-bank panic upstream; callers build assignments
-/// from [`shard_streams`]).
+/// simulate.
+///
+/// # Panics
+///
+/// Panics if `streams` are not [`STREAMS_PER_SHARD`] per shard of `plan`
+/// or `assignment` does not give every stream a bank.
 pub fn emulate_plan_banked(
     plan: &ShardPlan,
-    npe: u64,
+    compute: &TaskPerf,
+    streams: &[MemoryStream],
     system: &fpga_platform::MemorySystem,
     assignment: &fpga_platform::BankAssignment,
 ) -> Result<BankedEmulation, hls_dataflow::DataflowError> {
-    let streams = shard_streams(plan, npe);
+    assert_eq!(
+        streams.len(),
+        plan.num_shards() * STREAMS_PER_SHARD,
+        "streams must be the plan's shard streams"
+    );
     assert_eq!(
         assignment.bank_of.len(),
         streams.len(),
         "assignment must cover every stream of the plan"
     );
     if system.num_banks() == 1 {
-        let shard_reports = emulate_plan(plan, npe)?;
+        let shard_reports = emulate_plan(plan, compute)?;
         let makespan_cycles = shard_reports
             .iter()
             .map(|r| r.makespan_cycles)
@@ -262,14 +271,14 @@ pub fn emulate_plan_banked(
         });
     }
 
-    let mut streams = streams.into_iter().zip(&assignment.bank_of);
+    let mut streams = streams.iter().zip(&assignment.bank_of);
     let mut banked = |n: usize, stage: fn(String, u64) -> Stage| -> Vec<Stage> {
         streams
             .by_ref()
             .take(n)
             .map(|(s, &bank)| Stage {
                 bank: Some(bank),
-                ..stage(s.label, s.beats_per_token)
+                ..stage(s.label.clone(), s.beats_per_token)
             })
             .collect()
     };
@@ -280,7 +289,7 @@ pub fn emulate_plan_banked(
             tokens: shard.num_elements() as u64,
             // The gathers and the geometry slice feed the compute task.
             loads: banked(GATHER_STREAMS_PER_SHARD + 1, load_stage),
-            compute: vec![compute_stage(npe)],
+            compute: vec![compute.stage()],
             stores: banked(SCATTER_STREAMS_PER_SHARD, store_stage),
         })
         .collect();
@@ -299,16 +308,25 @@ pub fn emulate_plan_banked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::designs::paper_design;
+    use crate::perf::{compute_task, task_perfs};
+    use crate::workload::RklWorkload;
     use fem_mesh::generator::BoxMeshBuilder;
     use fem_mesh::partition::PartitionStrategy;
+    use fem_mesh::HexMesh;
     use fpga_platform::{BankAssignment, MemorySystem};
+
+    /// The compute task of the paper's design for `mesh`.
+    fn paper_compute(mesh: &HexMesh) -> TaskPerf {
+        compute_task(&paper_design(&RklWorkload::from_mesh(mesh))).unwrap()
+    }
 
     #[test]
     fn emulate_plan_quotes_every_shard() {
         let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
         let plan =
             ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap();
-        let reports = emulate_plan(&plan, mesh.nodes_per_element() as u64).unwrap();
+        let reports = emulate_plan(&plan, &paper_compute(&mesh)).unwrap();
         assert_eq!(reports.len(), 4);
         let ne: usize = reports.iter().map(|r| r.elements).sum();
         assert_eq!(ne, 5 * 5 * 5);
@@ -321,12 +339,37 @@ mod tests {
     }
 
     #[test]
+    fn emulation_compute_ii_is_the_hls_compute_ii() {
+        // The emulation runs the compute task at the II the HLS schedule
+        // of the paper's design gives it, at every polynomial order.
+        for order in 1..=3 {
+            let mesh = BoxMeshBuilder::tgv_box(3).order(order).build().unwrap();
+            let tasks = task_perfs(&paper_design(&RklWorkload::from_mesh(&mesh))).unwrap();
+            let [_load, hls_compute, _store] = tasks.as_slice() else {
+                panic!("the paper's design is one load, one compute, one store: {tasks:?}")
+            };
+            let plan =
+                ShardPlan::with_strategy(&mesh, 2, usize::MAX, PartitionStrategy::Contiguous)
+                    .unwrap();
+            let reports = emulate_plan(&plan, &paper_compute(&mesh)).unwrap();
+            assert_eq!(reports.len(), 2);
+            for r in &reports {
+                assert_eq!(
+                    r.compute_ii, hls_compute.effective_cycles_per_element,
+                    "p = {order}: {r:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn one_bank_banked_emulation_reproduces_flat_reports() {
         // The degenerate 1-bank system must reproduce the flat per-shard
         // emulation cycle-for-cycle at every shard count and both
         // strategies.
         let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
         let npe = mesh.nodes_per_element() as u64;
+        let compute = paper_compute(&mesh);
         let flat_sys = MemorySystem::u200_flat();
         for strategy in [
             PartitionStrategy::Contiguous,
@@ -334,10 +377,10 @@ mod tests {
         ] {
             for shards in [1usize, 2, 4, 8] {
                 let plan = ShardPlan::with_strategy(&mesh, shards, usize::MAX, strategy).unwrap();
-                let quotes = emulate_plan(&plan, npe).unwrap();
+                let quotes = emulate_plan(&plan, &compute).unwrap();
                 let streams = shard_streams(&plan, npe);
                 let a = BankAssignment::round_robin(&streams, &flat_sys);
-                let banked = emulate_plan_banked(&plan, npe, &flat_sys, &a).unwrap();
+                let banked = emulate_plan_banked(&plan, &compute, &streams, &flat_sys, &a).unwrap();
                 assert_eq!(banked.shard_reports, quotes);
                 assert_eq!(
                     banked.makespan_cycles,
@@ -366,9 +409,13 @@ mod tests {
             assert!(geom.label.ends_with("geometry"), "{}", geom.label);
             assert_eq!(geom.beats_per_token, 10);
         }
-        let floors = shard_compute_floors(&plan, npe);
+        let compute = paper_compute(&mesh);
+        let floors = shard_compute_floors(&plan, &compute);
         assert_eq!(floors.len(), 4);
-        assert_eq!(floors.iter().sum::<u64>(), mesh.num_elements() as u64 * npe);
+        assert_eq!(
+            floors.iter().sum::<u64>(),
+            mesh.num_elements() as u64 * compute.effective_cycles_per_element
+        );
     }
 
     #[test]
@@ -380,12 +427,13 @@ mod tests {
         let plan =
             ShardPlan::with_strategy(&mesh, 8, usize::MAX, PartitionStrategy::Contiguous).unwrap();
         let npe = mesh.nodes_per_element() as u64;
+        let compute = paper_compute(&mesh);
         let hbm = MemorySystem::u280_hbm2();
         let streams = shard_streams(&plan, npe);
         let rr = BankAssignment::round_robin(&streams, &hbm);
         let greedy = BankAssignment::greedy(&streams, &hbm);
-        let r_rr = emulate_plan_banked(&plan, npe, &hbm, &rr).unwrap();
-        let r_gr = emulate_plan_banked(&plan, npe, &hbm, &greedy).unwrap();
+        let r_rr = emulate_plan_banked(&plan, &compute, &streams, &hbm, &rr).unwrap();
+        let r_gr = emulate_plan_banked(&plan, &compute, &streams, &hbm, &greedy).unwrap();
         assert!(
             r_gr.makespan_cycles < r_rr.makespan_cycles,
             "greedy {} !< round-robin {}",

@@ -127,8 +127,7 @@ const CHANNEL_DEPTH: usize = 8;
 ///
 /// # Errors
 ///
-/// [`DataflowError`] if the network fails validation (a region whose
-/// stores cannot be fed: no compute task and fewer loads than stores).
+/// [`DataflowError`] if the network fails validation.
 pub fn region_network(regions: &[Region]) -> Result<Network, DataflowError> {
     fn channel(b: &mut NetworkBuilder, name: &str, bank: Option<usize>) -> usize {
         match bank {
@@ -318,6 +317,25 @@ pub fn task_perfs(design: &AcceleratorDesign) -> Result<Vec<TaskPerf>, HlsError>
     Ok(tasks)
 }
 
+/// The compute timing of `design`: the slowest of the tasks between its
+/// load and its store (the merged Diffusion ⊕ Convection task of the
+/// paper's design).
+///
+/// # Errors
+///
+/// Propagates HLS scheduling errors.
+pub fn compute_task(design: &AcceleratorDesign) -> Result<TaskPerf, HlsError> {
+    let tasks = task_perfs(design)?;
+    let [_load, compute @ .., _store] = tasks.as_slice() else {
+        unreachable!("every design has a load and a store task")
+    };
+    Ok(compute
+        .iter()
+        .max_by_key(|t| t.effective_cycles_per_element)
+        .expect("every design has a compute task")
+        .clone())
+}
+
 /// Estimates the performance of `design`.
 ///
 /// # Errors
@@ -460,6 +478,45 @@ mod tests {
 
     fn optimized_proposed(nodes: usize) -> AcceleratorDesign {
         paper_design(&RklWorkload::with_nodes(nodes, 1))
+    }
+
+    #[test]
+    fn region_network_wires_loads_compute_and_stores() {
+        // Unbanked: load → compute → store, with no sink.
+        let chain = region_network(&[Region {
+            tokens: 10,
+            loads: vec![Stage::new("load", 2, 4)],
+            compute: vec![Stage::new("compute", 5, 9)],
+            stores: vec![Stage::new("store", 1, 3)],
+        }])
+        .unwrap();
+        assert_eq!((chain.tasks().len(), chain.channels().len()), (3, 2));
+        assert_eq!(chain.bottleneck_ii(), 5);
+        // Banked: each region's stores drain through their banks into
+        // the region's sink, and each region keeps its own token count.
+        let banked = |name: &str, bank| Stage {
+            bank: Some(bank),
+            ..Stage::new(name, 1, 2)
+        };
+        let region = |tokens| Region {
+            tokens,
+            loads: vec![banked("a", 0), banked("b", 1)],
+            compute: vec![Stage::new("compute", 3, 5)],
+            stores: vec![banked("s", 0), banked("t", 1)],
+        };
+        let net = region_network(&[region(4), region(7)]).unwrap();
+        assert_eq!((net.tasks().len(), net.channels().len()), (12, 12));
+        assert_eq!(
+            net.channels().iter().filter(|c| c.bank.is_some()).count(),
+            8
+        );
+        let tokens: Vec<u64> = (0..12).map(|t| net.task_tokens(t)).collect();
+        assert_eq!(tokens, [[4; 6], [7; 6]].concat());
+        assert!(simulate(&net)
+            .unwrap()
+            .bank_stats
+            .iter()
+            .any(|b| b.tokens > 0));
     }
 
     #[test]
