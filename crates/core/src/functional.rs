@@ -11,6 +11,7 @@
 //! reproduces the reference trajectory bit-for-bit.
 
 use fem_mesh::geometry::GeometryCache;
+use fem_mesh::hex::GeomRef;
 use fem_mesh::HexMesh;
 use fem_numerics::tensor::HexBasis;
 use fem_solver::engine::{AssemblyContext, ExecutionBackend};
@@ -18,30 +19,54 @@ use fem_solver::gas::GasModel;
 use fem_solver::kernels::{convective_flux, fused_flux, ElementWorkspace, KernelOps, KernelPath};
 use fem_solver::profile::{Phase, PhaseProfiler};
 use fem_solver::state::{Conserved, Primitives};
-use hls_dataflow::functional::StagedPipeline;
-use std::cell::RefCell;
 use std::time::Instant;
 
-/// An element token flowing through the functional pipeline: the element
-/// id and its gathered workspace (geometry is read from the shared
-/// precomputed cache, like the hardware streams γ-factors from DDR).
-pub struct ElementToken {
-    /// Element id.
-    pub element: usize,
-    /// Per-element workspace (fields after Load, residuals after
-    /// Compute).
-    pub ws: ElementWorkspace,
+/// LOAD Element (paper step 1): gathers the element's node data into
+/// `ws` and clears its residuals. Geometry is not rebuilt here: it
+/// arrives precomputed, like the hardware streams γ-factors from DDR.
+fn load_element(
+    ws: &mut ElementWorkspace,
+    nodes: &[u32],
+    conserved: &Conserved,
+    primitives: &Primitives,
+) {
+    ws.gather(nodes, conserved, primitives);
+    ws.zero_residuals();
+}
+
+/// COMPUTE Diffusion ⊕ Convection (the merged module, paper step 2):
+/// the fused net flux, then one weak-divergence contraction.
+fn compute_diff_conv(
+    ws: &mut ElementWorkspace,
+    gas: &GasModel,
+    basis: &HexBasis,
+    geom: GeomRef,
+    kernel: &KernelOps,
+) {
+    if gas.mu > 0.0 {
+        fused_flux(ws, gas, basis, geom);
+    } else {
+        convective_flux(ws);
+    }
+    kernel.weak_divergence(ws, basis, geom, 1.0);
+}
+
+/// STORE Element Contribution (paper step 3): scatter-adds the element
+/// residuals into the assembled RHS.
+fn store_element(ws: &ElementWorkspace, nodes: &[u32], rhs: &mut Conserved) {
+    ws.scatter_add(nodes, rhs);
 }
 
 /// Computes one RKL residual sweep through the staged task pipeline
 /// (LOAD Element → COMPUTE fused Diffusion ⊕ Convection → STORE Element
 /// Contribution), assembling the RHS into `out` (overwriting it; not yet
-/// mass-scaled). Geometry streams from `geometry` — the pipeline never
-/// rebuilds it. The stages *borrow* the sweep context and the output
-/// buffer (no per-sweep allocation of the result). The weak-divergence
-/// contraction dispatches on `kernel`, resolved once per sweep like every
-/// host backend does (the full-matrix path materializes its dense
-/// operators here, before any token flows).
+/// mass-scaled). Element tokens pass through the three stages in
+/// element order, like the single-producer single-consumer FIFOs of the
+/// hardware, with one reused workspace carrying each token. Geometry
+/// streams from `geometry` — the pipeline never rebuilds it. The
+/// weak-divergence contraction dispatches on `kernel`, resolved once
+/// per sweep like every host backend does (the full-matrix path
+/// materializes its dense operators here, before any token flows).
 ///
 /// # Panics
 ///
@@ -61,46 +86,14 @@ pub fn staged_stage_residual_into(
     assert_eq!(conserved.len(), mesh.num_nodes());
     assert_eq!(geometry.num_elements(), mesh.num_elements());
     assert_eq!(out.len(), mesh.num_nodes());
-    let npe = mesh.nodes_per_element();
     let kernel = KernelOps::resolve(kernel, basis);
     out.set_zero();
-    let rhs = RefCell::new(out);
-
-    let mut pipeline: StagedPipeline<ElementToken> = StagedPipeline::new();
-    // LOAD Element: gather node data (paper step 1; geometry arrives as
-    // precomputed factors, not a per-element rebuild).
-    pipeline.stage("load_element", move |mut tok: ElementToken| {
-        tok.ws
-            .gather(mesh.element_nodes(tok.element), conserved, primitives);
-        tok.ws.zero_residuals();
-        tok
-    });
-    // COMPUTE Diffusion ⊕ Convection (merged module, paper step 2):
-    // fused net flux, one contraction.
-    pipeline.stage("compute_diff_conv", move |mut tok: ElementToken| {
-        let geom = geometry.element(tok.element);
-        if gas.mu > 0.0 {
-            fused_flux(&mut tok.ws, gas, basis, geom);
-        } else {
-            convective_flux(&mut tok.ws);
-        }
-        kernel.weak_divergence(&mut tok.ws, basis, geom, 1.0);
-        tok
-    });
-    // STORE Element Contribution (paper step 3).
-    let rhs_store = &rhs;
-    pipeline.stage("store_element", move |tok: ElementToken| {
-        let mut guard = rhs_store.borrow_mut();
-        tok.ws
-            .scatter_add(mesh.element_nodes(tok.element), &mut guard);
-        tok
-    });
-
+    let mut ws = ElementWorkspace::new(mesh.nodes_per_element());
     for e in 0..mesh.num_elements() {
-        pipeline.process(ElementToken {
-            element: e,
-            ws: ElementWorkspace::new(npe),
-        });
+        let nodes = mesh.element_nodes(e);
+        load_element(&mut ws, nodes, conserved, primitives);
+        compute_diff_conv(&mut ws, gas, basis, geometry.element(e), &kernel);
+        store_element(&ws, nodes, out);
     }
 }
 

@@ -12,13 +12,15 @@
 //!   improve the most latency-critical task until dependencies or the
 //!   resource budget stop progress.
 //! * [`perf`] — end-to-end performance estimation: HLS schedules → task
-//!   IIs → dataflow makespan → seconds at the achievable clock, plus DDR,
-//!   PCIe and CPU-baseline times.
+//!   IIs → analytic dataflow makespan (validated against the DES by
+//!   test) → seconds at the achievable clock, plus DDR, PCIe and
+//!   CPU-baseline times.
 //! * [`emulation`] — the solver's shard plans mapped onto the hardware:
 //!   the per-shard Load → Compute → Store DES and the banked-memory DES,
 //!   as plain functions of a [`fem_mesh::partition::ShardPlan`].
-//! * [`functional`] — proof that the task decomposition computes exactly
-//!   what the reference solver computes.
+//! * [`functional`] — the Load → Compute → Store task decomposition as a
+//!   plain per-element loop, and proof that it computes exactly what the
+//!   reference solver computes.
 //! * [`experiments`] — drivers that regenerate Fig 2, Fig 5, Table I, the
 //!   §IV-B comparison, and the ablation studies.
 //! * [`calibration`] — every constant tying model cycles/watts to

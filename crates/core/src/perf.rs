@@ -2,9 +2,9 @@
 //!
 //! Chains every model: HLS schedules give each task's per-element cycle
 //! cost; cross-task AXI bundle sharing inflates the memory-bound tasks;
-//! the dataflow model (DES for small meshes, the validated analytic
-//! steady-state formula for paper-scale meshes) turns task IIs into an
-//! RKL stage makespan; the placement + congestion model picks the clock;
+//! the analytic steady-state makespan of the task region (validated
+//! against the DES by test) turns task IIs into an RKL stage makespan;
+//! the placement + congestion model picks the clock;
 //! DDR bandwidth bounds the streaming rate; PCIe and the host's non-RK
 //! share complete the end-to-end time.
 
@@ -16,7 +16,6 @@ use fpga_platform::fmax::{achievable_fmax_mhz, place_two};
 use fpga_platform::u200::U200;
 use hls_dataflow::analytic::analytic_makespan;
 use hls_dataflow::network::{ChannelKind, Network, NetworkBuilder};
-use hls_dataflow::sim::simulate;
 use hls_dataflow::DataflowError;
 use hls_kernel::ir::ArrayKind;
 use hls_kernel::resources::{estimate_resources, ResourceUsage};
@@ -29,9 +28,6 @@ use std::collections::BTreeMap;
 pub struct PerfOptions {
     /// RK4 steps of the simulated run.
     pub rk_steps: usize,
-    /// Use the discrete-event simulator when the element count is at or
-    /// below this (above it, the property-tested analytic model).
-    pub des_element_threshold: usize,
     /// Include per-step host↔card transfers (the host executes the
     /// non-RK phase between steps).
     pub host_in_the_loop: bool,
@@ -41,7 +37,6 @@ impl Default for PerfOptions {
     fn default() -> Self {
         PerfOptions {
             rk_steps: crate::calibration::DEFAULT_RK_STEPS,
-            des_element_threshold: 50_000,
             host_in_the_loop: true,
         }
     }
@@ -207,8 +202,6 @@ pub struct PerformanceReport {
     pub rk_method_seconds: f64,
     /// Combined resource usage (RKL region + RKU).
     pub resources: ResourceUsage,
-    /// Whether the timing came from the DES (true) or the analytic model.
-    pub used_des: bool,
 }
 
 /// Per-element cycle cost of one task kernel.
@@ -353,26 +346,21 @@ pub fn estimate_performance(
     let tasks = task_perfs(design)?;
 
     // ---- RKL stage makespan (cycles). ----
-    let (rkl_cycles, used_des) = if design.config.task_level_pipelining {
+    let rkl_cycles = if design.config.task_level_pipelining {
         // Dataflow pipeline of the tasks in order.
         let [load, compute @ .., store] = tasks.as_slice() else {
             unreachable!("every design has a load and a store task")
         };
-        let net = region_network(&[Region {
+        analytic_makespan(&region_network(&[Region {
             tokens: elements,
             loads: vec![load.stage()],
             compute: compute.iter().map(TaskPerf::stage).collect(),
             stores: vec![store.stage()],
-        }])?;
-        if w.num_elements <= opts.des_element_threshold {
-            (simulate(&net)?.makespan, true)
-        } else {
-            (analytic_makespan(&net), false)
-        }
+        }])?)
     } else {
         // No TLP: each element traverses every task sequentially.
         let per_elem: u64 = tasks.iter().map(|t| t.effective_cycles_per_element).sum();
-        (per_elem * elements, false)
+        per_elem * elements
     };
     let bottleneck = tasks
         .iter()
@@ -426,7 +414,6 @@ pub fn estimate_performance(
         total_seconds,
         rk_method_seconds,
         resources: rkl_res + rku_res,
-        used_des,
     })
 }
 
@@ -475,6 +462,7 @@ mod tests {
     use super::*;
     use crate::designs::{paper_design, vitis_baseline_design};
     use crate::workload::RklWorkload;
+    use hls_dataflow::sim::simulate;
 
     fn optimized_proposed(nodes: usize) -> AcceleratorDesign {
         paper_design(&RklWorkload::with_nodes(nodes, 1))
@@ -554,33 +542,35 @@ mod tests {
 
     #[test]
     fn des_and_analytic_agree_across_the_threshold() {
-        let d = optimized_proposed(20_000);
-        let des = estimate_performance(
-            &d,
-            &PerfOptions {
-                des_element_threshold: usize::MAX,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let ana = estimate_performance(
-            &d,
-            &PerfOptions {
-                des_element_threshold: 0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(des.used_des && !ana.used_des);
-        let rel = (des.rkl_cycles_per_stage as f64 - ana.rkl_cycles_per_stage as f64).abs()
-            / ana.rkl_cycles_per_stage as f64;
-        assert!(rel < 0.05, "DES vs analytic relative gap {rel}");
+        // The analytic makespan `estimate_performance` prices the RKL
+        // region with tracks the DES of the same network within 5% on
+        // the paper's design.
+        for nodes in [5_000, 20_000, 50_000] {
+            let d = optimized_proposed(nodes);
+            let tasks = task_perfs(&d).unwrap();
+            let [load, compute, store] = tasks.as_slice() else {
+                panic!("the paper's design is one load, one compute, one store: {tasks:?}")
+            };
+            let net = region_network(&[Region {
+                tokens: d.workload.num_elements as u64,
+                loads: vec![load.stage()],
+                compute: vec![compute.stage()],
+                stores: vec![store.stage()],
+            }])
+            .unwrap();
+            let des = simulate(&net).unwrap().makespan as f64;
+            let ana = analytic_makespan(&net) as f64;
+            let rel = (des - ana).abs() / ana;
+            assert!(
+                rel < 0.05,
+                "{nodes} nodes: DES vs analytic relative gap {rel}"
+            );
+        }
     }
 
     #[test]
     fn scaling_is_roughly_linear_in_elements() {
         let opts = PerfOptions {
-            des_element_threshold: 0,
             host_in_the_loop: false,
             ..Default::default()
         };
@@ -614,7 +604,6 @@ mod tests {
         let nodes = 1_000_000;
         let d = optimized_proposed(nodes);
         let opts = PerfOptions {
-            des_element_threshold: 0,
             host_in_the_loop: false,
             ..Default::default()
         };

@@ -117,7 +117,6 @@ mod tests {
     fn opts() -> PerfOptions {
         PerfOptions {
             host_in_the_loop: false,
-            des_element_threshold: 0,
             ..Default::default()
         }
     }

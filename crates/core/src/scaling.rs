@@ -62,7 +62,6 @@ pub fn run_scaling_study(
     let device = U200::new();
     let opts = PerfOptions {
         host_in_the_loop: false,
-        des_element_threshold: 0,
         ..Default::default()
     };
     let mut points = Vec::new();

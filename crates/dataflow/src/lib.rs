@@ -17,8 +17,6 @@
 //! * [`analytic`] — closed-form steady-state model
 //!   (`makespan ≈ fill + N · max II`), cross-validated against the DES by
 //!   property tests.
-//! * [`functional`] — typed staged pipelines for functional (bit-level)
-//!   verification of a task decomposition against a reference.
 //!
 //! # Memory-bank port conflicts
 //!
@@ -63,7 +61,6 @@
 #![deny(missing_docs)]
 
 pub mod analytic;
-pub mod functional;
 pub mod network;
 pub mod sim;
 

@@ -315,6 +315,7 @@ pub struct ShardPlan {
     strategy: PartitionStrategy,
     num_elements: usize,
     num_nodes: usize,
+    nodes_per_element: usize,
     shards: Vec<Shard>,
     /// Owning shard of every node.
     owner: Vec<u32>,
@@ -507,6 +508,7 @@ impl ShardPlan {
             strategy,
             num_elements: ne,
             num_nodes: nn,
+            nodes_per_element: mesh.nodes_per_element(),
             shards: plan_shards,
             owner,
             frontier,
@@ -531,6 +533,11 @@ impl ShardPlan {
     /// Nodes of the mesh the plan was built for.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
+    }
+
+    /// Nodes per element of the mesh the plan was built for.
+    pub fn nodes_per_element(&self) -> usize {
+        self.nodes_per_element
     }
 
     /// The shards, in shard-index order.

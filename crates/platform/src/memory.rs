@@ -10,9 +10,7 @@
 //!   ([`crate::u200::SlrId`]). Two production instances are provided —
 //!   the U200's 4 × DDR4 channels ([`MemorySystem::u200_ddr`]) and a
 //!   U280-style 32-pseudo-channel HBM2 stack
-//!   ([`MemorySystem::u280_hbm2`]) — plus the 1-bank degenerate
-//!   [`MemorySystem::flat`] that reproduces the old aggregate-pipe quote
-//!   exactly.
+//!   ([`MemorySystem::u280_hbm2`]).
 //! * [`MemoryStream`] — one DDR-resident stream a kernel reads or
 //!   writes (a state-array gather, a geometry-cache slice, an RHS
 //!   scatter), sized in beats/token and resident bytes.
@@ -90,31 +88,7 @@ impl MemorySystem {
         }
     }
 
-    /// The 1-bank degenerate system: one aggregate pipe of the given
-    /// capacity and bandwidth. This is exactly the pre-banking flat
-    /// model — per-bank port arbitration collapses to the old shared
-    /// quote, and the dataflow emulation reproduces the flat
-    /// `SimulationReport` cycle-for-cycle (pinned by test).
-    pub fn flat(capacity_bytes: u64, peak_bw: f64) -> Self {
-        MemorySystem {
-            name: "flat".into(),
-            banks: vec![MemoryBank {
-                index: 0,
-                capacity_bytes,
-                peak_bw,
-                slr: SlrId::Slr0,
-            }],
-        }
-    }
-
-    /// The U200 DDR totals folded into one flat bank (the degenerate
-    /// form of [`MemorySystem::u200_ddr`]).
-    pub fn u200_flat() -> Self {
-        let ddr = Self::u200_ddr();
-        Self::flat(ddr.total_capacity_bytes(), ddr.total_peak_bw())
-    }
-
-    /// Identifier ("u200-ddr4", "u280-hbm2", "flat").
+    /// Identifier ("u200-ddr4", "u280-hbm2").
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -292,6 +266,21 @@ mod tests {
         }
     }
 
+    /// A test system of `banks` identical unit-bandwidth banks.
+    fn uniform(banks: usize, capacity_bytes: u64) -> MemorySystem {
+        MemorySystem {
+            name: "test".into(),
+            banks: (0..banks)
+                .map(|index| MemoryBank {
+                    index,
+                    capacity_bytes,
+                    peak_bw: 1.0,
+                    slr: SlrId::Slr0,
+                })
+                .collect(),
+        }
+    }
+
     #[test]
     fn production_instances_match_the_datasheets() {
         let ddr = MemorySystem::u200_ddr();
@@ -308,12 +297,6 @@ mod tests {
         assert_eq!(hbm.total_capacity_bytes(), 8 << 30);
         assert!((hbm.total_peak_bw() - 460.0e9).abs() < 1e9);
         assert!(hbm.banks().iter().all(|b| b.slr == SlrId::Slr0));
-
-        // The flat fold preserves the aggregate quote exactly.
-        let flat = MemorySystem::u200_flat();
-        assert_eq!(flat.num_banks(), 1);
-        assert_eq!(flat.total_capacity_bytes(), ddr.total_capacity_bytes());
-        assert_eq!(flat.total_peak_bw(), ddr.total_peak_bw());
     }
 
     #[test]
@@ -327,23 +310,13 @@ mod tests {
             stream(0, 1, 100, 64),
             stream(0, 1, 100, 64),
         ];
-        let sys = MemorySystem::flat(1 << 30, 1.0);
-        let two = MemorySystem {
-            name: "two".into(),
-            banks: (0..2)
-                .map(|index| MemoryBank {
-                    index,
-                    capacity_bytes: 1 << 30,
-                    peak_bw: 1.0,
-                    slr: SlrId::Slr0,
-                })
-                .collect(),
-        };
+        let one = uniform(1, 1 << 30);
+        let two = uniform(2, 1 << 30);
         let g = BankAssignment::greedy(&streams, &two);
         let beats = g.bank_beats(&streams);
         assert_eq!(beats.iter().max(), Some(&1000));
         // 1-bank systems map everything to bank 0.
-        let f = BankAssignment::round_robin(&streams, &sys);
+        let f = BankAssignment::round_robin(&streams, &one);
         assert!(f.bank_of.iter().all(|&b| b == 0));
     }
 
@@ -351,17 +324,7 @@ mod tests {
     fn greedy_respects_capacity_when_feasible() {
         // Two big streams that only fit one per bank.
         let streams = vec![stream(0, 1, 10, 900), stream(1, 1, 10, 900)];
-        let two = MemorySystem {
-            name: "two".into(),
-            banks: (0..2)
-                .map(|index| MemoryBank {
-                    index,
-                    capacity_bytes: 1000,
-                    peak_bw: 1.0,
-                    slr: SlrId::Slr0,
-                })
-                .collect(),
-        };
+        let two = uniform(2, 1000);
         let g = BankAssignment::greedy(&streams, &two);
         assert!(g.capacity_respected(&streams, &two));
         assert_ne!(g.bank_of[0], g.bank_of[1]);
@@ -378,12 +341,7 @@ mod tests {
             let streams: Vec<MemoryStream> = (0..n)
                 .map(|i| stream(i, 1 + (seed + i as u64) % 12, 1 + (i as u64 % 50), 64))
                 .collect();
-            let sys = MemorySystem {
-                name: "t".into(),
-                banks: (0..banks).map(|index| MemoryBank {
-                    index, capacity_bytes: 1 << 20, peak_bw: 1.0, slr: SlrId::Slr0,
-                }).collect(),
-            };
+            let sys = uniform(banks, 1 << 20);
             for a in [BankAssignment::round_robin(&streams, &sys),
                       BankAssignment::greedy(&streams, &sys)] {
                 prop_assert_eq!(a.bank_of.len(), streams.len());
@@ -403,12 +361,7 @@ mod tests {
                 .map(|i| stream(i, 1, 10, 100))
                 .collect();
             let cap = 100 * n.div_ceil(banks) as u64 + 100;
-            let sys = MemorySystem {
-                name: "t".into(),
-                banks: (0..banks).map(|index| MemoryBank {
-                    index, capacity_bytes: cap, peak_bw: 1.0, slr: SlrId::Slr0,
-                }).collect(),
-            };
+            let sys = uniform(banks, cap);
             let g = BankAssignment::greedy(&streams, &sys);
             prop_assert!(g.capacity_respected(&streams, &sys));
         }
@@ -424,12 +377,7 @@ mod tests {
             let streams: Vec<MemoryStream> = (0..n)
                 .map(|i| stream(i, 1 + (seed * 7 + i as u64 * 13) % 20, 1 + (i as u64 % 30), 1))
                 .collect();
-            let sys = MemorySystem {
-                name: "t".into(),
-                banks: (0..banks).map(|index| MemoryBank {
-                    index, capacity_bytes: 1 << 30, peak_bw: 1.0, slr: SlrId::Slr0,
-                }).collect(),
-            };
+            let sys = uniform(banks, 1 << 30);
             let rr = BankAssignment::round_robin(&streams, &sys);
             let g = BankAssignment::greedy(&streams, &sys);
             let floors = vec![0u64];

@@ -118,7 +118,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let opts = PerfOptions {
         host_in_the_loop: false,
-        des_element_threshold: 0,
         ..Default::default()
     };
     for percent in [25u64, 50, 75, 100, 150, 200] {

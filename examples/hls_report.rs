@@ -25,7 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let opts = PerfOptions {
         host_in_the_loop: false,
-        des_element_threshold: 0,
         ..Default::default()
     };
     let report = DesignReport::generate(&design, &opts)?;

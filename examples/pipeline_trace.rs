@@ -6,27 +6,31 @@
 //! cargo run --release --example pipeline_trace
 //! ```
 
+use fem_cfd_accel::accel::designs::paper_design;
+use fem_cfd_accel::accel::perf::{region_network, task_perfs, Region, TaskPerf};
+use fem_cfd_accel::accel::workload::RklWorkload;
 use fem_cfd_accel::dataflow::analytic::{sequential_makespan, tlp_speedup};
-use fem_cfd_accel::dataflow::network::{ChannelKind, NetworkBuilder};
 use fem_cfd_accel::dataflow::sim::simulate_with_trace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The proposed RKL pipeline at its optimized IIs (cycles/element):
-    // load 8, merged diffusion+convection 32, store 8.
-    let mut b = NetworkBuilder::new();
-    let c1 = b.channel("load→compute", 8, ChannelKind::Fifo);
-    let c2 = b.channel("compute→store", 8, ChannelKind::Fifo);
-    b.task("LOAD", 8, 21, vec![], vec![c1]);
-    b.task("COMPUTE", 32, 96, vec![c1], vec![c2]);
-    b.task("STORE", 8, 21, vec![c2], vec![]);
+    // The paper's RKL region at its optimized HLS timing: load, merged
+    // diffusion+convection, store.
+    let tasks = task_perfs(&paper_design(&RklWorkload::with_nodes(4_200_000, 1)))?;
+    let [load, compute @ .., store] = tasks.as_slice() else {
+        unreachable!("every design has a load and a store task")
+    };
     let tokens = 12;
-    let net = b.build(tokens)?;
+    let net = region_network(&[Region {
+        tokens,
+        loads: vec![load.stage()],
+        compute: compute.iter().map(TaskPerf::stage).collect(),
+        stores: vec![store.stage()],
+    }])?;
     let report = simulate_with_trace(&net, true)?;
 
     println!("RKL dataflow pipeline, {tokens} elements\n");
     let scale = 8; // cycles per character
-    let names = ["LOAD", "COMPUTE", "STORE"];
-    for (tid, name) in names.iter().enumerate() {
+    for (tid, task) in net.tasks().iter().enumerate() {
         let mut line = vec![b' '; (report.makespan as usize / scale) + 2];
         for ev in report.trace.iter().filter(|e| e.task == tid) {
             let s = ev.start as usize / scale;
@@ -36,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 *slot = glyph as u8;
             }
         }
-        println!("{:>8} |{}|", name, String::from_utf8_lossy(&line));
+        println!("{:>13} |{}|", task.name, String::from_utf8_lossy(&line));
     }
     println!(
         "\n(one column = {scale} cycles; digits are element ids mod 10; overlapping\n digits across rows are the task-level pipelining of §III-B)"
@@ -49,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("TLP speedup          : {:>6.2}×", tlp_speedup(&net));
     for t in &report.task_stats {
         println!(
-            "  {:<8} invocations {:>3}, stalled {:>4} cycles",
+            "  {:<13} invocations {:>3}, stalled {:>4} cycles",
             t.name, t.invocations, t.stall_cycles
         );
     }

@@ -5,36 +5,32 @@
 
 use fem_cfd_accel::accel::designs::{paper_design, proposed_design, vitis_baseline_design};
 use fem_cfd_accel::accel::optimizer::{optimize_design, OptimizerConfig};
-use fem_cfd_accel::accel::perf::{estimate_performance, PerfOptions};
+use fem_cfd_accel::accel::perf::{
+    estimate_performance, region_network, task_perfs, PerfOptions, Region,
+};
 use fem_cfd_accel::accel::workload::RklWorkload;
+use fem_cfd_accel::dataflow::analytic::analytic_makespan;
+use fem_cfd_accel::dataflow::sim::simulate;
 use fem_cfd_accel::hls::schedule::schedule_kernel;
 
 #[test]
 fn des_matches_analytic_on_real_designs_at_multiple_sizes() {
     for nodes in [5_000usize, 20_000, 50_000] {
         let d = paper_design(&RklWorkload::with_nodes(nodes, 1));
-        let des = estimate_performance(
-            &d,
-            &PerfOptions {
-                des_element_threshold: usize::MAX,
-                host_in_the_loop: false,
-                ..Default::default()
-            },
-        )
+        let tasks = task_perfs(&d).unwrap();
+        let [load, compute, store] = tasks.as_slice() else {
+            panic!("the paper's design is one load, one compute, one store: {tasks:?}")
+        };
+        let net = region_network(&[Region {
+            tokens: d.workload.num_elements as u64,
+            loads: vec![load.stage()],
+            compute: vec![compute.stage()],
+            stores: vec![store.stage()],
+        }])
         .unwrap();
-        let ana = estimate_performance(
-            &d,
-            &PerfOptions {
-                des_element_threshold: 0,
-                host_in_the_loop: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(des.used_des);
-        assert!(!ana.used_des);
-        let rel = (des.rkl_cycles_per_stage as f64 - ana.rkl_cycles_per_stage as f64).abs()
-            / ana.rkl_cycles_per_stage as f64;
+        let des = simulate(&net).unwrap().makespan as f64;
+        let ana = analytic_makespan(&net) as f64;
+        let rel = (des - ana).abs() / ana;
         assert!(rel < 0.05, "{nodes} nodes: DES/analytic gap {rel:.3}");
     }
 }
@@ -71,7 +67,6 @@ fn baseline_never_beats_proposed_anywhere() {
         let b = vitis_baseline_design(&w);
         let opts = PerfOptions {
             host_in_the_loop: false,
-            des_element_threshold: 0,
             ..Default::default()
         };
         let rp = estimate_performance(&p, &opts).unwrap();
