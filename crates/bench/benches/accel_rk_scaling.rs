@@ -4,15 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fem_accel::designs::{paper_design, vitis_baseline_design};
-use fem_accel::perf::{estimate_performance, PerfOptions};
+use fem_accel::perf::estimate_performance;
 use fem_accel::workload::RklWorkload;
 use fem_mesh::generator::FIG5_MESH_SIZES;
 
 fn bench_fig5_pipeline(c: &mut Criterion) {
-    let opts = PerfOptions {
-        host_in_the_loop: false,
-        ..Default::default()
-    };
     let mut group = c.benchmark_group("fig5_model");
     group.sample_size(10);
     for (label, nodes) in FIG5_MESH_SIZES {
@@ -21,8 +17,8 @@ fn bench_fig5_pipeline(c: &mut Criterion) {
                 let w = RklWorkload::with_nodes(nodes, 1);
                 let p = paper_design(&w);
                 let base = vitis_baseline_design(&w);
-                let rp = estimate_performance(&p, &opts).unwrap();
-                let rb = estimate_performance(&base, &opts).unwrap();
+                let rp = estimate_performance(&p).unwrap();
+                let rb = estimate_performance(&base).unwrap();
                 (rp.rk_method_seconds, rb.rk_method_seconds)
             });
         });
@@ -35,8 +31,8 @@ fn bench_fig5_pipeline(c: &mut Criterion) {
         let w = RklWorkload::with_nodes(nodes, 1);
         let p = paper_design(&w);
         let base = vitis_baseline_design(&w);
-        let rp = estimate_performance(&p, &opts).unwrap();
-        let rb = estimate_performance(&base, &opts).unwrap();
+        let rp = estimate_performance(&p).unwrap();
+        let rb = estimate_performance(&base).unwrap();
         println!(
             "  {label:>5}: proposed {:>8.3} s | vitis {:>8.3} s | speedup {:.2}x",
             rp.rk_method_seconds,

@@ -241,10 +241,9 @@ pub fn run_banking_study(
     let mut hbm_win_scenarios = Vec::new();
     for scenario in Scenario::registry() {
         let name = scenario.name();
-        let sim = scenario
-            .simulation(edge)
-            .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
-        let mesh = sim.core().mesh();
+        let mesh = &scenario
+            .mesh(edge)
+            .unwrap_or_else(|e| panic!("{name}: mesh build failed: {e}"));
         let elements = mesh.num_elements();
         let compute = compute_task(&paper_design(&RklWorkload::from_mesh(mesh)))
             .unwrap_or_else(|e| panic!("{name}: scheduling the paper's design failed: {e}"));

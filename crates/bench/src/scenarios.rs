@@ -24,7 +24,7 @@ use fem_accel::experiments::{scenario_workload, ScenarioWorkload};
 use fem_numerics::rk::StateOps;
 use fem_solver::scenarios::Scenario;
 use fem_solver::state::Conserved;
-use fem_solver::{AssemblyStrategy, BackendSelect, PartitionStrategy};
+use fem_solver::{AssemblyStrategy, BackendSelect, PartitionStrategy, SimulationBuilder};
 use serde::Serialize;
 
 /// Maximum per-step relative deviation a backend may show against the
@@ -208,7 +208,8 @@ pub fn run_scenario_matrix(edge: usize, steps: usize) -> ScenarioMatrix {
     for scenario in Scenario::registry() {
         let name = scenario.name();
         let mut serial = scenario
-            .simulation(edge)
+            .builder(edge, 1)
+            .and_then(SimulationBuilder::build)
             .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
         let dt = serial.suggest_dt(scenario.default_cfl());
         let start = serial.diagnostics();
@@ -216,11 +217,10 @@ pub fn run_scenario_matrix(edge: usize, steps: usize) -> ScenarioMatrix {
         let mut others: Vec<(BackendSelect, fem_solver::Simulation, f64)> = PARALLEL_BACKENDS
             .iter()
             .map(|&select| {
-                let mut sim = scenario
-                    .simulation(edge)
-                    .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
-                sim.set_backend(select)
-                    .unwrap_or_else(|e| panic!("{name}: {select} attach failed: {e}"));
+                let sim = scenario
+                    .builder(edge, 1)
+                    .and_then(|b| b.backend(select).build())
+                    .unwrap_or_else(|e| panic!("{name}: {select} build failed: {e}"));
                 (select, sim, 0.0f64)
             })
             .collect();

@@ -48,7 +48,7 @@ use fem_accel::perf::{compute_task, TaskPerf};
 use fem_accel::workload::RklWorkload;
 use fem_solver::engine::{BackendSelect, PartitionStrategy};
 use fem_solver::scenarios::Scenario;
-use fem_solver::{DevicePhaseSeconds, Simulation};
+use fem_solver::{DevicePhaseSeconds, Simulation, SimulationBuilder};
 use serde::Serialize;
 
 /// Counts the study sweeps: the plan view's shard counts and the
@@ -430,14 +430,14 @@ fn run_cell(
     overlap_rows: &mut Vec<DevicePhaseRow>,
 ) -> (StrategyCell, OverlapCell) {
     let name = scenario.name();
-    let mut sim = scenario
-        .simulation(edge)
-        .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
-    sim.set_backend(BackendSelect::MultiDevice {
+    let select = BackendSelect::MultiDevice {
         devices: count,
         strategy,
-    })
-    .unwrap_or_else(|e| panic!("{name}: multidevice backend build failed: {e}"));
+    };
+    let mut sim = scenario
+        .builder(edge, 1)
+        .and_then(|b| b.backend(select).build())
+        .unwrap_or_else(|e| panic!("{name}: {select} build failed: {e}"));
     sim.advance(steps, dt)
         .unwrap_or_else(|e| panic!("{name}: multidevice({count}, {strategy}) run failed: {e}"));
     let bits = sim.conserved().to_bit_vec();
@@ -584,7 +584,8 @@ pub fn run_sharding_study(edge: usize, steps: usize, shard_counts: &[usize]) -> 
     for scenario in Scenario::registry() {
         let name = scenario.name();
         let mut reference = scenario
-            .simulation(edge)
+            .builder(edge, 1)
+            .and_then(SimulationBuilder::build)
             .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
         let dt = reference.suggest_dt(scenario.default_cfl());
         reference

@@ -10,9 +10,7 @@ use crate::designs::{
     build_design, paper_design, vitis_baseline_design, DesignConfig, BATCH_ELEMENTS,
 };
 use crate::optimizer::{optimize_design, region_resources, OptimizerConfig};
-use crate::perf::{
-    cpu_end_to_end_seconds, estimate_performance, fpga_end_to_end_seconds, PerfOptions,
-};
+use crate::perf::{cpu_end_to_end_seconds, estimate_performance, fpga_end_to_end_seconds};
 use crate::workload::RklWorkload;
 use fem_mesh::generator::{BoxMeshBuilder, FIG5_MESH_SIZES};
 use fem_solver::driver::Simulation;
@@ -180,10 +178,6 @@ pub struct Fig5Result {
 ///
 /// Propagates scheduling/estimation failures.
 pub fn run_fig5() -> Result<Fig5Result, ExpError> {
-    let opts = PerfOptions {
-        host_in_the_loop: false,
-        ..Default::default()
-    };
     let mut rows = Vec::new();
     for (label, target) in FIG5_MESH_SIZES {
         let b = BoxMeshBuilder::with_node_budget(target);
@@ -191,8 +185,8 @@ pub fn run_fig5() -> Result<Fig5Result, ExpError> {
         let w = RklWorkload::with_nodes(nodes, 1);
         let proposed = paper_design(&w);
         let baseline = vitis_baseline_design(&w);
-        let rp = estimate_performance(&proposed, &opts)?;
-        let rb = estimate_performance(&baseline, &opts)?;
+        let rp = estimate_performance(&proposed)?;
+        let rb = estimate_performance(&baseline)?;
         rows.push(Fig5Row {
             label: label.to_string(),
             nodes,
@@ -396,10 +390,9 @@ pub fn run_table2(nodes: usize, cal: Option<CpuCalibration>) -> Result<Table2Res
     let w = RklWorkload::with_nodes(nodes, 1);
     let cal = cal.unwrap_or_else(|| CpuCalibration::roofline_default(&w));
     let proposed = paper_design(&w);
-    let opts = PerfOptions::default();
-    let report = estimate_performance(&proposed, &opts)?;
-    let cpu_s = cpu_end_to_end_seconds(&w, &cal, opts.rk_steps);
-    let fpga_s = fpga_end_to_end_seconds(&report, &w, &cal, opts.rk_steps);
+    let report = estimate_performance(&proposed)?;
+    let cpu_s = cpu_end_to_end_seconds(&w, &cal, calibration::DEFAULT_RK_STEPS);
+    let fpga_s = fpga_end_to_end_seconds(&report, &w, &cal, calibration::DEFAULT_RK_STEPS);
     let power_model = FpgaPowerModel::default();
     let power = power_model.breakdown(&report.resources, report.fmax_mhz, 4);
     let cpu = fpga_platform::cpu::CpuModel::xeon_silver_4210();
@@ -491,10 +484,6 @@ pub fn run_ablations(nodes: usize) -> Result<AblationResult, ExpError> {
     /// A named tweak disabling one §III optimization.
     type Ablation = (&'static str, Box<dyn Fn(&mut DesignConfig)>);
     let w = RklWorkload::with_nodes(nodes, 1);
-    let opts = PerfOptions {
-        host_in_the_loop: false,
-        ..Default::default()
-    };
     let variants: Vec<Ablation> = vec![
         ("proposed (full)", Box::new(|_| {})),
         (
@@ -527,7 +516,7 @@ pub fn run_ablations(nodes: usize) -> Result<AblationResult, ExpError> {
         tweak(&mut cfg);
         let mut design = build_design(name, &w, cfg)?;
         optimize_design(&mut design, &OptimizerConfig::for_u200_slr())?;
-        let r = estimate_performance(&design, &opts)?;
+        let r = estimate_performance(&design)?;
         let base = *base_time.get_or_insert(r.rk_method_seconds);
         rows.push(AblationRow {
             name: name.to_string(),

@@ -99,7 +99,7 @@ pub fn staged_stage_residual_into(
 
 /// The staged Load → Compute → Store task pipeline registered as a
 /// solver [`ExecutionBackend`] — the external-backend registration path
-/// ([`fem_solver::driver::Simulation::set_custom_backend`]) exercised by
+/// ([`fem_solver::driver::SimulationBuilder::custom_backend`]) exercised by
 /// the accelerator's functional model itself. Every RHS evaluation
 /// routes the element tokens through [`staged_stage_residual_into`], so a
 /// `Simulation` running on this backend *is* the accelerated solver at
@@ -158,6 +158,7 @@ mod tests {
     use fem_mesh::generator::BoxMeshBuilder;
     use fem_solver::driver::Simulation;
     use fem_solver::engine::ReferenceBackend;
+    use fem_solver::scenarios::Scenario;
     use fem_solver::tgv::TgvConfig;
 
     /// The staged sweep and the reference backend's monolithic loop on
@@ -226,8 +227,10 @@ mod tests {
         let initial = cfg.initial_state(&mesh);
 
         let mut reference = Simulation::new(mesh.clone(), cfg.gas(), initial.clone()).unwrap();
-        let mut accelerated = Simulation::new(mesh, cfg.gas(), initial.clone()).unwrap();
-        accelerated.set_custom_backend(Box::new(StagedBackend));
+        let mut accelerated = Simulation::builder(mesh, cfg.gas(), initial.clone())
+            .custom_backend(Box::new(StagedBackend))
+            .build()
+            .unwrap();
         let dt = reference.suggest_dt(0.4);
         for step in 1..=5 {
             reference.step(dt).unwrap();
@@ -261,8 +264,10 @@ mod tests {
         let dt = reference.suggest_dt(0.4);
         reference.advance(5, dt).unwrap();
 
-        let mut accelerated = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        accelerated.set_custom_backend(Box::new(StagedBackend));
+        let mut accelerated = Simulation::builder(mesh, cfg.gas(), initial)
+            .custom_backend(Box::new(StagedBackend))
+            .build()
+            .unwrap();
         assert_eq!(accelerated.backend().name(), "staged-dataflow");
         assert!(accelerated.backend().as_multi_device().is_none());
         accelerated.advance(5, dt).unwrap();
@@ -272,6 +277,37 @@ mod tests {
             reference.conserved().to_bit_vec(),
             "staged backend diverged from the reference driver"
         );
+    }
+
+    #[test]
+    fn staged_backend_pins_the_cavity_walls_bitwise() {
+        // The wall-bounded scenario: the driver's Dirichlet BC wraps the
+        // staged assembly exactly as it wraps the serial loop, so five
+        // RK4 steps of the lid-driven cavity agree in bits and every lid
+        // and wall node stays at its target.
+        let scenario = Scenario::lid_cavity();
+        let mut reference = scenario.builder(4, 1).unwrap().build().unwrap();
+        let mut accelerated = scenario
+            .builder(4, 1)
+            .unwrap()
+            .custom_backend(Box::new(StagedBackend))
+            .build()
+            .unwrap();
+        assert_eq!(accelerated.backend().name(), "staged-dataflow");
+        let dt = reference.suggest_dt(scenario.default_cfl());
+        reference.advance(5, dt).unwrap();
+        accelerated.advance(5, dt).unwrap();
+        assert_eq!(
+            accelerated.conserved().to_bit_vec(),
+            reference.conserved().to_bit_vec(),
+            "staged cavity run diverged from the reference driver"
+        );
+        let bc = accelerated.bc().expect("the cavity is wall-bounded");
+        assert!(
+            bc.targets().iter().any(|(_, v)| v[1] != 0.0),
+            "no lid nodes"
+        );
+        assert_eq!(bc.max_abs_deviation(accelerated.conserved()), 0.0);
     }
 
     #[test]
@@ -295,9 +331,9 @@ mod tests {
 
         let mut accelerated = Simulation::builder(mesh.clone(), cfg.gas(), initial.clone())
             .kernel_path(KernelPath::FullMatrix)
+            .custom_backend(Box::new(StagedBackend))
             .build()
             .unwrap();
-        accelerated.set_custom_backend(Box::new(StagedBackend));
         accelerated.advance(3, dt).unwrap();
         assert_eq!(
             accelerated.conserved().to_bit_vec(),

@@ -8,7 +8,7 @@
 //! DDR bandwidth bounds the streaming rate; PCIe and the host's non-RK
 //! share complete the end-to-end time.
 
-use crate::calibration::{CpuCalibration, NON_RK_FRACTION, RK_STAGES};
+use crate::calibration::{CpuCalibration, DEFAULT_RK_STEPS, NON_RK_FRACTION, RK_STAGES};
 use crate::designs::AcceleratorDesign;
 use crate::optimizer::region_resources;
 use fpga_platform::axi::{transfer_seconds, ChannelMap};
@@ -22,25 +22,6 @@ use hls_kernel::resources::{estimate_resources, ResourceUsage};
 use hls_kernel::schedule::schedule_kernel;
 use hls_kernel::HlsError;
 use std::collections::BTreeMap;
-
-/// Estimation options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfOptions {
-    /// RK4 steps of the simulated run.
-    pub rk_steps: usize,
-    /// Include per-step host↔card transfers (the host executes the
-    /// non-RK phase between steps).
-    pub host_in_the_loop: bool,
-}
-
-impl Default for PerfOptions {
-    fn default() -> Self {
-        PerfOptions {
-            rk_steps: crate::calibration::DEFAULT_RK_STEPS,
-            host_in_the_loop: true,
-        }
-    }
-}
 
 /// Per-task performance facts.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,9 +175,10 @@ pub struct PerformanceReport {
     /// Seconds per RK stage (kernel time vs DDR streaming, whichever
     /// binds).
     pub stage_seconds: f64,
-    /// Seconds per RK4 step (4 stages + host transfers if enabled).
+    /// Seconds per RK4 step (4 stages + the per-step host transfers).
     pub step_seconds: f64,
-    /// Seconds for the whole run (`rk_steps` steps + initial PCIe load).
+    /// Seconds for the whole run ([`DEFAULT_RK_STEPS`] steps + initial
+    /// PCIe load).
     pub total_seconds: f64,
     /// RK-method-only seconds for the whole run (the Fig 5 metric).
     pub rk_method_seconds: f64,
@@ -329,7 +311,10 @@ pub fn compute_task(design: &AcceleratorDesign) -> Result<TaskPerf, HlsError> {
         .clone())
 }
 
-/// Estimates the performance of `design`.
+/// Estimates the performance of `design` over a run of
+/// [`DEFAULT_RK_STEPS`] RK4 steps, with the host executing the non-RK
+/// phase between steps (each step pays its host↔card PCIe transfer,
+/// Table II's definition of a step).
 ///
 /// # Errors
 ///
@@ -337,7 +322,6 @@ pub fn compute_task(design: &AcceleratorDesign) -> Result<TaskPerf, HlsError> {
 /// (neither occurs for designs produced by [`crate::designs`]).
 pub fn estimate_performance(
     design: &AcceleratorDesign,
-    opts: &PerfOptions,
 ) -> Result<PerformanceReport, Box<dyn std::error::Error>> {
     let device = U200::new();
     let w = &design.workload;
@@ -394,13 +378,11 @@ pub fn estimate_performance(
     let stage_seconds = rkl_seconds + rku_seconds;
 
     // ---- Per-step and total. ----
-    let mut step_seconds = stage_seconds * RK_STAGES as f64;
-    if opts.host_in_the_loop {
-        step_seconds += fpga_platform::pcie::transfer_seconds(w.host_transfer_bytes_per_step());
-    }
+    let step_seconds = stage_seconds * RK_STAGES as f64
+        + fpga_platform::pcie::transfer_seconds(w.host_transfer_bytes_per_step());
     let init = fpga_platform::pcie::transfer_seconds(11 * w.num_nodes as u64 * 8);
-    let rk_method_seconds = stage_seconds * RK_STAGES as f64 * opts.rk_steps as f64;
-    let total_seconds = step_seconds * opts.rk_steps as f64 + init;
+    let rk_method_seconds = stage_seconds * RK_STAGES as f64 * DEFAULT_RK_STEPS as f64;
+    let total_seconds = step_seconds * DEFAULT_RK_STEPS as f64 + init;
 
     Ok(PerformanceReport {
         design: design.name.clone(),
@@ -511,8 +493,8 @@ mod tests {
     fn proposed_clocks_faster_than_baseline() {
         let d = optimized_proposed(100_000);
         let b = vitis_baseline_design(&RklWorkload::with_nodes(100_000, 1));
-        let rp = estimate_performance(&d, &PerfOptions::default()).unwrap();
-        let rb = estimate_performance(&b, &PerfOptions::default()).unwrap();
+        let rp = estimate_performance(&d).unwrap();
+        let rb = estimate_performance(&b).unwrap();
         assert!(
             rp.fmax_mhz > rb.fmax_mhz,
             "proposed {} MHz vs baseline {} MHz",
@@ -527,12 +509,8 @@ mod tests {
         let nodes = 200_000;
         let d = optimized_proposed(nodes);
         let b = vitis_baseline_design(&RklWorkload::with_nodes(nodes, 1));
-        let opts = PerfOptions {
-            host_in_the_loop: false,
-            ..Default::default()
-        };
-        let rp = estimate_performance(&d, &opts).unwrap();
-        let rb = estimate_performance(&b, &opts).unwrap();
+        let rp = estimate_performance(&d).unwrap();
+        let rb = estimate_performance(&b).unwrap();
         let speedup = rb.rk_method_seconds / rp.rk_method_seconds;
         assert!(
             (4.0..=14.0).contains(&speedup),
@@ -570,14 +548,10 @@ mod tests {
 
     #[test]
     fn scaling_is_roughly_linear_in_elements() {
-        let opts = PerfOptions {
-            host_in_the_loop: false,
-            ..Default::default()
-        };
-        let t1 = estimate_performance(&optimized_proposed(1_000_000), &opts)
+        let t1 = estimate_performance(&optimized_proposed(1_000_000))
             .unwrap()
             .rk_method_seconds;
-        let t3 = estimate_performance(&optimized_proposed(3_000_000), &opts)
+        let t3 = estimate_performance(&optimized_proposed(3_000_000))
             .unwrap()
             .rk_method_seconds;
         let growth = t3 / t1;
@@ -590,7 +564,7 @@ mod tests {
     #[test]
     fn baseline_bottleneck_is_memory() {
         let b = vitis_baseline_design(&RklWorkload::with_nodes(100_000, 1));
-        let r = estimate_performance(&b, &PerfOptions::default()).unwrap();
+        let r = estimate_performance(&b).unwrap();
         // Load and store share `gmem`: one of them must be the bottleneck.
         assert!(
             r.bottleneck.contains("load") || r.bottleneck.contains("store"),
@@ -603,14 +577,10 @@ mod tests {
     fn proposed_beats_cpu_on_rk_method() {
         let nodes = 1_000_000;
         let d = optimized_proposed(nodes);
-        let opts = PerfOptions {
-            host_in_the_loop: false,
-            ..Default::default()
-        };
-        let rp = estimate_performance(&d, &opts).unwrap();
+        let rp = estimate_performance(&d).unwrap();
         let w = RklWorkload::with_nodes(nodes, 1);
         let cal = CpuCalibration::roofline_default(&w);
-        let cpu = cpu_rk_method_seconds(&w, &cal, opts.rk_steps);
+        let cpu = cpu_rk_method_seconds(&w, &cal, DEFAULT_RK_STEPS);
         assert!(
             rp.rk_method_seconds < cpu,
             "FPGA {} s vs CPU {} s",

@@ -3,7 +3,7 @@
 //! placement, clock, power, DDR demand, and the generated HLS C++.
 
 use crate::designs::AcceleratorDesign;
-use crate::perf::{estimate_performance, PerfOptions, PerformanceReport};
+use crate::perf::{estimate_performance, PerformanceReport};
 use fpga_platform::power::{FpgaPowerBreakdown, FpgaPowerModel};
 use fpga_platform::u200::U200;
 use hls_kernel::report::{comparison_table, KernelReport};
@@ -32,14 +32,13 @@ impl DesignReport {
     /// Propagates scheduling/estimation failures.
     pub fn generate(
         design: &AcceleratorDesign,
-        opts: &PerfOptions,
     ) -> Result<DesignReport, Box<dyn std::error::Error>> {
         let mut kernels = Vec::new();
         for k in &design.rkl_tasks {
             kernels.push(KernelReport::generate(k)?);
         }
         kernels.push(KernelReport::generate(&design.rku)?);
-        let performance = estimate_performance(design, opts)?;
+        let performance = estimate_performance(design)?;
         let power =
             FpgaPowerModel::default().breakdown(&performance.resources, performance.fmax_mhz, 4);
         let device = U200::new();
@@ -114,17 +113,10 @@ mod tests {
     use crate::designs::{paper_design, vitis_baseline_design};
     use crate::workload::RklWorkload;
 
-    fn opts() -> PerfOptions {
-        PerfOptions {
-            host_in_the_loop: false,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn report_has_all_sections() {
         let d = paper_design(&RklWorkload::with_nodes(100_000, 1));
-        let r = DesignReport::generate(&d, &opts()).unwrap();
+        let r = DesignReport::generate(&d).unwrap();
         let text = r.render(&d, true);
         for needle in [
             "design report: proposed",
@@ -150,7 +142,7 @@ mod tests {
     fn baseline_report_shows_single_bundle() {
         let w = RklWorkload::with_nodes(50_000, 1);
         let d = vitis_baseline_design(&w);
-        let r = DesignReport::generate(&d, &opts()).unwrap();
+        let r = DesignReport::generate(&d).unwrap();
         let text = r.render(&d, true);
         assert!(text.contains("bundle=gmem port="));
         assert!(!text.contains("bundle=gmem_0"));

@@ -10,7 +10,7 @@
 
 use crate::designs::{paper_design, AcceleratorDesign};
 use crate::optimizer::region_resources;
-use crate::perf::{estimate_performance, PerfOptions};
+use crate::perf::estimate_performance;
 use crate::workload::RklWorkload;
 use fpga_platform::fmax::achievable_fmax_mhz;
 use fpga_platform::u200::{Placement, SlrId, U200};
@@ -60,15 +60,11 @@ pub fn run_scaling_study(
     max_units: usize,
 ) -> Result<ScalingStudy, Box<dyn std::error::Error>> {
     let device = U200::new();
-    let opts = PerfOptions {
-        host_in_the_loop: false,
-        ..Default::default()
-    };
     let mut points = Vec::new();
     let mut single_time = None;
     for units in 1..=max_units.min(3) {
         let shard = optimized_shard(nodes, units);
-        let shard_perf = estimate_performance(&shard, &opts)?;
+        let shard_perf = estimate_performance(&shard)?;
 
         // Placement: prefer the shell-free SLRs (0 and 2) for RKL units,
         // give RKU a free SLR while one exists, and only co-locate it

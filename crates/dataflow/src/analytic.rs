@@ -56,12 +56,6 @@ pub fn analytic_makespan(net: &Network) -> u64 {
     fill + net.bottleneck_ii() * (tokens - 1)
 }
 
-/// The throughput (tokens per cycle) the network approaches as the token
-/// count grows.
-pub fn steady_state_throughput(net: &Network) -> f64 {
-    1.0 / net.bottleneck_ii() as f64
-}
-
 /// Analytic makespan of the *same* work executed without task-level
 /// pipelining: each token traverses every task sequentially before the
 /// next begins (the unoptimized baseline the paper's TLP removes).
@@ -119,12 +113,6 @@ mod tests {
         let net = chain(&[10, 10, 10], &[10, 10, 10], 2, 10_000);
         let s = tlp_speedup(&net);
         assert!((s - 3.0).abs() < 0.05, "speedup {s}");
-    }
-
-    #[test]
-    fn throughput_is_bottleneck_inverse() {
-        let net = chain(&[2, 8, 4], &[5, 20, 9], 2, 100);
-        assert!((steady_state_throughput(&net) - 0.125).abs() < 1e-12);
     }
 
     proptest! {

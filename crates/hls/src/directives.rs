@@ -29,19 +29,6 @@ pub fn set_pipeline(kernel: &mut Kernel, label: &str, target_ii: u32) -> Result<
     Ok(())
 }
 
-/// Removes the pipeline directive from the labeled loop.
-///
-/// # Errors
-///
-/// [`HlsError::UnknownName`] if no loop carries the label.
-pub fn clear_pipeline(kernel: &mut Kernel, label: &str) -> Result<(), HlsError> {
-    let lp = kernel
-        .find_loop_mut(label)
-        .ok_or_else(|| HlsError::UnknownName(label.to_string()))?;
-    lp.pipeline = None;
-    Ok(())
-}
-
 /// Sets an unroll directive on the labeled loop.
 ///
 /// # Errors

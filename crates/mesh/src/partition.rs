@@ -303,9 +303,11 @@ impl Shard {
 /// # Example
 ///
 /// ```
-/// use fem_mesh::{generator::BoxMeshBuilder, partition::ShardPlan};
+/// use fem_mesh::generator::BoxMeshBuilder;
+/// use fem_mesh::partition::{PartitionStrategy, ShardPlan};
 /// let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
-/// let plan = ShardPlan::new(&mesh, 4).unwrap();
+/// let strategy = PartitionStrategy::Contiguous;
+/// let plan = ShardPlan::with_strategy(&mesh, 4, usize::MAX, strategy).unwrap();
 /// assert_eq!(plan.num_shards(), 4);
 /// let owned: usize = plan.shards().iter().map(|s| s.owned_nodes().len()).sum();
 /// assert_eq!(owned, mesh.num_nodes());
@@ -324,38 +326,13 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Decomposes `mesh` into `shards` balanced contiguous element
-    /// shards, streaming each shard as a single batch. `shards` is
-    /// clamped to the element count, so every shard is non-empty —
-    /// callers that label results by shard count should read the
-    /// effective [`ShardPlan::num_shards`] back rather than echo the
-    /// requested value.
-    ///
-    /// # Errors
-    ///
-    /// [`MeshError::InvalidParameter`] if `shards == 0`.
-    pub fn new(mesh: &HexMesh, shards: usize) -> Result<ShardPlan, MeshError> {
-        Self::with_batch(mesh, shards, usize::MAX)
-    }
-
-    /// Like [`ShardPlan::new`], but re-batches each shard's element list
-    /// into streaming batches of at most `batch_elements` elements.
-    ///
-    /// # Errors
-    ///
-    /// [`MeshError::InvalidParameter`] if `shards == 0` or
-    /// `batch_elements == 0`.
-    pub fn with_batch(
-        mesh: &HexMesh,
-        shards: usize,
-        batch_elements: usize,
-    ) -> Result<ShardPlan, MeshError> {
-        Self::with_strategy(mesh, shards, batch_elements, PartitionStrategy::Contiguous)
-    }
-
-    /// The general constructor: decomposes `mesh` into (up to) `shards`
-    /// shards under `strategy`, re-batching each shard's element list
-    /// into runs of at most `batch_elements`.
+    /// Decomposes `mesh` into `shards` shards under `strategy`,
+    /// re-batching each shard's element list into streaming batches of
+    /// at most `batch_elements` (`usize::MAX` streams each shard as one
+    /// batch). `shards` is clamped to the element count, so every shard
+    /// is non-empty — callers that label results by shard count should
+    /// read the effective [`ShardPlan::num_shards`] back rather than
+    /// echo the requested value.
     ///
     /// # Errors
     ///
@@ -903,8 +880,10 @@ mod tests {
     #[test]
     fn zero_shards_rejected() {
         let mesh = BoxMeshBuilder::tgv_box(3).build().unwrap();
-        assert!(ShardPlan::new(&mesh, 0).is_err());
-        assert!(ShardPlan::with_batch(&mesh, 2, 0).is_err());
+        assert!(
+            ShardPlan::with_strategy(&mesh, 0, usize::MAX, PartitionStrategy::Contiguous).is_err()
+        );
+        assert!(ShardPlan::with_strategy(&mesh, 2, 0, PartitionStrategy::Contiguous).is_err());
         assert!(
             ShardPlan::with_strategy(&mesh, 0, usize::MAX, PartitionStrategy::Partitioned).is_err()
         );
@@ -913,7 +892,8 @@ mod tests {
     #[test]
     fn shard_count_clamps_to_element_count() {
         let mesh = BoxMeshBuilder::tgv_box(3).build().unwrap(); // 27 elements
-        let plan = ShardPlan::new(&mesh, 1000).unwrap();
+        let plan = ShardPlan::with_strategy(&mesh, 1000, usize::MAX, PartitionStrategy::Contiguous)
+            .unwrap();
         assert_eq!(plan.num_shards(), 27);
         assert!(plan.shards().iter().all(|s| s.num_elements() == 1));
         assert!((plan.element_imbalance() - 1.0).abs() < 1e-12);
@@ -946,7 +926,7 @@ mod tests {
     #[test]
     fn shard_batching_respects_batch_size() {
         let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap(); // 64 elements
-        let plan = ShardPlan::with_batch(&mesh, 4, 5).unwrap();
+        let plan = ShardPlan::with_strategy(&mesh, 4, 5, PartitionStrategy::Contiguous).unwrap();
         for s in plan.shards() {
             assert_eq!(s.num_elements(), 16);
             assert_eq!(s.batches().len(), 4); // ceil(16 / 5)
@@ -959,7 +939,8 @@ mod tests {
     #[test]
     fn contiguous_shards_are_ascending_ranges() {
         let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
-        let plan = ShardPlan::new(&mesh, 5).unwrap();
+        let plan =
+            ShardPlan::with_strategy(&mesh, 5, usize::MAX, PartitionStrategy::Contiguous).unwrap();
         let mut next = 0u32;
         for s in plan.shards() {
             assert_eq!(s.elements()[0], next);
@@ -1033,7 +1014,8 @@ mod tests {
         // the old "fraction" numerator) far exceeds the node count while
         // the deduplicated fraction stays ≤ 1.
         let mesh = BoxMeshBuilder::tgv_box(3).build().unwrap();
-        let plan = ShardPlan::new(&mesh, 27).unwrap();
+        let plan =
+            ShardPlan::with_strategy(&mesh, 27, usize::MAX, PartitionStrategy::Contiguous).unwrap();
         let max_sharers = plan
             .shards()
             .iter()

@@ -181,13 +181,6 @@ impl HexBasis {
             }
         }
     }
-
-    /// Number of fused multiply-add pairs in one `reference_gradient` call:
-    /// `3 n⁴` MACs per scalar field. Used by the performance model.
-    pub fn gradient_mac_count(&self) -> usize {
-        let n = self.nodes_per_dim();
-        3 * n * n * n * n
-    }
 }
 
 #[cfg(test)]

@@ -175,12 +175,12 @@ mod tests {
 
         // Mid-run checkpoint (written by a *multi-device* run, so the
         // saved state itself already crossed a backend boundary).
-        let mut first = Simulation::new(mesh.clone(), cfg.gas(), initial).unwrap();
-        first
-            .set_backend(BackendSelect::MultiDevice {
+        let mut first = Simulation::builder(mesh.clone(), cfg.gas(), initial)
+            .backend(BackendSelect::MultiDevice {
                 devices: 3,
                 strategy: PartitionStrategy::Contiguous,
             })
+            .build()
             .unwrap();
         first.advance(4, dt).unwrap();
         let ck = Checkpoint {
@@ -203,8 +203,10 @@ mod tests {
         for select in backends {
             let restored = Checkpoint::read(buf.as_slice()).unwrap();
             assert_eq!(restored.steps_taken, 4);
-            let mut resumed = Simulation::new(mesh.clone(), cfg.gas(), restored.state).unwrap();
-            resumed.set_backend(select).unwrap();
+            let mut resumed = Simulation::builder(mesh.clone(), cfg.gas(), restored.state)
+                .backend(select)
+                .build()
+                .unwrap();
             resumed.advance(4, dt).unwrap();
             let got = resumed.conserved().to_bit_vec();
             assert_eq!(got, expect, "{select}: resumed trajectory diverged");

@@ -15,10 +15,11 @@
 //! seed's largest `RK(Other)` component, no longer exists.
 //!
 //! The RKL assembly itself is delegated to a pluggable
-//! [`ExecutionBackend`] (see [`crate::engine`]): the serial
-//! [`ReferenceBackend`] by default, and [`Simulation::set_backend`] swaps
-//! in the parallel executor ([`MultiDeviceBackend`], bitwise identical to
-//! the serial loop — see [`crate::engine`] for the argument) without
+//! [`ExecutionBackend`] (see [`crate::engine`]), attached once at
+//! [`SimulationBuilder::build`]: the serial [`ReferenceBackend`] by
+//! default, or the parallel executor ([`MultiDeviceBackend`], bitwise
+//! identical to the serial loop — see [`crate::engine`] for the
+//! argument) selected through [`SimulationBuilder::backend`], without
 //! touching the time loop.
 
 use crate::boundary::DirichletBc;
@@ -199,20 +200,44 @@ pub struct Simulation {
 /// What a [`SimulationBuilder`] constructs its [`SharedMeshContext`]
 /// from: a freshly owned mesh, or an existing shared handle.
 #[derive(Debug)]
-enum MeshSource {
+pub(crate) enum MeshSource {
     Mesh(HexMesh),
     Shared(Arc<SharedMeshContext>),
+}
+
+impl MeshSource {
+    /// The mesh the simulation will solve on.
+    pub(crate) fn mesh(&self) -> &HexMesh {
+        match self {
+            MeshSource::Mesh(m) => m,
+            MeshSource::Shared(c) => c.mesh(),
+        }
+    }
+}
+
+/// The execution backend a [`SimulationBuilder`] attaches: a built-in
+/// selection, or a caller-provided backend. One field holds it, so the
+/// last of [`SimulationBuilder::backend`] and
+/// [`SimulationBuilder::custom_backend`] wins.
+#[derive(Debug)]
+enum BackendChoice {
+    Select(BackendSelect),
+    Custom(Box<dyn ExecutionBackend>),
 }
 
 /// The one construction path for [`Simulation`]s.
 ///
 /// Collects every configuration choice — boundary condition, execution
-/// backend, profiling — and applies them in a fixed order at
+/// backend, kernel path — and applies them in a fixed order at
 /// [`SimulationBuilder::build`], so a spec-driven ensemble member and a
 /// hand-configured simulation with the same choices are *bitwise*
-/// identical. Obtain one from [`Simulation::builder`] (owns its mesh) or
+/// identical. Obtain one from [`Simulation::builder`] (owns its mesh),
 /// [`Simulation::builder_shared`] (shares an existing
-/// [`SharedMeshContext`] with other simulations).
+/// [`SharedMeshContext`] with other simulations) or
+/// [`crate::Scenario::builder`] (a registry scenario with its initial
+/// state and boundary condition attached). The choices are fixed once
+/// built; only profiling can be toggled on a running simulation
+/// ([`Simulation::set_profiling`]).
 ///
 /// # Example
 ///
@@ -229,8 +254,8 @@ enum MeshSource {
 ///         devices: 2,
 ///         strategy: PartitionStrategy::Partitioned,
 ///     })
-///     .profiling(true)
 ///     .build()?;
+/// sim.set_profiling(true);
 /// let dt = sim.suggest_dt(0.4);
 /// sim.advance(2, dt)?;
 /// # Ok(())
@@ -242,21 +267,23 @@ pub struct SimulationBuilder {
     gas: GasModel,
     initial: Conserved,
     bc: Option<DirichletBc>,
-    backend: Option<BackendSelect>,
+    backend: BackendChoice,
     kernel: KernelPath,
-    profiling: bool,
 }
 
 impl SimulationBuilder {
-    fn from_source(source: MeshSource, gas: GasModel, initial: Conserved) -> SimulationBuilder {
+    pub(crate) fn from_source(
+        source: MeshSource,
+        gas: GasModel,
+        initial: Conserved,
+    ) -> SimulationBuilder {
         SimulationBuilder {
             source,
             gas,
             initial,
             bc: None,
-            backend: None,
+            backend: BackendChoice::Select(BackendSelect::Reference(AssemblyStrategy::Serial)),
             kernel: KernelPath::default(),
-            profiling: false,
         }
     }
 
@@ -267,10 +294,21 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects the execution backend (default:
+    /// Selects one of the built-in execution backends (default:
     /// [`BackendSelect::Reference`] with [`AssemblyStrategy::Serial`]).
+    /// Shard plans are built through (and memoized in) the
+    /// [`SharedMeshContext`], so sibling ensemble members choosing the
+    /// same decomposition reuse one plan.
     pub fn backend(mut self, select: BackendSelect) -> Self {
-        self.backend = Some(select);
+        self.backend = BackendChoice::Select(select);
+        self
+    }
+
+    /// Installs a caller-provided execution backend in place of a
+    /// built-in one — how external backends (e.g. the accelerator
+    /// functional pipeline in `fem_accel`) register with the driver.
+    pub fn custom_backend(mut self, backend: Box<dyn ExecutionBackend>) -> Self {
+        self.backend = BackendChoice::Custom(backend);
         self
     }
 
@@ -281,12 +319,6 @@ impl SimulationBuilder {
     /// schedule and the equivalence guarantee between the two.
     pub fn kernel_path(mut self, path: KernelPath) -> Self {
         self.kernel = path;
-        self
-    }
-
-    /// Enables phase profiling from the first step (default: off).
-    pub fn profiling(mut self, on: bool) -> Self {
-        self.profiling = on;
         self
     }
 
@@ -307,10 +339,7 @@ impl SimulationBuilder {
     /// * [`SolverError::Mesh`] for inverted elements, a bad basis order,
     ///   or an invalid backend selection (zero shards).
     pub fn build(self) -> Result<Simulation, SolverError> {
-        let mesh_nodes = match &self.source {
-            MeshSource::Mesh(m) => m.num_nodes(),
-            MeshSource::Shared(c) => c.mesh().num_nodes(),
-        };
+        let mesh_nodes = self.source.mesh().num_nodes();
         if self.initial.len() != mesh_nodes {
             return Err(SolverError::NodeCountMismatch {
                 state_nodes: self.initial.len(),
@@ -330,33 +359,45 @@ impl SimulationBuilder {
             }
             MeshSource::Shared(ctx) => ctx,
         };
+        let backend: Box<dyn ExecutionBackend> = match self.backend {
+            BackendChoice::Select(BackendSelect::Reference(AssemblyStrategy::Serial)) => {
+                Box::new(ReferenceBackend)
+            }
+            BackendChoice::Select(BackendSelect::MultiDevice { devices, strategy }) => {
+                let plan = ctx.shard_plan(devices, strategy)?;
+                Box::new(MultiDeviceBackend::with_plan(
+                    plan,
+                    ctx.mesh(),
+                    ctx.geometry(),
+                )?)
+            }
+            BackendChoice::Custom(backend) => backend,
+        };
+        // The primitive cache is seeded from the initial state as given;
+        // the boundary condition then pins the conserved state.
         let mut primitives = Primitives::zeros(mesh_nodes);
         primitives.update_from(&self.initial, &self.gas);
         let rk = ExplicitRk::new(ButcherTableau::rk4(), &self.initial);
-        let backend = Box::new(ReferenceBackend);
-        let mut sim = Simulation {
+        let mut conserved = self.initial;
+        if let Some(bc) = &self.bc {
+            bc.apply_state(&mut conserved);
+        }
+        Ok(Simulation {
             core: SolverCore {
                 ctx,
                 gas: self.gas,
                 primitives,
-                bc: None,
+                bc: self.bc,
                 profiler,
-                profiling: self.profiling,
+                profiling: false,
                 backend,
                 kernel: self.kernel,
             },
-            conserved: self.initial,
+            conserved,
             rk,
             time: 0.0,
             steps_taken: 0,
-        };
-        if let Some(select) = self.backend {
-            sim.set_backend(select)?;
-        }
-        if let Some(bc) = self.bc {
-            sim = sim.with_bc(bc);
-        }
-        Ok(sim)
+        })
     }
 }
 
@@ -391,16 +432,6 @@ impl Simulation {
         Simulation::builder(mesh, gas, initial).build()
     }
 
-    /// Attaches a Dirichlet boundary condition.
-    ///
-    /// Prefer [`SimulationBuilder::bc`]; this remains for incremental
-    /// reconfiguration of an existing simulation.
-    pub fn with_bc(mut self, bc: DirichletBc) -> Self {
-        bc.apply_state(&mut self.conserved);
-        self.core.bc = Some(bc);
-        self
-    }
-
     /// The attached Dirichlet boundary condition, if any.
     pub fn bc(&self) -> Option<&DirichletBc> {
         self.core.bc.as_ref()
@@ -419,68 +450,17 @@ impl Simulation {
         out
     }
 
-    /// Selects the weak-divergence kernel path for subsequent RHS
-    /// evaluations (default: [`KernelPath::SumFactored`]).
-    ///
-    /// Prefer [`SimulationBuilder::kernel_path`] at construction; this
-    /// remains for switching paths mid-run (e.g. the order-ladder study
-    /// timing both paths on one simulation).
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.core.kernel = path;
-    }
-
     /// The active weak-divergence kernel path.
     pub fn kernel_path(&self) -> KernelPath {
         self.core.kernel
     }
 
     /// Enables or disables phase profiling (disabled by default; timer
-    /// reads add a few percent overhead to the element loop).
-    ///
-    /// Prefer [`SimulationBuilder::profiling`] at construction; this
-    /// remains for toggling profiling around a measured window.
+    /// reads add a few percent overhead to the element loop). The one
+    /// runtime switch a simulation keeps, so profiling can bracket a
+    /// measured window.
     pub fn set_profiling(&mut self, on: bool) {
         self.core.profiling = on;
-    }
-
-    /// Selects one of the built-in execution backends (see
-    /// [`crate::engine`]): the serial reference loop or the parallel
-    /// executor ([`BackendSelect::MultiDevice`]).
-    ///
-    /// Prefer [`SimulationBuilder::backend`] at construction; this
-    /// remains for switching backends mid-run.
-    ///
-    /// Shard plans are built through (and memoized in) the
-    /// [`SharedMeshContext`], so repeated selections — and sibling
-    /// ensemble members choosing the same decomposition — reuse one
-    /// plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shard-plan construction failures (e.g. a zero device
-    /// count).
-    pub fn set_backend(&mut self, select: BackendSelect) -> Result<(), SolverError> {
-        match select {
-            BackendSelect::Reference(AssemblyStrategy::Serial) => {
-                self.core.backend = Box::new(ReferenceBackend);
-            }
-            BackendSelect::MultiDevice { devices, strategy } => {
-                let plan = self.core.ctx.shard_plan(devices, strategy)?;
-                self.core.backend = Box::new(MultiDeviceBackend::with_plan(
-                    plan,
-                    self.core.ctx.mesh(),
-                    self.core.ctx.geometry(),
-                )?);
-            }
-        }
-        Ok(())
-    }
-
-    /// Installs a caller-provided execution backend — how external
-    /// backends (e.g. the accelerator functional pipeline in
-    /// `fem_accel`) register with the driver.
-    pub fn set_custom_backend(&mut self, backend: Box<dyn ExecutionBackend>) {
-        self.core.backend = backend;
     }
 
     /// The active execution backend. The multi-device executor's shard
@@ -789,8 +769,9 @@ mod tests {
         ] {
             let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
             let initial = cfg.initial_state(&mesh);
-            let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-            sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
+            let mut sim = Simulation::builder(mesh, cfg.gas(), initial)
+                .backend(BackendSelect::MultiDevice { devices, strategy })
+                .build()
                 .unwrap();
             let md = sim.backend().as_multi_device().expect("multi-device");
             assert_eq!(md.plan().num_shards(), devices);
@@ -801,10 +782,6 @@ mod tests {
                 "{}: trajectory drift",
                 sim.backend().name()
             );
-            // Switching back reinstalls the serial loop.
-            sim.set_backend(BackendSelect::Reference(AssemblyStrategy::Serial))
-                .unwrap();
-            assert!(sim.backend().as_multi_device().is_none());
         }
     }
 

@@ -68,16 +68,18 @@
 //!
 //! A backend implements two methods, [`ExecutionBackend::name`] and
 //! [`ExecutionBackend::assemble_rhs`], and plugs into the driver via
-//! [`crate::driver::Simulation::set_custom_backend`] — the accelerator's
-//! staged functional pipeline in `fem_accel::functional` registers itself
-//! exactly this way. The driver owns everything around the assembly (the
+//! [`crate::driver::SimulationBuilder::custom_backend`] — the
+//! accelerator's staged functional pipeline in `fem_accel::functional`
+//! registers itself exactly this way. The driver owns everything around the assembly (the
 //! RKU update, the lumped-mass divide, the boundary conditions), so a
 //! backend never sees them. The one provided method,
 //! [`ExecutionBackend::as_multi_device`], lets callers reach the
 //! [`MultiDeviceBackend`]'s shard plan and exchange telemetry; other
 //! backends keep its `None` default. Built-in backends are selected by
 //! value through [`BackendSelect`] and
-//! [`crate::driver::Simulation::set_backend`].
+//! [`crate::driver::SimulationBuilder::backend`]. Either way the backend
+//! is attached once, at [`crate::driver::SimulationBuilder::build`], and
+//! stays for the life of the simulation.
 
 use crate::gas::GasModel;
 use crate::kernels::{ElementWorkspace, KernelOps, KernelPath, NUM_VARS};
@@ -141,7 +143,7 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
 }
 
 /// Value-level selector for the built-in backends (what
-/// [`crate::driver::Simulation::set_backend`] consumes).
+/// [`crate::driver::SimulationBuilder::backend`] consumes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendSelect {
     /// The serial host loop ([`ReferenceBackend`]). The
@@ -940,8 +942,9 @@ mod tests {
             for devices in [1usize, 2, 3, 5, 64] {
                 let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
                 let initial = cfg.initial_state(&mesh);
-                let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-                sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
+                let mut sim = Simulation::builder(mesh, cfg.gas(), initial)
+                    .backend(BackendSelect::MultiDevice { devices, strategy })
+                    .build()
                     .unwrap();
                 let md = sim.backend().as_multi_device().expect("multi-device");
                 assert_eq!(md.plan().num_shards(), devices);
@@ -997,8 +1000,10 @@ mod tests {
         let dt = reference.suggest_dt(0.4);
         reference.advance(3, dt).unwrap();
 
-        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sim.set_custom_backend(Box::new(MinimalBackend(ReferenceBackend)));
+        let mut sim = Simulation::builder(mesh, cfg.gas(), initial)
+            .custom_backend(Box::new(MinimalBackend(ReferenceBackend)))
+            .build()
+            .unwrap();
         assert_eq!(sim.backend().name(), "minimal");
         assert!(sim.backend().as_multi_device().is_none());
         sim.advance(3, dt).unwrap();
@@ -1025,7 +1030,7 @@ mod tests {
         // every registry scenario, at every device count up to one
         // element per device, under both partition strategies.
         for scenario in Scenario::registry() {
-            let mut reference = scenario.simulation(4).unwrap();
+            let mut reference = scenario.builder(4, 1).unwrap().build().unwrap();
             let dt = reference.suggest_dt(0.3);
             reference.advance(2, dt).unwrap();
             for strategy in [
@@ -1033,8 +1038,11 @@ mod tests {
                 PartitionStrategy::Partitioned,
             ] {
                 for devices in [1usize, 2, 3, 4, 5, 7, 8, 64] {
-                    let mut sim = scenario.simulation(4).unwrap();
-                    sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
+                    let mut sim = scenario
+                        .builder(4, 1)
+                        .unwrap()
+                        .backend(BackendSelect::MultiDevice { devices, strategy })
+                        .build()
                         .unwrap();
                     let md = sim.backend().as_multi_device().expect("multi-device");
                     let elements = sim.core().mesh().num_elements();
@@ -1056,12 +1064,13 @@ mod tests {
         let cfg = TgvConfig::standard();
         let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
         let initial = cfg.initial_state(&mesh);
-        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sim.set_backend(BackendSelect::MultiDevice {
-            devices: 4,
-            strategy: PartitionStrategy::Contiguous,
-        })
-        .unwrap();
+        let mut sim = Simulation::builder(mesh, cfg.gas(), initial)
+            .backend(BackendSelect::MultiDevice {
+                devices: 4,
+                strategy: PartitionStrategy::Contiguous,
+            })
+            .build()
+            .unwrap();
         assert_eq!(sim.backend().name(), "multidevice(4, contiguous)");
 
         let md = sim.backend().as_multi_device().expect("multi-device");
@@ -1218,12 +1227,13 @@ mod tests {
         let cfg = TgvConfig::standard();
         let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
         let initial = cfg.initial_state(&mesh);
-        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sim.set_backend(BackendSelect::MultiDevice {
-            devices: 3,
-            strategy: PartitionStrategy::Partitioned,
-        })
-        .unwrap();
+        let mut sim = Simulation::builder(mesh, cfg.gas(), initial)
+            .backend(BackendSelect::MultiDevice {
+                devices: 3,
+                strategy: PartitionStrategy::Partitioned,
+            })
+            .build()
+            .unwrap();
         sim.set_profiling(true);
         let dt = sim.suggest_dt(0.4);
         sim.advance(2, dt).unwrap();
@@ -1251,9 +1261,13 @@ mod tests {
                 PartitionStrategy::Contiguous
             };
             for scenario in Scenario::registry() {
-                let mut reference = scenario.simulation(edge).unwrap();
-                let mut sharded = scenario.simulation(edge).unwrap();
-                sharded.set_backend(BackendSelect::MultiDevice { devices, strategy }).unwrap();
+                let mut reference = scenario.builder(edge, 1).unwrap().build().unwrap();
+                let mut sharded = scenario
+                    .builder(edge, 1)
+                    .unwrap()
+                    .backend(BackendSelect::MultiDevice { devices, strategy })
+                    .build()
+                    .unwrap();
                 let a = reference.eval_rhs();
                 let b = sharded.eval_rhs();
                 let fa = flat(&a);

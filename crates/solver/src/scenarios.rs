@@ -33,7 +33,7 @@
 //!
 //! # fn main() -> Result<(), fem_solver::SolverError> {
 //! for scenario in Scenario::registry() {
-//!     let mut sim = scenario.simulation(4)?;
+//!     let mut sim = scenario.builder(4, 1)?.build()?;
 //!     let dt = sim.suggest_dt(scenario.default_cfl());
 //!     let start = sim.diagnostics();
 //!     sim.advance(2, dt)?;
@@ -50,7 +50,7 @@
 
 use crate::boundary::DirichletBc;
 use crate::diagnostics::FlowDiagnostics;
-use crate::driver::Simulation;
+use crate::driver::{MeshSource, Simulation, SimulationBuilder};
 use crate::gas::GasModel;
 use crate::state::Conserved;
 use crate::tgv::TgvConfig;
@@ -642,37 +642,34 @@ impl Scenario {
         }
     }
 
-    /// Builds the ready-to-step [`Simulation`] (mesh, gas, initial state,
-    /// boundary condition attached).
+    /// A [`SimulationBuilder`] for the scenario on an `order`-th degree
+    /// mesh with `edge` elements per axis, with the gas, initial state
+    /// and boundary condition attached. Initial state and boundary
+    /// condition are sampled on the (high-order) nodes, so the golden
+    /// high-order traces and the kernel order ladder both start from the
+    /// exact nodal fields. Backend and kernel path are left to the
+    /// caller.
     ///
     /// # Errors
     ///
-    /// Propagates mesh and simulation construction failures.
-    pub fn simulation(&self, edge: usize) -> Result<Simulation, SolverError> {
-        self.simulation_with_order(edge, 1)
+    /// Propagates mesh-generation failures.
+    pub fn builder(&self, edge: usize, order: usize) -> Result<SimulationBuilder, SolverError> {
+        let mesh = self.mesh_with_order(edge, order)?;
+        Ok(self.builder_on(MeshSource::Mesh(mesh)))
     }
 
-    /// Like [`Scenario::simulation`], but on an `order`-th degree mesh —
-    /// initial state and boundary condition are sampled on the
-    /// high-order nodes, so the golden high-order traces and the kernel
-    /// order ladder both start from the exact nodal fields.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mesh and simulation construction failures.
-    pub fn simulation_with_order(
-        &self,
-        edge: usize,
-        order: usize,
-    ) -> Result<Simulation, SolverError> {
-        let mesh = self.mesh_with_order(edge, order)?;
-        let initial = self.initial_state(&mesh);
-        let bc = self.boundary(&mesh);
-        let mut builder = Simulation::builder(mesh, self.gas(), initial);
-        if let Some(bc) = bc {
-            builder = builder.bc(bc);
+    /// Starts a builder on `source` with the scenario's gas, and its
+    /// initial state and boundary condition sampled on the source's mesh
+    /// — the one scenario → builder sequence, shared by
+    /// [`Scenario::builder`] and the [`crate::SimulationSpec`] builds.
+    pub(crate) fn builder_on(&self, source: MeshSource) -> SimulationBuilder {
+        let initial = self.initial_state(source.mesh());
+        let bc = self.boundary(source.mesh());
+        let builder = SimulationBuilder::from_source(source, self.gas(), initial);
+        match bc {
+            Some(bc) => builder.bc(bc),
+            None => builder,
         }
-        builder.build()
     }
 
     /// Velocity scale used to normalize momentum-drift checks.
@@ -799,7 +796,8 @@ mod tests {
     fn every_scenario_builds_and_steps() {
         for scenario in Scenario::registry() {
             let mut sim = scenario
-                .simulation(4)
+                .builder(4, 1)
+                .and_then(|b| b.build())
                 .unwrap_or_else(|e| panic!("{}: simulation build failed: {e}", scenario.name()));
             assert!(sim.conserved().is_physical(), "{}", scenario.name());
             let dt = sim.suggest_dt(scenario.default_cfl());
@@ -894,10 +892,11 @@ mod tests {
                 prop_assert!(!bc.is_empty());
                 let targets: Vec<(u32, [f64; 5])> = bc.targets().to_vec();
                 let initial = cfg.initial_state(&mesh);
-                let mut sim = Simulation::new(mesh, cfg.gas(), initial)
-                    .unwrap()
-                    .with_bc(bc);
-                sim.set_backend(select).unwrap();
+                let mut sim = Simulation::builder(mesh, cfg.gas(), initial)
+                    .bc(bc)
+                    .backend(select)
+                    .build()
+                    .unwrap();
                 let dt = sim.suggest_dt(0.3);
 
                 // The RHS the RK loop integrates is exactly zero at every

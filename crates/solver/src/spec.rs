@@ -17,7 +17,7 @@
 //! path as hand-written code — which is what makes a spec-built member
 //! bitwise identical to its imperatively configured twin.
 
-use crate::driver::Simulation;
+use crate::driver::{MeshSource, Simulation, SimulationBuilder};
 use crate::engine::BackendSelect;
 use crate::kernels::KernelPath;
 use crate::parallel::AssemblyStrategy;
@@ -195,17 +195,7 @@ impl SimulationSpec {
     /// [`SolverError::InvalidSpec`] for unresolvable names/overrides;
     /// otherwise whatever [`crate::SimulationBuilder::build`] reports.
     pub fn build(&self) -> Result<Simulation, SolverError> {
-        let scenario = self.resolve_scenario()?;
-        let mesh = scenario.mesh(self.edge)?;
-        let initial = scenario.initial_state(&mesh);
-        let bc = scenario.boundary(&mesh);
-        let mut builder = Simulation::builder(mesh, scenario.gas(), initial)
-            .backend(self.backend.to_select()?)
-            .kernel_path(self.backend.kernel_path()?);
-        if let Some(bc) = bc {
-            builder = builder.bc(bc);
-        }
-        builder.build()
+        self.configure(self.resolve_scenario()?.builder(self.edge, 1)?)
     }
 
     /// Builds the simulation on an existing [`SharedMeshContext`] — how
@@ -220,15 +210,15 @@ impl SimulationSpec {
     /// As [`SimulationSpec::build`].
     pub fn build_shared(&self, ctx: Arc<SharedMeshContext>) -> Result<Simulation, SolverError> {
         let scenario = self.resolve_scenario()?;
-        let initial = scenario.initial_state(ctx.mesh());
-        let bc = scenario.boundary(ctx.mesh());
-        let mut builder = Simulation::builder_shared(ctx, scenario.gas(), initial)
+        self.configure(scenario.builder_on(MeshSource::Shared(ctx)))
+    }
+
+    /// Applies the spec's backend and kernel choices and builds.
+    fn configure(&self, builder: SimulationBuilder) -> Result<Simulation, SolverError> {
+        builder
             .backend(self.backend.to_select()?)
-            .kernel_path(self.backend.kernel_path()?);
-        if let Some(bc) = bc {
-            builder = builder.bc(bc);
-        }
-        builder.build()
+            .kernel_path(self.backend.kernel_path()?)
+            .build()
     }
 }
 
@@ -333,10 +323,10 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// A spec-built member and a setter-configured simulation of the
+        /// A spec-built member and a hand-configured builder of the
         /// same choices must produce bitwise identical trajectories —
         /// the declarative API is a description of, not an alternative
-        /// to, the imperative configuration path.
+        /// to, the hand-written configuration path.
         #[test]
         fn prop_spec_built_matches_setter_built_bitwise(
             scenario_idx in 0usize..4,
@@ -387,18 +377,18 @@ mod tests {
             let dt = from_spec.suggest_dt(spec.effective_cfl().unwrap());
             from_spec.advance(2, dt).unwrap();
 
-            // Imperative path: overrides + legacy setters.
+            // Hand-written path: overrides + builder.
             let overridden = scenario.with_overrides(None, amplitude).unwrap();
             let mesh = overridden.mesh(edge).unwrap();
             let initial = overridden.initial_state(&mesh);
             let bc = overridden.boundary(&mesh);
-            let mut by_hand =
-                Simulation::new(mesh, overridden.gas(), initial).unwrap();
+            let mut builder = Simulation::builder(mesh, overridden.gas(), initial)
+                .backend(spec.backend.to_select().unwrap())
+                .kernel_path(spec.backend.kernel_path().unwrap());
             if let Some(bc) = bc {
-                by_hand = by_hand.with_bc(bc);
+                builder = builder.bc(bc);
             }
-            by_hand.set_backend(spec.backend.to_select().unwrap()).unwrap();
-            by_hand.set_kernel_path(spec.backend.kernel_path().unwrap());
+            let mut by_hand = builder.build().unwrap();
             by_hand.advance(2, dt).unwrap();
 
             let a = from_spec.conserved().to_bit_vec();

@@ -96,19 +96,6 @@ impl TgvConfig {
         }
     }
 
-    /// Convective reference time `t_c = L / v0`.
-    pub fn reference_time(&self) -> f64 {
-        1.0 / self.v0
-    }
-
-    /// Initial kinetic energy density of the analytic field, integrated
-    /// over the domain: `∫ ½ρ|u|² dV = ρ0 v0²/16 · (2π)³` (to leading
-    /// order in Mach).
-    pub fn initial_kinetic_energy(&self) -> f64 {
-        let vol = std::f64::consts::TAU.powi(3);
-        self.rho0 * self.v0 * self.v0 / 16.0 * vol * 2.0
-    }
-
     /// The TGV velocity field at point `x`.
     pub fn velocity(&self, x: Vec3) -> Vec3 {
         let v0 = self.v0;

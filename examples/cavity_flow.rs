@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ScenarioKind::LidCavity(cfg) = *scenario.kind() else {
         unreachable!("lid_cavity() is the cavity scenario");
     };
-    let mut sim = scenario.simulation(edge)?;
+    let mut sim = scenario.builder(edge, 1)?.build()?;
     println!(
         "cavity: {}³ elements ({} nodes), {} Dirichlet nodes, lid speed {}",
         edge,

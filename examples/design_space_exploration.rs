@@ -17,7 +17,7 @@
 use fem_cfd_accel::accel::designs::proposed_design;
 use fem_cfd_accel::accel::experiments::scenario_workload;
 use fem_cfd_accel::accel::optimizer::{optimize_design, region_resources, OptimizerConfig};
-use fem_cfd_accel::accel::perf::{estimate_performance, PerfOptions};
+use fem_cfd_accel::accel::perf::estimate_performance;
 use fem_cfd_accel::accel::workload::RklWorkload;
 use fem_cfd_accel::hls::resources::ResourceUsage;
 use fem_cfd_accel::hls::schedule::schedule_kernel;
@@ -116,10 +116,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>8} {:>10} {:>8} {:>10} {:>8} {:>14}",
         "budget%", "computeII", "DSP", "LUT", "fmax", "stage time"
     );
-    let opts = PerfOptions {
-        host_in_the_loop: false,
-        ..Default::default()
-    };
     for percent in [25u64, 50, 75, 100, 150, 200] {
         let mut cfg = OptimizerConfig::for_u200_slr();
         cfg.budget = scaled_budget(percent);
@@ -132,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .find_map(|l| (l.label == "diff_conv_nodes").then(|| l.ii.unwrap_or(0)))
             .unwrap_or(0);
         let res = region_resources(&d)?;
-        let perf = estimate_performance(&d, &opts)?;
+        let perf = estimate_performance(&d)?;
         println!(
             "{:>8} {:>10} {:>8} {:>10} {:>7.0}M {:>12.4} s",
             percent, ii, res.dsp, res.lut, perf.fmax_mhz, perf.stage_seconds

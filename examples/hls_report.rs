@@ -10,7 +10,6 @@
 
 use fem_cfd_accel::accel::designs::proposed_design;
 use fem_cfd_accel::accel::optimizer::{optimize_design, OptimizerConfig};
-use fem_cfd_accel::accel::perf::PerfOptions;
 use fem_cfd_accel::accel::report::DesignReport;
 use fem_cfd_accel::accel::workload::RklWorkload;
 
@@ -23,11 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "optimized the proposed design in {} §III-D steps\n",
         steps.len()
     );
-    let opts = PerfOptions {
-        host_in_the_loop: false,
-        ..Default::default()
-    };
-    let report = DesignReport::generate(&design, &opts)?;
+    let report = DesignReport::generate(&design)?;
     println!("{}", report.render(&design, with_code));
     if !with_code {
         println!("(re-run with --code to append the generated HLS C++)");

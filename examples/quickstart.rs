@@ -9,7 +9,7 @@
 
 use fem_cfd_accel::accel::designs::{paper_design, vitis_baseline_design};
 use fem_cfd_accel::accel::functional::staged_stage_residual_into;
-use fem_cfd_accel::accel::perf::{estimate_performance, PerfOptions};
+use fem_cfd_accel::accel::perf::estimate_performance;
 use fem_cfd_accel::accel::workload::RklWorkload;
 use fem_cfd_accel::mesh::generator::BoxMeshBuilder;
 use fem_cfd_accel::mesh::geometry::GeometryCache;
@@ -91,12 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = RklWorkload::with_nodes(4_200_000, 1);
     let proposed = paper_design(&w);
     let baseline = vitis_baseline_design(&w);
-    let opts = PerfOptions {
-        host_in_the_loop: false,
-        ..Default::default()
-    };
-    let rp = estimate_performance(&proposed, &opts)?;
-    let rb = estimate_performance(&baseline, &opts)?;
+    let rp = estimate_performance(&proposed)?;
+    let rb = estimate_performance(&baseline)?;
     println!("modeled on Alveo U200 at 4.2M nodes (RK method, 20 steps):");
     println!(
         "  proposed : {:.2} s @ {:.0} MHz (bottleneck: {})",

@@ -26,9 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t_end
     );
     let initial = cfg.initial_state(&mesh);
-    let mut sim = Simulation::builder(mesh, cfg.gas(), initial)
-        .profiling(true)
-        .build()?;
+    let mut sim = Simulation::new(mesh, cfg.gas(), initial)?;
+    sim.set_profiling(true);
     let dt = sim.suggest_dt(0.4);
     let steps_per_report = ((t_end / 10.0) / dt).ceil().max(1.0) as usize;
 

@@ -96,8 +96,10 @@ fn accelerated_trajectory_tracks_reference_for_many_steps() {
     let dt = reference.suggest_dt(0.35);
     reference.advance(15, dt).unwrap();
 
-    let mut accelerated = Simulation::new(mesh, gas, initial).unwrap();
-    accelerated.set_custom_backend(Box::new(StagedBackend));
+    let mut accelerated = Simulation::builder(mesh, gas, initial)
+        .custom_backend(Box::new(StagedBackend))
+        .build()
+        .unwrap();
     accelerated.advance(15, dt).unwrap();
     assert_eq!(
         accelerated.conserved().to_bit_vec(),

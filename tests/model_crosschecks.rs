@@ -5,9 +5,7 @@
 
 use fem_cfd_accel::accel::designs::{paper_design, proposed_design, vitis_baseline_design};
 use fem_cfd_accel::accel::optimizer::{optimize_design, OptimizerConfig};
-use fem_cfd_accel::accel::perf::{
-    estimate_performance, region_network, task_perfs, PerfOptions, Region,
-};
+use fem_cfd_accel::accel::perf::{estimate_performance, region_network, task_perfs, Region};
 use fem_cfd_accel::accel::workload::RklWorkload;
 use fem_cfd_accel::dataflow::analytic::analytic_makespan;
 use fem_cfd_accel::dataflow::sim::simulate;
@@ -38,7 +36,7 @@ fn des_matches_analytic_on_real_designs_at_multiple_sizes() {
 #[test]
 fn task_iis_are_schedule_consistent() {
     let d = paper_design(&RklWorkload::with_nodes(100_000, 1));
-    let perf = estimate_performance(&d, &PerfOptions::default()).unwrap();
+    let perf = estimate_performance(&d).unwrap();
     // Every task's effective per-element cost is at least its scheduled
     // cost (contention can only add).
     for t in &perf.tasks {
@@ -65,12 +63,8 @@ fn baseline_never_beats_proposed_anywhere() {
         let w = RklWorkload::with_nodes(nodes, 1);
         let p = paper_design(&w);
         let b = vitis_baseline_design(&w);
-        let opts = PerfOptions {
-            host_in_the_loop: false,
-            ..Default::default()
-        };
-        let rp = estimate_performance(&p, &opts).unwrap();
-        let rb = estimate_performance(&b, &opts).unwrap();
+        let rp = estimate_performance(&p).unwrap();
+        let rb = estimate_performance(&b).unwrap();
         assert!(
             rp.rk_method_seconds < rb.rk_method_seconds,
             "{nodes} nodes: proposed {} ≥ baseline {}",

@@ -28,7 +28,7 @@ use fem_bench::scenarios::{run_scenario_matrix, STRATEGY_EQUIVALENCE_TOL};
 use fem_bench::{SCENARIO_MATRIX_EDGE, SCENARIO_MATRIX_STEPS};
 use fem_cfd_accel::solver::scenarios::Scenario;
 use fem_cfd_accel::solver::{
-    AssemblyStrategy, BackendSelect, KernelPath, PartitionStrategy, Simulation,
+    AssemblyStrategy, BackendSelect, KernelPath, PartitionStrategy, Simulation, SimulationBuilder,
 };
 
 const GOLDEN_PATH: &str = concat!(
@@ -129,7 +129,8 @@ fn matrix_passes_equivalence_and_invariants_for_all_scenarios() {
 fn tgv_trace_at(edge: usize, order: usize, dt: f64, steps: usize) -> Vec<(f64, f64, f64, f64)> {
     let scenario = Scenario::taylor_green();
     let mut sim = scenario
-        .simulation_with_order(edge, order)
+        .builder(edge, order)
+        .and_then(SimulationBuilder::build)
         .expect("golden TGV builds");
     let mut rows = Vec::with_capacity(steps);
     for _ in 0..steps {
@@ -149,7 +150,8 @@ fn tgv_trace(dt: f64, steps: usize) -> Vec<(f64, f64, f64, f64)> {
 fn golden_dt_at(edge: usize, order: usize) -> f64 {
     let scenario = Scenario::taylor_green();
     let sim = scenario
-        .simulation_with_order(edge, order)
+        .builder(edge, order)
+        .and_then(SimulationBuilder::build)
         .expect("golden TGV builds");
     sim.suggest_dt(scenario.default_cfl())
 }
@@ -293,9 +295,9 @@ fn registry_invariants_hold_at_p2_under_both_kernel_paths() {
         let mut ends: Vec<Vec<u64>> = Vec::new();
         for path in KernelPath::ALL {
             let mut sim = scenario
-                .simulation_with_order(4, 2)
+                .builder(4, 2)
+                .and_then(|b| b.kernel_path(path).build())
                 .unwrap_or_else(|e| panic!("{}: p=2 build failed: {e}", scenario.name()));
-            sim.set_kernel_path(path);
             let dt = sim.suggest_dt(scenario.default_cfl());
             let start = sim.diagnostics();
             sim.advance(GOLDEN_STEPS, dt)
