@@ -5,11 +5,56 @@
 //! reference direction are 1D differentiation-matrix applications along the
 //! corresponding index line — the structure the accelerator's
 //! "COMPUTE Gradients" stage exploits.
+//!
+//! The element loop nests are written once, generic over a [`NodeCount`]:
+//! [`HexBasis::with_node_count`] runs them with a [`Fixed`] node count for
+//! orders 1–4, so the compiler sees constant trip counts (unrolled lines,
+//! no per-access bounds checks), and with a [`Runtime`] one above that.
+//! Every instantiation executes the same operations in the same order, so
+//! the results are bitwise identical whichever one runs.
 
 use crate::lagrange::LagrangeBasis;
 use crate::linalg::Vec3;
 use crate::quadrature::GllRule;
 use crate::NumericsError;
+
+/// The nodes per direction `n` of a tensor-product loop nest, as a type.
+pub trait NodeCount: Copy {
+    /// The node count `n = p + 1`.
+    fn get(self) -> usize;
+}
+
+/// A node count known at compile time.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed<const N: usize>;
+
+impl<const N: usize> NodeCount for Fixed<N> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        N
+    }
+}
+
+/// A node count read at run time.
+#[derive(Debug, Clone, Copy)]
+pub struct Runtime(pub usize);
+
+impl NodeCount for Runtime {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self.0
+    }
+}
+
+/// An element loop nest written once over its [`NodeCount`]; see
+/// [`HexBasis::with_node_count`].
+pub trait NodeKernel {
+    /// What the loop nest returns.
+    type Output;
+
+    /// Runs the loop nest with `n` nodes per direction.
+    fn run<N: NodeCount>(self, n: N) -> Self::Output;
+}
 
 /// Node numbering and reference-space operators of a hexahedral element
 /// of a given polynomial order.
@@ -154,6 +199,19 @@ impl HexBasis {
         Vec3::new(x[i], x[j], x[k])
     }
 
+    /// Runs `kernel` with this basis' node count: [`Fixed`] for orders
+    /// 1–4, [`Runtime`] above. The one place an element loop nest is
+    /// specialized to the order.
+    pub fn with_node_count<K: NodeKernel>(&self, kernel: K) -> K::Output {
+        match self.nodes_per_dim() {
+            2 => kernel.run(Fixed::<2>),
+            3 => kernel.run(Fixed::<3>),
+            4 => kernel.run(Fixed::<4>),
+            5 => kernel.run(Fixed::<5>),
+            n => kernel.run(Runtime(n)),
+        }
+    }
+
     /// Gradient of a nodal scalar field in *reference* coordinates at every
     /// node: `out[q] = (∂f/∂ξ, ∂f/∂η, ∂f/∂ζ)` at node `q`.
     ///
@@ -163,20 +221,43 @@ impl HexBasis {
     ///
     /// Panics if slices are not `nodes_per_element()` long.
     pub fn reference_gradient(&self, field: &[f64], out: &mut [Vec3]) {
-        let n = self.nodes_per_dim();
         let nn = self.nodes_per_element();
         assert_eq!(field.len(), nn, "field length");
         assert_eq!(out.len(), nn, "output length");
+        self.with_node_count(Gradient {
+            dmat: &self.dmat,
+            field,
+            out,
+        });
+    }
+}
+
+/// The loop nest of [`HexBasis::reference_gradient`].
+struct Gradient<'a> {
+    dmat: &'a [f64],
+    field: &'a [f64],
+    out: &'a mut [Vec3],
+}
+
+impl NodeKernel for Gradient<'_> {
+    type Output = ();
+
+    #[inline]
+    fn run<N: NodeCount>(self, n: N) {
+        let n = n.get();
+        let d = &self.dmat[..n * n];
+        let field = &self.field[..n * n * n];
+        let out = &mut self.out[..n * n * n];
         for k in 0..n {
             for j in 0..n {
                 for i in 0..n {
                     let mut g = Vec3::ZERO;
                     for m in 0..n {
-                        g.x += self.dmat[i * n + m] * field[self.flat_index(m, j, k)];
-                        g.y += self.dmat[j * n + m] * field[self.flat_index(i, m, k)];
-                        g.z += self.dmat[k * n + m] * field[self.flat_index(i, j, m)];
+                        g.x += d[i * n + m] * field[m + n * (j + n * k)];
+                        g.y += d[j * n + m] * field[i + n * (m + n * k)];
+                        g.z += d[k * n + m] * field[i + n * (j + n * m)];
                     }
-                    out[self.flat_index(i, j, k)] = g;
+                    out[i + n * (j + n * k)] = g;
                 }
             }
         }
@@ -187,6 +268,24 @@ impl HexBasis {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn vec3_bits(v: &[Vec3]) -> Vec<u64> {
+        v.iter()
+            .flat_map(|g| [g.x.to_bits(), g.y.to_bits(), g.z.to_bits()])
+            .collect()
+    }
+
+    /// The gradient loop nest run at node count `n`, as bit patterns.
+    fn gradient_bits<N: NodeCount>(hex: &HexBasis, n: N, field: &[f64]) -> Vec<u64> {
+        let mut out = vec![Vec3::ZERO; field.len()];
+        Gradient {
+            dmat: hex.dmat(),
+            field,
+            out: &mut out,
+        }
+        .run(n);
+        vec3_bits(&out)
+    }
 
     #[test]
     fn order_zero_is_rejected() {
@@ -386,6 +485,29 @@ mod tests {
                         prop_assert!((g - exact).norm() < 1e-10);
                     }
                 }
+            }
+        }
+
+        /// Every compile-time node count runs the runtime loop nest bit
+        /// for bit, and the dispatched `reference_gradient` is that loop.
+        #[test]
+        fn prop_fixed_node_count_matches_runtime(
+            field in proptest::collection::vec(-3.0f64..3.0, 125),
+        ) {
+            for order in 1..=4 {
+                let hex = HexBasis::new(order).unwrap();
+                let field = &field[..hex.nodes_per_element()];
+                let runtime = gradient_bits(&hex, Runtime(order + 1), field);
+                let fixed = match order {
+                    1 => gradient_bits(&hex, Fixed::<2>, field),
+                    2 => gradient_bits(&hex, Fixed::<3>, field),
+                    3 => gradient_bits(&hex, Fixed::<4>, field),
+                    _ => gradient_bits(&hex, Fixed::<5>, field),
+                };
+                prop_assert!(fixed == runtime, "order {order}: Fixed differs from Runtime");
+                let mut out = vec![Vec3::ZERO; field.len()];
+                hex.reference_gradient(field, &mut out);
+                prop_assert!(vec3_bits(&out) == runtime, "order {order}: dispatch differs from Runtime");
             }
         }
 

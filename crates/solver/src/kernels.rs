@@ -24,8 +24,9 @@
 //! the split stages [`convective_flux`] / [`viscous_flux`] remain as the
 //! seed reference path (validation and the fused-vs-split benchmark).
 //! Geometry arrives as borrowed [`GeomRef`] slices — either from the
-//! per-element recompute ([`ElementGeometry::view`]) or, on the hot path,
-//! from the precomputed [`fem_mesh::geometry::GeometryCache`]. The
+//! per-element recompute ([`fem_mesh::hex::ElementGeometry::view`]) or,
+//! on the hot path, from the precomputed
+//! [`fem_mesh::geometry::GeometryCache`]. The
 //! Galerkin weak form integrates the flux divergence by parts, so a
 //! conserved variable `U` with flux `F` obeys `M dU/dt = R`,
 //! `R_i = ∫ ∇N_i · F dV`, evaluated with GLL quadrature collocated at the
@@ -76,17 +77,25 @@
 //! so for a given path the element residual is a pure function of the
 //! element data — which is what lets every backend (serial,
 //! multi-device, the staged accelerator pipeline) reproduce the serial
-//! answer bitwise as long as its *scatter* order is canonical. The sum-factored path is
-//! bit-identical to the pre-knob kernel (it *is* that loop), so all golden
-//! traces and cross-backend bitwise guarantees are unchanged by default.
+//! answer bitwise as long as its *scatter* order is canonical. The
+//! sum-factored path is bit-identical to the pre-knob kernel (it *is* that
+//! loop), so all golden traces and cross-backend bitwise guarantees are
+//! unchanged by default.
+//!
+//! The factored loop nest, like [`HexBasis::reference_gradient`] behind
+//! the flux stages, is written once over a [`NodeCount`] and instantiated
+//! per order by [`HexBasis::with_node_count`]: `Fixed<2..=5>` for orders
+//! 1–4, so the compiler unrolls the constant-length 1D lines and drops the
+//! bounds checks, and `Runtime(n)` above. Every instantiation runs the
+//! same multiplies and adds in the same order from the same start values,
+//! so which one runs never changes a bit; a proptest pins each `Fixed<N>`
+//! to `Runtime(n)` on random fluxes and geometry.
 
 use crate::gas::GasModel;
 use crate::state::{Conserved, Primitives};
-#[allow(unused_imports)] // docs reference ElementGeometry::view
-use fem_mesh::hex::ElementGeometry;
 use fem_mesh::hex::GeomRef;
 use fem_numerics::linalg::{Mat3, Vec3};
-use fem_numerics::tensor::HexBasis;
+use fem_numerics::tensor::{HexBasis, NodeCount, NodeKernel};
 
 /// Number of conserved variables (ρ, ρu·3, E).
 pub const NUM_VARS: usize = 5;
@@ -270,31 +279,44 @@ pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, g
     basis.reference_gradient(&ws.vel[2], &mut head[2]);
     basis.reference_gradient(&ws.temp, &mut tail[0]);
     let kappa = gas.kappa();
-    for q in 0..ws.npe {
-        let inv_jt = geom.inv_jt[q];
+    // Every input and output re-sliced to `npe` once, so the node loop
+    // carries no per-access bounds checks.
+    let npe = ws.npe;
+    let inv_jts = &geom.inv_jt[..npe];
+    let [gx, gy, gz, gt] = ws.grad_ref.each_ref().map(|g| &g[..npe]);
+    let [vx, vy, vz] = ws.vel.each_ref().map(|v| &v[..npe]);
+    let (rhos, pres, energy, mus) = (
+        &ws.rho[..npe],
+        &ws.pres[..npe],
+        &ws.energy[..npe],
+        &ws.mu[..npe],
+    );
+    let [f0, f1, f2, f3, f4] = ws.flux.each_mut().map(|f| &mut f[..npe]);
+    for q in 0..npe {
+        let inv_jt = inv_jts[q];
         // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
         let l = Mat3::from_rows(
-            inv_jt.mul_vec(ws.grad_ref[0][q]),
-            inv_jt.mul_vec(ws.grad_ref[1][q]),
-            inv_jt.mul_vec(ws.grad_ref[2][q]),
+            inv_jt.mul_vec(gx[q]),
+            inv_jt.mul_vec(gy[q]),
+            inv_jt.mul_vec(gz[q]),
         );
-        let grad_t = inv_jt.mul_vec(ws.grad_ref[3][q]);
-        let mu = ws.mu[q];
+        let grad_t = inv_jt.mul_vec(gt[q]);
+        let mu = mus[q];
         let div_u = l.trace();
         // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I
         let tau =
             mu * (l + l.transpose()) - Mat3::diagonal(1.0, 1.0, 1.0) * (2.0 / 3.0 * mu * div_u);
-        let rho = ws.rho[q];
-        let u = Vec3::new(ws.vel[0][q], ws.vel[1][q], ws.vel[2][q]);
-        let p = ws.pres[q];
-        let e = ws.energy[q];
+        let rho = rhos[q];
+        let u = Vec3::new(vx[q], vy[q], vz[q]);
+        let p = pres[q];
+        let e = energy[q];
         // Net flux per variable: convective minus viscous (mass has no
         // viscous contribution).
-        ws.flux[0][q] = rho * u;
-        ws.flux[1][q] = (rho * u.x) * u + Vec3::new(p, 0.0, 0.0) - tau.row(0);
-        ws.flux[2][q] = (rho * u.y) * u + Vec3::new(0.0, p, 0.0) - tau.row(1);
-        ws.flux[3][q] = (rho * u.z) * u + Vec3::new(0.0, 0.0, p) - tau.row(2);
-        ws.flux[4][q] = (e + p) * u - (tau.mul_vec(u) + kappa * grad_t);
+        f0[q] = rho * u;
+        f1[q] = (rho * u.x) * u + Vec3::new(p, 0.0, 0.0) - tau.row(0);
+        f2[q] = (rho * u.y) * u + Vec3::new(0.0, p, 0.0) - tau.row(1);
+        f3[q] = (rho * u.z) * u + Vec3::new(0.0, 0.0, p) - tau.row(2);
+        f4[q] = (e + p) * u - (tau.mul_vec(u) + kappa * grad_t);
     }
 }
 
@@ -304,35 +326,68 @@ pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, g
 /// `sign` is `+1` for the convective fluxes and `-1` for the viscous
 /// fluxes (the semi-discrete form is
 /// `M dU/dt = ∫∇N·F_c − ∫∇N·F_v`).
+///
+/// # Panics
+///
+/// Panics if the workspace was sized for a different element.
 pub fn weak_divergence(ws: &mut ElementWorkspace, basis: &HexBasis, geom: GeomRef, sign: f64) {
-    let n = basis.nodes_per_dim();
-    let d = basis.dmat();
-    // G_d(q) = w_q det(J_q) · (J⁻¹ F_q)_d ; with inv_jt = J⁻ᵀ stored,
-    // (J⁻¹ F)_d = F · column d of J⁻ᵀ.
-    for v in 0..NUM_VARS {
-        for q in 0..ws.npe {
-            let f = ws.flux[v][q];
-            let inv_jt = geom.inv_jt[q];
-            let w = geom.det_w[q];
-            ws.g[v][q] = Vec3::new(
-                w * f.dot(inv_jt.col(0)),
-                w * f.dot(inv_jt.col(1)),
-                w * f.dot(inv_jt.col(2)),
-            );
-        }
-        // res_i += Σ_m D[m][i1] G(m,i2,i3).x
-        //        + Σ_m D[m][i2] G(i1,m,i3).y
-        //        + Σ_m D[m][i3] G(i1,i2,m).z
-        for i3 in 0..n {
-            for i2 in 0..n {
-                for i1 in 0..n {
-                    let mut acc = 0.0;
-                    for m in 0..n {
-                        acc += d[m * n + i1] * ws.g[v][m + n * (i2 + n * i3)].x;
-                        acc += d[m * n + i2] * ws.g[v][i1 + n * (m + n * i3)].y;
-                        acc += d[m * n + i3] * ws.g[v][i1 + n * (i2 + n * m)].z;
+    assert_eq!(ws.npe, basis.nodes_per_element(), "element node count");
+    basis.with_node_count(WeakDivergence {
+        ws,
+        dmat: basis.dmat(),
+        geom,
+        sign,
+    });
+}
+
+/// The loop nest of [`weak_divergence`].
+struct WeakDivergence<'a> {
+    ws: &'a mut ElementWorkspace,
+    dmat: &'a [f64],
+    geom: GeomRef<'a>,
+    sign: f64,
+}
+
+impl NodeKernel for WeakDivergence<'_> {
+    type Output = ();
+
+    #[inline]
+    fn run<N: NodeCount>(self, n: N) {
+        let n = n.get();
+        let npe = n * n * n;
+        let d = &self.dmat[..n * n];
+        let inv_jt = &self.geom.inv_jt[..npe];
+        let det_w = &self.geom.det_w[..npe];
+        let ws = self.ws;
+        // G_d(q) = w_q det(J_q) · (J⁻¹ F_q)_d ; with inv_jt = J⁻ᵀ stored,
+        // (J⁻¹ F)_d = F · column d of J⁻ᵀ.
+        for v in 0..NUM_VARS {
+            let flux = &ws.flux[v][..npe];
+            let g = &mut ws.g[v][..npe];
+            for q in 0..npe {
+                let f = flux[q];
+                let w = det_w[q];
+                g[q] = Vec3::new(
+                    w * f.dot(inv_jt[q].col(0)),
+                    w * f.dot(inv_jt[q].col(1)),
+                    w * f.dot(inv_jt[q].col(2)),
+                );
+            }
+            // res_i += Σ_m D[m][i1] G(m,i2,i3).x
+            //        + Σ_m D[m][i2] G(i1,m,i3).y
+            //        + Σ_m D[m][i3] G(i1,i2,m).z
+            let res = &mut ws.res[v][..npe];
+            for i3 in 0..n {
+                for i2 in 0..n {
+                    for i1 in 0..n {
+                        let mut acc = 0.0;
+                        for m in 0..n {
+                            acc += d[m * n + i1] * g[m + n * (i2 + n * i3)].x;
+                            acc += d[m * n + i2] * g[i1 + n * (m + n * i3)].y;
+                            acc += d[m * n + i3] * g[i1 + n * (i2 + n * m)].z;
+                        }
+                        res[i1 + n * (i2 + n * i3)] += self.sign * acc;
                     }
-                    ws.res[v][i1 + n * (i2 + n * i3)] += sign * acc;
                 }
             }
         }
@@ -620,6 +675,8 @@ mod tests {
     use crate::gas::GasModel;
     use fem_mesh::generator::BoxMeshBuilder;
     use fem_mesh::hex::{ElementGeometry, GeometryScratch};
+    use fem_numerics::tensor::{Fixed, Runtime};
+    use proptest::prelude::*;
 
     fn setup(n: usize) -> (fem_mesh::HexMesh, HexBasis) {
         let mesh = BoxMeshBuilder::tgv_box(n).build().unwrap();
@@ -1034,6 +1091,74 @@ mod tests {
                 / (c1.full_matrix_divergence_flops - 90 * 8),
             64
         );
+    }
+
+    /// The contraction loop nest run at node count `n` on a copy of `ws`,
+    /// as the bit patterns of the five residuals.
+    fn contraction_bits<N: NodeCount>(
+        ws: &ElementWorkspace,
+        basis: &HexBasis,
+        geom: GeomRef,
+        n: N,
+    ) -> Vec<u64> {
+        let mut ws = ws.clone();
+        WeakDivergence {
+            ws: &mut ws,
+            dmat: basis.dmat(),
+            geom,
+            sign: -1.0,
+        }
+        .run(n);
+        ws.res.iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// Every compile-time node count runs the runtime contraction bit
+        /// for bit, and the dispatched `weak_divergence` is that loop —
+        /// on random fluxes, geometry and prior residuals.
+        #[test]
+        fn prop_fixed_node_count_matches_runtime(
+            values in proptest::collection::vec(-3.0f64..3.0, 125 * 30),
+        ) {
+            for order in 1..=4 {
+                let basis = HexBasis::new(order).unwrap();
+                let npe = basis.nodes_per_element();
+                let mut x = values.iter().copied();
+                let mut next = || x.next().unwrap();
+                let mut ws = ElementWorkspace::new(npe);
+                for q in 0..npe {
+                    for v in 0..NUM_VARS {
+                        ws.flux[v][q] = Vec3::new(next(), next(), next());
+                        ws.res[v][q] = next();
+                    }
+                }
+                let inv_jt: Vec<Mat3> = (0..npe)
+                    .map(|_| {
+                        Mat3::from_rows(
+                            Vec3::new(next(), next(), next()),
+                            Vec3::new(next(), next(), next()),
+                            Vec3::new(next(), next(), next()),
+                        )
+                    })
+                    .collect();
+                let det_w: Vec<f64> = (0..npe).map(|_| next()).collect();
+                let geom = GeomRef {
+                    inv_jt: &inv_jt,
+                    det_w: &det_w,
+                };
+                let runtime = contraction_bits(&ws, &basis, geom, Runtime(order + 1));
+                let fixed = match order {
+                    1 => contraction_bits(&ws, &basis, geom, Fixed::<2>),
+                    2 => contraction_bits(&ws, &basis, geom, Fixed::<3>),
+                    3 => contraction_bits(&ws, &basis, geom, Fixed::<4>),
+                    _ => contraction_bits(&ws, &basis, geom, Fixed::<5>),
+                };
+                prop_assert!(fixed == runtime, "order {order}: Fixed differs from Runtime");
+                weak_divergence(&mut ws, &basis, geom, -1.0);
+                let dispatched: Vec<u64> = ws.res.iter().flatten().map(|x| x.to_bits()).collect();
+                prop_assert!(dispatched == runtime, "order {order}: dispatch differs from Runtime");
+            }
+        }
     }
 
     #[test]
