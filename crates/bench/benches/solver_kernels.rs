@@ -79,6 +79,56 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Element batches: the fused kernels one element at a time through the
+/// public one-lane API against the assembly sweep, which runs them four
+/// elements per lane group (when the CPU has AVX2) and scatters the same
+/// bits.
+fn bench_batch4(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batch4");
+    for order in [1usize, 3] {
+        let mesh = BoxMeshBuilder::tgv_box(4).order(order).build().unwrap();
+        let basis = HexBasis::new(order).unwrap();
+        let cfg = TgvConfig::standard();
+        let gas = cfg.gas();
+        let conserved = cfg.initial_state(&mesh);
+        let mut prim = Primitives::zeros(mesh.num_nodes());
+        prim.update_from(&conserved, &gas);
+        let geometry = GeometryCache::build(&mesh, &basis).unwrap();
+        let mut out = Conserved::zeros(mesh.num_nodes());
+        group.throughput(Throughput::Elements(mesh.num_elements() as u64));
+        group.bench_function(format!("p{order}_element_loop"), |b| {
+            let mut ws = ElementWorkspace::new(mesh.nodes_per_element());
+            b.iter(|| {
+                out.set_zero();
+                for e in 0..mesh.num_elements() {
+                    let g = geometry.element(e);
+                    ws.gather(mesh.element_nodes(e), &conserved, &prim);
+                    ws.zero_residuals();
+                    fused_flux(&mut ws, &gas, &basis, g);
+                    weak_divergence(&mut ws, &basis, g, 1.0);
+                    ws.scatter_add(mesh.element_nodes(e), &mut out);
+                }
+            });
+        });
+        group.bench_function(format!("p{order}_batched_sweep"), |b| {
+            b.iter(|| {
+                assemble_rhs_into(
+                    &mesh,
+                    &basis,
+                    &gas,
+                    &geometry,
+                    &conserved,
+                    &prim,
+                    KernelPath::SumFactored,
+                    &mut out,
+                    None,
+                )
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The PR-3 optimization ladder at full-mesh granularity: seed
 /// recompute+split vs cached+split vs cached+fused, plus the one-time
 /// cache construction cost it amortizes away.
@@ -176,6 +226,7 @@ fn bench_kernel_paths(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernels,
+    bench_batch4,
     bench_geometry_cache,
     bench_kernel_paths
 );

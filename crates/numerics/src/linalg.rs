@@ -84,6 +84,20 @@ impl Vec3 {
     }
 }
 
+impl From<[f64; 3]> for Vec3 {
+    #[inline]
+    fn from([x, y, z]: [f64; 3]) -> Vec3 {
+        Vec3 { x, y, z }
+    }
+}
+
+impl From<Vec3> for [f64; 3] {
+    #[inline]
+    fn from(v: Vec3) -> [f64; 3] {
+        [v.x, v.y, v.z]
+    }
+}
+
 impl Add for Vec3 {
     type Output = Vec3;
     fn add(self, o: Vec3) -> Vec3 {

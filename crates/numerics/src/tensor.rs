@@ -12,11 +12,19 @@
 //! no per-access bounds checks), and with a [`Runtime`] one above that.
 //! Every instantiation executes the same operations in the same order, so
 //! the results are bitwise identical whichever one runs.
+//!
+//! The same loop nests are also generic over a [`Lane`]: `f64` carries one
+//! element's value per node, [`F64x4`] the values of four elements side
+//! by side. Every [`F64x4`] operation is four independent `f64`
+//! operations, one per lane, and Rust never contracts a multiply and an
+//! add into a fused multiply-add, so each lane of a four-element run
+//! holds exactly the bits the one-element run computes for that element.
 
 use crate::lagrange::LagrangeBasis;
 use crate::linalg::Vec3;
 use crate::quadrature::GllRule;
 use crate::NumericsError;
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// The nodes per direction `n` of a tensor-product loop nest, as a type.
 pub trait NodeCount: Copy {
@@ -43,6 +51,122 @@ impl NodeCount for Runtime {
     #[inline(always)]
     fn get(self) -> usize {
         self.0
+    }
+}
+
+/// The per-node value of a group of elements evaluated side by side: `f64`
+/// for one element, [`F64x4`] for four. Arithmetic acts lane by lane.
+pub trait Lane:
+    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + AddAssign
+{
+    /// Elements per lane group.
+    const WIDTH: usize;
+    /// Zero in every lane.
+    const ZERO: Self;
+
+    /// `x` in every lane.
+    fn splat(x: f64) -> Self;
+
+    /// Lane `i` set to `f(i)`, for `i` in `0..WIDTH`.
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self;
+
+    /// The value of lane `i`.
+    fn lane(self, i: usize) -> f64;
+
+    /// Lane `i`, to write.
+    fn lane_mut(&mut self, i: usize) -> &mut f64;
+}
+
+impl Lane for f64 {
+    const WIDTH: usize = 1;
+    const ZERO: f64 = 0.0;
+
+    #[inline(always)]
+    fn splat(x: f64) -> f64 {
+        x
+    }
+
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> f64 {
+        f(0)
+    }
+
+    #[inline(always)]
+    fn lane(self, _i: usize) -> f64 {
+        self
+    }
+
+    #[inline(always)]
+    fn lane_mut(&mut self, _i: usize) -> &mut f64 {
+        self
+    }
+}
+
+/// Four `f64` lanes, one per element of a four-element batch.
+///
+/// Plain array arithmetic: the compiler maps it to one 256-bit vector
+/// operation where AVX2 is enabled and to two 128-bit ones on the
+/// baseline x86-64 instruction set.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C, align(32))]
+pub struct F64x4(pub [f64; 4]);
+
+impl Lane for F64x4 {
+    const WIDTH: usize = 4;
+    const ZERO: F64x4 = F64x4([0.0; 4]);
+
+    #[inline(always)]
+    fn splat(x: f64) -> F64x4 {
+        F64x4([x; 4])
+    }
+
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> F64x4 {
+        F64x4([f(0), f(1), f(2), f(3)])
+    }
+
+    #[inline(always)]
+    fn lane(self, i: usize) -> f64 {
+        self.0[i]
+    }
+
+    #[inline(always)]
+    fn lane_mut(&mut self, i: usize) -> &mut f64 {
+        &mut self.0[i]
+    }
+}
+
+impl Add for F64x4 {
+    type Output = F64x4;
+    #[inline(always)]
+    fn add(self, o: F64x4) -> F64x4 {
+        let (a, b) = (self.0, o.0);
+        F64x4([a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]])
+    }
+}
+
+impl Sub for F64x4 {
+    type Output = F64x4;
+    #[inline(always)]
+    fn sub(self, o: F64x4) -> F64x4 {
+        let (a, b) = (self.0, o.0);
+        F64x4([a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]])
+    }
+}
+
+impl Mul for F64x4 {
+    type Output = F64x4;
+    #[inline(always)]
+    fn mul(self, o: F64x4) -> F64x4 {
+        let (a, b) = (self.0, o.0);
+        F64x4([a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]])
+    }
+}
+
+impl AddAssign for F64x4 {
+    #[inline(always)]
+    fn add_assign(&mut self, o: F64x4) {
+        *self = *self + o;
     }
 }
 
@@ -202,6 +326,11 @@ impl HexBasis {
     /// Runs `kernel` with this basis' node count: [`Fixed`] for orders
     /// 1–4, [`Runtime`] above. The one place an element loop nest is
     /// specialized to the order.
+    ///
+    /// Always inlined, like the loop nests behind it, so a caller compiled
+    /// for a wider instruction set (an AVX2 entry point running [`F64x4`]
+    /// lanes) compiles the whole loop nest for that set.
+    #[inline(always)]
     pub fn with_node_count<K: NodeKernel>(&self, kernel: K) -> K::Output {
         match self.nodes_per_dim() {
             2 => kernel.run(Fixed::<2>),
@@ -221,43 +350,70 @@ impl HexBasis {
     ///
     /// Panics if slices are not `nodes_per_element()` long.
     pub fn reference_gradient(&self, field: &[f64], out: &mut [Vec3]) {
+        self.lane_gradients([field], [out]);
+    }
+
+    /// [`reference_gradient`](Self::reference_gradient) of `K` fields in
+    /// one pass, every lane of a lane-interleaved field at once:
+    /// `outs[f][q]` holds `(∂f/∂ξ, ∂f/∂η, ∂f/∂ζ)` of `fields[f]` at node
+    /// `q`, lane by lane. Each field accumulates exactly as it would alone,
+    /// so the one-lane, one-field run is `reference_gradient`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slices are not `nodes_per_element()` long.
+    #[inline(always)]
+    pub fn lane_gradients<L: Lane, O: From<[L; 3]>, const K: usize>(
+        &self,
+        fields: [&[L]; K],
+        outs: [&mut [O]; K],
+    ) {
         let nn = self.nodes_per_element();
-        assert_eq!(field.len(), nn, "field length");
-        assert_eq!(out.len(), nn, "output length");
+        for field in fields {
+            assert_eq!(field.len(), nn, "field length");
+        }
+        for out in &outs {
+            assert_eq!(out.len(), nn, "output length");
+        }
         self.with_node_count(Gradient {
             dmat: &self.dmat,
-            field,
-            out,
+            fields,
+            outs,
         });
     }
 }
 
-/// The loop nest of [`HexBasis::reference_gradient`].
-struct Gradient<'a> {
+/// The loop nest of [`HexBasis::lane_gradients`].
+struct Gradient<'a, L, O, const K: usize> {
     dmat: &'a [f64],
-    field: &'a [f64],
-    out: &'a mut [Vec3],
+    fields: [&'a [L]; K],
+    outs: [&'a mut [O]; K],
 }
 
-impl NodeKernel for Gradient<'_> {
+impl<L: Lane, O: From<[L; 3]>, const K: usize> NodeKernel for Gradient<'_, L, O, K> {
     type Output = ();
 
-    #[inline]
+    #[inline(always)]
     fn run<N: NodeCount>(self, n: N) {
         let n = n.get();
         let d = &self.dmat[..n * n];
-        let field = &self.field[..n * n * n];
-        let out = &mut self.out[..n * n * n];
+        let fields = self.fields.map(|f| &f[..n * n * n]);
+        let mut outs = self.outs.map(|o| &mut o[..n * n * n]);
         for k in 0..n {
             for j in 0..n {
                 for i in 0..n {
-                    let mut g = Vec3::ZERO;
+                    let mut g = [[L::ZERO; 3]; K];
                     for m in 0..n {
-                        g.x += d[i * n + m] * field[m + n * (j + n * k)];
-                        g.y += d[j * n + m] * field[i + n * (m + n * k)];
-                        g.z += d[k * n + m] * field[i + n * (j + n * m)];
+                        let (dx, dy, dz) = (d[i * n + m], d[j * n + m], d[k * n + m]);
+                        for (g, field) in g.iter_mut().zip(&fields) {
+                            g[0] += L::splat(dx) * field[m + n * (j + n * k)];
+                            g[1] += L::splat(dy) * field[i + n * (m + n * k)];
+                            g[2] += L::splat(dz) * field[i + n * (j + n * m)];
+                        }
                     }
-                    out[i + n * (j + n * k)] = g;
+                    for (out, g) in outs.iter_mut().zip(g) {
+                        out[i + n * (j + n * k)] = O::from(g);
+                    }
                 }
             }
         }
@@ -280,8 +436,8 @@ mod tests {
         let mut out = vec![Vec3::ZERO; field.len()];
         Gradient {
             dmat: hex.dmat(),
-            field,
-            out: &mut out,
+            fields: [field],
+            outs: [&mut out[..]],
         }
         .run(n);
         vec3_bits(&out)
@@ -508,6 +664,46 @@ mod tests {
                 let mut out = vec![Vec3::ZERO; field.len()];
                 hex.reference_gradient(field, &mut out);
                 prop_assert!(vec3_bits(&out) == runtime, "order {order}: dispatch differs from Runtime");
+            }
+        }
+
+        /// Four lanes of four fields in one pass give, lane by lane and
+        /// field by field, the bits of `reference_gradient` at orders 1–5.
+        #[test]
+        fn prop_lanes_match_one_lane(
+            values in proptest::collection::vec(-3.0f64..3.0, 216 * 16),
+        ) {
+            for order in 1..=5 {
+                let hex = HexBasis::new(order).unwrap();
+                let nn = hex.nodes_per_element();
+                // fields[f][j]: field `f` of lane `j`.
+                let fields: Vec<Vec<&[f64]>> = (0..4)
+                    .map(|f| (0..4).map(|j| &values[(4 * f + j) * 216..][..nn]).collect())
+                    .collect();
+                let lanes: Vec<Vec<F64x4>> = fields
+                    .iter()
+                    .map(|f| (0..nn).map(|q| F64x4::from_fn(|j| f[j][q])).collect())
+                    .collect();
+                let mut outs = vec![vec![[F64x4::ZERO; 3]; nn]; 4];
+                let [o0, o1, o2, o3] = &mut outs[..] else { unreachable!() };
+                hex.lane_gradients(
+                    [&lanes[0][..], &lanes[1], &lanes[2], &lanes[3]],
+                    [&mut o0[..], o1, o2, o3],
+                );
+                for (f, out) in outs.iter().enumerate() {
+                    for (j, field) in fields[f].iter().enumerate() {
+                        let mut one = vec![Vec3::ZERO; nn];
+                        hex.reference_gradient(field, &mut one);
+                        let lane: Vec<Vec3> = out
+                            .iter()
+                            .map(|g| Vec3::new(g[0].lane(j), g[1].lane(j), g[2].lane(j)))
+                            .collect();
+                        prop_assert!(
+                            vec3_bits(&lane) == vec3_bits(&one),
+                            "order {order} field {f} lane {j}"
+                        );
+                    }
+                }
             }
         }
 

@@ -6,11 +6,13 @@
 //!
 //! Both reductions — the nodal norms and the per-element enstrophy
 //! integral — run in parallel via the rayon `fold`/`reduce`/`sum`
-//! patterns. The per-chunk accumulators combine in input order, so
-//! results are deterministic for a fixed worker count (they regroup, and
-//! thus differ in the last bits, only when `available_parallelism`
-//! changes). The enstrophy integral reads the precomputed
-//! [`GeometryCache`] instead of rebuilding element Jacobians.
+//! patterns, each worker taking at least [`MIN_NODES_PER_WORKER`] nodes
+//! (`with_min_len`), so small meshes reduce on the calling thread. The
+//! per-chunk accumulators combine in input order, so results are
+//! deterministic for a fixed worker count (they regroup, and thus differ
+//! in the last bits, only when `available_parallelism` changes). The
+//! enstrophy integral reads the precomputed [`GeometryCache`] instead of
+//! rebuilding element Jacobians.
 
 use crate::kernels::ElementWorkspace;
 use crate::state::{Conserved, Primitives};
@@ -72,6 +74,7 @@ impl FlowDiagnostics {
         // combined in input order.
         let nodal = (0..nn)
             .into_par_iter()
+            .with_min_len(MIN_NODES_PER_WORKER)
             .fold(NodalAccum::zero, |mut acc, n| {
                 let m = mass[n];
                 let rho = conserved.rho[n];
@@ -95,14 +98,15 @@ impl FlowDiagnostics {
         let npe = mesh.nodes_per_element();
         let enstrophy: f64 = (0..mesh.num_elements())
             .into_par_iter()
+            .with_min_len(MIN_NODES_PER_WORKER.div_ceil(npe))
             .fold(
                 || EnstrophyAccum::new(npe),
                 |mut acc, e| {
                     let geom = geometry.element(e);
                     acc.ws.gather(mesh.element_nodes(e), conserved, prim);
-                    basis.reference_gradient(&acc.ws.vel[0], &mut acc.gref[0]);
-                    basis.reference_gradient(&acc.ws.vel[1], &mut acc.gref[1]);
-                    basis.reference_gradient(&acc.ws.vel[2], &mut acc.gref[2]);
+                    let [vx, vy, vz] = &acc.ws.vel;
+                    basis
+                        .lane_gradients([&vx[..], vy, vz], acc.gref.each_mut().map(|g| &mut g[..]));
                     for (q, &inv_jt) in geom.inv_jt.iter().enumerate().take(npe) {
                         let l = Mat3::from_rows(
                             inv_jt.mul_vec(acc.gref[0][q]),
@@ -135,6 +139,11 @@ impl FlowDiagnostics {
         }
     }
 }
+
+/// Fewest nodes a diagnostics worker handles: below twice this a
+/// reduction runs on the calling thread, since spawning a worker costs
+/// more than the nodes it would take over.
+const MIN_NODES_PER_WORKER: usize = 8192;
 
 /// Per-chunk accumulator of the nodal diagnostics reduction.
 #[derive(Debug, Clone, Copy)]

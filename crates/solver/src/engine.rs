@@ -39,7 +39,10 @@
 //! contiguous ranges:
 //!
 //! 1. every device stores its elements sorted ascending by global id and
-//!    walks them in that order;
+//!    walks them in that order. It *evaluates* them in element batches
+//!    ([`crate::batch`]) — evaluation order is free, since an element's
+//!    residual depends on its own data alone — but records, replays and
+//!    scatters them one element at a time in that order;
 //! 2. an **interior** node (`plan.frontier()[n] == false`) is touched by
 //!    exactly one device, so the direct scatter applies its contributions
 //!    in ascending element order — the serial order restricted to that
@@ -81,9 +84,10 @@
 //! is attached once, at [`crate::driver::SimulationBuilder::build`], and
 //! stays for the life of the simulation.
 
+use crate::batch::{BatchEvaluator, Elements, ResidualSink};
 use crate::gas::GasModel;
-use crate::kernels::{ElementWorkspace, KernelOps, KernelPath, NUM_VARS};
-use crate::parallel::{assemble_rhs_into, eval_element, AssemblyStrategy, SharedRhs};
+use crate::kernels::{KernelOps, KernelPath, NUM_VARS};
+use crate::parallel::{assemble_rhs_into, AssemblyStrategy, SharedRhs};
 use crate::profile::{Phase, PhaseProfiler};
 use crate::state::{Conserved, Primitives};
 use crate::SolverError;
@@ -393,6 +397,8 @@ struct DeviceState {
     index: usize,
     /// Global ids of this device's frontier elements, ascending.
     frontier_elements: Vec<u32>,
+    /// Global ids of the rest of its elements, ascending.
+    interior_elements: Vec<u32>,
     /// Double-banked per-neighbor send buffers, indexed by the position
     /// of the destination in the shard's sorted neighbor list; the bank
     /// parity flips every assembly, so a buffer still in flight at a
@@ -518,6 +524,12 @@ impl MultiDeviceBackend {
             .zip(frontier_elements)
             .map(|(shard, fe)| DeviceState {
                 index: shard.index(),
+                interior_elements: shard
+                    .elements()
+                    .iter()
+                    .copied()
+                    .filter(|e| fe.binary_search(e).is_err())
+                    .collect(),
                 frontier_elements: fe,
                 send: shard
                     .neighbors()
@@ -630,6 +642,95 @@ fn model_exchange(
         .collect()
 }
 
+/// Frontier-sweep sink: buffers every residual for the interior replay
+/// and routes frontier-node records to their owner — the send bank of
+/// the owning neighbor, or `pending` when self-owned.
+struct RouteFrontier<'a> {
+    mesh: &'a HexMesh,
+    frontier: &'a [bool],
+    owner: &'a [u32],
+    neighbors: &'a [u32],
+    index: usize,
+    parity: usize,
+    replay: &'a mut Vec<f64>,
+    pending: &'a mut Vec<HaloContribution>,
+    send: &'a mut [[Vec<HaloContribution>; 2]],
+}
+
+impl ResidualSink for RouteFrontier<'_> {
+    fn element(&mut self, e: usize, res: &[[f64; NUM_VARS]]) {
+        for (&n, &vals) in self.mesh.element_nodes(e).iter().zip(res) {
+            self.replay.extend_from_slice(&vals);
+            if self.frontier[n as usize] {
+                let o = self.owner[n as usize];
+                let rec = HaloContribution {
+                    node: n,
+                    element: e as u32,
+                    vals,
+                };
+                if o as usize == self.index {
+                    self.pending.push(rec);
+                } else {
+                    let j = self
+                        .neighbors
+                        .binary_search(&o)
+                        .expect("owner of a shared node is a neighbor");
+                    self.send[j][self.parity].push(rec);
+                }
+            }
+        }
+    }
+}
+
+/// Interior-sweep sink: scatters interior elements straight into the
+/// RHS and, before each, replays the buffered interior-node results of
+/// the frontier elements below it — so the device's nodes accumulate in
+/// its ascending-element walk.
+struct ScatterInterior<'a> {
+    mesh: &'a HexMesh,
+    frontier: &'a [bool],
+    frontier_elements: &'a [u32],
+    replay: &'a [f64],
+    /// Frontier elements replayed so far.
+    replayed: usize,
+    rhs: &'a SharedRhs,
+}
+
+impl ScatterInterior<'_> {
+    /// Replays every not yet replayed frontier element below `limit`.
+    fn replay_below(&mut self, limit: usize) {
+        let stride = self.mesh.nodes_per_element() * NUM_VARS;
+        while let Some(&f) = self.frontier_elements.get(self.replayed) {
+            if f as usize >= limit {
+                break;
+            }
+            let base = self.replayed * stride;
+            for (q, &n) in self.mesh.element_nodes(f as usize).iter().enumerate() {
+                if !self.frontier[n as usize] {
+                    let o = base + q * NUM_VARS;
+                    let vals = std::array::from_fn(|v| self.replay[o + v]);
+                    // SAFETY: in-bounds node; an interior node is touched
+                    // by this device alone, so no two threads alias.
+                    unsafe { self.rhs.add_vals(n as usize, &vals) };
+                }
+            }
+            self.replayed += 1;
+        }
+    }
+}
+
+impl ResidualSink for ScatterInterior<'_> {
+    fn element(&mut self, e: usize, res: &[[f64; NUM_VARS]]) {
+        self.replay_below(e);
+        for (&n, vals) in self.mesh.element_nodes(e).iter().zip(res) {
+            // An interior element touches no frontier node.
+            debug_assert!(!self.frontier[n as usize]);
+            // SAFETY: as above — interior nodes never alias.
+            unsafe { self.rhs.add_vals(n as usize, vals) };
+        }
+    }
+}
+
 /// The body one device worker runs per assembly (one spawned thread per
 /// device — the vendored rayon [`rayon::scope`] guarantees a real OS
 /// thread per spawn, so blocking on the mailbox cannot deadlock the
@@ -644,20 +745,26 @@ fn run_device(
     conserved: &Conserved,
     prim: &Primitives,
     rhs: &SharedRhs,
-    viscous: bool,
     parity: usize,
     profile: bool,
     agg: &Mutex<PhaseProfiler>,
 ) {
-    let npe = ctx.mesh.nodes_per_element();
     let owner = plan.owners();
     let frontier = plan.frontier();
     let neighbors = shard.neighbors();
-    let mut ws = ElementWorkspace::new(npe);
     let mut local = PhaseProfiler::new();
     // Per-device resolution: each worker materializes its own operators
     // (full-matrix) or none (factored) — no cross-device sharing needed.
     let kernel = KernelOps::resolve(ctx.kernel, ctx.basis);
+    let eval = BatchEvaluator {
+        mesh: ctx.mesh,
+        basis: ctx.basis,
+        gas: ctx.gas,
+        geometry: ctx.geometry,
+        conserved,
+        prim,
+        kernel: &kernel,
+    };
 
     // Reclaim the emptied send buffers receivers returned earlier.
     {
@@ -673,53 +780,25 @@ fn run_device(
     }
 
     // Phase 1 — frontier sweep: assemble every element touching a
-    // frontier node, route frontier-node records to their owner (the
-    // send bank of the owning neighbor, or `pending` when self-owned)
-    // and *buffer* interior-node results for the replay below.
+    // frontier node, route frontier-node records to their owner and
+    // *buffer* interior-node results for the replay below.
     let t0 = Instant::now();
     dev.replay.clear();
-    for &e32 in &dev.frontier_elements {
-        let e = e32 as usize;
-        eval_element(
-            ctx.mesh,
-            ctx.basis,
-            ctx.gas,
-            viscous,
-            conserved,
-            prim,
-            e,
-            &mut ws,
-            ctx.geometry.element(e),
-            &kernel,
-            if profile { Some(&mut local) } else { None },
-        );
-        for (q, &n) in ctx.mesh.element_nodes(e).iter().enumerate() {
-            let vals = [
-                ws.res[0][q],
-                ws.res[1][q],
-                ws.res[2][q],
-                ws.res[3][q],
-                ws.res[4][q],
-            ];
-            dev.replay.extend_from_slice(&vals);
-            if frontier[n as usize] {
-                let o = owner[n as usize];
-                let rec = HaloContribution {
-                    node: n,
-                    element: e32,
-                    vals,
-                };
-                if o as usize == dev.index {
-                    dev.pending.push(rec);
-                } else {
-                    let j = neighbors
-                        .binary_search(&o)
-                        .expect("owner of a shared node is a neighbor");
-                    dev.send[j][parity].push(rec);
-                }
-            }
-        }
-    }
+    eval.sweep(
+        Elements::List(&dev.frontier_elements),
+        profile.then_some(&mut local),
+        &mut RouteFrontier {
+            mesh: ctx.mesh,
+            frontier,
+            owner,
+            neighbors,
+            index: dev.index,
+            parity,
+            replay: &mut dev.replay,
+            pending: &mut dev.pending,
+            send: &mut dev.send,
+        },
+    );
     dev.measured.frontier_s += t0.elapsed().as_secs_f64();
 
     // Post one buffer to every neighbor — empty ones included, so every
@@ -730,56 +809,26 @@ fn run_device(
     }
 
     // Phase 2 — interior sweep, overlapped with the posts in flight:
-    // walk ALL of the shard's elements ascending; frontier elements
-    // replay their buffered interior-node scatters, interior elements
-    // evaluate fresh. Interior nodes are touched by this device alone,
-    // so the direct scatter is race-free and in serial order.
+    // interior elements evaluate fresh, and the sink interleaves the
+    // frontier elements' buffered interior-node results so the shard's
+    // elements scatter in ascending order. Interior nodes are touched by
+    // this device alone, so the direct scatter is race-free and in serial
+    // order.
     let t0 = Instant::now();
-    let stride = npe * NUM_VARS;
-    let mut fcur = 0usize;
-    for &e32 in shard.elements() {
-        if fcur < dev.frontier_elements.len() && dev.frontier_elements[fcur] == e32 {
-            let base = fcur * stride;
-            for (q, &n) in ctx.mesh.element_nodes(e32 as usize).iter().enumerate() {
-                if !frontier[n as usize] {
-                    let o = base + q * NUM_VARS;
-                    let vals = [
-                        dev.replay[o],
-                        dev.replay[o + 1],
-                        dev.replay[o + 2],
-                        dev.replay[o + 3],
-                        dev.replay[o + 4],
-                    ];
-                    // SAFETY: in-bounds node; an interior node is
-                    // touched by this device alone, so no two threads
-                    // alias.
-                    unsafe { rhs.add_vals(n as usize, &vals) };
-                }
-            }
-            fcur += 1;
-        } else {
-            let e = e32 as usize;
-            eval_element(
-                ctx.mesh,
-                ctx.basis,
-                ctx.gas,
-                viscous,
-                conserved,
-                prim,
-                e,
-                &mut ws,
-                ctx.geometry.element(e),
-                &kernel,
-                if profile { Some(&mut local) } else { None },
-            );
-            for (q, &n) in ctx.mesh.element_nodes(e).iter().enumerate() {
-                // An interior element touches no frontier node.
-                debug_assert!(!frontier[n as usize]);
-                // SAFETY: as above — interior nodes never alias.
-                unsafe { rhs.add_node(n as usize, &ws.res, q) };
-            }
-        }
-    }
+    let mut interior = ScatterInterior {
+        mesh: ctx.mesh,
+        frontier,
+        frontier_elements: &dev.frontier_elements,
+        replay: &dev.replay,
+        replayed: 0,
+        rhs,
+    };
+    eval.sweep(
+        Elements::List(&dev.interior_elements),
+        profile.then_some(&mut local),
+        &mut interior,
+    );
+    interior.replay_below(usize::MAX);
     dev.measured.interior_s += t0.elapsed().as_secs_f64();
 
     // Phase 3 — wait for the neighbors' posts (the exposed, i.e.
@@ -858,7 +907,6 @@ impl ExecutionBackend for MultiDeviceBackend {
             self.geometry_fingerprint,
             "assembly context geometry does not match the shard plan's mesh"
         );
-        let viscous = ctx.gas.mu > 0.0;
         let profile = profiler.is_some();
         let parity = self.parity;
         self.parity ^= 1;
@@ -874,8 +922,7 @@ impl ExecutionBackend for MultiDeviceBackend {
                 let agg = &agg;
                 scope.spawn(move |_| {
                     run_device(
-                        dev, shard, plan, boxes, ctx, conserved, prim, rhs, viscous, parity,
-                        profile, agg,
+                        dev, shard, plan, boxes, ctx, conserved, prim, rhs, parity, profile, agg,
                     );
                 });
             }

@@ -80,7 +80,12 @@
 //! answer bitwise as long as its *scatter* order is canonical. The
 //! sum-factored path is bit-identical to the pre-knob kernel (it *is* that
 //! loop), so all golden traces and cross-backend bitwise guarantees are
-//! unchanged by default.
+//! unchanged by default. The same holds across the lanes of an element
+//! batch (below): lanes never mix — every operation of a four-lane run
+//! acts on each lane alone, in the one-element order, from the same start
+//! values — and Rust never contracts a multiply and an add into a fused
+//! multiply-add, with or without `+avx2`, so each lane holds the bits the
+//! one-element kernel computes for its element.
 //!
 //! The factored loop nest, like [`HexBasis::reference_gradient`] behind
 //! the flux stages, is written once over a [`NodeCount`] and instantiated
@@ -90,49 +95,105 @@
 //! same multiplies and adds in the same order from the same start values,
 //! so which one runs never changes a bit; a proptest pins each `Fixed<N>`
 //! to `Runtime(n)` on random fluxes and geometry.
+//!
+//! # Element batches
+//!
+//! Every stage is also written once over a [`Lane`], the per-node value
+//! type: the gather, the reference gradients
+//! ([`HexBasis::lane_gradients`]), the fused and convective fluxes, the
+//! `G` transform and both contractions. `f64` is one element; the
+//! public [`ElementWorkspace`], [`fused_flux`], [`convective_flux`] and
+//! [`weak_divergence`] are that one-lane instantiation, reading geometry
+//! in place from a [`GeomRef`]. [`F64x4`] runs four elements side by
+//! side in an `ElementWorkspace<F64x4>`, with `J⁻ᵀ` and `det·w`
+//! transposed into lanes. The element-batch evaluator
+//! ([`crate::batch`]) drives the host assembly sweeps through these
+//! kernels four elements at a time inside one AVX2 entry point when the
+//! CPU has AVX2, and one element at a time otherwise; the full-matrix
+//! reference always runs one element at a time. Lane arithmetic is plain
+//! `[f64; 4]` arrays that the compiler maps to vector instructions — no
+//! `std::simd`, no intrinsics.
+//!
+//! [`F64x4`]: fem_numerics::tensor::F64x4
 
 use crate::gas::GasModel;
 use crate::state::{Conserved, Primitives};
 use fem_mesh::hex::GeomRef;
 use fem_numerics::linalg::{Mat3, Vec3};
-use fem_numerics::tensor::{HexBasis, NodeCount, NodeKernel};
+use fem_numerics::tensor::{HexBasis, Lane, NodeCount, NodeKernel};
 
 /// Number of conserved variables (ρ, ρu·3, E).
 pub const NUM_VARS: usize = 5;
 
 /// Per-element working storage for the diffusion/convection kernels.
+///
+/// `L` is the [`Lane`] a node value is stored in: the default `f64`
+/// workspace holds one element, and the element-batch evaluator
+/// ([`crate::batch`]) runs an `ElementWorkspace<F64x4>` holding four
+/// elements lane-interleaved, lane `j` being the `j`-th element of the
+/// batch.
+///
+/// [`F64x4`]: fem_numerics::tensor::F64x4
 #[derive(Debug, Clone)]
-pub struct ElementWorkspace {
+pub struct ElementWorkspace<L: Lane = f64> {
     npe: usize,
     /// Gathered density.
-    pub rho: Vec<f64>,
+    pub rho: Vec<L>,
     /// Gathered velocity components.
-    pub vel: [Vec<f64>; 3],
+    pub vel: [Vec<L>; 3],
     /// Gathered temperature.
-    pub temp: Vec<f64>,
+    pub temp: Vec<L>,
     /// Gathered pressure.
-    pub pres: Vec<f64>,
+    pub pres: Vec<L>,
     /// Gathered total energy.
-    pub energy: Vec<f64>,
+    pub energy: Vec<L>,
     /// Gathered per-node viscosity.
-    pub mu: Vec<f64>,
+    pub mu: Vec<L>,
     /// Reference-space gradients of (u_x, u_y, u_z, T).
-    grad_ref: [Vec<Vec3>; 4],
+    grad_ref: [Vec<[L; 3]>; 4],
     /// Flux tensor per conserved variable: `flux[v][q]` is the flux vector
     /// of variable `v` at node `q`.
-    flux: [Vec<Vec3>; NUM_VARS],
+    flux: [Vec<[L; 3]>; NUM_VARS],
     /// Quadrature-weighted, Jacobian-transformed flux (`G` in the module
     /// docs): contraction input.
-    g: [Vec<Vec3>; NUM_VARS],
+    g: [Vec<[L; 3]>; NUM_VARS],
     /// Element residual accumulator per variable.
-    pub res: [Vec<f64>; NUM_VARS],
+    pub res: [Vec<L>; NUM_VARS],
 }
 
 impl ElementWorkspace {
     /// Allocates buffers for elements with `nodes_per_element` nodes.
     pub fn new(nodes_per_element: usize) -> Self {
-        let f = || vec![0.0; nodes_per_element];
-        let v = || vec![Vec3::ZERO; nodes_per_element];
+        ElementWorkspace::zeroed(nodes_per_element)
+    }
+
+    /// Gathers the element's node data from the global arrays — the
+    /// paper's LOAD-Element / LOAD-Node stages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len() != nodes_per_element()`.
+    pub fn gather(&mut self, nodes: &[u32], conserved: &Conserved, prim: &Primitives) {
+        self.gather_lanes(&[nodes], conserved, prim);
+    }
+
+    /// Scatter-adds the element residuals into the global RHS — the
+    /// paper's STORE-Element-Contribution stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len() != nodes_per_element()`.
+    pub fn scatter_add(&self, nodes: &[u32], rhs: &mut Conserved) {
+        self.scatter_lane(0, nodes, rhs);
+    }
+}
+
+impl<L: Lane> ElementWorkspace<L> {
+    /// Allocates zeroed buffers for `L::WIDTH` elements with
+    /// `nodes_per_element` nodes each.
+    pub(crate) fn zeroed(nodes_per_element: usize) -> Self {
+        let f = || vec![L::ZERO; nodes_per_element];
+        let v = || vec![[L::ZERO; 3]; nodes_per_element];
         ElementWorkspace {
             npe: nodes_per_element,
             rho: f(),
@@ -153,51 +214,137 @@ impl ElementWorkspace {
         self.npe
     }
 
-    /// Gathers the element's node data from the global arrays — the
-    /// paper's LOAD-Element / LOAD-Node stages.
+    /// Gathers one element per lane: lane `j` of every field reads the
+    /// nodes `elements[j]`.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len() != nodes_per_element()`.
-    pub fn gather(&mut self, nodes: &[u32], conserved: &Conserved, prim: &Primitives) {
-        assert_eq!(nodes.len(), self.npe, "element node count");
-        for (q, &n) in nodes.iter().enumerate() {
-            let n = n as usize;
-            self.rho[q] = conserved.rho[n];
-            self.energy[q] = conserved.energy[n];
-            self.vel[0][q] = prim.vel[0][n];
-            self.vel[1][q] = prim.vel[1][n];
-            self.vel[2][q] = prim.vel[2][n];
-            self.temp[q] = prim.temp[n];
-            self.pres[q] = prim.pressure[n];
-            self.mu[q] = prim.mu[n];
+    /// Panics unless there is one element per lane, each with
+    /// `nodes_per_element()` nodes.
+    #[inline(always)]
+    pub(crate) fn gather_lanes(
+        &mut self,
+        elements: &[&[u32]],
+        conserved: &Conserved,
+        prim: &Primitives,
+    ) {
+        assert_eq!(elements.len(), L::WIDTH, "one element per lane");
+        let npe = self.npe;
+        let [rho, energy, temp, pres, mu] = [
+            &mut self.rho,
+            &mut self.energy,
+            &mut self.temp,
+            &mut self.pres,
+            &mut self.mu,
+        ]
+        .map(|f| &mut f[..npe]);
+        let [vx, vy, vz] = self.vel.each_mut().map(|v| &mut v[..npe]);
+        for (j, nodes) in elements.iter().enumerate() {
+            assert_eq!(nodes.len(), npe, "element node count");
+            for (q, &n) in nodes.iter().enumerate() {
+                let n = n as usize;
+                *rho[q].lane_mut(j) = conserved.rho[n];
+                *energy[q].lane_mut(j) = conserved.energy[n];
+                *vx[q].lane_mut(j) = prim.vel[0][n];
+                *vy[q].lane_mut(j) = prim.vel[1][n];
+                *vz[q].lane_mut(j) = prim.vel[2][n];
+                *temp[q].lane_mut(j) = prim.temp[n];
+                *pres[q].lane_mut(j) = prim.pressure[n];
+                *mu[q].lane_mut(j) = prim.mu[n];
+            }
         }
     }
 
     /// Clears the element residual accumulators.
     pub fn zero_residuals(&mut self) {
         for r in &mut self.res {
-            r.iter_mut().for_each(|x| *x = 0.0);
+            r.fill(L::ZERO);
         }
     }
 
-    /// Scatter-adds the element residuals into the global RHS — the
-    /// paper's STORE-Element-Contribution stage.
+    /// The five residuals of lane `lane` at node `q`.
+    #[inline(always)]
+    pub(crate) fn residual(&self, lane: usize, q: usize) -> [f64; NUM_VARS] {
+        self.res.each_ref().map(|r| r[q].lane(lane))
+    }
+
+    /// Scatter-adds lane `lane`'s residuals into the global RHS at the
+    /// element's `nodes`.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len() != nodes_per_element()`.
-    pub fn scatter_add(&self, nodes: &[u32], rhs: &mut Conserved) {
+    pub(crate) fn scatter_lane(&self, lane: usize, nodes: &[u32], rhs: &mut Conserved) {
         assert_eq!(nodes.len(), self.npe, "element node count");
         for (q, &n) in nodes.iter().enumerate() {
-            let n = n as usize;
-            rhs.rho[n] += self.res[0][q];
-            rhs.mom[0][n] += self.res[1][q];
-            rhs.mom[1][n] += self.res[2][q];
-            rhs.mom[2][n] += self.res[3][q];
-            rhs.energy[n] += self.res[4][q];
+            add_residual(rhs, n as usize, &self.residual(lane, q));
         }
     }
+}
+
+/// Adds one node's five residuals to the global RHS.
+#[inline(always)]
+pub(crate) fn add_residual(rhs: &mut Conserved, n: usize, r: &[f64; NUM_VARS]) {
+    rhs.rho[n] += r[0];
+    rhs.mom[0][n] += r[1];
+    rhs.mom[1][n] += r[2];
+    rhs.mom[2][n] += r[3];
+    rhs.energy[n] += r[4];
+}
+
+/// A node's cached `J⁻ᵀ` as the kernels read it: the cache's [`Mat3`]
+/// for one element, or `[[L; 3]; 3]` with one element per lane.
+pub(crate) trait Jacobian<L>: Copy {
+    /// The rows of `J⁻ᵀ`.
+    fn rows(&self) -> [[L; 3]; 3];
+}
+
+impl Jacobian<f64> for Mat3 {
+    #[inline(always)]
+    fn rows(&self) -> [[f64; 3]; 3] {
+        self.m
+    }
+}
+
+impl<L: Lane> Jacobian<L> for [[L; 3]; 3] {
+    #[inline(always)]
+    fn rows(&self) -> [[L; 3]; 3] {
+        *self
+    }
+}
+
+// Three-vector arithmetic on lanes, each in the operation order of the
+// `Vec3`/`Mat3` method it names, so the one-lane kernels keep the bits
+// of the `Vec3` code they replaced.
+
+/// `a + b` ([`Vec3`] `+`).
+#[inline(always)]
+fn add<L: Lane>(a: [L; 3], b: [L; 3]) -> [L; 3] {
+    [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
+}
+
+/// `a − b` ([`Vec3`] `−`).
+#[inline(always)]
+fn sub<L: Lane>(a: [L; 3], b: [L; 3]) -> [L; 3] {
+    [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+}
+
+/// `s · v` ([`Vec3`]'s `f64 * Vec3`, which multiplies `v.x * s`, …).
+#[inline(always)]
+fn scale<L: Lane>(s: L, v: [L; 3]) -> [L; 3] {
+    [v[0] * s, v[1] * s, v[2] * s]
+}
+
+/// `a · b` ([`Vec3::dot`]).
+#[inline(always)]
+fn dot<L: Lane>(a: [L; 3], b: [L; 3]) -> L {
+    a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+}
+
+/// `m v` ([`Mat3::mul_vec`]).
+#[inline(always)]
+fn mul_vec<L: Lane>(m: &[[L; 3]; 3], v: [L; 3]) -> [L; 3] {
+    [dot(m[0], v), dot(m[1], v), dot(m[2], v)]
 }
 
 /// Fills the workspace flux tensors with the **convective** (Euler) fluxes:
@@ -206,16 +353,27 @@ impl ElementWorkspace {
 /// * momentum `i`: `ρ u_i u + p e_i`
 /// * energy: `(E + p) u`
 pub fn convective_flux(ws: &mut ElementWorkspace) {
-    for q in 0..ws.npe {
-        let rho = ws.rho[q];
-        let u = Vec3::new(ws.vel[0][q], ws.vel[1][q], ws.vel[2][q]);
-        let p = ws.pres[q];
-        let e = ws.energy[q];
-        ws.flux[0][q] = rho * u;
-        ws.flux[1][q] = (rho * u.x) * u + Vec3::new(p, 0.0, 0.0);
-        ws.flux[2][q] = (rho * u.y) * u + Vec3::new(0.0, p, 0.0);
-        ws.flux[3][q] = (rho * u.z) * u + Vec3::new(0.0, 0.0, p);
-        ws.flux[4][q] = (e + p) * u;
+    lane_convective_flux(ws);
+}
+
+/// [`convective_flux`] of every lane.
+#[inline(always)]
+pub(crate) fn lane_convective_flux<L: Lane>(ws: &mut ElementWorkspace<L>) {
+    let npe = ws.npe;
+    let [vx, vy, vz] = ws.vel.each_ref().map(|v| &v[..npe]);
+    let (rhos, pres, energy) = (&ws.rho[..npe], &ws.pres[..npe], &ws.energy[..npe]);
+    let [f0, f1, f2, f3, f4] = ws.flux.each_mut().map(|f| &mut f[..npe]);
+    let z = L::ZERO;
+    for q in 0..npe {
+        let rho = rhos[q];
+        let u = [vx[q], vy[q], vz[q]];
+        let p = pres[q];
+        let e = energy[q];
+        f0[q] = scale(rho, u);
+        f1[q] = add(scale(rho * u[0], u), [p, z, z]);
+        f2[q] = add(scale(rho * u[1], u), [z, p, z]);
+        f3[q] = add(scale(rho * u[2], u), [z, z, p]);
+        f4[q] = scale(e + p, u);
     }
 }
 
@@ -227,32 +385,32 @@ pub fn convective_flux(ws: &mut ElementWorkspace) {
 /// * energy: `τ·u + κ∇T`
 pub fn viscous_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, geom: GeomRef) {
     // Reference gradients of the three velocity components and T.
-    let (head, tail) = ws.grad_ref.split_at_mut(3);
-    basis.reference_gradient(&ws.vel[0], &mut head[0]);
-    basis.reference_gradient(&ws.vel[1], &mut head[1]);
-    basis.reference_gradient(&ws.vel[2], &mut head[2]);
-    basis.reference_gradient(&ws.temp, &mut tail[0]);
+    let [vx, vy, vz] = &ws.vel;
+    basis.lane_gradients(
+        [vx, vy, vz, &ws.temp].map(|f| &f[..]),
+        ws.grad_ref.each_mut().map(|g| &mut g[..]),
+    );
     let kappa = gas.kappa();
     for q in 0..ws.npe {
         let inv_jt = geom.inv_jt[q];
         // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
         let l = Mat3::from_rows(
-            inv_jt.mul_vec(ws.grad_ref[0][q]),
-            inv_jt.mul_vec(ws.grad_ref[1][q]),
-            inv_jt.mul_vec(ws.grad_ref[2][q]),
+            inv_jt.mul_vec(ws.grad_ref[0][q].into()),
+            inv_jt.mul_vec(ws.grad_ref[1][q].into()),
+            inv_jt.mul_vec(ws.grad_ref[2][q].into()),
         );
-        let grad_t = inv_jt.mul_vec(ws.grad_ref[3][q]);
+        let grad_t = inv_jt.mul_vec(ws.grad_ref[3][q].into());
         let mu = ws.mu[q];
         let div_u = l.trace();
         // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I
         let tau =
             mu * (l + l.transpose()) - Mat3::diagonal(1.0, 1.0, 1.0) * (2.0 / 3.0 * mu * div_u);
         let u = Vec3::new(ws.vel[0][q], ws.vel[1][q], ws.vel[2][q]);
-        ws.flux[0][q] = Vec3::ZERO;
-        ws.flux[1][q] = tau.row(0);
-        ws.flux[2][q] = tau.row(1);
-        ws.flux[3][q] = tau.row(2);
-        ws.flux[4][q] = tau.mul_vec(u) + kappa * grad_t;
+        ws.flux[0][q] = [0.0; 3];
+        ws.flux[1][q] = tau.row(0).into();
+        ws.flux[2][q] = tau.row(1).into();
+        ws.flux[3][q] = tau.row(2).into();
+        ws.flux[4][q] = (tau.mul_vec(u) + kappa * grad_t).into();
     }
 }
 
@@ -272,17 +430,30 @@ pub fn viscous_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis,
 /// Matches the split path to rounding (the per-node flux subtraction
 /// regroups the floating-point accumulation), not bitwise.
 pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, geom: GeomRef) {
+    lane_fused_flux(ws, gas, basis, geom.inv_jt);
+}
+
+/// [`fused_flux`] of every lane, with lane `j` reading its `J⁻ᵀ` from
+/// lane `j` of `inv_jt`.
+#[inline(always)]
+pub(crate) fn lane_fused_flux<L: Lane, J: Jacobian<L>>(
+    ws: &mut ElementWorkspace<L>,
+    gas: &GasModel,
+    basis: &HexBasis,
+    inv_jt: &[J],
+) {
     // Reference gradients of the three velocity components and T.
-    let (head, tail) = ws.grad_ref.split_at_mut(3);
-    basis.reference_gradient(&ws.vel[0], &mut head[0]);
-    basis.reference_gradient(&ws.vel[1], &mut head[1]);
-    basis.reference_gradient(&ws.vel[2], &mut head[2]);
-    basis.reference_gradient(&ws.temp, &mut tail[0]);
-    let kappa = gas.kappa();
+    let [vx, vy, vz] = &ws.vel;
+    basis.lane_gradients(
+        [vx, vy, vz, &ws.temp].map(|f| &f[..]),
+        ws.grad_ref.each_mut().map(|g| &mut g[..]),
+    );
+    let kappa = L::splat(gas.kappa());
+    let two_thirds = L::splat(2.0 / 3.0);
     // Every input and output re-sliced to `npe` once, so the node loop
     // carries no per-access bounds checks.
     let npe = ws.npe;
-    let inv_jts = &geom.inv_jt[..npe];
+    let inv_jts = &inv_jt[..npe];
     let [gx, gy, gz, gt] = ws.grad_ref.each_ref().map(|g| &g[..npe]);
     let [vx, vy, vz] = ws.vel.each_ref().map(|v| &v[..npe]);
     let (rhos, pres, energy, mus) = (
@@ -292,31 +463,58 @@ pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, g
         &ws.mu[..npe],
     );
     let [f0, f1, f2, f3, f4] = ws.flux.each_mut().map(|f| &mut f[..npe]);
+    let z = L::ZERO;
     for q in 0..npe {
-        let inv_jt = inv_jts[q];
+        let m = inv_jts[q].rows();
         // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
-        let l = Mat3::from_rows(
-            inv_jt.mul_vec(gx[q]),
-            inv_jt.mul_vec(gy[q]),
-            inv_jt.mul_vec(gz[q]),
-        );
-        let grad_t = inv_jt.mul_vec(gt[q]);
+        let l = [mul_vec(&m, gx[q]), mul_vec(&m, gy[q]), mul_vec(&m, gz[q])];
+        let grad_t = mul_vec(&m, gt[q]);
         let mu = mus[q];
-        let div_u = l.trace();
-        // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I
-        let tau =
-            mu * (l + l.transpose()) - Mat3::diagonal(1.0, 1.0, 1.0) * (2.0 / 3.0 * mu * div_u);
+        let div_u = l[0][0] + l[1][1] + l[2][2];
+        // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I, entry by entry as `Mat3` computes
+        // it: (L + Lᵀ)·μ minus the identity's entry times ⅔ μ ∇·u.
+        let iso = two_thirds * mu * div_u;
+        let mut tau = [[z; 3]; 3];
+        for (r, row) in tau.iter_mut().enumerate() {
+            for (c, t) in row.iter_mut().enumerate() {
+                let identity = L::splat(if r == c { 1.0 } else { 0.0 });
+                *t = (l[r][c] + l[c][r]) * mu - identity * iso;
+            }
+        }
         let rho = rhos[q];
-        let u = Vec3::new(vx[q], vy[q], vz[q]);
+        let u = [vx[q], vy[q], vz[q]];
         let p = pres[q];
         let e = energy[q];
         // Net flux per variable: convective minus viscous (mass has no
         // viscous contribution).
-        f0[q] = rho * u;
-        f1[q] = (rho * u.x) * u + Vec3::new(p, 0.0, 0.0) - tau.row(0);
-        f2[q] = (rho * u.y) * u + Vec3::new(0.0, p, 0.0) - tau.row(1);
-        f3[q] = (rho * u.z) * u + Vec3::new(0.0, 0.0, p) - tau.row(2);
-        f4[q] = (e + p) * u - (tau.mul_vec(u) + kappa * grad_t);
+        f0[q] = scale(rho, u);
+        f1[q] = sub(add(scale(rho * u[0], u), [p, z, z]), tau[0]);
+        f2[q] = sub(add(scale(rho * u[1], u), [z, p, z]), tau[1]);
+        f3[q] = sub(add(scale(rho * u[2], u), [z, z, p]), tau[2]);
+        f4[q] = sub(scale(e + p, u), add(mul_vec(&tau, u), scale(kappa, grad_t)));
+    }
+}
+
+/// Writes `G = w det(J) · J⁻¹ F` per node, the contraction input; with
+/// `inv_jt = J⁻ᵀ` stored, `(J⁻¹ F)_d = F · column d of J⁻ᵀ`.
+#[inline(always)]
+fn transform_flux<L: Lane, J: Jacobian<L>>(
+    flux: &[[L; 3]],
+    inv_jt: &[J],
+    det_w: &[L],
+    g: &mut [[L; 3]],
+) {
+    let npe = g.len();
+    let (flux, inv_jt, det_w) = (&flux[..npe], &inv_jt[..npe], &det_w[..npe]);
+    for q in 0..npe {
+        let f = flux[q];
+        let m = inv_jt[q].rows();
+        let w = det_w[q];
+        g[q] = [
+            w * dot(f, [m[0][0], m[1][0], m[2][0]]),
+            w * dot(f, [m[0][1], m[1][1], m[2][1]]),
+            w * dot(f, [m[0][2], m[1][2], m[2][2]]),
+        ];
     }
 }
 
@@ -331,62 +529,65 @@ pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, g
 ///
 /// Panics if the workspace was sized for a different element.
 pub fn weak_divergence(ws: &mut ElementWorkspace, basis: &HexBasis, geom: GeomRef, sign: f64) {
+    lane_weak_divergence(ws, basis, geom.inv_jt, geom.det_w, sign);
+}
+
+/// [`weak_divergence`] of every lane.
+#[inline(always)]
+pub(crate) fn lane_weak_divergence<L: Lane, J: Jacobian<L>>(
+    ws: &mut ElementWorkspace<L>,
+    basis: &HexBasis,
+    inv_jt: &[J],
+    det_w: &[L],
+    sign: f64,
+) {
     assert_eq!(ws.npe, basis.nodes_per_element(), "element node count");
     basis.with_node_count(WeakDivergence {
         ws,
         dmat: basis.dmat(),
-        geom,
+        inv_jt,
+        det_w,
         sign,
     });
 }
 
 /// The loop nest of [`weak_divergence`].
-struct WeakDivergence<'a> {
-    ws: &'a mut ElementWorkspace,
+struct WeakDivergence<'a, L: Lane, J> {
+    ws: &'a mut ElementWorkspace<L>,
     dmat: &'a [f64],
-    geom: GeomRef<'a>,
+    inv_jt: &'a [J],
+    det_w: &'a [L],
     sign: f64,
 }
 
-impl NodeKernel for WeakDivergence<'_> {
+impl<L: Lane, J: Jacobian<L>> NodeKernel for WeakDivergence<'_, L, J> {
     type Output = ();
 
-    #[inline]
+    #[inline(always)]
     fn run<N: NodeCount>(self, n: N) {
         let n = n.get();
         let npe = n * n * n;
         let d = &self.dmat[..n * n];
-        let inv_jt = &self.geom.inv_jt[..npe];
-        let det_w = &self.geom.det_w[..npe];
+        let sign = L::splat(self.sign);
         let ws = self.ws;
-        // G_d(q) = w_q det(J_q) · (J⁻¹ F_q)_d ; with inv_jt = J⁻ᵀ stored,
-        // (J⁻¹ F)_d = F · column d of J⁻ᵀ.
         for v in 0..NUM_VARS {
-            let flux = &ws.flux[v][..npe];
             let g = &mut ws.g[v][..npe];
-            for q in 0..npe {
-                let f = flux[q];
-                let w = det_w[q];
-                g[q] = Vec3::new(
-                    w * f.dot(inv_jt[q].col(0)),
-                    w * f.dot(inv_jt[q].col(1)),
-                    w * f.dot(inv_jt[q].col(2)),
-                );
-            }
+            transform_flux(&ws.flux[v], self.inv_jt, self.det_w, g);
             // res_i += Σ_m D[m][i1] G(m,i2,i3).x
             //        + Σ_m D[m][i2] G(i1,m,i3).y
             //        + Σ_m D[m][i3] G(i1,i2,m).z
+            let g = &ws.g[v][..npe];
             let res = &mut ws.res[v][..npe];
             for i3 in 0..n {
                 for i2 in 0..n {
                     for i1 in 0..n {
-                        let mut acc = 0.0;
+                        let mut acc = L::ZERO;
                         for m in 0..n {
-                            acc += d[m * n + i1] * g[m + n * (i2 + n * i3)].x;
-                            acc += d[m * n + i2] * g[i1 + n * (m + n * i3)].y;
-                            acc += d[m * n + i3] * g[i1 + n * (i2 + n * m)].z;
+                            acc += L::splat(d[m * n + i1]) * g[m + n * (i2 + n * i3)][0];
+                            acc += L::splat(d[m * n + i2]) * g[i1 + n * (m + n * i3)][1];
+                            acc += L::splat(d[m * n + i3]) * g[i1 + n * (i2 + n * m)][2];
                         }
-                        res[i1 + n * (i2 + n * i3)] += self.sign * acc;
+                        res[i1 + n * (i2 + n * i3)] += sign * acc;
                     }
                 }
             }
@@ -505,25 +706,31 @@ pub fn weak_divergence_full_matrix(
     geom: GeomRef,
     sign: f64,
 ) {
+    lane_weak_divergence_full_matrix(ws, op, geom.inv_jt, geom.det_w, sign);
+}
+
+/// [`weak_divergence_full_matrix`] of every lane.
+#[inline(always)]
+fn lane_weak_divergence_full_matrix<L: Lane, J: Jacobian<L>>(
+    ws: &mut ElementWorkspace<L>,
+    op: &FullMatrixOperator,
+    inv_jt: &[J],
+    det_w: &[L],
+    sign: f64,
+) {
     let npe = ws.npe;
     assert_eq!(op.npe, npe, "operator element size");
+    let sign = L::splat(sign);
     for v in 0..NUM_VARS {
-        for q in 0..npe {
-            let f = ws.flux[v][q];
-            let inv_jt = geom.inv_jt[q];
-            let w = geom.det_w[q];
-            ws.g[v][q] = Vec3::new(
-                w * f.dot(inv_jt.col(0)),
-                w * f.dot(inv_jt.col(1)),
-                w * f.dot(inv_jt.col(2)),
-            );
-        }
+        transform_flux(&ws.flux[v], inv_jt, det_w, &mut ws.g[v][..npe]);
         for i in 0..npe {
             let row = i * npe;
-            let mut acc = 0.0;
+            let mut acc = L::ZERO;
             for q in 0..npe {
                 let g = ws.g[v][q];
-                acc += op.cx[row + q] * g.x + op.cy[row + q] * g.y + op.cz[row + q] * g.z;
+                acc += L::splat(op.cx[row + q]) * g[0]
+                    + L::splat(op.cy[row + q]) * g[1]
+                    + L::splat(op.cz[row + q]) * g[2];
             }
             ws.res[v][i] += sign * acc;
         }
@@ -568,9 +775,24 @@ impl KernelOps {
         geom: GeomRef,
         sign: f64,
     ) {
+        self.lane_weak_divergence(ws, basis, geom.inv_jt, geom.det_w, sign);
+    }
+
+    /// [`KernelOps::weak_divergence`] of every lane.
+    #[inline(always)]
+    pub(crate) fn lane_weak_divergence<L: Lane, J: Jacobian<L>>(
+        &self,
+        ws: &mut ElementWorkspace<L>,
+        basis: &HexBasis,
+        inv_jt: &[J],
+        det_w: &[L],
+        sign: f64,
+    ) {
         match self {
-            KernelOps::SumFactored => weak_divergence(ws, basis, geom, sign),
-            KernelOps::FullMatrix(op) => weak_divergence_full_matrix(ws, op, geom, sign),
+            KernelOps::SumFactored => lane_weak_divergence(ws, basis, inv_jt, det_w, sign),
+            KernelOps::FullMatrix(op) => {
+                lane_weak_divergence_full_matrix(ws, op, inv_jt, det_w, sign)
+            }
         }
     }
 }
@@ -1105,7 +1327,8 @@ mod tests {
         WeakDivergence {
             ws: &mut ws,
             dmat: basis.dmat(),
-            geom,
+            inv_jt: geom.inv_jt,
+            det_w: geom.det_w,
             sign: -1.0,
         }
         .run(n);
@@ -1128,7 +1351,7 @@ mod tests {
                 let mut ws = ElementWorkspace::new(npe);
                 for q in 0..npe {
                     for v in 0..NUM_VARS {
-                        ws.flux[v][q] = Vec3::new(next(), next(), next());
+                        ws.flux[v][q] = [next(), next(), next()];
                         ws.res[v][q] = next();
                     }
                 }

@@ -60,6 +60,7 @@
 
 #![deny(missing_docs)]
 
+pub(crate) mod batch;
 pub mod boundary;
 pub mod checkpoint;
 pub mod convergence;

@@ -13,27 +13,32 @@
 //!
 //! The hot path consumes the precomputed [`GeometryCache`] (no per-stage
 //! Jacobian rebuild) and runs the **fused** `F_c − F_v` single-contraction
-//! kernel on viscous elements. Fig 2 attribution of the fused path: the
-//! fused flux assembly (gradients, τ, net flux) is charged to
-//! `RK(Diffusion)`; the single weak-divergence contraction — which serves
-//! the convective and viscous halves equally — is charged half to
-//! `RK(Convection)` and half to `RK(Diffusion)`; gather/scatter stay in
-//! `RK(Other)`, which no longer contains any geometry time.
+//! kernel on viscous elements, four elements at a time through the
+//! element-batch evaluator ([`crate::batch`]; one at a time without AVX2
+//! and on the full-matrix path). Each batch is scattered lane by lane,
+//! in ascending element order, so the sweep is bitwise the
+//! element-at-a-time loop. Fig 2 attribution of the fused path, timed
+//! once per batch: the gather (state and the geometry transpose) is
+//! charged to `RK(Other)`; the fused flux assembly (gradients, τ, net
+//! flux) to `RK(Diffusion)`; the single weak-divergence contraction —
+//! which serves the convective and viscous halves equally — half to
+//! `RK(Convection)` and half to `RK(Diffusion)`; the scatter to
+//! `RK(Other)`.
 //! [`assemble_rhs_split_into`] keeps the seed split-contraction kernels
 //! (on cached geometry) as the validation and benchmarking reference.
 
+use crate::batch::{BatchEvaluator, Elements, ScatterInto};
 use crate::gas::GasModel;
 use crate::kernels::{
-    convective_flux, fused_flux, viscous_flux, weak_divergence, ElementWorkspace, KernelOps,
-    KernelPath, NUM_VARS,
+    convective_flux, viscous_flux, weak_divergence, ElementWorkspace, KernelOps, KernelPath,
+    NUM_VARS,
 };
-use crate::profile::{Phase, PhaseProfiler};
+use crate::profile::PhaseProfiler;
 use crate::state::{Conserved, Primitives};
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::HexMesh;
 use fem_numerics::tensor::HexBasis;
 use std::num::NonZeroUsize;
-use std::time::Instant;
 
 /// The host reference assembly: one thread, ascending element order.
 ///
@@ -64,64 +69,6 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Evaluates element `e`'s residual into `ws.res` with the fused hot
-/// path (gather → fused flux → single contraction), optionally charging
-/// per-stage time to `prof` à la Fig 2 (see the module docs for the
-/// fused attribution convention). `geom` carries the element's cached
-/// geometric factors — callers index the whole-mesh [`GeometryCache`]
-/// with `e`, or a shard-local slice with the shard-relative index (the
-/// [`crate::engine`] backends stream contiguous per-shard geometry).
-/// The contraction dispatches on `kernel` — the [`KernelPath`] resolved
-/// once per sweep (see the `kernels` module docs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_element(
-    mesh: &HexMesh,
-    basis: &HexBasis,
-    gas: &GasModel,
-    viscous: bool,
-    conserved: &Conserved,
-    prim: &Primitives,
-    e: usize,
-    ws: &mut ElementWorkspace,
-    geom: fem_mesh::hex::GeomRef<'_>,
-    kernel: &KernelOps,
-    prof: Option<&mut PhaseProfiler>,
-) {
-    match prof {
-        None => {
-            ws.gather(mesh.element_nodes(e), conserved, prim);
-            ws.zero_residuals();
-            if viscous {
-                fused_flux(ws, gas, basis, geom);
-            } else {
-                convective_flux(ws);
-            }
-            kernel.weak_divergence(ws, basis, geom, 1.0);
-        }
-        Some(p) => {
-            let t0 = Instant::now();
-            ws.gather(mesh.element_nodes(e), conserved, prim);
-            ws.zero_residuals();
-            p.add(Phase::RkOther, t0.elapsed());
-            if viscous {
-                let t0 = Instant::now();
-                fused_flux(ws, gas, basis, geom);
-                p.add(Phase::RkDiffusion, t0.elapsed());
-                let t0 = Instant::now();
-                kernel.weak_divergence(ws, basis, geom, 1.0);
-                let half = t0.elapsed() / 2;
-                p.add(Phase::RkConvection, half);
-                p.add(Phase::RkDiffusion, half);
-            } else {
-                let t0 = Instant::now();
-                convective_flux(ws);
-                kernel.weak_divergence(ws, basis, geom, 1.0);
-                p.add(Phase::RkConvection, t0.elapsed());
-            }
-        }
-    }
 }
 
 /// Evaluates element `e`'s residual with the seed **split** kernels
@@ -179,38 +126,25 @@ pub fn assemble_rhs_into(
         mesh.num_elements(),
         "geometry cache does not cover the mesh"
     );
-    let ne = mesh.num_elements();
-    let npe = mesh.nodes_per_element();
-    let viscous = gas.mu > 0.0;
-    let profile = profiler.is_some();
     // Resolve once per sweep: the full-matrix path materializes its dense
     // operators here, outside the element loop.
     let kernel = KernelOps::resolve(kernel, basis);
-    let mut ws = ElementWorkspace::new(npe);
+    let eval = BatchEvaluator {
+        mesh,
+        basis,
+        gas,
+        geometry,
+        conserved,
+        prim,
+        kernel: &kernel,
+    };
     let mut local = PhaseProfiler::new();
     out.set_zero();
-    for e in 0..ne {
-        eval_element(
-            mesh,
-            basis,
-            gas,
-            viscous,
-            conserved,
-            prim,
-            e,
-            &mut ws,
-            geometry.element(e),
-            &kernel,
-            if profile { Some(&mut local) } else { None },
-        );
-        if profile {
-            let t0 = Instant::now();
-            ws.scatter_add(mesh.element_nodes(e), out);
-            local.add(Phase::RkOther, t0.elapsed());
-        } else {
-            ws.scatter_add(mesh.element_nodes(e), out);
-        }
-    }
+    eval.sweep(
+        Elements::All(mesh.num_elements()),
+        profiler.is_some().then_some(&mut local),
+        &mut ScatterInto { mesh, out },
+    );
     if let Some(agg) = profiler {
         agg.merge(&local);
     }
@@ -253,25 +187,12 @@ impl SharedRhs {
         }
     }
 
-    /// Adds workspace residual slot `q` to node `n` of the shared RHS.
+    /// Adds one packed five-variable contribution to node `n`.
     ///
     /// # Safety
     ///
     /// `n` must be in bounds and owned by the calling device: concurrent
     /// callers must target disjoint node sets.
-    pub(crate) unsafe fn add_node(&self, n: usize, res: &[Vec<f64>; NUM_VARS], q: usize) {
-        *self.rho.add(n) += res[0][q];
-        *self.mom[0].add(n) += res[1][q];
-        *self.mom[1].add(n) += res[2][q];
-        *self.mom[2].add(n) += res[3][q];
-        *self.energy.add(n) += res[4][q];
-    }
-
-    /// Adds one packed five-variable contribution to node `n`.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`SharedRhs::add_node`].
     pub(crate) unsafe fn add_vals(&self, n: usize, vals: &[f64; NUM_VARS]) {
         *self.rho.add(n) += vals[0];
         *self.mom[0].add(n) += vals[1];
@@ -322,6 +243,7 @@ mod tests {
     use crate::engine::{
         AssemblyContext, ExecutionBackend, MultiDeviceBackend, PartitionStrategy, ReferenceBackend,
     };
+    use crate::profile::Phase;
     use crate::tgv::TgvConfig;
     use fem_mesh::generator::BoxMeshBuilder;
     use proptest::prelude::*;
