@@ -353,8 +353,8 @@ impl HexBasis {
         self.lane_gradients([field], [out]);
     }
 
-    /// [`reference_gradient`](Self::reference_gradient) of `K` fields in
-    /// one pass, every lane of a lane-interleaved field at once:
+    /// [`reference_gradient`](Self::reference_gradient) of `K` fields,
+    /// every lane of a lane-interleaved field at once:
     /// `outs[f][q]` holds `(∂f/∂ξ, ∂f/∂η, ∂f/∂ζ)` of `fields[f]` at node
     /// `q`, lane by lane. Each field accumulates exactly as it would alone,
     /// so the one-lane, one-field run is `reference_gradient`.
@@ -397,21 +397,18 @@ impl<L: Lane, O: From<[L; 3]>, const K: usize> NodeKernel for Gradient<'_, L, O,
     fn run<N: NodeCount>(self, n: N) {
         let n = n.get();
         let d = &self.dmat[..n * n];
-        let fields = self.fields.map(|f| &f[..n * n * n]);
-        let mut outs = self.outs.map(|o| &mut o[..n * n * n]);
-        for k in 0..n {
-            for j in 0..n {
-                for i in 0..n {
-                    let mut g = [[L::ZERO; 3]; K];
-                    for m in 0..n {
-                        let (dx, dy, dz) = (d[i * n + m], d[j * n + m], d[k * n + m]);
-                        for (g, field) in g.iter_mut().zip(&fields) {
-                            g[0] += L::splat(dx) * field[m + n * (j + n * k)];
-                            g[1] += L::splat(dy) * field[i + n * (m + n * k)];
-                            g[2] += L::splat(dz) * field[i + n * (j + n * m)];
+        for (field, out) in self.fields.into_iter().zip(self.outs) {
+            let field = &field[..n * n * n];
+            let out = &mut out[..n * n * n];
+            for k in 0..n {
+                for j in 0..n {
+                    for i in 0..n {
+                        let mut g = [L::ZERO; 3];
+                        for m in 0..n {
+                            g[0] += L::splat(d[i * n + m]) * field[m + n * (j + n * k)];
+                            g[1] += L::splat(d[j * n + m]) * field[i + n * (m + n * k)];
+                            g[2] += L::splat(d[k * n + m]) * field[i + n * (j + n * m)];
                         }
-                    }
-                    for (out, g) in outs.iter_mut().zip(g) {
                         out[i + n * (j + n * k)] = O::from(g);
                     }
                 }
@@ -667,7 +664,7 @@ mod tests {
             }
         }
 
-        /// Four lanes of four fields in one pass give, lane by lane and
+        /// Four lanes of four fields in one call give, lane by lane and
         /// field by field, the bits of `reference_gradient` at orders 1–5.
         #[test]
         fn prop_lanes_match_one_lane(

@@ -184,7 +184,15 @@ impl ElementWorkspace {
     ///
     /// Panics if `nodes.len() != nodes_per_element()`.
     pub fn scatter_add(&self, nodes: &[u32], rhs: &mut Conserved) {
-        self.scatter_lane(0, nodes, rhs);
+        assert_eq!(nodes.len(), self.npe, "element node count");
+        for (q, &n) in nodes.iter().enumerate() {
+            let n = n as usize;
+            rhs.rho[n] += self.res[0][q];
+            rhs.mom[0][n] += self.res[1][q];
+            rhs.mom[1][n] += self.res[2][q];
+            rhs.mom[2][n] += self.res[3][q];
+            rhs.energy[n] += self.res[4][q];
+        }
     }
 }
 
@@ -266,19 +274,6 @@ impl<L: Lane> ElementWorkspace<L> {
     #[inline(always)]
     pub(crate) fn residual(&self, lane: usize, q: usize) -> [f64; NUM_VARS] {
         self.res.each_ref().map(|r| r[q].lane(lane))
-    }
-
-    /// Scatter-adds lane `lane`'s residuals into the global RHS at the
-    /// element's `nodes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != nodes_per_element()`.
-    pub(crate) fn scatter_lane(&self, lane: usize, nodes: &[u32], rhs: &mut Conserved) {
-        assert_eq!(nodes.len(), self.npe, "element node count");
-        for (q, &n) in nodes.iter().enumerate() {
-            add_residual(rhs, n as usize, &self.residual(lane, q));
-        }
     }
 }
 
