@@ -12,8 +12,9 @@
 //!
 //! [`with_lanes`] picks the lane type once per sweep: [`F64x4`] inside
 //! the one AVX2 entry point when the CPU reports AVX2, `f64` (one element
-//! per batch, no geometry copy) otherwise; on the baseline x86-64
-//! instruction set four lanes lose to one at orders 2 and 3. The
+//! per batch, no geometry copy) otherwise. On the baseline x86-64
+//! instruction set four lanes win at order 1 but not reliably at order 3
+//! (0.95–1.05× the one-lane assembly time), so only AVX2 takes them. The
 //! [`KernelPath::FullMatrix`](crate::kernels::KernelPath::FullMatrix)
 //! validation reference always runs one element at a time.
 //!
@@ -26,8 +27,7 @@
 
 use crate::gas::GasModel;
 use crate::kernels::{
-    add_residual, lane_convective_flux, lane_fused_flux, ElementWorkspace, Jacobian, KernelOps,
-    NUM_VARS,
+    lane_convective_flux, lane_fused_flux, ElementWorkspace, Jacobian, KernelOps, NUM_VARS,
 };
 use crate::profile::{Phase, PhaseProfiler};
 use crate::state::{Conserved, Primitives};
@@ -161,8 +161,14 @@ pub(crate) struct ScatterInto<'a> {
 
 impl ResidualSink for ScatterInto<'_> {
     fn element(&mut self, e: usize, res: &[[f64; NUM_VARS]]) {
+        let out = &mut *self.out;
         for (&n, r) in self.mesh.element_nodes(e).iter().zip(res) {
-            add_residual(self.out, n as usize, r);
+            let n = n as usize;
+            out.rho[n] += r[0];
+            out.mom[0][n] += r[1];
+            out.mom[1][n] += r[2];
+            out.mom[2][n] += r[3];
+            out.energy[n] += r[4];
         }
     }
 }

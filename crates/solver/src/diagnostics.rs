@@ -6,7 +6,7 @@
 //!
 //! Both reductions — the nodal norms and the per-element enstrophy
 //! integral — run in parallel via the rayon `fold`/`reduce`/`sum`
-//! patterns, each worker taking at least [`MIN_NODES_PER_WORKER`] nodes
+//! patterns, each worker taking at least `MIN_NODES_PER_WORKER` nodes
 //! (`with_min_len`), so small meshes reduce on the calling thread. The
 //! per-chunk accumulators combine in input order, so results are
 //! deterministic for a fixed worker count (they regroup, and thus differ

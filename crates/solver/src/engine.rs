@@ -40,7 +40,7 @@
 //!
 //! 1. every device stores its elements sorted ascending by global id and
 //!    walks them in that order. It *evaluates* them in element batches
-//!    ([`crate::batch`]) — evaluation order is free, since an element's
+//!    (`crate::batch`) — evaluation order is free, since an element's
 //!    residual depends on its own data alone — but records, replays and
 //!    scatters them one element at a time in that order;
 //! 2. an **interior** node (`plan.frontier()[n] == false`) is touched by
@@ -407,10 +407,10 @@ struct DeviceState {
     /// Contributions to frontier nodes this device itself owns (they
     /// never cross a link, but are applied with the received ones).
     pending: Vec<HaloContribution>,
-    /// Buffered residuals of the frontier sweep (`npe × NUM_VARS` floats
-    /// per frontier element), replayed in the ascending-element interior
-    /// walk so interior nodes accumulate in exact serial order.
-    replay: Vec<f64>,
+    /// Buffered residuals of the frontier sweep (`npe` records per
+    /// frontier element), replayed in the ascending-element interior walk
+    /// so interior nodes accumulate in exact serial order.
+    replay: Vec<[f64; NUM_VARS]>,
     measured: DevicePhaseSeconds,
 }
 
@@ -652,7 +652,7 @@ struct RouteFrontier<'a> {
     neighbors: &'a [u32],
     index: usize,
     parity: usize,
-    replay: &'a mut Vec<f64>,
+    replay: &'a mut Vec<[f64; NUM_VARS]>,
     pending: &'a mut Vec<HaloContribution>,
     send: &'a mut [[Vec<HaloContribution>; 2]],
 }
@@ -660,7 +660,7 @@ struct RouteFrontier<'a> {
 impl ResidualSink for RouteFrontier<'_> {
     fn element(&mut self, e: usize, res: &[[f64; NUM_VARS]]) {
         for (&n, &vals) in self.mesh.element_nodes(e).iter().zip(res) {
-            self.replay.extend_from_slice(&vals);
+            self.replay.push(vals);
             if self.frontier[n as usize] {
                 let o = self.owner[n as usize];
                 let rec = HaloContribution {
@@ -690,7 +690,7 @@ struct ScatterInterior<'a> {
     mesh: &'a HexMesh,
     frontier: &'a [bool],
     frontier_elements: &'a [u32],
-    replay: &'a [f64],
+    replay: &'a [[f64; NUM_VARS]],
     /// Frontier elements replayed so far.
     replayed: usize,
     rhs: &'a SharedRhs,
@@ -699,19 +699,17 @@ struct ScatterInterior<'a> {
 impl ScatterInterior<'_> {
     /// Replays every not yet replayed frontier element below `limit`.
     fn replay_below(&mut self, limit: usize) {
-        let stride = self.mesh.nodes_per_element() * NUM_VARS;
+        let npe = self.mesh.nodes_per_element();
         while let Some(&f) = self.frontier_elements.get(self.replayed) {
             if f as usize >= limit {
                 break;
             }
-            let base = self.replayed * stride;
-            for (q, &n) in self.mesh.element_nodes(f as usize).iter().enumerate() {
+            let records = &self.replay[self.replayed * npe..][..npe];
+            for (&n, vals) in self.mesh.element_nodes(f as usize).iter().zip(records) {
                 if !self.frontier[n as usize] {
-                    let o = base + q * NUM_VARS;
-                    let vals = std::array::from_fn(|v| self.replay[o + v]);
                     // SAFETY: in-bounds node; an interior node is touched
                     // by this device alone, so no two threads alias.
-                    unsafe { self.rhs.add_vals(n as usize, &vals) };
+                    unsafe { self.rhs.add_vals(n as usize, vals) };
                 }
             }
             self.replayed += 1;

@@ -107,7 +107,7 @@
 //! in place from a [`GeomRef`]. [`F64x4`] runs four elements side by
 //! side in an `ElementWorkspace<F64x4>`, with `J⁻ᵀ` and `det·w`
 //! transposed into lanes. The element-batch evaluator
-//! ([`crate::batch`]) drives the host assembly sweeps through these
+//! (`crate::batch`) drives the host assembly sweeps through these
 //! kernels four elements at a time inside one AVX2 entry point when the
 //! CPU has AVX2, and one element at a time otherwise; the full-matrix
 //! reference always runs one element at a time. Lane arithmetic is plain
@@ -129,7 +129,7 @@ pub const NUM_VARS: usize = 5;
 ///
 /// `L` is the [`Lane`] a node value is stored in: the default `f64`
 /// workspace holds one element, and the element-batch evaluator
-/// ([`crate::batch`]) runs an `ElementWorkspace<F64x4>` holding four
+/// (`crate::batch`) runs an `ElementWorkspace<F64x4>` holding four
 /// elements lane-interleaved, lane `j` being the `j`-th element of the
 /// batch.
 ///
@@ -275,16 +275,6 @@ impl<L: Lane> ElementWorkspace<L> {
     pub(crate) fn residual(&self, lane: usize, q: usize) -> [f64; NUM_VARS] {
         self.res.each_ref().map(|r| r[q].lane(lane))
     }
-}
-
-/// Adds one node's five residuals to the global RHS.
-#[inline(always)]
-pub(crate) fn add_residual(rhs: &mut Conserved, n: usize, r: &[f64; NUM_VARS]) {
-    rhs.rho[n] += r[0];
-    rhs.mom[0][n] += r[1];
-    rhs.mom[1][n] += r[2];
-    rhs.mom[2][n] += r[3];
-    rhs.energy[n] += r[4];
 }
 
 /// A node's cached `J⁻ᵀ` as the kernels read it: the cache's [`Mat3`]

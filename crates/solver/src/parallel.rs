@@ -14,7 +14,7 @@
 //! The hot path consumes the precomputed [`GeometryCache`] (no per-stage
 //! Jacobian rebuild) and runs the **fused** `F_c − F_v` single-contraction
 //! kernel on viscous elements, four elements at a time through the
-//! element-batch evaluator ([`crate::batch`]; one at a time without AVX2
+//! element-batch evaluator (`crate::batch`; one at a time without AVX2
 //! and on the full-matrix path). Each batch is scattered lane by lane,
 //! in ascending element order, so the sweep is bitwise the
 //! element-at-a-time loop. Fig 2 attribution of the fused path, timed
