@@ -67,9 +67,6 @@ pub trait Lane:
     /// `x` in every lane.
     fn splat(x: f64) -> Self;
 
-    /// Lane `i` set to `f(i)`, for `i` in `0..WIDTH`.
-    fn from_fn(f: impl FnMut(usize) -> f64) -> Self;
-
     /// The value of lane `i`.
     fn lane(self, i: usize) -> f64;
 
@@ -84,11 +81,6 @@ impl Lane for f64 {
     #[inline(always)]
     fn splat(x: f64) -> f64 {
         x
-    }
-
-    #[inline(always)]
-    fn from_fn(mut f: impl FnMut(usize) -> f64) -> f64 {
-        f(0)
     }
 
     #[inline(always)]
@@ -118,11 +110,6 @@ impl Lane for F64x4 {
     #[inline(always)]
     fn splat(x: f64) -> F64x4 {
         F64x4([x; 4])
-    }
-
-    #[inline(always)]
-    fn from_fn(mut f: impl FnMut(usize) -> f64) -> F64x4 {
-        F64x4([f(0), f(1), f(2), f(3)])
     }
 
     #[inline(always)]
@@ -679,7 +666,7 @@ mod tests {
                     .collect();
                 let lanes: Vec<Vec<F64x4>> = fields
                     .iter()
-                    .map(|f| (0..nn).map(|q| F64x4::from_fn(|j| f[j][q])).collect())
+                    .map(|f| (0..nn).map(|q| F64x4(std::array::from_fn(|j| f[j][q]))).collect())
                     .collect();
                 let mut outs = vec![vec![[F64x4::ZERO; 3]; nn]; 4];
                 let [o0, o1, o2, o3] = &mut outs[..] else { unreachable!() };

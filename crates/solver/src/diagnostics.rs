@@ -104,9 +104,9 @@ impl FlowDiagnostics {
                 |mut acc, e| {
                     let geom = geometry.element(e);
                     acc.ws.gather(mesh.element_nodes(e), conserved, prim);
-                    let [vx, vy, vz] = &acc.ws.vel;
-                    basis
-                        .lane_gradients([&vx[..], vy, vz], acc.gref.each_mut().map(|g| &mut g[..]));
+                    basis.reference_gradient(&acc.ws.vel[0], &mut acc.gref[0]);
+                    basis.reference_gradient(&acc.ws.vel[1], &mut acc.gref[1]);
+                    basis.reference_gradient(&acc.ws.vel[2], &mut acc.gref[2]);
                     for (q, &inv_jt) in geom.inv_jt.iter().enumerate().take(npe) {
                         let l = Mat3::from_rows(
                             inv_jt.mul_vec(acc.gref[0][q]),
