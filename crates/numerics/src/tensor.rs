@@ -337,67 +337,56 @@ impl HexBasis {
     ///
     /// Panics if slices are not `nodes_per_element()` long.
     pub fn reference_gradient(&self, field: &[f64], out: &mut [Vec3]) {
-        self.lane_gradients([field], [out]);
+        self.lane_gradient(field, out);
     }
 
-    /// [`reference_gradient`](Self::reference_gradient) of `K` fields,
-    /// every lane of a lane-interleaved field at once:
-    /// `outs[f][q]` holds `(∂f/∂ξ, ∂f/∂η, ∂f/∂ζ)` of `fields[f]` at node
-    /// `q`, lane by lane. Each field accumulates exactly as it would alone,
-    /// so the one-lane, one-field run is `reference_gradient`.
+    /// [`reference_gradient`](Self::reference_gradient) of every lane of
+    /// a lane-interleaved field at once: `out[q]` holds `(∂f/∂ξ, ∂f/∂η,
+    /// ∂f/∂ζ)` at node `q`, lane by lane. The one-lane `f64` run is
+    /// `reference_gradient`.
     ///
     /// # Panics
     ///
     /// Panics if slices are not `nodes_per_element()` long.
     #[inline(always)]
-    pub fn lane_gradients<L: Lane, O: From<[L; 3]>, const K: usize>(
-        &self,
-        fields: [&[L]; K],
-        outs: [&mut [O]; K],
-    ) {
+    pub fn lane_gradient<L: Lane, O: From<[L; 3]>>(&self, field: &[L], out: &mut [O]) {
         let nn = self.nodes_per_element();
-        for field in fields {
-            assert_eq!(field.len(), nn, "field length");
-        }
-        for out in &outs {
-            assert_eq!(out.len(), nn, "output length");
-        }
+        assert_eq!(field.len(), nn, "field length");
+        assert_eq!(out.len(), nn, "output length");
         self.with_node_count(Gradient {
             dmat: &self.dmat,
-            fields,
-            outs,
+            field,
+            out,
         });
     }
 }
 
-/// The loop nest of [`HexBasis::lane_gradients`].
-struct Gradient<'a, L, O, const K: usize> {
+/// The loop nest of [`HexBasis::lane_gradient`].
+struct Gradient<'a, L, O> {
     dmat: &'a [f64],
-    fields: [&'a [L]; K],
-    outs: [&'a mut [O]; K],
+    field: &'a [L],
+    out: &'a mut [O],
 }
 
-impl<L: Lane, O: From<[L; 3]>, const K: usize> NodeKernel for Gradient<'_, L, O, K> {
+impl<L: Lane, O: From<[L; 3]>> NodeKernel for Gradient<'_, L, O> {
     type Output = ();
 
     #[inline(always)]
     fn run<N: NodeCount>(self, n: N) {
         let n = n.get();
         let d = &self.dmat[..n * n];
-        for (field, out) in self.fields.into_iter().zip(self.outs) {
-            let field = &field[..n * n * n];
-            let out = &mut out[..n * n * n];
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        let mut g = [L::ZERO; 3];
-                        for m in 0..n {
-                            g[0] += L::splat(d[i * n + m]) * field[m + n * (j + n * k)];
-                            g[1] += L::splat(d[j * n + m]) * field[i + n * (m + n * k)];
-                            g[2] += L::splat(d[k * n + m]) * field[i + n * (j + n * m)];
-                        }
-                        out[i + n * (j + n * k)] = O::from(g);
+        let field = &self.field[..n * n * n];
+        let out = &mut self.out[..n * n * n];
+        for k in 0..n {
+            for j in 0..n {
+                for i in 0..n {
+                    let mut g = [L::ZERO; 3];
+                    for m in 0..n {
+                        g[0] += L::splat(d[i * n + m]) * field[m + n * (j + n * k)];
+                        g[1] += L::splat(d[j * n + m]) * field[i + n * (m + n * k)];
+                        g[2] += L::splat(d[k * n + m]) * field[i + n * (j + n * m)];
                     }
+                    out[i + n * (j + n * k)] = O::from(g);
                 }
             }
         }
@@ -420,8 +409,8 @@ mod tests {
         let mut out = vec![Vec3::ZERO; field.len()];
         Gradient {
             dmat: hex.dmat(),
-            fields: [field],
-            outs: [&mut out[..]],
+            field,
+            out: &mut out,
         }
         .run(n);
         vec3_bits(&out)
@@ -651,42 +640,29 @@ mod tests {
             }
         }
 
-        /// Four lanes of four fields in one call give, lane by lane and
-        /// field by field, the bits of `reference_gradient` at orders 1–5.
+        /// Four lanes give, lane by lane, the bits of `reference_gradient`
+        /// at orders 1–5.
         #[test]
         fn prop_lanes_match_one_lane(
-            values in proptest::collection::vec(-3.0f64..3.0, 216 * 16),
+            values in proptest::collection::vec(-3.0f64..3.0, 216 * 4),
         ) {
             for order in 1..=5 {
                 let hex = HexBasis::new(order).unwrap();
                 let nn = hex.nodes_per_element();
-                // fields[f][j]: field `f` of lane `j`.
-                let fields: Vec<Vec<&[f64]>> = (0..4)
-                    .map(|f| (0..4).map(|j| &values[(4 * f + j) * 216..][..nn]).collect())
+                let fields: Vec<&[f64]> = (0..4).map(|j| &values[j * 216..][..nn]).collect();
+                let lanes: Vec<F64x4> = (0..nn)
+                    .map(|q| F64x4(std::array::from_fn(|j| fields[j][q])))
                     .collect();
-                let lanes: Vec<Vec<F64x4>> = fields
-                    .iter()
-                    .map(|f| (0..nn).map(|q| F64x4(std::array::from_fn(|j| f[j][q]))).collect())
-                    .collect();
-                let mut outs = vec![vec![[F64x4::ZERO; 3]; nn]; 4];
-                let [o0, o1, o2, o3] = &mut outs[..] else { unreachable!() };
-                hex.lane_gradients(
-                    [&lanes[0][..], &lanes[1], &lanes[2], &lanes[3]],
-                    [&mut o0[..], o1, o2, o3],
-                );
-                for (f, out) in outs.iter().enumerate() {
-                    for (j, field) in fields[f].iter().enumerate() {
-                        let mut one = vec![Vec3::ZERO; nn];
-                        hex.reference_gradient(field, &mut one);
-                        let lane: Vec<Vec3> = out
-                            .iter()
-                            .map(|g| Vec3::new(g[0].lane(j), g[1].lane(j), g[2].lane(j)))
-                            .collect();
-                        prop_assert!(
-                            vec3_bits(&lane) == vec3_bits(&one),
-                            "order {order} field {f} lane {j}"
-                        );
-                    }
+                let mut out = vec![[F64x4::ZERO; 3]; nn];
+                hex.lane_gradient(&lanes, &mut out);
+                for (j, field) in fields.iter().enumerate() {
+                    let mut one = vec![Vec3::ZERO; nn];
+                    hex.reference_gradient(field, &mut one);
+                    let lane: Vec<Vec3> = out
+                        .iter()
+                        .map(|g| Vec3::new(g[0].lane(j), g[1].lane(j), g[2].lane(j)))
+                        .collect();
+                    prop_assert!(vec3_bits(&lane) == vec3_bits(&one), "order {order} lane {j}");
                 }
             }
         }

@@ -100,7 +100,7 @@
 //!
 //! Every stage is also written once over a [`Lane`], the per-node value
 //! type: the gather, the reference gradients
-//! ([`HexBasis::lane_gradients`]), the fused and convective fluxes, the
+//! ([`HexBasis::lane_gradient`]), the fused and convective fluxes, the
 //! `G` transform and both contractions. `f64` is one element; the
 //! public [`ElementWorkspace`], [`fused_flux`], [`convective_flux`] and
 //! [`weak_divergence`] are that one-lane instantiation, reading geometry
@@ -370,11 +370,11 @@ pub(crate) fn lane_convective_flux<L: Lane>(ws: &mut ElementWorkspace<L>) {
 /// * energy: `τ·u + κ∇T`
 pub fn viscous_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, geom: GeomRef) {
     // Reference gradients of the three velocity components and T.
-    let [vx, vy, vz] = &ws.vel;
-    basis.lane_gradients(
-        [vx, vy, vz, &ws.temp].map(|f| &f[..]),
-        ws.grad_ref.each_mut().map(|g| &mut g[..]),
-    );
+    let (head, tail) = ws.grad_ref.split_at_mut(3);
+    basis.lane_gradient(&ws.vel[0], &mut head[0]);
+    basis.lane_gradient(&ws.vel[1], &mut head[1]);
+    basis.lane_gradient(&ws.vel[2], &mut head[2]);
+    basis.lane_gradient(&ws.temp, &mut tail[0]);
     let kappa = gas.kappa();
     for q in 0..ws.npe {
         let inv_jt = geom.inv_jt[q];
@@ -428,11 +428,11 @@ pub(crate) fn lane_fused_flux<L: Lane, J: Jacobian<L>>(
     inv_jt: &[J],
 ) {
     // Reference gradients of the three velocity components and T.
-    let [vx, vy, vz] = &ws.vel;
-    basis.lane_gradients(
-        [vx, vy, vz, &ws.temp].map(|f| &f[..]),
-        ws.grad_ref.each_mut().map(|g| &mut g[..]),
-    );
+    let (head, tail) = ws.grad_ref.split_at_mut(3);
+    basis.lane_gradient(&ws.vel[0], &mut head[0]);
+    basis.lane_gradient(&ws.vel[1], &mut head[1]);
+    basis.lane_gradient(&ws.vel[2], &mut head[2]);
+    basis.lane_gradient(&ws.temp, &mut tail[0]);
     let kappa = L::splat(gas.kappa());
     let two_thirds = L::splat(2.0 / 3.0);
     // Every input and output re-sliced to `npe` once, so the node loop
