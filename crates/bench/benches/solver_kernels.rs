@@ -3,17 +3,19 @@
 //! convection 21.04%).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use fem_bench::geometry::assemble_seed_recompute_split;
 use fem_mesh::generator::BoxMeshBuilder;
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::hex::{ElementGeometry, GeometryScratch};
 use fem_numerics::tensor::HexBasis;
 use fem_solver::kernels::{
-    convective_flux, fused_flux, viscous_flux, weak_divergence, ElementWorkspace, KernelOps,
-    KernelPath,
+    convective_flux, fused_flux, weak_divergence, ElementWorkspace, KernelOps, KernelPath,
 };
-use fem_solver::parallel::{assemble_rhs_into, assemble_rhs_split_into};
+use fem_solver::oracle::{element_loop_into, split_into, viscous_flux};
+use fem_solver::parallel::assemble_rhs_into;
 use fem_solver::state::{Conserved, Primitives};
 use fem_solver::tgv::TgvConfig;
+use fem_solver::AssemblyContext;
 
 fn bench_kernels(c: &mut Criterion) {
     let mesh = BoxMeshBuilder::tgv_box(8).build().unwrap();
@@ -96,19 +98,15 @@ fn bench_batch4(c: &mut Criterion) {
         let geometry = GeometryCache::build(&mesh, &basis).unwrap();
         let mut out = Conserved::zeros(mesh.num_nodes());
         group.throughput(Throughput::Elements(mesh.num_elements() as u64));
+        let ctx = AssemblyContext {
+            mesh: &mesh,
+            basis: &basis,
+            gas: &gas,
+            geometry: &geometry,
+            kernel: KernelPath::SumFactored,
+        };
         group.bench_function(format!("p{order}_element_loop"), |b| {
-            let mut ws = ElementWorkspace::new(mesh.nodes_per_element());
-            b.iter(|| {
-                out.set_zero();
-                for e in 0..mesh.num_elements() {
-                    let g = geometry.element(e);
-                    ws.gather(mesh.element_nodes(e), &conserved, &prim);
-                    ws.zero_residuals();
-                    fused_flux(&mut ws, &gas, &basis, g);
-                    weak_divergence(&mut ws, &basis, g, 1.0);
-                    ws.scatter_add(mesh.element_nodes(e), &mut out);
-                }
-            });
+            b.iter(|| element_loop_into(&ctx, &conserved, &prim, &mut out));
         });
         group.bench_function(format!("p{order}_batched_sweep"), |b| {
             b.iter(|| {
@@ -141,7 +139,6 @@ fn bench_geometry_cache(c: &mut Criterion) {
     let mut prim = Primitives::zeros(mesh.num_nodes());
     prim.update_from(&conserved, &gas);
     let geometry = GeometryCache::build(&mesh, &basis).unwrap();
-    let npe = mesh.nodes_per_element();
     let mut out = Conserved::zeros(mesh.num_nodes());
 
     let mut group = c.benchmark_group("geometry_cache");
@@ -150,28 +147,17 @@ fn bench_geometry_cache(c: &mut Criterion) {
         b.iter(|| GeometryCache::build(&mesh, &basis).unwrap());
     });
     group.bench_function("rhs_recompute_split", |b| {
-        let mut ws = ElementWorkspace::new(npe);
-        let mut scratch = GeometryScratch::new(npe);
-        let mut geom = ElementGeometry::with_capacity(npe);
-        let mut rhs = Conserved::zeros(mesh.num_nodes());
-        b.iter(|| {
-            for e in 0..mesh.num_elements() {
-                mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom)
-                    .unwrap();
-                ws.gather(mesh.element_nodes(e), &conserved, &prim);
-                ws.zero_residuals();
-                convective_flux(&mut ws);
-                weak_divergence(&mut ws, &basis, geom.view(), 1.0);
-                viscous_flux(&mut ws, &gas, &basis, geom.view());
-                weak_divergence(&mut ws, &basis, geom.view(), -1.0);
-                ws.scatter_add(mesh.element_nodes(e), &mut rhs);
-            }
-        });
+        b.iter(|| assemble_seed_recompute_split(&mesh, &basis, &gas, &conserved, &prim, &mut out));
     });
+    let ctx = AssemblyContext {
+        mesh: &mesh,
+        basis: &basis,
+        gas: &gas,
+        geometry: &geometry,
+        kernel: KernelPath::SumFactored,
+    };
     group.bench_function("rhs_cached_split", |b| {
-        b.iter(|| {
-            assemble_rhs_split_into(&mesh, &basis, &gas, &geometry, &conserved, &prim, &mut out)
-        });
+        b.iter(|| split_into(&ctx, &conserved, &prim, &mut out));
     });
     group.bench_function("rhs_cached_fused", |b| {
         b.iter(|| {

@@ -62,7 +62,7 @@ fn run(cmd: &str, mode: OutputMode) -> Result<(), ExpError> {
         "fig2" => emit(&run_fig2(&FIG2_MEASURED_EDGES, FIG2_MEASURED_STEPS)?, mode),
         "fig5" => emit(&run_fig5()?, mode),
         "table1" => emit(&run_table1()?, mode),
-        "table2" => emit(&run_table2(4_200_000, None)?, mode),
+        "table2" => emit(&run_table2(4_200_000)?, mode),
         "ablations" => emit(&run_ablations(1_000_000)?, mode),
         "optimizer" => print_optimizer_trace(mode),
         "scaling" => emit(&fem_accel::scaling::run_scaling_study(4_200_000, 3)?, mode),

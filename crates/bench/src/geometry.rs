@@ -30,9 +30,10 @@ use fem_mesh::HexMesh;
 use fem_numerics::rk::StateOps;
 use fem_numerics::tensor::HexBasis;
 use fem_solver::kernels::{
-    convective_flux, viscous_flux, weak_divergence, ElementWorkspace, KernelOpCounts, KernelPath,
+    convective_flux, weak_divergence, ElementWorkspace, KernelOpCounts, KernelPath,
 };
-use fem_solver::parallel::{assemble_rhs_into, assemble_rhs_split_into};
+use fem_solver::oracle::{split_into, viscous_flux};
+use fem_solver::parallel::assemble_rhs_into;
 use fem_solver::state::{Conserved, Primitives};
 use fem_solver::tgv::TgvConfig;
 use fem_solver::{AssemblyContext, ExecutionBackend, MultiDeviceBackend, PartitionStrategy};
@@ -195,8 +196,13 @@ impl std::fmt::Display for GeometryStudy {
 }
 
 /// The seed hot path, reproduced verbatim: geometry rebuilt per element,
-/// split convective + viscous contractions, serial element order.
-fn assemble_seed_recompute_split(
+/// split convective + viscous contractions, serial element order. It
+/// overwrites `out`.
+///
+/// # Panics
+///
+/// Panics if an element's geometry is invalid.
+pub fn assemble_seed_recompute_split(
     mesh: &HexMesh,
     basis: &HexBasis,
     gas: &fem_solver::gas::GasModel,
@@ -347,6 +353,13 @@ pub fn run_geometry_study(edges: &[usize], reps: usize) -> GeometryStudy {
         prim.update_from(&conserved, &gas);
         let geometry = GeometryCache::build(&mesh, &basis).expect("valid geometry");
 
+        let ctx = AssemblyContext {
+            mesh: &mesh,
+            basis: &basis,
+            gas: &gas,
+            geometry: &geometry,
+            kernel: KernelPath::SumFactored,
+        };
         let mut out = Conserved::zeros(mesh.num_nodes());
         let mut seed = Conserved::zeros(mesh.num_nodes());
 
@@ -359,9 +372,7 @@ pub fn run_geometry_study(edges: &[usize], reps: usize) -> GeometryStudy {
             ),
             (
                 "cached+split",
-                Box::new(|out: &mut Conserved| {
-                    assemble_rhs_split_into(&mesh, &basis, &gas, &geometry, &conserved, &prim, out)
-                }),
+                Box::new(|out: &mut Conserved| split_into(&ctx, &conserved, &prim, out)),
             ),
             (
                 "cached+fused",

@@ -63,9 +63,8 @@ pub const NON_RK_FRACTION: f64 = 0.2363;
 
 /// Calibration of the CPU baseline's per-element cost.
 ///
-/// Default comes from the roofline model; `from_measurement` replaces it
-/// with a wall-clock measurement of the Rust reference solver so Fig 5 /
-/// Table II can be re-anchored on the host machine.
+/// It comes from the roofline model of the paper's Xeon Silver 4210
+/// ([`CpuCalibration::roofline_default`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuCalibration {
     /// Seconds per element per RK stage (RKL work).
@@ -81,20 +80,6 @@ impl CpuCalibration {
         let per_elem_bytes = workload.bytes_in_per_element() + workload.bytes_out_per_element();
         CpuCalibration {
             seconds_per_element_stage: cpu.time_seconds(per_elem_flops, per_elem_bytes),
-        }
-    }
-
-    /// Anchors the calibration on a measured stage time for a mesh of
-    /// `num_elements`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_elements == 0` or the measurement is non-positive.
-    pub fn from_measurement(num_elements: usize, measured_stage_seconds: f64) -> Self {
-        assert!(num_elements > 0, "element count");
-        assert!(measured_stage_seconds > 0.0, "measurement must be positive");
-        CpuCalibration {
-            seconds_per_element_stage: measured_stage_seconds / num_elements as f64,
         }
     }
 
@@ -133,18 +118,5 @@ mod tests {
             "{}",
             cal.seconds_per_element_stage
         );
-    }
-
-    #[test]
-    fn measurement_anchoring() {
-        let cal = CpuCalibration::from_measurement(1000, 2.0e-3);
-        assert!((cal.seconds_per_element_stage - 2.0e-6).abs() < 1e-15);
-        assert!((cal.stage_seconds(5000) - 1.0e-2).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "measurement must be positive")]
-    fn bad_measurement_panics() {
-        CpuCalibration::from_measurement(10, 0.0);
     }
 }

@@ -380,15 +380,15 @@ pub struct Table2Result {
     pub paper_power_ratio: f64,
 }
 
-/// Regenerates the §IV-B comparison at `nodes` mesh nodes with the given
-/// CPU calibration (pass `None` for the roofline default).
+/// Regenerates the §IV-B comparison at `nodes` mesh nodes, with the CPU
+/// side on the roofline calibration.
 ///
 /// # Errors
 ///
 /// Propagates scheduling/estimation failures.
-pub fn run_table2(nodes: usize, cal: Option<CpuCalibration>) -> Result<Table2Result, ExpError> {
+pub fn run_table2(nodes: usize) -> Result<Table2Result, ExpError> {
     let w = RklWorkload::with_nodes(nodes, 1);
-    let cal = cal.unwrap_or_else(|| CpuCalibration::roofline_default(&w));
+    let cal = CpuCalibration::roofline_default(&w);
     let proposed = paper_design(&w);
     let report = estimate_performance(&proposed)?;
     let cpu_s = cpu_end_to_end_seconds(&w, &cal, calibration::DEFAULT_RK_STEPS);
@@ -716,7 +716,7 @@ mod tests {
 
     #[test]
     fn table2_reduction_and_power_in_band() {
-        let r = run_table2(4_200_000, None).unwrap();
+        let r = run_table2(4_200_000).unwrap();
         assert!(
             (0.30..=0.70).contains(&r.latency_reduction),
             "latency reduction {:.2} outside band (paper 0.45)",

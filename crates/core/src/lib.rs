@@ -18,9 +18,6 @@
 //! * [`emulation`] — the solver's shard plans mapped onto the hardware:
 //!   the per-shard Load → Compute → Store DES and the banked-memory DES,
 //!   as plain functions of a [`fem_mesh::partition::ShardPlan`].
-//! * [`functional`] — the Load → Compute → Store task decomposition as a
-//!   plain per-element loop, and proof that it computes exactly what the
-//!   reference solver computes.
 //! * [`experiments`] — drivers that regenerate Fig 2, Fig 5, Table I, the
 //!   §IV-B comparison, and the ablation studies.
 //! * [`calibration`] — every constant tying model cycles/watts to
@@ -32,7 +29,6 @@ pub mod calibration;
 pub mod designs;
 pub mod emulation;
 pub mod experiments;
-pub mod functional;
 pub mod optimizer;
 pub mod perf;
 pub mod report;

@@ -359,9 +359,11 @@ impl<'p> StageClock<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AssemblyContext;
     use crate::kernels::{
         convective_flux, fused_flux, lane_weak_divergence, weak_divergence, KernelPath,
     };
+    use crate::oracle::element_loop_into;
     use crate::parallel::assemble_rhs_into;
     use crate::tgv::TgvConfig;
     use fem_mesh::generator::BoxMeshBuilder;
@@ -567,20 +569,15 @@ mod tests {
                     &mut swept,
                     None,
                 );
+                let ctx = AssemblyContext {
+                    mesh: &mesh,
+                    basis: &basis,
+                    gas: &gas,
+                    geometry: &geometry,
+                    kernel: KernelPath::SumFactored,
+                };
                 let mut looped = Conserved::zeros(mesh.num_nodes());
-                let mut ws = ElementWorkspace::new(mesh.nodes_per_element());
-                for e in 0..mesh.num_elements() {
-                    let geom = geometry.element(e);
-                    ws.gather(mesh.element_nodes(e), &state, &prim);
-                    ws.zero_residuals();
-                    if gas.mu > 0.0 {
-                        fused_flux(&mut ws, &gas, &basis, geom);
-                    } else {
-                        convective_flux(&mut ws);
-                    }
-                    weak_divergence(&mut ws, &basis, geom, 1.0);
-                    ws.scatter_add(mesh.element_nodes(e), &mut looped);
-                }
+                element_loop_into(&ctx, &state, &prim, &mut looped);
                 assert_eq!(
                     swept.to_bit_vec(),
                     looped.to_bit_vec(),

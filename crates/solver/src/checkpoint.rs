@@ -67,26 +67,28 @@ impl Checkpoint {
         r.read_exact(&mut b8).map_err(io)?;
         let steps_taken = u64::from_le_bytes(b8);
         r.read_exact(&mut b8).map_err(io)?;
-        let n = u64::from_le_bytes(b8) as usize;
+        let n = u64::from_le_bytes(b8);
         if n > (1 << 33) {
             return Err(bad("implausible node count"));
         }
-        let mut state = Conserved::zeros(n);
-        let mut read_field = |dst: &mut [f64]| -> Result<(), SolverError> {
-            for v in dst.iter_mut() {
-                let mut b = [0u8; 8];
-                r.read_exact(&mut b).map_err(io)?;
-                *v = f64::from_le_bytes(b);
-            }
-            Ok(())
-        };
-        read_field(&mut state.rho)?;
-        for d in 0..3 {
-            let mut field = std::mem::take(&mut state.mom[d]);
-            read_field(&mut field)?;
-            state.mom[d] = field;
+        // Read the fields before sizing anything by `n`: the buffer grows
+        // only with the bytes the stream actually holds, so a header that
+        // claims more nodes than follow is an error, not an allocation.
+        let len = 5 * 8 * n; // five fields of `n` little-endian f64s
+        let mut bytes = Vec::new();
+        r.take(len).read_to_end(&mut bytes).map_err(io)?;
+        if bytes.len() as u64 != len {
+            return Err(bad("truncated checkpoint"));
         }
-        read_field(&mut state.energy)?;
+        let mut values = bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")));
+        let mut field = || values.by_ref().take(n as usize).collect::<Vec<f64>>();
+        let state = Conserved {
+            rho: field(),
+            mom: [field(), field(), field()],
+            energy: field(),
+        };
         Ok(Checkpoint {
             time,
             steps_taken,
@@ -225,5 +227,18 @@ mod tests {
         let mut buf = Vec::new();
         ck.write(&mut buf).unwrap();
         assert!(Checkpoint::read(&buf[..buf.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn oversized_node_count_without_data_is_an_error() {
+        // A 28-byte header claiming 2³³ nodes and no field bytes: sizing
+        // the state from the header would ask for 64 GiB per field before
+        // the first read.
+        let mut header = MAGIC.to_vec();
+        header.extend_from_slice(&0.0f64.to_le_bytes());
+        header.extend_from_slice(&0u64.to_le_bytes());
+        header.extend_from_slice(&(1u64 << 33).to_le_bytes());
+        assert_eq!(header.len(), 28);
+        assert!(Checkpoint::read(header.as_slice()).is_err());
     }
 }

@@ -305,8 +305,9 @@ impl SimulationBuilder {
     }
 
     /// Installs a caller-provided execution backend in place of a
-    /// built-in one — how external backends (e.g. the accelerator
-    /// functional pipeline in `fem_accel`) register with the driver.
+    /// built-in one — how external backends (e.g. the one-element
+    /// reference loop, [`crate::oracle::ElementLoopBackend`]) register
+    /// with the driver.
     pub fn custom_backend(mut self, backend: Box<dyn ExecutionBackend>) -> Self {
         self.backend = BackendChoice::Custom(backend);
         self

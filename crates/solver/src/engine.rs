@@ -72,8 +72,8 @@
 //! A backend implements two methods, [`ExecutionBackend::name`] and
 //! [`ExecutionBackend::assemble_rhs`], and plugs into the driver via
 //! [`crate::driver::SimulationBuilder::custom_backend`] — the
-//! accelerator's staged functional pipeline in `fem_accel::functional`
-//! registers itself exactly this way. The driver owns everything around the assembly (the
+//! validation oracle [`crate::oracle::ElementLoopBackend`] registers
+//! itself exactly this way. The driver owns everything around the assembly (the
 //! RKU update, the lumped-mass divide, the boundary conditions), so a
 //! backend never sees them. The one provided method,
 //! [`ExecutionBackend::as_multi_device`], lets callers reach the

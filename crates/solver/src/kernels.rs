@@ -20,9 +20,10 @@
 //!
 //! [`ElementWorkspace`] owns all per-element buffers (gathered fields,
 //! gradients, flux tensors, residuals) so the hot loop never allocates;
-//! [`fused_flux`] + [`weak_divergence`] implement the fused pipeline, and
-//! the split stages [`convective_flux`] / [`viscous_flux`] remain as the
-//! seed reference path (validation and the fused-vs-split benchmark).
+//! [`fused_flux`] + [`weak_divergence`] implement the fused pipeline;
+//! [`convective_flux`] is the inviscid flux (and the convective half of
+//! the seed split kernels, whose viscous half and element loop live in
+//! [`crate::oracle`]).
 //! Geometry arrives as borrowed [`GeomRef`] slices — either from the
 //! per-element recompute ([`fem_mesh::hex::ElementGeometry::view`]) or,
 //! on the hot path, from the precomputed
@@ -75,9 +76,10 @@
 //! the full-matrix path) and touch `res` exactly once per node. No
 //! cross-node or cross-element accumulation order leaks into the kernel,
 //! so for a given path the element residual is a pure function of the
-//! element data — which is what lets every backend (serial,
-//! multi-device, the staged accelerator pipeline) reproduce the serial
-//! answer bitwise as long as its *scatter* order is canonical. The
+//! element data — which is what lets every sweep (the batched serial
+//! sweep, multi-device, the one-element loop of [`crate::oracle`])
+//! reproduce the same answer bitwise as long as its *scatter* order is
+//! canonical. The
 //! sum-factored path is bit-identical to the pre-knob kernel (it *is* that
 //! loop), so all golden traces and cross-backend bitwise guarantees are
 //! unchanged by default. The same holds across the lanes of an element
@@ -119,7 +121,7 @@
 use crate::gas::GasModel;
 use crate::state::{Conserved, Primitives};
 use fem_mesh::hex::GeomRef;
-use fem_numerics::linalg::{Mat3, Vec3};
+use fem_numerics::linalg::Mat3;
 use fem_numerics::tensor::{HexBasis, Lane, NodeCount, NodeKernel};
 
 /// Number of conserved variables (ρ, ρu·3, E).
@@ -150,10 +152,10 @@ pub struct ElementWorkspace<L: Lane = f64> {
     /// Gathered per-node viscosity.
     pub mu: Vec<L>,
     /// Reference-space gradients of (u_x, u_y, u_z, T).
-    grad_ref: [Vec<[L; 3]>; 4],
+    pub(crate) grad_ref: [Vec<[L; 3]>; 4],
     /// Flux tensor per conserved variable: `flux[v][q]` is the flux vector
     /// of variable `v` at node `q`.
-    flux: [Vec<[L; 3]>; NUM_VARS],
+    pub(crate) flux: [Vec<[L; 3]>; NUM_VARS],
     /// Quadrature-weighted, Jacobian-transformed flux (`G` in the module
     /// docs): contraction input.
     g: [Vec<[L; 3]>; NUM_VARS],
@@ -302,25 +304,26 @@ impl<L: Lane> Jacobian<L> for [[L; 3]; 3] {
 // `Vec3`/`Mat3` method it names, so the one-lane kernels keep the bits
 // of the `Vec3` code they replaced.
 
-/// `a + b` ([`Vec3`] `+`).
+/// `a + b` ([`Vec3`](fem_numerics::linalg::Vec3) `+`).
 #[inline(always)]
 fn add<L: Lane>(a: [L; 3], b: [L; 3]) -> [L; 3] {
     [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
 }
 
-/// `a − b` ([`Vec3`] `−`).
+/// `a − b` ([`Vec3`](fem_numerics::linalg::Vec3) `−`).
 #[inline(always)]
 fn sub<L: Lane>(a: [L; 3], b: [L; 3]) -> [L; 3] {
     [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
 }
 
-/// `s · v` ([`Vec3`]'s `f64 * Vec3`, which multiplies `v.x * s`, …).
+/// `s · v` ([`Vec3`](fem_numerics::linalg::Vec3)'s `f64 * Vec3`, which
+/// multiplies `v.x * s`, …).
 #[inline(always)]
 fn scale<L: Lane>(s: L, v: [L; 3]) -> [L; 3] {
     [v[0] * s, v[1] * s, v[2] * s]
 }
 
-/// `a · b` ([`Vec3::dot`]).
+/// `a · b` ([`Vec3::dot`](fem_numerics::linalg::Vec3::dot)).
 #[inline(always)]
 fn dot<L: Lane>(a: [L; 3], b: [L; 3]) -> L {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -362,43 +365,6 @@ pub(crate) fn lane_convective_flux<L: Lane>(ws: &mut ElementWorkspace<L>) {
     }
 }
 
-/// Fills the workspace flux tensors with the **viscous** (diffusion)
-/// fluxes — the paper's COMPUTE-Gradients / COMPUTE-τ stages:
-///
-/// * mass: `0`
-/// * momentum `i`: row `i` of `τ = μ(∇u + ∇uᵀ − ⅔(∇·u)I)`
-/// * energy: `τ·u + κ∇T`
-pub fn viscous_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, geom: GeomRef) {
-    // Reference gradients of the three velocity components and T.
-    let (head, tail) = ws.grad_ref.split_at_mut(3);
-    basis.lane_gradient(&ws.vel[0], &mut head[0]);
-    basis.lane_gradient(&ws.vel[1], &mut head[1]);
-    basis.lane_gradient(&ws.vel[2], &mut head[2]);
-    basis.lane_gradient(&ws.temp, &mut tail[0]);
-    let kappa = gas.kappa();
-    for q in 0..ws.npe {
-        let inv_jt = geom.inv_jt[q];
-        // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
-        let l = Mat3::from_rows(
-            inv_jt.mul_vec(ws.grad_ref[0][q].into()),
-            inv_jt.mul_vec(ws.grad_ref[1][q].into()),
-            inv_jt.mul_vec(ws.grad_ref[2][q].into()),
-        );
-        let grad_t = inv_jt.mul_vec(ws.grad_ref[3][q].into());
-        let mu = ws.mu[q];
-        let div_u = l.trace();
-        // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I
-        let tau =
-            mu * (l + l.transpose()) - Mat3::diagonal(1.0, 1.0, 1.0) * (2.0 / 3.0 * mu * div_u);
-        let u = Vec3::new(ws.vel[0][q], ws.vel[1][q], ws.vel[2][q]);
-        ws.flux[0][q] = [0.0; 3];
-        ws.flux[1][q] = tau.row(0).into();
-        ws.flux[2][q] = tau.row(1).into();
-        ws.flux[3][q] = tau.row(2).into();
-        ws.flux[4][q] = (tau.mul_vec(u) + kappa * grad_t).into();
-    }
-}
-
 /// Fills the workspace flux tensors with the **fused net flux**
 /// `F = F_c − F_v` — the paper's merged Diffusion ⊕ Convection stage in
 /// one per-node sweep:
@@ -409,7 +375,8 @@ pub fn viscous_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis,
 ///
 /// Followed by **one** [`weak_divergence`] call with `sign = +1`, this
 /// replaces the split `convective_flux` → `weak_divergence(+1)` →
-/// `viscous_flux` → `weak_divergence(−1)` sequence, halving the dominant
+/// `viscous_flux` → `weak_divergence(−1)` sequence
+/// ([`crate::oracle::split_into`]), halving the dominant
 /// tensor-contraction work of viscous runs (the semi-discrete form
 /// `M dU/dt = ∫∇N·F_c − ∫∇N·F_v = ∫∇N·(F_c − F_v)` is contracted once).
 /// Matches the split path to rounding (the per-node flux subtraction
@@ -879,9 +846,12 @@ impl KernelOpCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AssemblyContext;
     use crate::gas::GasModel;
+    use crate::oracle::{element_loop_into, split_into};
     use fem_mesh::generator::BoxMeshBuilder;
     use fem_mesh::hex::{ElementGeometry, GeometryScratch};
+    use fem_numerics::linalg::Vec3;
     use fem_numerics::tensor::{Fixed, Runtime};
     use proptest::prelude::*;
 
@@ -911,61 +881,26 @@ mod tests {
         (c, p)
     }
 
-    /// Computes the assembled global RHS for the full mesh with the
-    /// fused hot path (cached geometry, single contraction).
-    fn assemble_rhs(
+    /// The assembled global RHS of the oracle sweep `sweep` on cached
+    /// geometry and the sum-factored contraction.
+    fn assemble_with(
+        sweep: fn(&AssemblyContext<'_>, &Conserved, &Primitives, &mut Conserved),
         mesh: &fem_mesh::HexMesh,
         basis: &HexBasis,
         gas: &GasModel,
         conserved: &Conserved,
         prim: &Primitives,
     ) -> Conserved {
-        let npe = mesh.nodes_per_element();
-        let mut ws = ElementWorkspace::new(npe);
-        let cache = fem_mesh::geometry::GeometryCache::build(mesh, basis).unwrap();
+        let geometry = fem_mesh::geometry::GeometryCache::build(mesh, basis).unwrap();
+        let ctx = AssemblyContext {
+            mesh,
+            basis,
+            gas,
+            geometry: &geometry,
+            kernel: KernelPath::SumFactored,
+        };
         let mut rhs = Conserved::zeros(mesh.num_nodes());
-        for e in 0..mesh.num_elements() {
-            let geom = cache.element(e);
-            ws.gather(mesh.element_nodes(e), conserved, prim);
-            ws.zero_residuals();
-            if gas.mu > 0.0 {
-                fused_flux(&mut ws, gas, basis, geom);
-            } else {
-                convective_flux(&mut ws);
-            }
-            weak_divergence(&mut ws, basis, geom, 1.0);
-            ws.scatter_add(mesh.element_nodes(e), &mut rhs);
-        }
-        rhs
-    }
-
-    /// The seed reference: geometry recomputed per element, split
-    /// convective + viscous contractions.
-    fn assemble_rhs_split_recompute(
-        mesh: &fem_mesh::HexMesh,
-        basis: &HexBasis,
-        gas: &GasModel,
-        conserved: &Conserved,
-        prim: &Primitives,
-    ) -> Conserved {
-        let npe = mesh.nodes_per_element();
-        let mut ws = ElementWorkspace::new(npe);
-        let mut scratch = GeometryScratch::new(npe);
-        let mut geom = ElementGeometry::with_capacity(npe);
-        let mut rhs = Conserved::zeros(mesh.num_nodes());
-        for e in 0..mesh.num_elements() {
-            mesh.fill_element_geometry(e, basis, &mut scratch, &mut geom)
-                .unwrap();
-            ws.gather(mesh.element_nodes(e), conserved, prim);
-            ws.zero_residuals();
-            convective_flux(&mut ws);
-            weak_divergence(&mut ws, basis, geom.view(), 1.0);
-            if gas.mu > 0.0 {
-                viscous_flux(&mut ws, gas, basis, geom.view());
-                weak_divergence(&mut ws, basis, geom.view(), -1.0);
-            }
-            ws.scatter_add(mesh.element_nodes(e), &mut rhs);
-        }
+        sweep(&ctx, conserved, prim, &mut rhs);
         rhs
     }
 
@@ -974,7 +909,7 @@ mod tests {
         let (mesh, basis) = setup(4);
         let gas = GasModel::air(1.8e-5);
         let (c, p) = make_state(&mesh, &gas, |_| (1.2, Vec3::new(30.0, -10.0, 5.0), 300.0));
-        let rhs = assemble_rhs(&mesh, &basis, &gas, &c, &p);
+        let rhs = assemble_with(element_loop_into, &mesh, &basis, &gas, &c, &p);
         let scale = 1e5; // typical flux magnitude (E+p)·u ~ 1e7, be generous
         rhs.for_each_field(|f| {
             for &v in f {
@@ -996,7 +931,7 @@ mod tests {
                 300.0 + 15.0 * x.z.sin(),
             )
         });
-        let rhs = assemble_rhs(&mesh, &basis, &gas, &c, &p);
+        let rhs = assemble_with(element_loop_into, &mesh, &basis, &gas, &c, &p);
         let mut sums = Vec::new();
         rhs.for_each_field(|f| sums.push(f.iter().sum::<f64>()));
         // Scale: typical |R| entries.
@@ -1031,7 +966,7 @@ mod tests {
         let (c, p) = make_state(&mesh, &gas, |x| {
             (rho0, Vec3::new(a * x.y.sin(), 0.0, 0.0), 300.0)
         });
-        let rhs = assemble_rhs(&mesh, &basis, &gas, &c, &p);
+        let rhs = assemble_with(element_loop_into, &mesh, &basis, &gas, &c, &p);
         // Lumped mass.
         let npe = mesh.nodes_per_element();
         let mut scratch = GeometryScratch::new(npe);
@@ -1066,7 +1001,7 @@ mod tests {
         let t0 = 300.0;
         let t1 = 3.0;
         let (c, p) = make_state(&mesh, &gas, |x| (rho0, Vec3::ZERO, t0 + t1 * x.x.sin()));
-        let rhs = assemble_rhs(&mesh, &basis, &gas, &c, &p);
+        let rhs = assemble_with(element_loop_into, &mesh, &basis, &gas, &c, &p);
         let npe = mesh.nodes_per_element();
         let mut scratch = GeometryScratch::new(npe);
         let mut geom = ElementGeometry::with_capacity(npe);
@@ -1107,8 +1042,8 @@ mod tests {
                 300.0 + 10.0 * x.y.sin(),
             )
         });
-        let fused = assemble_rhs(&mesh, &basis, &gas, &c, &p);
-        let split = assemble_rhs_split_recompute(&mesh, &basis, &gas, &c, &p);
+        let fused = assemble_with(element_loop_into, &mesh, &basis, &gas, &c, &p);
+        let split = assemble_with(split_into, &mesh, &basis, &gas, &c, &p);
         let mut scale = 0.0f64;
         split.for_each_field(|f| {
             for &v in f {
@@ -1126,9 +1061,11 @@ mod tests {
 
     #[test]
     fn inviscid_fused_path_is_bitwise_the_convective_path() {
-        // With μ = 0 the hot path takes the pure-convective branch; the
-        // only difference from the seed loop is cached vs recomputed
-        // geometry, which is bit-identical.
+        // With μ = 0 the fused sweep takes the pure-convective branch and
+        // the split sweep skips its viscous half, so they run the same
+        // kernels. (Cached ≡ recomputed geometry, the other half of the
+        // seed loop, is pinned by fem_mesh's
+        // `cache_matches_per_element_recompute`.)
         let (mesh, basis) = setup(4);
         let gas = GasModel::air(0.0);
         let (c, p) = make_state(&mesh, &gas, |x| {
@@ -1138,13 +1075,9 @@ mod tests {
                 290.0,
             )
         });
-        let cached = assemble_rhs(&mesh, &basis, &gas, &c, &p);
-        let recompute = assemble_rhs_split_recompute(&mesh, &basis, &gas, &c, &p);
-        let mut a = Vec::new();
-        cached.for_each_field(|f| a.extend(f.iter().map(|x| x.to_bits())));
-        let mut b = Vec::new();
-        recompute.for_each_field(|f| b.extend(f.iter().map(|x| x.to_bits())));
-        assert_eq!(a, b);
+        let fused = assemble_with(element_loop_into, &mesh, &basis, &gas, &c, &p);
+        let split = assemble_with(split_into, &mesh, &basis, &gas, &c, &p);
+        assert_eq!(fused.to_bit_vec(), split.to_bit_vec());
     }
 
     #[test]

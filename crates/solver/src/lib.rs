@@ -12,8 +12,8 @@
 //!
 //! * [`gas`] — constitutive relations (ideal gas law, μ, κ).
 //! * [`state`] — conserved state + the RKU primitive update.
-//! * [`kernels`] — the RKL element kernels: gather, gradients, τ,
-//!   convective/viscous fluxes, weak divergence (sum-factored or
+//! * [`kernels`] — the RKL element kernels: gather, gradients, τ, the
+//!   fused and convective fluxes, weak divergence (sum-factored or
 //!   full-matrix, selected by [`KernelPath`]), scatter.
 //! * [`driver`] — the RK4 time loop gluing RKL and RKU together.
 //! * [`engine`] — the shard-parallel execution engine: the pluggable
@@ -22,9 +22,12 @@
 //!   the serial loop at every device count) and its closed-form
 //!   inter-device link model. The accelerator emulations of a shard plan
 //!   live in `fem_accel::emulation`, outside this crate.
-//! * [`parallel`] — the serial host assembly loop every backend is
-//!   checked against, and the split-kernel reference the fused kernel is
-//!   validated against.
+//! * [`parallel`] — the serial host assembly sweep (element batches,
+//!   ascending element order).
+//! * [`oracle`] — the validation oracles: the one-element reference loop
+//!   every sweep is checked against bit for bit (also the accelerator's
+//!   Load → Compute → Store decomposition at functional fidelity), and
+//!   the split-kernel reference the fused kernel is validated against.
 //! * [`tgv`] — the Taylor-Green Vortex workload of the evaluation.
 //! * [`scenarios`] — the workload registry (TGV, lid-driven cavity,
 //!   double shear layer, acoustic pulse) with per-scenario invariants.
@@ -70,6 +73,7 @@ pub mod engine;
 pub mod ensemble;
 pub mod gas;
 pub mod kernels;
+pub mod oracle;
 pub mod parallel;
 pub mod profile;
 pub mod scenarios;

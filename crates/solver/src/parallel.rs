@@ -24,15 +24,14 @@
 //! which serves the convective and viscous halves equally — half to
 //! `RK(Convection)` and half to `RK(Diffusion)`; the scatter to
 //! `RK(Other)`.
-//! [`assemble_rhs_split_into`] keeps the seed split-contraction kernels
-//! (on cached geometry) as the validation and benchmarking reference.
+//!
+//! The element-at-a-time loop this sweep must match bit for bit, and the
+//! seed split-contraction kernels the fused flux is validated against,
+//! are the validation oracles of [`crate::oracle`].
 
 use crate::batch::{BatchEvaluator, Elements, ScatterInto};
 use crate::gas::GasModel;
-use crate::kernels::{
-    convective_flux, viscous_flux, weak_divergence, ElementWorkspace, KernelOps, KernelPath,
-    NUM_VARS,
-};
+use crate::kernels::{KernelOps, KernelPath, NUM_VARS};
 use crate::profile::PhaseProfiler;
 use crate::state::{Conserved, Primitives};
 use fem_mesh::geometry::GeometryCache;
@@ -69,32 +68,6 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Evaluates element `e`'s residual with the seed **split** kernels
-/// (convective and viscous contractions separately) on cached geometry —
-/// the reference the fused path is validated and benchmarked against.
-#[allow(clippy::too_many_arguments)]
-fn eval_element_split(
-    mesh: &HexMesh,
-    basis: &HexBasis,
-    gas: &GasModel,
-    viscous: bool,
-    conserved: &Conserved,
-    prim: &Primitives,
-    e: usize,
-    ws: &mut ElementWorkspace,
-    geometry: &GeometryCache,
-) {
-    let geom = geometry.element(e);
-    ws.gather(mesh.element_nodes(e), conserved, prim);
-    ws.zero_residuals();
-    convective_flux(ws);
-    weak_divergence(ws, basis, geom, 1.0);
-    if viscous {
-        viscous_flux(ws, gas, basis, geom);
-        weak_divergence(ws, basis, geom, -1.0);
-    }
 }
 
 /// Assembles the RKL residual into `out` with the serial element loop:
@@ -199,41 +172,6 @@ impl SharedRhs {
         *self.mom[1].add(n) += vals[2];
         *self.mom[2].add(n) += vals[3];
         *self.energy.add(n) += vals[4];
-    }
-}
-
-/// Assembles the residual with the seed **split** kernels (two
-/// weak-divergence contractions per viscous element) on cached geometry,
-/// in the serial element order — the reference the fused kernel is
-/// property-tested and benchmarked against. Not profiled.
-///
-/// # Panics
-///
-/// Panics on size mismatches.
-pub fn assemble_rhs_split_into(
-    mesh: &HexMesh,
-    basis: &HexBasis,
-    gas: &GasModel,
-    geometry: &GeometryCache,
-    conserved: &Conserved,
-    prim: &Primitives,
-    out: &mut Conserved,
-) {
-    assert_eq!(conserved.len(), mesh.num_nodes(), "state size");
-    assert_eq!(out.len(), mesh.num_nodes(), "output size");
-    assert_eq!(
-        geometry.num_elements(),
-        mesh.num_elements(),
-        "geometry cache does not cover the mesh"
-    );
-    let viscous = gas.mu > 0.0;
-    let mut ws = ElementWorkspace::new(mesh.nodes_per_element());
-    out.set_zero();
-    for e in 0..mesh.num_elements() {
-        eval_element_split(
-            mesh, basis, gas, viscous, conserved, prim, e, &mut ws, geometry,
-        );
-        ws.scatter_add(mesh.element_nodes(e), out);
     }
 }
 
@@ -504,8 +442,15 @@ mod tests {
             let geometry = GeometryCache::build(&mesh, &basis).unwrap();
             let strategy = partition(partitioned);
 
+            let ctx = AssemblyContext {
+                mesh: &mesh,
+                basis: &basis,
+                gas: &gas,
+                geometry: &geometry,
+                kernel: KernelPath::SumFactored,
+            };
             let mut split = Conserved::zeros(mesh.num_nodes());
-            assemble_rhs_split_into(&mesh, &basis, &gas, &geometry, &state, &prim, &mut split);
+            crate::oracle::split_into(&ctx, &state, &prim, &mut split);
             let split_flat = flat(&split);
             let scale = split_flat.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
             for kernel in [KernelPath::SumFactored, KernelPath::FullMatrix] {

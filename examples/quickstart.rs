@@ -1,20 +1,21 @@
 //! Quickstart: simulate a small Taylor-Green Vortex on the CPU reference
-//! solver, verify the accelerator's functional model against it, and
-//! print the modeled FPGA speedup. Exits non-zero if the functional model
-//! differs from the reference in a single bit.
+//! solver, check the reference element loop (the accelerator's
+//! Load → Compute → Store decomposition, one element at a time) against
+//! it, and print the modeled FPGA speedup. Exits non-zero if the element
+//! loop differs from the solver's backend in a single bit.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use fem_cfd_accel::accel::designs::{paper_design, vitis_baseline_design};
-use fem_cfd_accel::accel::functional::staged_stage_residual_into;
 use fem_cfd_accel::accel::perf::estimate_performance;
 use fem_cfd_accel::accel::workload::RklWorkload;
 use fem_cfd_accel::mesh::generator::BoxMeshBuilder;
 use fem_cfd_accel::mesh::geometry::GeometryCache;
 use fem_cfd_accel::numerics::tensor::HexBasis;
 use fem_cfd_accel::solver::engine::{AssemblyContext, ExecutionBackend, ReferenceBackend};
+use fem_cfd_accel::solver::oracle::element_loop_into;
 use fem_cfd_accel::solver::state::Primitives;
 use fem_cfd_accel::solver::{Conserved, KernelPath, Simulation, TgvConfig};
 
@@ -47,44 +48,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ((d1.total_mass - d0.total_mass) / d0.total_mass).abs()
     );
 
-    // 3. Verify the accelerator's Load→Compute→Store decomposition
-    //    computes the same residual as the reference backend, bit for bit.
+    // 3. Check the reference element loop — the accelerator's
+    //    Load→Compute→Store decomposition — against the reference backend,
+    //    bit for bit.
     let gas = cfg.gas();
     let basis = HexBasis::new(mesh.order())?;
     let mut prim = Primitives::zeros(mesh.num_nodes());
     prim.update_from(&initial, &gas);
     let geometry = GeometryCache::build(&mesh, &basis)?;
-    let kernel = KernelPath::default();
-    let mut staged = Conserved::zeros(mesh.num_nodes());
-    staged_stage_residual_into(
-        &mesh,
-        &basis,
-        &gas,
-        &geometry,
-        &initial,
-        &prim,
-        kernel,
-        &mut staged,
-    );
     let ctx = AssemblyContext {
         mesh: &mesh,
         basis: &basis,
         gas: &gas,
         geometry: &geometry,
-        kernel,
+        kernel: KernelPath::default(),
     };
+    let mut looped = Conserved::zeros(mesh.num_nodes());
+    element_loop_into(&ctx, &initial, &prim, &mut looped);
     let mut reference = Conserved::zeros(mesh.num_nodes());
     ReferenceBackend.assemble_rhs(&ctx, &initial, &prim, &mut reference, None);
-    let max_bits_diff = staged
+    let max_bits_diff = looped
         .to_bit_vec()
         .iter()
         .zip(&reference.to_bit_vec())
         .map(|(x, y)| x.abs_diff(*y))
         .max()
         .unwrap_or(0);
-    println!("  accelerator functional check: max bit distance = {max_bits_diff} (0 = exact)");
+    println!("  reference element loop check: max bit distance = {max_bits_diff} (0 = exact)");
     if max_bits_diff != 0 {
-        return Err(format!("functional model diverged (max bit distance {max_bits_diff})").into());
+        return Err(format!("element loop diverged (max bit distance {max_bits_diff})").into());
     }
 
     // 4. Model the accelerator at paper scale.

@@ -1,36 +1,27 @@
-//! Integration: the accelerator's staged task pipeline computes exactly
-//! what the reference solver computes, on every mesh family we support.
+//! Integration: the accelerator's Load → Compute → Store decomposition —
+//! the one-element reference loop of `fem_solver::oracle` — computes
+//! exactly what the production backend computes, on every mesh family we
+//! support.
 
-use fem_cfd_accel::accel::functional::{staged_stage_residual_into, StagedBackend};
 use fem_cfd_accel::mesh::generator::BoxMeshBuilder;
 use fem_cfd_accel::mesh::geometry::GeometryCache;
 use fem_cfd_accel::mesh::HexMesh;
 use fem_cfd_accel::numerics::tensor::HexBasis;
 use fem_cfd_accel::solver::engine::{AssemblyContext, ExecutionBackend, ReferenceBackend};
+use fem_cfd_accel::solver::oracle::{element_loop_into, ElementLoopBackend};
 use fem_cfd_accel::solver::state::Primitives;
 use fem_cfd_accel::solver::{Conserved, GasModel, KernelPath, Simulation, TgvConfig};
 
-/// Asserts that the staged sweep equals the reference backend's
-/// monolithic loop bit for bit on `state`, under viscous `gas` and its
-/// inviscid counterpart, on both contraction paths.
-fn assert_staged_equals_monolithic(mesh: &HexMesh, gas: GasModel, state: &Conserved, tag: &str) {
+/// Asserts that the element loop equals the reference backend's batched
+/// sweep bit for bit on `state`, under viscous `gas` and its inviscid
+/// counterpart, on both contraction paths.
+fn assert_loop_equals_backend(mesh: &HexMesh, gas: GasModel, state: &Conserved, tag: &str) {
     let basis = HexBasis::new(mesh.order()).unwrap();
     let geometry = GeometryCache::build(mesh, &basis).unwrap();
     for gas in [gas, GasModel { mu: 0.0, ..gas }] {
         let mut prim = Primitives::zeros(mesh.num_nodes());
         prim.update_from(state, &gas);
         for kernel in KernelPath::ALL {
-            let mut staged = Conserved::zeros(mesh.num_nodes());
-            staged_stage_residual_into(
-                mesh,
-                &basis,
-                &gas,
-                &geometry,
-                state,
-                &prim,
-                kernel,
-                &mut staged,
-            );
             let ctx = AssemblyContext {
                 mesh,
                 basis: &basis,
@@ -38,10 +29,12 @@ fn assert_staged_equals_monolithic(mesh: &HexMesh, gas: GasModel, state: &Conser
                 geometry: &geometry,
                 kernel,
             };
+            let mut looped = Conserved::zeros(mesh.num_nodes());
+            element_loop_into(&ctx, state, &prim, &mut looped);
             let mut reference = Conserved::zeros(mesh.num_nodes());
             ReferenceBackend.assemble_rhs(&ctx, state, &prim, &mut reference, None);
             assert_eq!(
-                staged.to_bit_vec(),
+                looped.to_bit_vec(),
                 reference.to_bit_vec(),
                 "decomposition diverged: {tag} mu={} {kernel}",
                 gas.mu
@@ -59,7 +52,7 @@ fn staged_equals_monolithic_on_various_meshes() {
         let cfg = TgvConfig::standard();
         let state = cfg.initial_state(&mesh);
         let tag = format!("edge={edge} order={order}");
-        assert_staged_equals_monolithic(&mesh, cfg.gas(), &state, &tag);
+        assert_loop_equals_backend(&mesh, cfg.gas(), &state, &tag);
     }
 }
 
@@ -82,7 +75,7 @@ fn staged_equals_monolithic_on_walled_mesh() {
         state.mom[2][n] = rho * u.z;
         state.energy[n] = gas.total_energy(rho, u, 290.0 + 5.0 * x.z);
     }
-    assert_staged_equals_monolithic(&mesh, gas, &state, "walled 4x3x3");
+    assert_loop_equals_backend(&mesh, gas, &state, "walled 4x3x3");
 }
 
 #[test]
@@ -97,7 +90,7 @@ fn accelerated_trajectory_tracks_reference_for_many_steps() {
     reference.advance(15, dt).unwrap();
 
     let mut accelerated = Simulation::builder(mesh, gas, initial)
-        .custom_backend(Box::new(StagedBackend))
+        .custom_backend(Box::new(ElementLoopBackend))
         .build()
         .unwrap();
     accelerated.advance(15, dt).unwrap();

@@ -53,7 +53,7 @@ fn table1_proposed_outspends_baseline_like_the_paper() {
 
 #[test]
 fn table2_latency_and_power_bands() {
-    let r = run_table2(4_200_000, None).unwrap();
+    let r = run_table2(4_200_000).unwrap();
     assert!(
         (0.30..=0.70).contains(&r.latency_reduction),
         "latency reduction {:.3} (paper 0.45)",
