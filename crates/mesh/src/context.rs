@@ -71,9 +71,9 @@ impl SharedMeshContext {
         let mut min_spacing = f64::INFINITY;
         let mut coords = vec![Vec3::ZERO; npe];
         for e in 0..mesh.num_elements() {
-            let det_w = geometry.det_w(e);
+            let geom = geometry.element(e);
             for (q, &node) in mesh.element_nodes(e).iter().enumerate() {
-                lumped_mass[node as usize] += det_w[q];
+                lumped_mass[node as usize] += geom.det_w(q);
             }
             mesh.element_coords(e, &mut coords);
             // Node spacing along the i/j/k lines.

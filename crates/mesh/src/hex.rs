@@ -8,7 +8,7 @@
 
 use crate::MeshError;
 use fem_numerics::linalg::{Mat3, Vec3};
-use fem_numerics::tensor::HexBasis;
+use fem_numerics::tensor::{F64x4, HexBasis, Lane};
 
 /// Bit flags marking which boundary face(s) a node lies on.
 ///
@@ -74,24 +74,115 @@ impl ElementGeometry {
 
     /// Borrowed view of the factors, in the form the FEM kernels consume.
     pub fn view(&self) -> GeomRef<'_> {
-        GeomRef {
-            inv_jt: &self.inv_jt,
-            det_w: &self.det_w,
-        }
+        GeomRef::new(&self.inv_jt, &self.det_w)
     }
 }
 
 /// Borrowed per-element geometric factors: the common currency between
 /// on-the-fly geometry ([`ElementGeometry::view`]) and the precomputed
-/// structure-of-arrays cache ([`crate::geometry::GeometryCache::element`]).
+/// lane-grouped cache ([`crate::geometry::GeometryCache::element`]).
 ///
-/// Both slices have one entry per element node.
+/// It reads node `q` of one element, whether the element owns its arrays
+/// or is one lane of a cached four-element group.
 #[derive(Debug, Clone, Copy)]
-pub struct GeomRef<'a> {
-    /// `J⁻ᵀ` at each element node.
-    pub inv_jt: &'a [Mat3],
-    /// `det(J) · w` at each element node.
-    pub det_w: &'a [f64],
+pub struct GeomRef<'a>(Factors<'a>);
+
+/// Where a [`GeomRef`] reads its factors ([`GeomRef::factors`]): one
+/// entry per element node in either case.
+#[derive(Debug, Clone, Copy)]
+pub enum Factors<'a> {
+    /// The element's own arrays.
+    Element {
+        /// `J⁻ᵀ` at each node.
+        inv_jt: &'a [Mat3],
+        /// `det(J) · w` at each node.
+        det_w: &'a [f64],
+    },
+    /// Lane `lane` (below 4) of a group's lane-interleaved arrays.
+    Lane {
+        /// `J⁻ᵀ` of the group's elements at each node.
+        inv_jt: &'a [[[F64x4; 3]; 3]],
+        /// `det(J) · w` of the group's elements at each node.
+        det_w: &'a [F64x4],
+        /// The element's lane.
+        lane: usize,
+    },
+}
+
+impl<'a> GeomRef<'a> {
+    /// One element's factors, `inv_jt[q]` and `det_w[q]` at node `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn new(inv_jt: &'a [Mat3], det_w: &'a [f64]) -> Self {
+        assert_eq!(inv_jt.len(), det_w.len(), "one factor pair per node");
+        GeomRef(Factors::Element { inv_jt, det_w })
+    }
+
+    /// Lane `lane` of a group's lane-interleaved factors.
+    pub(crate) fn lane(inv_jt: &'a [[[F64x4; 3]; 3]], det_w: &'a [F64x4], lane: usize) -> Self {
+        assert!(lane < F64x4::WIDTH, "lane {lane} of a four-lane group");
+        assert_eq!(inv_jt.len(), det_w.len(), "one factor pair per node");
+        GeomRef(Factors::Lane {
+            inv_jt,
+            det_w,
+            lane,
+        })
+    }
+
+    /// The storage the factors are read from, for a reader that resolves
+    /// it once per element instead of once per node.
+    pub fn factors(self) -> Factors<'a> {
+        self.0
+    }
+
+    /// Number of element nodes.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Factors::Element { det_w, .. } => det_w.len(),
+            Factors::Lane { det_w, .. } => det_w.len(),
+        }
+    }
+
+    /// Whether the element has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `J⁻ᵀ` at node `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q >= len()`.
+    #[inline(always)]
+    pub fn inv_jt(&self, q: usize) -> Mat3 {
+        match self.0 {
+            Factors::Element { inv_jt, .. } => inv_jt[q],
+            Factors::Lane { inv_jt, lane, .. } => {
+                let m = &inv_jt[q];
+                // `lane < 4` by construction; the modulo tells the
+                // compiler so, which drops a bounds check per load.
+                let lane = lane % F64x4::WIDTH;
+                Mat3 {
+                    m: std::array::from_fn(|r| std::array::from_fn(|c| m[r][c].0[lane])),
+                }
+            }
+        }
+    }
+
+    /// `det(J) · w` at node `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q >= len()`.
+    #[inline(always)]
+    pub fn det_w(&self, q: usize) -> f64 {
+        match self.0 {
+            Factors::Element { det_w, .. } => det_w[q],
+            Factors::Lane { det_w, lane, .. } => det_w[q].0[lane % F64x4::WIDTH],
+        }
+    }
 }
 
 /// An unstructured mesh of hexahedral spectral elements.

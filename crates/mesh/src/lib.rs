@@ -8,9 +8,10 @@
 //! * [`hex`] — the unstructured hexahedral mesh container ([`HexMesh`]):
 //!   arbitrary connectivity, high-order (GLL) node layouts, periodic image
 //!   unwrapping, element geometry (Jacobians).
-//! * [`geometry`] — the precomputed structure-of-arrays geometry cache
-//!   ([`GeometryCache`]): every element's `J⁻ᵀ` and `det(J)·w` factors
-//!   computed once, streamed as contiguous slices by the solver hot loop.
+//! * [`geometry`] — the precomputed geometry cache ([`GeometryCache`]):
+//!   every element's `J⁻ᵀ` and `det(J)·w` factors computed once, stored
+//!   four elements per group, lane-interleaved as the solver's element
+//!   batches read them.
 //! * [`generator`] — mesh generation, most importantly the periodic box for
 //!   the Taylor-Green Vortex workload ([`BoxMeshBuilder`]), matching the
 //!   paper's mesh-size sweep (5K … 4.2M nodes).

@@ -72,6 +72,9 @@ pub trait Lane:
 
     /// Lane `i`, to write.
     fn lane_mut(&mut self, i: usize) -> &mut f64;
+
+    /// The group whose lane `i` is `f(i)`.
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self;
 }
 
 impl Lane for f64 {
@@ -91,6 +94,11 @@ impl Lane for f64 {
     #[inline(always)]
     fn lane_mut(&mut self, _i: usize) -> &mut f64 {
         self
+    }
+
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> f64 {
+        f(0)
     }
 }
 
@@ -120,6 +128,11 @@ impl Lane for F64x4 {
     #[inline(always)]
     fn lane_mut(&mut self, i: usize) -> &mut f64 {
         &mut self.0[i]
+    }
+
+    #[inline(always)]
+    fn from_fn(f: impl FnMut(usize) -> f64) -> F64x4 {
+        F64x4(std::array::from_fn(f))
     }
 }
 

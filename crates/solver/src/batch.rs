@@ -2,19 +2,26 @@
 //! at a time through the lane-generic kernels.
 //!
 //! A sweep walks a list of elements in batches of `L::WIDTH`. Each batch
-//! gathers its elements' state and cached geometry into one
-//! lane-interleaved [`ElementWorkspace<L>`] (lane `j` = the batch's `j`-th
-//! element; `J⁻ᵀ` and `det·w` are transposed into lanes during the
-//! gather), runs the fused flux (or the convective flux when μ = 0) and
-//! the contraction once for all lanes, and hands the residuals to a
-//! [`ResidualSink`] lane 0, 1, 2, 3 — the list order. A tail of fewer
-//! than `L::WIDTH` elements runs as one-lane batches.
+//! gathers its elements' state node by node into one lane-interleaved
+//! [`ElementWorkspace<L>`] (lane `j` = the batch's `j`-th element), runs
+//! the fused flux (or the convective flux when μ = 0) and the contraction
+//! once for all lanes, and hands the residuals to a [`ResidualSink`]
+//! lane 0, 1, 2, 3 — the list order — each read in place from its lane.
+//! A tail of fewer than `L::WIDTH` elements runs as one-lane batches.
+//!
+//! The geometry cache stores elements `4g … 4g + 3` lane-interleaved as
+//! group `g` ([`GeometryCache::group`]). A batch of an aligned group — every
+//! batch of a whole-mesh sweep — borrows the group's `J⁻ᵀ` and `det·w`
+//! as they are. Any other batch (the element lists of a
+//! [`MultiDevice`](crate::engine::MultiDeviceBackend) device) copies its
+//! elements' factors lane by lane into a batch buffer; a one-lane batch
+//! reads its element through [`GeometryCache::element`].
 //!
 //! [`with_lanes`] picks the lane type once per sweep: [`F64x4`] inside
 //! the one AVX2 entry point when the CPU reports AVX2, `f64` (one element
-//! per batch, no geometry copy) otherwise. On the baseline x86-64
-//! instruction set four lanes win at order 1 but not reliably at order 3
-//! (0.95–1.05× the one-lane assembly time), so only AVX2 takes them. The
+//! per batch) otherwise. On the baseline x86-64 instruction set four lanes
+//! win at order 1 but not reliably at order 3 (0.95–1.05× the one-lane
+//! assembly time), so only AVX2 takes them. The
 //! [`KernelPath::FullMatrix`](crate::kernels::KernelPath::FullMatrix)
 //! validation reference always runs one element at a time.
 //!
@@ -27,13 +34,13 @@
 
 use crate::gas::GasModel;
 use crate::kernels::{
-    lane_convective_flux, lane_fused_flux, ElementWorkspace, Jacobian, KernelOps, NUM_VARS,
+    lane_convective_flux, lane_fused_flux, resolved, ElementWorkspace, KernelOps, NodeGeometry,
+    NUM_VARS,
 };
 use crate::profile::{Phase, PhaseProfiler};
 use crate::state::{Conserved, Primitives};
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::HexMesh;
-use fem_numerics::linalg::Mat3;
 use fem_numerics::tensor::{F64x4, HexBasis, Lane};
 use std::time::Instant;
 
@@ -41,22 +48,25 @@ use std::time::Instant;
 const MAX_WIDTH: usize = 4;
 
 /// A lane type the batch evaluator runs on: how a batch's cached geometry
-/// reaches the kernels.
+/// and residuals meet the kernels and the sinks.
 pub(crate) trait BatchLane: Lane {
-    /// The per-node `J⁻ᵀ` the kernels read.
-    type Jacobian: Jacobian<Self>;
-
-    /// The batch's per-node `J⁻ᵀ` and `det·w`: the cache's own slices for
-    /// one element, transposed into `buf` for several.
-    fn geometry<'a>(
-        cache: &'a GeometryCache,
+    /// Runs [`BatchEvaluator::compute`] on the batch `elements` and their
+    /// cached geometry: read in place for one element or an aligned
+    /// group, copied lane by lane into `buf` otherwise.
+    fn compute(
+        eval: &BatchEvaluator<'_>,
         elements: &[usize],
-        buf: &'a mut LaneGeometry<Self>,
-    ) -> (&'a [Self::Jacobian], &'a [Self]);
+        ws: &mut ElementWorkspace<Self>,
+        buf: &mut LaneGeometry<Self>,
+        clock: &mut StageClock<'_>,
+    );
+
+    /// The residuals of lane `lane` of `ws`, for a sink.
+    fn residuals(ws: &ElementWorkspace<Self>, lane: usize) -> Residuals<'_>;
 }
 
-/// Lane-interleaved geometry of one batch (left empty for one lane, which
-/// reads the cache in place).
+/// Lane-interleaved geometry of a batch that is not an aligned group (left
+/// empty for one lane, which never copies).
 pub(crate) struct LaneGeometry<L> {
     inv_jt: Vec<[[L; 3]; 3]>,
     det_w: Vec<L>,
@@ -73,46 +83,65 @@ impl<L: Lane> LaneGeometry<L> {
 }
 
 impl BatchLane for f64 {
-    type Jacobian = Mat3;
+    #[inline(always)]
+    fn compute(
+        eval: &BatchEvaluator<'_>,
+        elements: &[usize],
+        ws: &mut ElementWorkspace<f64>,
+        _buf: &mut LaneGeometry<f64>,
+        clock: &mut StageClock<'_>,
+    ) {
+        resolved!(eval.geometry.element(elements[0]), |g| eval
+            .compute(ws, g, clock));
+    }
 
     #[inline(always)]
-    fn geometry<'a>(
-        cache: &'a GeometryCache,
-        elements: &[usize],
-        _buf: &'a mut LaneGeometry<f64>,
-    ) -> (&'a [Mat3], &'a [f64]) {
-        let geom = cache.element(elements[0]);
-        (geom.inv_jt, geom.det_w)
+    fn residuals(ws: &ElementWorkspace<f64>, _lane: usize) -> Residuals<'_> {
+        Residuals::One(ws)
     }
 }
 
 impl BatchLane for F64x4 {
-    type Jacobian = [[F64x4; 3]; 3];
-
     #[inline(always)]
-    fn geometry<'a>(
-        cache: &'a GeometryCache,
+    fn compute(
+        eval: &BatchEvaluator<'_>,
         elements: &[usize],
-        buf: &'a mut LaneGeometry<F64x4>,
-    ) -> (&'a [[[F64x4; 3]; 3]], &'a [F64x4]) {
+        ws: &mut ElementWorkspace<F64x4>,
+        buf: &mut LaneGeometry<F64x4>,
+        clock: &mut StageClock<'_>,
+    ) {
+        let cache = eval.geometry;
+        let first = elements[0];
+        let g = first / F64x4::WIDTH;
+        let aligned = first.is_multiple_of(F64x4::WIDTH)
+            && g < cache.num_groups()
+            && elements.iter().enumerate().all(|(j, &e)| e == first + j);
+        if aligned {
+            return eval.compute(ws, cache.group(g), clock);
+        }
         let npe = buf.det_w.len();
         let (inv_jt, det_w) = (&mut buf.inv_jt[..npe], &mut buf.det_w[..npe]);
-        for (j, &e) in elements.iter().enumerate().take(4) {
-            let geom = cache.element(e);
-            for (q, (m, &w)) in geom.inv_jt[..npe]
-                .iter()
-                .zip(&geom.det_w[..npe])
-                .enumerate()
-            {
-                for (dst, src) in inv_jt[q].iter_mut().zip(&m.m) {
-                    for (d, &s) in dst.iter_mut().zip(src) {
+        for (j, &e) in elements.iter().enumerate().take(F64x4::WIDTH) {
+            resolved!(cache.element(e), |src| {
+                let src = src.nodes(npe);
+                for (q, (m, w)) in inv_jt.iter_mut().zip(det_w.iter_mut()).enumerate() {
+                    for (d, s) in m
+                        .iter_mut()
+                        .flatten()
+                        .zip(src.inv_jt(q).into_iter().flatten())
+                    {
                         *d.lane_mut(j) = s;
                     }
+                    *w.lane_mut(j) = src.det_w(q);
                 }
-                *det_w[q].lane_mut(j) = w;
-            }
+            });
         }
-        (&buf.inv_jt, &buf.det_w)
+        eval.compute(ws, (&buf.inv_jt[..], &buf.det_w[..]), clock);
+    }
+
+    #[inline(always)]
+    fn residuals(ws: &ElementWorkspace<F64x4>, lane: usize) -> Residuals<'_> {
+        Residuals::Four(ws, lane)
     }
 }
 
@@ -144,11 +173,46 @@ fn run_avx2<J: LaneJob>(job: J) -> J::Output {
     job.run::<F64x4>()
 }
 
+/// One element's residuals, read in place from its lane of the batch
+/// workspace.
+#[derive(Clone, Copy)]
+pub(crate) enum Residuals<'a> {
+    /// The element of a one-lane workspace.
+    One(&'a ElementWorkspace<f64>),
+    /// Lane `.1` of a four-lane workspace.
+    Four(&'a ElementWorkspace<F64x4>, usize),
+}
+
+impl Residuals<'_> {
+    /// Calls `f` with each of the element's `nodes` and the five
+    /// residuals at it, in node order.
+    #[inline(always)]
+    pub(crate) fn for_each_node(self, nodes: &[u32], mut f: impl FnMut(u32, [f64; NUM_VARS])) {
+        let npe = nodes.len();
+        match self {
+            Residuals::One(ws) => {
+                let res = ws.res.each_ref().map(|r| &r[..npe]);
+                for (q, &n) in nodes.iter().enumerate() {
+                    f(n, res.map(|r| r[q]));
+                }
+            }
+            Residuals::Four(ws, lane) => {
+                // `lane < 4`; the modulo lets the compiler drop the bounds
+                // check of every lane read.
+                let lane = lane % F64x4::WIDTH;
+                let res = ws.res.each_ref().map(|r| &r[..npe]);
+                for (q, &n) in nodes.iter().enumerate() {
+                    f(n, res.map(|r| r[q].0[lane]));
+                }
+            }
+        }
+    }
+}
+
 /// Receives each evaluated element's residual, in the sweep's list order.
 pub(crate) trait ResidualSink {
-    /// Element `e`'s residual: `res[q]` holds the five variables at its
-    /// node `q`.
-    fn element(&mut self, e: usize, res: &[[f64; NUM_VARS]]);
+    /// Element `e`'s residual.
+    fn element(&mut self, e: usize, res: Residuals<'_>);
 }
 
 /// Scatter-adds every residual straight into an RHS — the serial sweep.
@@ -160,16 +224,17 @@ pub(crate) struct ScatterInto<'a> {
 }
 
 impl ResidualSink for ScatterInto<'_> {
-    fn element(&mut self, e: usize, res: &[[f64; NUM_VARS]]) {
+    #[inline(always)]
+    fn element(&mut self, e: usize, res: Residuals<'_>) {
         let out = &mut *self.out;
-        for (&n, r) in self.mesh.element_nodes(e).iter().zip(res) {
+        res.for_each_node(self.mesh.element_nodes(e), |n, r| {
             let n = n as usize;
             out.rho[n] += r[0];
             out.mom[0][n] += r[1];
             out.mom[1][n] += r[2];
             out.mom[2][n] += r[3];
             out.energy[n] += r[4];
-        }
+        });
     }
 }
 
@@ -227,7 +292,7 @@ impl BatchEvaluator<'_> {
         &self,
         elements: Elements<'_>,
         prof: Option<&mut PhaseProfiler>,
-        sink: &mut dyn ResidualSink,
+        sink: &mut (impl ResidualSink + ?Sized),
     ) -> usize {
         let job = Sweep {
             eval: self,
@@ -241,16 +306,15 @@ impl BatchEvaluator<'_> {
     }
 
     /// Evaluates one batch, one element per lane, and sinks it lane by
-    /// lane through `res`.
+    /// lane.
     #[inline(always)]
     fn batch<L: BatchLane>(
         &self,
         ids: &[usize],
         ws: &mut ElementWorkspace<L>,
         geo: &mut LaneGeometry<L>,
-        res: &mut [[f64; NUM_VARS]],
         clock: &mut StageClock<'_>,
-        sink: &mut dyn ResidualSink,
+        sink: &mut (impl ResidualSink + ?Sized),
     ) {
         let mut nodes: [&[u32]; MAX_WIDTH] = [&[]; MAX_WIDTH];
         for (n, &e) in nodes.iter_mut().zip(ids) {
@@ -258,40 +322,46 @@ impl BatchEvaluator<'_> {
         }
         ws.gather_lanes(&nodes[..ids.len()], self.conserved, self.prim);
         ws.zero_residuals();
-        let (inv_jt, det_w) = L::geometry(self.geometry, ids, geo);
+        L::compute(self, ids, ws, geo, clock);
+        for (lane, &e) in ids.iter().enumerate() {
+            sink.element(e, L::residuals(ws, lane));
+        }
+        clock.lap(&[Phase::RkOther]);
+    }
+
+    /// The batch's flux and contraction on its geometry `geom`, after the
+    /// gather (charged to `RK(Other)`).
+    #[inline(always)]
+    fn compute<L: Lane>(
+        &self,
+        ws: &mut ElementWorkspace<L>,
+        geom: impl NodeGeometry<L>,
+        clock: &mut StageClock<'_>,
+    ) {
         clock.lap(&[Phase::RkOther]);
         if self.gas.mu > 0.0 {
-            lane_fused_flux(ws, self.gas, self.basis, inv_jt);
+            lane_fused_flux(ws, self.gas, self.basis, geom);
             clock.lap(&[Phase::RkDiffusion]);
             // One contraction serves the convective and viscous halves.
-            self.kernel
-                .lane_weak_divergence(ws, self.basis, inv_jt, det_w, 1.0);
+            self.kernel.lane_weak_divergence(ws, self.basis, geom, 1.0);
             clock.lap(&[Phase::RkConvection, Phase::RkDiffusion]);
         } else {
             lane_convective_flux(ws);
-            self.kernel
-                .lane_weak_divergence(ws, self.basis, inv_jt, det_w, 1.0);
+            self.kernel.lane_weak_divergence(ws, self.basis, geom, 1.0);
             clock.lap(&[Phase::RkConvection]);
         }
-        for (lane, &e) in ids.iter().enumerate() {
-            for (q, r) in res.iter_mut().enumerate() {
-                *r = ws.residual(lane, q);
-            }
-            sink.element(e, res);
-        }
-        clock.lap(&[Phase::RkOther]);
     }
 }
 
 /// One sweep of [`BatchEvaluator::sweep`].
-struct Sweep<'s, 'a> {
+struct Sweep<'s, 'a, S: ?Sized> {
     eval: &'s BatchEvaluator<'a>,
     elements: Elements<'s>,
     prof: Option<&'s mut PhaseProfiler>,
-    sink: &'s mut dyn ResidualSink,
+    sink: &'s mut S,
 }
 
-impl LaneJob for Sweep<'_, '_> {
+impl<S: ResidualSink + ?Sized> LaneJob for Sweep<'_, '_, S> {
     type Output = usize;
 
     #[inline(always)]
@@ -308,21 +378,20 @@ impl LaneJob for Sweep<'_, '_> {
         let mut ids = [0usize; MAX_WIDTH];
         let mut ws = ElementWorkspace::<L>::zeroed(npe);
         let mut geo = LaneGeometry::<L>::new(npe);
-        let mut res = vec![[0.0; NUM_VARS]; npe];
         let mut clock = StageClock::start(prof);
         for start in (0..full).step_by(L::WIDTH) {
             for (j, id) in ids[..L::WIDTH].iter_mut().enumerate() {
                 *id = elements.get(start + j);
             }
             let ids = &ids[..L::WIDTH];
-            eval.batch(ids, &mut ws, &mut geo, &mut res, &mut clock, sink);
+            eval.batch(ids, &mut ws, &mut geo, &mut clock, sink);
         }
         if full < n {
             let mut ws = ElementWorkspace::<f64>::zeroed(npe);
             let mut geo = LaneGeometry::<f64>::new(npe);
             for i in full..n {
                 let ids = &[elements.get(i)];
-                eval.batch(ids, &mut ws, &mut geo, &mut res, &mut clock, sink);
+                eval.batch(ids, &mut ws, &mut geo, &mut clock, sink);
             }
         }
         L::WIDTH
@@ -331,7 +400,7 @@ impl LaneJob for Sweep<'_, '_> {
 
 /// Charges the time since the previous lap to Fig 2 phases; does nothing
 /// when the sweep is not profiled.
-struct StageClock<'p> {
+pub(crate) struct StageClock<'p> {
     prof: Option<(&'p mut PhaseProfiler, Instant)>,
 }
 
@@ -368,6 +437,7 @@ mod tests {
     use crate::tgv::TgvConfig;
     use fem_mesh::generator::BoxMeshBuilder;
     use fem_mesh::hex::GeomRef;
+    use fem_numerics::linalg::Mat3;
     use proptest::prelude::*;
 
     /// Elements in one lane-equivalence case: one four-lane batch.
@@ -456,12 +526,13 @@ mod tests {
                         *d.lane_mut(j) = s;
                     }
                 }
+                let geom = (&inv_jt[..], &det_w[..]);
                 if self.gas.mu > 0.0 {
-                    lane_fused_flux(&mut ws, self.gas, self.basis, &inv_jt);
+                    lane_fused_flux(&mut ws, self.gas, self.basis, geom);
                 } else {
                     lane_convective_flux(&mut ws);
                 }
-                lane_weak_divergence(&mut ws, self.basis, &inv_jt, &det_w, -1.0);
+                lane_weak_divergence(&mut ws, self.basis, geom, -1.0);
                 for j in 0..L::WIDTH {
                     let r = ws.res.iter().flat_map(|r| r.iter().map(|x| x.lane(j)));
                     bits.push(r.map(f64::to_bits).collect());
@@ -483,10 +554,7 @@ mod tests {
             .map(|el| {
                 let mut ws = ElementWorkspace::new(npe);
                 el.load(&mut ws, 0);
-                let geom = GeomRef {
-                    inv_jt: &el.inv_jt,
-                    det_w: &el.det_w,
-                };
+                let geom = GeomRef::new(&el.inv_jt, &el.det_w);
                 if gas.mu > 0.0 {
                     fused_flux(&mut ws, gas, basis, geom);
                 } else {
@@ -584,6 +652,83 @@ mod tests {
                     "{nx}x{ny}x{nz} order {order} mu {}",
                     gas.mu
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn unaligned_list_sweep_is_bitwise_the_element_loop() {
+        // Lists of 4k + 3 ids: every odd id (no batch is an aligned group,
+        // so each copies its geometry lane by lane), and an aligned group,
+        // a batch that starts a group but skips an id, an unaligned
+        // contiguous run and a tail. The reference is the element loop on
+        // the mesh of the listed elements alone, whose ascending walk is
+        // the list order.
+        let odd: Vec<u32> = (1..30).step_by(2).collect();
+        let mixed = [4u32, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 20, 21, 22];
+        for order in [1, 2] {
+            let mesh = BoxMeshBuilder::new()
+                .elements(5, 3, 2)
+                .order(order)
+                .periodic(false, false, false)
+                .build()
+                .unwrap();
+            let basis = HexBasis::new(order).unwrap();
+            let geometry = GeometryCache::build(&mesh, &basis).unwrap();
+            let kernel = KernelOps::resolve(KernelPath::SumFactored, &basis);
+            for ids in [&odd[..], &mixed[..]] {
+                assert_eq!(ids.len() % 4, 3);
+                let connectivity = ids
+                    .iter()
+                    .flat_map(|&e| mesh.element_nodes(e as usize))
+                    .copied()
+                    .collect();
+                let listed = HexMesh::new(
+                    order,
+                    mesh.coords().to_vec(),
+                    connectivity,
+                    Vec::new(),
+                    mesh.periodic_extent(),
+                )
+                .unwrap();
+                let listed_geometry = GeometryCache::build(&listed, &basis).unwrap();
+                for gas in [TgvConfig::standard().gas(), GasModel::air(0.0)] {
+                    let (state, prim) = tgv_state(&mesh, &gas);
+                    let mut swept = Conserved::zeros(mesh.num_nodes());
+                    let eval = BatchEvaluator {
+                        mesh: &mesh,
+                        basis: &basis,
+                        gas: &gas,
+                        geometry: &geometry,
+                        conserved: &state,
+                        prim: &prim,
+                        kernel: &kernel,
+                    };
+                    let lanes = eval.sweep(
+                        Elements::List(ids),
+                        None,
+                        &mut ScatterInto {
+                            mesh: &mesh,
+                            out: &mut swept,
+                        },
+                    );
+                    assert_eq!(lanes, if avx2() { 4 } else { 1 });
+                    let ctx = AssemblyContext {
+                        mesh: &listed,
+                        basis: &basis,
+                        gas: &gas,
+                        geometry: &listed_geometry,
+                        kernel: KernelPath::SumFactored,
+                    };
+                    let mut looped = Conserved::zeros(mesh.num_nodes());
+                    element_loop_into(&ctx, &state, &prim, &mut looped);
+                    assert_eq!(
+                        swept.to_bit_vec(),
+                        looped.to_bit_vec(),
+                        "order {order} ids {ids:?} mu {}",
+                        gas.mu
+                    );
+                }
             }
         }
     }

@@ -14,7 +14,7 @@
 //! enstrophy integral reads the precomputed [`GeometryCache`] instead of
 //! rebuilding element Jacobians.
 
-use crate::kernels::ElementWorkspace;
+use crate::kernels::{resolved, ElementWorkspace, NodeGeometry};
 use crate::state::{Conserved, Primitives};
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::HexMesh;
@@ -93,7 +93,7 @@ impl FlowDiagnostics {
 
         // Enstrophy via per-element vorticity: each fold chunk carries
         // its own element workspace, so the hot loop never allocates;
-        // geometry comes straight from the cache slices, and the
+        // geometry is read in place from the cache, and the
         // per-chunk partials combine with the ordered parallel `sum`.
         let npe = mesh.nodes_per_element();
         let enstrophy: f64 = (0..mesh.num_elements())
@@ -102,12 +102,12 @@ impl FlowDiagnostics {
             .fold(
                 || EnstrophyAccum::new(npe),
                 |mut acc, e| {
-                    let geom = geometry.element(e);
                     acc.ws.gather(mesh.element_nodes(e), conserved, prim);
                     basis.reference_gradient(&acc.ws.vel[0], &mut acc.gref[0]);
                     basis.reference_gradient(&acc.ws.vel[1], &mut acc.gref[1]);
                     basis.reference_gradient(&acc.ws.vel[2], &mut acc.gref[2]);
-                    for (q, &inv_jt) in geom.inv_jt.iter().enumerate().take(npe) {
+                    resolved!(geometry.element(e), |geom| for q in 0..npe {
+                        let inv_jt = Mat3 { m: geom.inv_jt(q) };
                         let l = Mat3::from_rows(
                             inv_jt.mul_vec(acc.gref[0][q]),
                             inv_jt.mul_vec(acc.gref[1][q]),
@@ -119,8 +119,8 @@ impl FlowDiagnostics {
                             l.m[0][2] - l.m[2][0],
                             l.m[1][0] - l.m[0][1],
                         );
-                        acc.sum += geom.det_w[q] * 0.5 * acc.ws.rho[q] * omega.norm_sq();
-                    }
+                        acc.sum += geom.det_w(q) * 0.5 * acc.ws.rho[q] * omega.norm_sq();
+                    });
                     acc
                 },
             )
@@ -228,9 +228,9 @@ mod tests {
     fn lumped_mass(mesh: &HexMesh, geometry: &GeometryCache) -> Vec<f64> {
         let mut mass = vec![0.0; mesh.num_nodes()];
         for e in 0..mesh.num_elements() {
-            let det_w = geometry.det_w(e);
+            let geom = geometry.element(e);
             for (q, &n) in mesh.element_nodes(e).iter().enumerate() {
-                mass[n as usize] += det_w[q];
+                mass[n as usize] += geom.det_w(q);
             }
         }
         mass

@@ -84,7 +84,7 @@
 //! is attached once, at [`crate::driver::SimulationBuilder::build`], and
 //! stays for the life of the simulation.
 
-use crate::batch::{BatchEvaluator, Elements, ResidualSink};
+use crate::batch::{BatchEvaluator, Elements, ResidualSink, Residuals};
 use crate::gas::GasModel;
 use crate::kernels::{KernelOps, KernelPath, NUM_VARS};
 use crate::parallel::{assemble_rhs_into, AssemblyStrategy, SharedRhs};
@@ -248,8 +248,9 @@ fn geometry_fingerprint(geometry: &GeometryCache) -> (usize, u64, u64) {
     if ne == 0 {
         return (0, 0, 0);
     }
-    let first = geometry.det_w(0).first().map_or(0, |v| v.to_bits());
-    let last = geometry.det_w(ne - 1).last().map_or(0, |v| v.to_bits());
+    let npe = geometry.nodes_per_element();
+    let first = geometry.element(0).det_w(0).to_bits();
+    let last = geometry.element(ne - 1).det_w(npe - 1).to_bits();
     (ne, first, last)
 }
 
@@ -658,8 +659,8 @@ struct RouteFrontier<'a> {
 }
 
 impl ResidualSink for RouteFrontier<'_> {
-    fn element(&mut self, e: usize, res: &[[f64; NUM_VARS]]) {
-        for (&n, &vals) in self.mesh.element_nodes(e).iter().zip(res) {
+    fn element(&mut self, e: usize, res: Residuals<'_>) {
+        res.for_each_node(self.mesh.element_nodes(e), |n, vals| {
             self.replay.push(vals);
             if self.frontier[n as usize] {
                 let o = self.owner[n as usize];
@@ -678,7 +679,7 @@ impl ResidualSink for RouteFrontier<'_> {
                     self.send[j][self.parity].push(rec);
                 }
             }
-        }
+        });
     }
 }
 
@@ -718,14 +719,14 @@ impl ScatterInterior<'_> {
 }
 
 impl ResidualSink for ScatterInterior<'_> {
-    fn element(&mut self, e: usize, res: &[[f64; NUM_VARS]]) {
+    fn element(&mut self, e: usize, res: Residuals<'_>) {
         self.replay_below(e);
-        for (&n, vals) in self.mesh.element_nodes(e).iter().zip(res) {
+        res.for_each_node(self.mesh.element_nodes(e), |n, vals| {
             // An interior element touches no frontier node.
             debug_assert!(!self.frontier[n as usize]);
             // SAFETY: as above — interior nodes never alias.
-            unsafe { self.rhs.add_vals(n as usize, vals) };
-        }
+            unsafe { self.rhs.add_vals(n as usize, &vals) };
+        });
     }
 }
 
@@ -782,20 +783,23 @@ fn run_device(
     // *buffer* interior-node results for the replay below.
     let t0 = Instant::now();
     dev.replay.clear();
+    // Both device sinks are called through `dyn`, so the device sweeps
+    // share one instantiation of the batch kernels.
+    let route: &mut dyn ResidualSink = &mut RouteFrontier {
+        mesh: ctx.mesh,
+        frontier,
+        owner,
+        neighbors,
+        index: dev.index,
+        parity,
+        replay: &mut dev.replay,
+        pending: &mut dev.pending,
+        send: &mut dev.send,
+    };
     eval.sweep(
         Elements::List(&dev.frontier_elements),
         profile.then_some(&mut local),
-        &mut RouteFrontier {
-            mesh: ctx.mesh,
-            frontier,
-            owner,
-            neighbors,
-            index: dev.index,
-            parity,
-            replay: &mut dev.replay,
-            pending: &mut dev.pending,
-            send: &mut dev.send,
-        },
+        route,
     );
     dev.measured.frontier_s += t0.elapsed().as_secs_f64();
 
@@ -824,7 +828,7 @@ fn run_device(
     eval.sweep(
         Elements::List(&dev.interior_elements),
         profile.then_some(&mut local),
-        &mut interior,
+        &mut interior as &mut dyn ResidualSink,
     );
     interior.replay_below(usize::MAX);
     dev.measured.interior_s += t0.elapsed().as_secs_f64();

@@ -24,10 +24,11 @@
 //! [`convective_flux`] is the inviscid flux (and the convective half of
 //! the seed split kernels, whose viscous half and element loop live in
 //! [`crate::oracle`]).
-//! Geometry arrives as borrowed [`GeomRef`] slices — either from the
-//! per-element recompute ([`fem_mesh::hex::ElementGeometry::view`]) or,
-//! on the hot path, from the precomputed
-//! [`fem_mesh::geometry::GeometryCache`]. The
+//! Geometry arrives borrowed, never rebuilt: a one-element [`GeomRef`]
+//! from the per-element recompute
+//! ([`fem_mesh::hex::ElementGeometry::view`]) or from the precomputed
+//! [`fem_mesh::geometry::GeometryCache`], or on the hot path a whole
+//! lane-interleaved group of that cache. The
 //! Galerkin weak form integrates the flux divergence by parts, so a
 //! conserved variable `U` with flux `F` obeys `M dU/dt = R`,
 //! `R_i = ∫ ∇N_i · F dV`, evaluated with GLL quadrature collocated at the
@@ -107,8 +108,11 @@
 //! public [`ElementWorkspace`], [`fused_flux`], [`convective_flux`] and
 //! [`weak_divergence`] are that one-lane instantiation, reading geometry
 //! in place from a [`GeomRef`]. [`F64x4`] runs four elements side by
-//! side in an `ElementWorkspace<F64x4>`, with `J⁻ᵀ` and `det·w`
-//! transposed into lanes. The element-batch evaluator
+//! side in an `ElementWorkspace<F64x4>`: the gather builds each node's
+//! lanes from one load per element, `J⁻ᵀ` and `det·w` are read in place
+//! from a geometry-cache group, which stores them lane-interleaved
+//! ([`fem_mesh::geometry::GeometryCache::group`]), and each lane's
+//! residuals are read in place by the scatter. The element-batch evaluator
 //! (`crate::batch`) drives the host assembly sweeps through these
 //! kernels four elements at a time inside one AVX2 entry point when the
 //! CPU has AVX2, and one element at a time otherwise; the full-matrix
@@ -122,7 +126,7 @@ use crate::gas::GasModel;
 use crate::state::{Conserved, Primitives};
 use fem_mesh::hex::GeomRef;
 use fem_numerics::linalg::Mat3;
-use fem_numerics::tensor::{HexBasis, Lane, NodeCount, NodeKernel};
+use fem_numerics::tensor::{F64x4, HexBasis, Lane, NodeCount, NodeKernel};
 
 /// Number of conserved variables (ρ, ρu·3, E).
 pub const NUM_VARS: usize = 5;
@@ -249,19 +253,21 @@ impl<L: Lane> ElementWorkspace<L> {
         ]
         .map(|f| &mut f[..npe]);
         let [vx, vy, vz] = self.vel.each_mut().map(|v| &mut v[..npe]);
-        for (j, nodes) in elements.iter().enumerate() {
+        for nodes in elements {
             assert_eq!(nodes.len(), npe, "element node count");
-            for (q, &n) in nodes.iter().enumerate() {
-                let n = n as usize;
-                *rho[q].lane_mut(j) = conserved.rho[n];
-                *energy[q].lane_mut(j) = conserved.energy[n];
-                *vx[q].lane_mut(j) = prim.vel[0][n];
-                *vy[q].lane_mut(j) = prim.vel[1][n];
-                *vz[q].lane_mut(j) = prim.vel[2][n];
-                *temp[q].lane_mut(j) = prim.temp[n];
-                *pres[q].lane_mut(j) = prim.pressure[n];
-                *mu[q].lane_mut(j) = prim.mu[n];
-            }
+        }
+        // Node-major: each node's lane group is built from one load per
+        // lane and stored once.
+        for q in 0..npe {
+            let node = |j: usize| elements[j][q] as usize;
+            rho[q] = L::from_fn(|j| conserved.rho[node(j)]);
+            energy[q] = L::from_fn(|j| conserved.energy[node(j)]);
+            vx[q] = L::from_fn(|j| prim.vel[0][node(j)]);
+            vy[q] = L::from_fn(|j| prim.vel[1][node(j)]);
+            vz[q] = L::from_fn(|j| prim.vel[2][node(j)]);
+            temp[q] = L::from_fn(|j| prim.temp[node(j)]);
+            pres[q] = L::from_fn(|j| prim.pressure[node(j)]);
+            mu[q] = L::from_fn(|j| prim.mu[node(j)]);
         }
     }
 
@@ -271,34 +277,116 @@ impl<L: Lane> ElementWorkspace<L> {
             r.fill(L::ZERO);
         }
     }
+}
 
-    /// The five residuals of lane `lane` at node `q`.
+/// A batch's per-node geometry as the kernels read it: one element's
+/// factors ([`fem_mesh::hex::Factors`]), or lane-interleaved `J⁻ᵀ` and `det·w` slices
+/// with one element per lane (a
+/// [`fem_mesh::geometry::GeometryCache::group`]).
+pub(crate) trait NodeGeometry<L>: Copy {
+    /// The rows of `J⁻ᵀ` at node `q`.
+    fn inv_jt(&self, q: usize) -> [[L; 3]; 3];
+
+    /// `det(J) · w` at node `q`.
+    fn det_w(&self, q: usize) -> L;
+
+    /// The first `npe` nodes, re-sliced once so the node loops carry no
+    /// bounds checks.
+    fn nodes(self, npe: usize) -> Self;
+}
+
+impl NodeGeometry<f64> for (&[Mat3], &[f64]) {
     #[inline(always)]
-    pub(crate) fn residual(&self, lane: usize, q: usize) -> [f64; NUM_VARS] {
-        self.res.each_ref().map(|r| r[q].lane(lane))
+    fn inv_jt(&self, q: usize) -> [[f64; 3]; 3] {
+        self.0[q].m
+    }
+
+    #[inline(always)]
+    fn det_w(&self, q: usize) -> f64 {
+        self.1[q]
+    }
+
+    #[inline(always)]
+    fn nodes(self, npe: usize) -> Self {
+        (&self.0[..npe], &self.1[..npe])
     }
 }
 
-/// A node's cached `J⁻ᵀ` as the kernels read it: the cache's [`Mat3`]
-/// for one element, or `[[L; 3]; 3]` with one element per lane.
-pub(crate) trait Jacobian<L>: Copy {
-    /// The rows of `J⁻ᵀ`.
-    fn rows(&self) -> [[L; 3]; 3];
-}
-
-impl Jacobian<f64> for Mat3 {
+impl<L: Lane> NodeGeometry<L> for (&[[[L; 3]; 3]], &[L]) {
     #[inline(always)]
-    fn rows(&self) -> [[f64; 3]; 3] {
-        self.m
+    fn inv_jt(&self, q: usize) -> [[L; 3]; 3] {
+        self.0[q]
+    }
+
+    #[inline(always)]
+    fn det_w(&self, q: usize) -> L {
+        self.1[q]
+    }
+
+    #[inline(always)]
+    fn nodes(self, npe: usize) -> Self {
+        (&self.0[..npe], &self.1[..npe])
     }
 }
 
-impl<L: Lane> Jacobian<L> for [[L; 3]; 3] {
+/// One lane of a cached group, read one element at a time.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneOf<'a> {
+    pub(crate) inv_jt: &'a [[[F64x4; 3]; 3]],
+    pub(crate) det_w: &'a [F64x4],
+    pub(crate) lane: usize,
+}
+
+impl NodeGeometry<f64> for LaneOf<'_> {
     #[inline(always)]
-    fn rows(&self) -> [[L; 3]; 3] {
-        *self
+    fn inv_jt(&self, q: usize) -> [[f64; 3]; 3] {
+        // `lane < 4`; the modulo lets the compiler drop the bounds check
+        // of every lane read.
+        let (m, lane) = (&self.inv_jt[q], self.lane % F64x4::WIDTH);
+        std::array::from_fn(|r| std::array::from_fn(|c| m[r][c].0[lane]))
+    }
+
+    #[inline(always)]
+    fn det_w(&self, q: usize) -> f64 {
+        self.det_w[q].0[self.lane % F64x4::WIDTH]
+    }
+
+    #[inline(always)]
+    fn nodes(self, npe: usize) -> Self {
+        LaneOf {
+            inv_jt: &self.inv_jt[..npe],
+            det_w: &self.det_w[..npe],
+            lane: self.lane,
+        }
     }
 }
+
+/// Evaluates `$body` with `$g` bound to the storage of the [`GeomRef`]
+/// `$geom` as a [`NodeGeometry<f64>`], resolved once per element, so the
+/// node loops inside read it with no per-node dispatch.
+macro_rules! resolved {
+    ($geom:expr, |$g:ident| $body:expr) => {
+        match fem_mesh::hex::GeomRef::factors($geom) {
+            fem_mesh::hex::Factors::Element { inv_jt, det_w } => {
+                let $g = (inv_jt, det_w);
+                $body
+            }
+            fem_mesh::hex::Factors::Lane {
+                inv_jt,
+                det_w,
+                lane,
+            } => {
+                let $g = $crate::kernels::LaneOf {
+                    inv_jt,
+                    det_w,
+                    lane,
+                };
+                $body
+            }
+        }
+    };
+}
+pub(crate) use resolved;
 
 // Three-vector arithmetic on lanes, each in the operation order of the
 // `Vec3`/`Mat3` method it names, so the one-lane kernels keep the bits
@@ -382,17 +470,17 @@ pub(crate) fn lane_convective_flux<L: Lane>(ws: &mut ElementWorkspace<L>) {
 /// Matches the split path to rounding (the per-node flux subtraction
 /// regroups the floating-point accumulation), not bitwise.
 pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, geom: GeomRef) {
-    lane_fused_flux(ws, gas, basis, geom.inv_jt);
+    resolved!(geom, |g| lane_fused_flux(ws, gas, basis, g));
 }
 
 /// [`fused_flux`] of every lane, with lane `j` reading its `J⁻ᵀ` from
-/// lane `j` of `inv_jt`.
+/// lane `j` of `geom`.
 #[inline(always)]
-pub(crate) fn lane_fused_flux<L: Lane, J: Jacobian<L>>(
+pub(crate) fn lane_fused_flux<L: Lane>(
     ws: &mut ElementWorkspace<L>,
     gas: &GasModel,
     basis: &HexBasis,
-    inv_jt: &[J],
+    geom: impl NodeGeometry<L>,
 ) {
     // Reference gradients of the three velocity components and T.
     let (head, tail) = ws.grad_ref.split_at_mut(3);
@@ -405,7 +493,7 @@ pub(crate) fn lane_fused_flux<L: Lane, J: Jacobian<L>>(
     // Every input and output re-sliced to `npe` once, so the node loop
     // carries no per-access bounds checks.
     let npe = ws.npe;
-    let inv_jts = &inv_jt[..npe];
+    let geom = geom.nodes(npe);
     let [gx, gy, gz, gt] = ws.grad_ref.each_ref().map(|g| &g[..npe]);
     let [vx, vy, vz] = ws.vel.each_ref().map(|v| &v[..npe]);
     let (rhos, pres, energy, mus) = (
@@ -417,7 +505,7 @@ pub(crate) fn lane_fused_flux<L: Lane, J: Jacobian<L>>(
     let [f0, f1, f2, f3, f4] = ws.flux.each_mut().map(|f| &mut f[..npe]);
     let z = L::ZERO;
     for q in 0..npe {
-        let m = inv_jts[q].rows();
+        let m = geom.inv_jt(q);
         // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
         let l = [mul_vec(&m, gx[q]), mul_vec(&m, gy[q]), mul_vec(&m, gz[q])];
         let grad_t = mul_vec(&m, gt[q]);
@@ -450,18 +538,13 @@ pub(crate) fn lane_fused_flux<L: Lane, J: Jacobian<L>>(
 /// Writes `G = w det(J) · J⁻¹ F` per node, the contraction input; with
 /// `inv_jt = J⁻ᵀ` stored, `(J⁻¹ F)_d = F · column d of J⁻ᵀ`.
 #[inline(always)]
-fn transform_flux<L: Lane, J: Jacobian<L>>(
-    flux: &[[L; 3]],
-    inv_jt: &[J],
-    det_w: &[L],
-    g: &mut [[L; 3]],
-) {
+fn transform_flux<L: Lane>(flux: &[[L; 3]], geom: impl NodeGeometry<L>, g: &mut [[L; 3]]) {
     let npe = g.len();
-    let (flux, inv_jt, det_w) = (&flux[..npe], &inv_jt[..npe], &det_w[..npe]);
+    let (flux, geom) = (&flux[..npe], geom.nodes(npe));
     for q in 0..npe {
         let f = flux[q];
-        let m = inv_jt[q].rows();
-        let w = det_w[q];
+        let m = geom.inv_jt(q);
+        let w = geom.det_w(q);
         g[q] = [
             w * dot(f, [m[0][0], m[1][0], m[2][0]]),
             w * dot(f, [m[0][1], m[1][1], m[2][1]]),
@@ -481,38 +564,35 @@ fn transform_flux<L: Lane, J: Jacobian<L>>(
 ///
 /// Panics if the workspace was sized for a different element.
 pub fn weak_divergence(ws: &mut ElementWorkspace, basis: &HexBasis, geom: GeomRef, sign: f64) {
-    lane_weak_divergence(ws, basis, geom.inv_jt, geom.det_w, sign);
+    resolved!(geom, |g| lane_weak_divergence(ws, basis, g, sign));
 }
 
 /// [`weak_divergence`] of every lane.
 #[inline(always)]
-pub(crate) fn lane_weak_divergence<L: Lane, J: Jacobian<L>>(
+pub(crate) fn lane_weak_divergence<L: Lane>(
     ws: &mut ElementWorkspace<L>,
     basis: &HexBasis,
-    inv_jt: &[J],
-    det_w: &[L],
+    geom: impl NodeGeometry<L>,
     sign: f64,
 ) {
     assert_eq!(ws.npe, basis.nodes_per_element(), "element node count");
     basis.with_node_count(WeakDivergence {
         ws,
         dmat: basis.dmat(),
-        inv_jt,
-        det_w,
+        geom,
         sign,
     });
 }
 
 /// The loop nest of [`weak_divergence`].
-struct WeakDivergence<'a, L: Lane, J> {
+struct WeakDivergence<'a, L: Lane, G> {
     ws: &'a mut ElementWorkspace<L>,
     dmat: &'a [f64],
-    inv_jt: &'a [J],
-    det_w: &'a [L],
+    geom: G,
     sign: f64,
 }
 
-impl<L: Lane, J: Jacobian<L>> NodeKernel for WeakDivergence<'_, L, J> {
+impl<L: Lane, G: NodeGeometry<L>> NodeKernel for WeakDivergence<'_, L, G> {
     type Output = ();
 
     #[inline(always)]
@@ -524,7 +604,7 @@ impl<L: Lane, J: Jacobian<L>> NodeKernel for WeakDivergence<'_, L, J> {
         let ws = self.ws;
         for v in 0..NUM_VARS {
             let g = &mut ws.g[v][..npe];
-            transform_flux(&ws.flux[v], self.inv_jt, self.det_w, g);
+            transform_flux(&ws.flux[v], self.geom, g);
             // res_i += Σ_m D[m][i1] G(m,i2,i3).x
             //        + Σ_m D[m][i2] G(i1,m,i3).y
             //        + Σ_m D[m][i3] G(i1,i2,m).z
@@ -658,23 +738,22 @@ pub fn weak_divergence_full_matrix(
     geom: GeomRef,
     sign: f64,
 ) {
-    lane_weak_divergence_full_matrix(ws, op, geom.inv_jt, geom.det_w, sign);
+    resolved!(geom, |g| lane_weak_divergence_full_matrix(ws, op, g, sign));
 }
 
 /// [`weak_divergence_full_matrix`] of every lane.
 #[inline(always)]
-fn lane_weak_divergence_full_matrix<L: Lane, J: Jacobian<L>>(
+fn lane_weak_divergence_full_matrix<L: Lane>(
     ws: &mut ElementWorkspace<L>,
     op: &FullMatrixOperator,
-    inv_jt: &[J],
-    det_w: &[L],
+    geom: impl NodeGeometry<L>,
     sign: f64,
 ) {
     let npe = ws.npe;
     assert_eq!(op.npe, npe, "operator element size");
     let sign = L::splat(sign);
     for v in 0..NUM_VARS {
-        transform_flux(&ws.flux[v], inv_jt, det_w, &mut ws.g[v][..npe]);
+        transform_flux(&ws.flux[v], geom, &mut ws.g[v][..npe]);
         for i in 0..npe {
             let row = i * npe;
             let mut acc = L::ZERO;
@@ -727,24 +806,21 @@ impl KernelOps {
         geom: GeomRef,
         sign: f64,
     ) {
-        self.lane_weak_divergence(ws, basis, geom.inv_jt, geom.det_w, sign);
+        resolved!(geom, |g| self.lane_weak_divergence(ws, basis, g, sign));
     }
 
     /// [`KernelOps::weak_divergence`] of every lane.
     #[inline(always)]
-    pub(crate) fn lane_weak_divergence<L: Lane, J: Jacobian<L>>(
+    pub(crate) fn lane_weak_divergence<L: Lane>(
         &self,
         ws: &mut ElementWorkspace<L>,
         basis: &HexBasis,
-        inv_jt: &[J],
-        det_w: &[L],
+        geom: impl NodeGeometry<L>,
         sign: f64,
     ) {
         match self {
-            KernelOps::SumFactored => lane_weak_divergence(ws, basis, inv_jt, det_w, sign),
-            KernelOps::FullMatrix(op) => {
-                lane_weak_divergence_full_matrix(ws, op, inv_jt, det_w, sign)
-            }
+            KernelOps::SumFactored => lane_weak_divergence(ws, basis, geom, sign),
+            KernelOps::FullMatrix(op) => lane_weak_divergence_full_matrix(ws, op, geom, sign),
         }
     }
 }
@@ -851,7 +927,7 @@ mod tests {
     use crate::oracle::{element_loop_into, split_into};
     use fem_mesh::generator::BoxMeshBuilder;
     use fem_mesh::hex::{ElementGeometry, GeometryScratch};
-    use fem_numerics::linalg::Vec3;
+    use fem_numerics::linalg::{Mat3, Vec3};
     use fem_numerics::tensor::{Fixed, Runtime};
     use proptest::prelude::*;
 
@@ -1242,14 +1318,13 @@ mod tests {
         n: N,
     ) -> Vec<u64> {
         let mut ws = ws.clone();
-        WeakDivergence {
+        resolved!(geom, |g| WeakDivergence {
             ws: &mut ws,
             dmat: basis.dmat(),
-            inv_jt: geom.inv_jt,
-            det_w: geom.det_w,
+            geom: g,
             sign: -1.0,
         }
-        .run(n);
+        .run(n));
         ws.res.iter().flatten().map(|x| x.to_bits()).collect()
     }
 
@@ -1283,10 +1358,7 @@ mod tests {
                     })
                     .collect();
                 let det_w: Vec<f64> = (0..npe).map(|_| next()).collect();
-                let geom = GeomRef {
-                    inv_jt: &inv_jt,
-                    det_w: &det_w,
-                };
+                let geom = GeomRef::new(&inv_jt, &det_w);
                 let runtime = contraction_bits(&ws, &basis, geom, Runtime(order + 1));
                 let fixed = match order {
                     1 => contraction_bits(&ws, &basis, geom, Fixed::<2>),

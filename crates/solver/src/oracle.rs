@@ -133,7 +133,7 @@ pub fn viscous_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis,
     basis.lane_gradient(&ws.temp, &mut tail[0]);
     let kappa = gas.kappa();
     for q in 0..ws.nodes_per_element() {
-        let inv_jt = geom.inv_jt[q];
+        let inv_jt = geom.inv_jt(q);
         // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
         let l = Mat3::from_rows(
             inv_jt.mul_vec(ws.grad_ref[0][q].into()),

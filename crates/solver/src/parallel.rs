@@ -18,8 +18,8 @@
 //! and on the full-matrix path). Each batch is scattered lane by lane,
 //! in ascending element order, so the sweep is bitwise the
 //! element-at-a-time loop. Fig 2 attribution of the fused path, timed
-//! once per batch: the gather (state and the geometry transpose) is
-//! charged to `RK(Other)`; the fused flux assembly (gradients, τ, net
+//! once per batch: the gather (the state, plus the geometry copy of a
+//! batch that is not an aligned cache group) is charged to `RK(Other)`; the fused flux assembly (gradients, τ, net
 //! flux) to `RK(Diffusion)`; the single weak-divergence contraction —
 //! which serves the convective and viscous halves equally — half to
 //! `RK(Convection)` and half to `RK(Diffusion)`; the scatter to
