@@ -72,6 +72,28 @@ fn read_exact_array<R: Read, const N: usize>(r: &mut R) -> Result<[u8; N], MeshE
     Ok(buf)
 }
 
+/// Reads a block of `count` records of `size` bytes each.
+///
+/// # Errors
+///
+/// [`MeshError::Format`] when the stream ends first.
+fn read_block<R: Read>(
+    r: &mut R,
+    count: usize,
+    size: usize,
+    what: &str,
+) -> Result<Vec<u8>, MeshError> {
+    let len = (count as u64)
+        .checked_mul(size as u64)
+        .ok_or_else(|| MeshError::Format(format!("implausible {what} size")))?;
+    let mut bytes = Vec::new();
+    r.take(len).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 != len {
+        return Err(MeshError::Format(format!("truncated {what}")));
+    }
+    Ok(bytes)
+}
+
 /// Deserializes a mesh from `r`.
 ///
 /// A `&mut` reference can be passed for `r` (e.g. `&mut &[u8]`).
@@ -106,23 +128,29 @@ pub fn read_mesh<R: Read>(mut r: R) -> Result<HexMesh, MeshError> {
     if num_nodes > SANITY || num_elems > SANITY {
         return Err(MeshError::Format("implausible mesh size".into()));
     }
-    let mut coords = Vec::with_capacity(num_nodes);
-    for _ in 0..num_nodes {
-        let x = f64::from_le_bytes(read_exact_array::<_, 8>(&mut r)?);
-        let y = f64::from_le_bytes(read_exact_array::<_, 8>(&mut r)?);
-        let z = f64::from_le_bytes(read_exact_array::<_, 8>(&mut r)?);
-        coords.push(Vec3::new(x, y, z));
-    }
+    // Read each block before sizing anything by the header: the buffer
+    // grows only with the bytes the stream actually holds, so a header that
+    // claims more than follows is an error, not an allocation.
+    let coords = read_block(&mut r, num_nodes, 24, "coordinates")?
+        .chunks_exact(24)
+        .map(|c| {
+            let [x, y, z] = std::array::from_fn(|i| {
+                f64::from_le_bytes(c[8 * i..8 * i + 8].try_into().expect("8-byte chunk"))
+            });
+            Vec3::new(x, y, z)
+        })
+        .collect();
     let npe = (order + 1).pow(3);
-    let mut conn = Vec::with_capacity(num_elems * npe);
-    for _ in 0..num_elems * npe {
-        conn.push(u32::from_le_bytes(read_exact_array::<_, 4>(&mut r)?));
-    }
+    let conn = read_block(&mut r, num_elems * npe, 4, "connectivity")?
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+        .collect();
     let mut tags = Vec::new();
     if flags & (1 << 8) != 0 {
-        let mut buf = vec![0u8; num_nodes];
-        r.read_exact(&mut buf)?;
-        tags = buf.into_iter().map(BoundaryTag).collect();
+        tags = read_block(&mut r, num_nodes, 1, "boundary tags")?
+            .into_iter()
+            .map(BoundaryTag)
+            .collect();
     }
     HexMesh::new(order, coords, conn, tags, extent)
 }
@@ -172,6 +200,22 @@ mod tests {
             let err = read_mesh(&buf[..cut]);
             assert!(err.is_err(), "cut at {cut} unexpectedly parsed");
         }
+    }
+
+    #[test]
+    fn oversized_node_count_without_data_is_an_error() {
+        // A header that claims 2³³ nodes and one element, with no body.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"FMH1");
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&(1u32 << 8).to_le_bytes());
+        buf.extend_from_slice(&[0u8; 24]);
+        buf.extend_from_slice(&(1u64 << 33).to_le_bytes());
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        assert!(matches!(
+            read_mesh(buf.as_slice()),
+            Err(MeshError::Format(_))
+        ));
     }
 
     #[test]

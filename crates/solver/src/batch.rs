@@ -1,29 +1,31 @@
-//! The element-batch evaluator: the host assembly sweeps run four elements
-//! at a time through the lane-generic kernels.
+//! The element-batch evaluator: the host assembly sweeps run every element
+//! through the four-lane kernels, four elements per batch.
 //!
-//! A sweep walks a list of elements in batches of `L::WIDTH`. Each batch
+//! A sweep walks a list of elements in batches of four. Each batch
 //! gathers its elements' state node by node into one lane-interleaved
-//! [`ElementWorkspace<L>`] (lane `j` = the batch's `j`-th element), runs
-//! the fused flux (or the convective flux when μ = 0) and the contraction
-//! once for all lanes, and hands the residuals to a [`ResidualSink`]
-//! lane 0, 1, 2, 3 — the list order — each read in place from its lane.
-//! A tail of fewer than `L::WIDTH` elements runs as one-lane batches.
+//! [`ElementWorkspace<F64x4>`] (lane `j` = the batch's `j`-th element),
+//! runs the fused flux (or the convective flux when μ = 0) and the
+//! contraction of the resolved [`KernelOps`] (sum-factored or full-matrix)
+//! once for all lanes, and hands the residuals to a [`ResidualSink`] lane
+//! 0, 1, 2, 3 — the list order — each read in place from its lane. A last
+//! batch of 1–3 elements is still four lanes: its spare lanes repeat its
+//! last element, are evaluated and are never sunk.
 //!
 //! The geometry cache stores elements `4g … 4g + 3` lane-interleaved as
 //! group `g` ([`GeometryCache::group`]). A batch of an aligned group — every
-//! batch of a whole-mesh sweep — borrows the group's `J⁻ᵀ` and `det·w`
-//! as they are. Any other batch (the element lists of a
-//! [`MultiDevice`](crate::engine::MultiDeviceBackend) device) copies its
-//! elements' factors lane by lane into a batch buffer; a one-lane batch
-//! reads its element through [`GeometryCache::element`].
+//! full batch of a whole-mesh sweep — borrows the group's `J⁻ᵀ` and
+//! `det·w` as they are. Any other batch (the element lists of a
+//! [`MultiDevice`](crate::engine::MultiDeviceBackend) device, a padded
+//! last batch) copies its elements' factors lane by lane into a batch
+//! buffer.
 //!
-//! [`with_lanes`] picks the lane type once per sweep: [`F64x4`] inside
-//! the one AVX2 entry point when the CPU reports AVX2, `f64` (one element
-//! per batch) otherwise. On the baseline x86-64 instruction set four lanes
-//! win at order 1 but not reliably at order 3 (0.95–1.05× the one-lane
-//! assembly time), so only AVX2 takes them. The
-//! [`KernelPath::FullMatrix`](crate::kernels::KernelPath::FullMatrix)
-//! validation reference always runs one element at a time.
+//! [`with_avx2`] runs the one four-lane sweep inside the AVX2 entry point
+//! when the CPU reports AVX2, and on the baseline x86-64 instruction set
+//! otherwise. Without AVX2, four lanes still beat one element at a time:
+//! on the baseline instruction set the serial `assemble_rhs_into` takes
+//! 0.53–0.58× the time of the one-lane `f64` sweep it replaced at order 1
+//! (TGV box, edge 16) and 0.65–0.73× at order 3 (edge 8) — medians of two
+//! probes of 8 alternating in-process runs each, on a 2-vCPU x86-64 host.
 //!
 //! Lanes never mix: every kernel operation acts on each lane alone, in
 //! the one-element operation order, and Rust never fuses a multiply and
@@ -44,84 +46,29 @@ use fem_mesh::HexMesh;
 use fem_numerics::tensor::{F64x4, HexBasis, Lane};
 use std::time::Instant;
 
-/// Most elements one batch holds (the widest [`Lane`]).
-const MAX_WIDTH: usize = 4;
+/// Elements per batch: the lanes of an [`F64x4`].
+const WIDTH: usize = F64x4::WIDTH;
 
-/// A lane type the batch evaluator runs on: how a batch's cached geometry
-/// and residuals meet the kernels and the sinks.
-pub(crate) trait BatchLane: Lane {
-    /// Runs [`BatchEvaluator::compute`] on the batch `elements` and their
-    /// cached geometry: read in place for one element or an aligned
-    /// group, copied lane by lane into `buf` otherwise.
-    fn compute(
-        eval: &BatchEvaluator<'_>,
-        elements: &[usize],
-        ws: &mut ElementWorkspace<Self>,
-        buf: &mut LaneGeometry<Self>,
-        clock: &mut StageClock<'_>,
-    );
-
-    /// The residuals of lane `lane` of `ws`, for a sink.
-    fn residuals(ws: &ElementWorkspace<Self>, lane: usize) -> Residuals<'_>;
+/// Lane-interleaved geometry of a batch that is not an aligned group.
+struct LaneGeometry {
+    inv_jt: Vec<[[F64x4; 3]; 3]>,
+    det_w: Vec<F64x4>,
 }
 
-/// Lane-interleaved geometry of a batch that is not an aligned group (left
-/// empty for one lane, which never copies).
-pub(crate) struct LaneGeometry<L> {
-    inv_jt: Vec<[[L; 3]; 3]>,
-    det_w: Vec<L>,
-}
-
-impl<L: Lane> LaneGeometry<L> {
+impl LaneGeometry {
     fn new(npe: usize) -> Self {
-        let npe = if L::WIDTH > 1 { npe } else { 0 };
         LaneGeometry {
-            inv_jt: vec![[[L::ZERO; 3]; 3]; npe],
-            det_w: vec![L::ZERO; npe],
+            inv_jt: vec![[[F64x4::ZERO; 3]; 3]; npe],
+            det_w: vec![F64x4::ZERO; npe],
         }
     }
-}
 
-impl BatchLane for f64 {
+    /// Copies the cached factors of element `ids[j]` into lane `j`.
     #[inline(always)]
-    fn compute(
-        eval: &BatchEvaluator<'_>,
-        elements: &[usize],
-        ws: &mut ElementWorkspace<f64>,
-        _buf: &mut LaneGeometry<f64>,
-        clock: &mut StageClock<'_>,
-    ) {
-        resolved!(eval.geometry.element(elements[0]), |g| eval
-            .compute(ws, g, clock));
-    }
-
-    #[inline(always)]
-    fn residuals(ws: &ElementWorkspace<f64>, _lane: usize) -> Residuals<'_> {
-        Residuals::One(ws)
-    }
-}
-
-impl BatchLane for F64x4 {
-    #[inline(always)]
-    fn compute(
-        eval: &BatchEvaluator<'_>,
-        elements: &[usize],
-        ws: &mut ElementWorkspace<F64x4>,
-        buf: &mut LaneGeometry<F64x4>,
-        clock: &mut StageClock<'_>,
-    ) {
-        let cache = eval.geometry;
-        let first = elements[0];
-        let g = first / F64x4::WIDTH;
-        let aligned = first.is_multiple_of(F64x4::WIDTH)
-            && g < cache.num_groups()
-            && elements.iter().enumerate().all(|(j, &e)| e == first + j);
-        if aligned {
-            return eval.compute(ws, cache.group(g), clock);
-        }
-        let npe = buf.det_w.len();
-        let (inv_jt, det_w) = (&mut buf.inv_jt[..npe], &mut buf.det_w[..npe]);
-        for (j, &e) in elements.iter().enumerate().take(F64x4::WIDTH) {
+    fn copy(&mut self, cache: &GeometryCache, ids: &[usize; WIDTH]) {
+        let npe = self.det_w.len();
+        let (inv_jt, det_w) = (&mut self.inv_jt[..npe], &mut self.det_w[..npe]);
+        for (j, &e) in ids.iter().enumerate() {
             resolved!(cache.element(e), |src| {
                 let src = src.nodes(npe);
                 for (q, (m, w)) in inv_jt.iter_mut().zip(det_w.iter_mut()).enumerate() {
@@ -136,51 +83,43 @@ impl BatchLane for F64x4 {
                 }
             });
         }
-        eval.compute(ws, (&buf.inv_jt[..], &buf.det_w[..]), clock);
-    }
-
-    #[inline(always)]
-    fn residuals(ws: &ElementWorkspace<F64x4>, lane: usize) -> Residuals<'_> {
-        Residuals::Four(ws, lane)
     }
 }
 
-/// A sweep written once over its [`BatchLane`]; see [`with_lanes`].
+/// A sweep written once for [`with_avx2`] to run.
 pub(crate) trait LaneJob {
     /// What the sweep returns.
     type Output;
 
-    /// Runs the sweep with lane type `L`.
-    fn run<L: BatchLane>(self) -> Self::Output;
+    /// Runs the sweep.
+    fn run(self) -> Self::Output;
 }
 
-/// Runs `job` with [`F64x4`] lanes when `wide` and the CPU reports AVX2,
-/// and with one `f64` lane otherwise.
-pub(crate) fn with_lanes<J: LaneJob>(job: J, wide: bool) -> J::Output {
+/// Runs `job` inside the AVX2 entry point when the CPU reports AVX2, and
+/// on the baseline instruction set otherwise.
+pub(crate) fn with_avx2<J: LaneJob>(job: J) -> J::Output {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if wide && std::arch::is_x86_feature_detected!("avx2") {
+    if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `run_avx2` only enables AVX2, which the CPU reports.
         return unsafe { run_avx2(job) };
     }
-    job.run::<f64>()
+    job.run()
 }
 
-/// The AVX2 entry point: `job` with four lanes, every kernel of it
-/// inlined here and so compiled for AVX2.
+/// The AVX2 entry point: `job` with every kernel of it inlined here and so
+/// compiled for AVX2.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 fn run_avx2<J: LaneJob>(job: J) -> J::Output {
-    job.run::<F64x4>()
+    job.run()
 }
 
 /// One element's residuals, read in place from its lane of the batch
 /// workspace.
 #[derive(Clone, Copy)]
-pub(crate) enum Residuals<'a> {
-    /// The element of a one-lane workspace.
-    One(&'a ElementWorkspace<f64>),
-    /// Lane `.1` of a four-lane workspace.
-    Four(&'a ElementWorkspace<F64x4>, usize),
+pub(crate) struct Residuals<'a> {
+    ws: &'a ElementWorkspace<F64x4>,
+    lane: usize,
 }
 
 impl Residuals<'_> {
@@ -188,23 +127,12 @@ impl Residuals<'_> {
     /// residuals at it, in node order.
     #[inline(always)]
     pub(crate) fn for_each_node(self, nodes: &[u32], mut f: impl FnMut(u32, [f64; NUM_VARS])) {
-        let npe = nodes.len();
-        match self {
-            Residuals::One(ws) => {
-                let res = ws.res.each_ref().map(|r| &r[..npe]);
-                for (q, &n) in nodes.iter().enumerate() {
-                    f(n, res.map(|r| r[q]));
-                }
-            }
-            Residuals::Four(ws, lane) => {
-                // `lane < 4`; the modulo lets the compiler drop the bounds
-                // check of every lane read.
-                let lane = lane % F64x4::WIDTH;
-                let res = ws.res.each_ref().map(|r| &r[..npe]);
-                for (q, &n) in nodes.iter().enumerate() {
-                    f(n, res.map(|r| r[q].0[lane]));
-                }
-            }
+        // `lane < 4`; the modulo lets the compiler drop the bounds check of
+        // every lane read.
+        let lane = self.lane % WIDTH;
+        let res = self.ws.res.each_ref().map(|r| &r[..nodes.len()]);
+        for (q, &n) in nodes.iter().enumerate() {
+            f(n, res.map(|r| r[q].0[lane]));
         }
     }
 }
@@ -286,45 +214,53 @@ pub(crate) struct BatchEvaluator<'a> {
 impl BatchEvaluator<'_> {
     /// Evaluates `elements` and hands each residual to `sink` in list
     /// order, charging stage time to `prof` per batch with the Fig 2
-    /// attribution of the [`crate::parallel`] module docs. Returns the
-    /// lane width of the full batches.
+    /// attribution of the [`crate::parallel`] module docs.
     pub(crate) fn sweep(
         &self,
         elements: Elements<'_>,
         prof: Option<&mut PhaseProfiler>,
         sink: &mut (impl ResidualSink + ?Sized),
-    ) -> usize {
-        let job = Sweep {
+    ) {
+        with_avx2(Sweep {
             eval: self,
             elements,
             prof,
             sink,
-        };
-        // The full-matrix validation reference stays one element at a time.
-        let wide = matches!(self.kernel, KernelOps::SumFactored);
-        with_lanes(job, wide)
+        })
     }
 
-    /// Evaluates one batch, one element per lane, and sinks it lane by
-    /// lane.
+    /// Evaluates the batch `ids`, one element per lane, and sinks its
+    /// first `live` lanes lane by lane.
     #[inline(always)]
-    fn batch<L: BatchLane>(
+    fn batch(
         &self,
-        ids: &[usize],
-        ws: &mut ElementWorkspace<L>,
-        geo: &mut LaneGeometry<L>,
+        ids: &[usize; WIDTH],
+        live: usize,
+        ws: &mut ElementWorkspace<F64x4>,
+        geo: &mut LaneGeometry,
         clock: &mut StageClock<'_>,
         sink: &mut (impl ResidualSink + ?Sized),
     ) {
-        let mut nodes: [&[u32]; MAX_WIDTH] = [&[]; MAX_WIDTH];
-        for (n, &e) in nodes.iter_mut().zip(ids) {
-            *n = self.mesh.element_nodes(e);
-        }
-        ws.gather_lanes(&nodes[..ids.len()], self.conserved, self.prim);
+        ws.gather_lanes(
+            &ids.map(|e| self.mesh.element_nodes(e)),
+            self.conserved,
+            self.prim,
+        );
         ws.zero_residuals();
-        L::compute(self, ids, ws, geo, clock);
-        for (lane, &e) in ids.iter().enumerate() {
-            sink.element(e, L::residuals(ws, lane));
+        let cache = self.geometry;
+        let first = ids[0];
+        let g = first / WIDTH;
+        let aligned = first.is_multiple_of(WIDTH)
+            && g < cache.num_groups()
+            && ids.iter().enumerate().all(|(j, &e)| e == first + j);
+        if aligned {
+            self.compute(ws, cache.group(g), clock);
+        } else {
+            geo.copy(cache, ids);
+            self.compute(ws, (&geo.inv_jt[..], &geo.det_w[..]), clock);
+        }
+        for (lane, &e) in ids[..live].iter().enumerate() {
+            sink.element(e, Residuals { ws, lane });
         }
         clock.lap(&[Phase::RkOther]);
     }
@@ -332,10 +268,10 @@ impl BatchEvaluator<'_> {
     /// The batch's flux and contraction on its geometry `geom`, after the
     /// gather (charged to `RK(Other)`).
     #[inline(always)]
-    fn compute<L: Lane>(
+    fn compute(
         &self,
-        ws: &mut ElementWorkspace<L>,
-        geom: impl NodeGeometry<L>,
+        ws: &mut ElementWorkspace<F64x4>,
+        geom: impl NodeGeometry<F64x4>,
         clock: &mut StageClock<'_>,
     ) {
         clock.lap(&[Phase::RkOther]);
@@ -362,10 +298,10 @@ struct Sweep<'s, 'a, S: ?Sized> {
 }
 
 impl<S: ResidualSink + ?Sized> LaneJob for Sweep<'_, '_, S> {
-    type Output = usize;
+    type Output = ();
 
     #[inline(always)]
-    fn run<L: BatchLane>(self) -> usize {
+    fn run(self) {
         let Sweep {
             eval,
             elements,
@@ -374,27 +310,16 @@ impl<S: ResidualSink + ?Sized> LaneJob for Sweep<'_, '_, S> {
         } = self;
         let npe = eval.mesh.nodes_per_element();
         let n = elements.len();
-        let full = n - n % L::WIDTH;
-        let mut ids = [0usize; MAX_WIDTH];
-        let mut ws = ElementWorkspace::<L>::zeroed(npe);
-        let mut geo = LaneGeometry::<L>::new(npe);
+        let mut ws = ElementWorkspace::<F64x4>::zeroed(npe);
+        let mut geo = LaneGeometry::new(npe);
         let mut clock = StageClock::start(prof);
-        for start in (0..full).step_by(L::WIDTH) {
-            for (j, id) in ids[..L::WIDTH].iter_mut().enumerate() {
-                *id = elements.get(start + j);
-            }
-            let ids = &ids[..L::WIDTH];
-            eval.batch(ids, &mut ws, &mut geo, &mut clock, sink);
+        for start in (0..n).step_by(WIDTH) {
+            // The spare lanes of a last batch of 1–3 elements repeat its
+            // last element.
+            let live = WIDTH.min(n - start);
+            let ids = std::array::from_fn(|j| elements.get(start + j.min(live - 1)));
+            eval.batch(&ids, live, &mut ws, &mut geo, &mut clock, sink);
         }
-        if full < n {
-            let mut ws = ElementWorkspace::<f64>::zeroed(npe);
-            let mut geo = LaneGeometry::<f64>::new(npe);
-            for i in full..n {
-                let ids = &[elements.get(i)];
-                eval.batch(ids, &mut ws, &mut geo, &mut clock, sink);
-            }
-        }
-        L::WIDTH
     }
 }
 
@@ -429,9 +354,7 @@ impl<'p> StageClock<'p> {
 mod tests {
     use super::*;
     use crate::engine::AssemblyContext;
-    use crate::kernels::{
-        convective_flux, fused_flux, lane_weak_divergence, weak_divergence, KernelPath,
-    };
+    use crate::kernels::{convective_flux, fused_flux, KernelPath};
     use crate::oracle::element_loop_into;
     use crate::parallel::assemble_rhs_into;
     use crate::tgv::TgvConfig;
@@ -497,18 +420,18 @@ mod tests {
         }
     }
 
-    /// The flux and contraction of every element, one `L`-wide batch at a
-    /// time, as each element's residual bits.
+    /// The flux and contraction of every element, one batch at a time, as
+    /// each element's residual bits.
     struct KernelJob<'a> {
         basis: &'a HexBasis,
         gas: &'a GasModel,
+        kernel: &'a KernelOps,
         elements: &'a [ElementInputs],
     }
 
-    impl LaneJob for KernelJob<'_> {
-        type Output = Vec<Vec<u64>>;
-
-        fn run<L: BatchLane>(self) -> Vec<Vec<u64>> {
+    impl KernelJob<'_> {
+        /// The residual bits with `L`-wide batches.
+        fn bits<L: Lane>(&self) -> Vec<Vec<u64>> {
             let npe = self.basis.nodes_per_element();
             let mut bits = Vec::new();
             for batch in self.elements.chunks(L::WIDTH) {
@@ -532,7 +455,8 @@ mod tests {
                 } else {
                     lane_convective_flux(&mut ws);
                 }
-                lane_weak_divergence(&mut ws, self.basis, geom, -1.0);
+                self.kernel
+                    .lane_weak_divergence(&mut ws, self.basis, geom, -1.0);
                 for j in 0..L::WIDTH {
                     let r = ws.res.iter().flat_map(|r| r.iter().map(|x| x.lane(j)));
                     bits.push(r.map(f64::to_bits).collect());
@@ -542,10 +466,19 @@ mod tests {
         }
     }
 
+    impl LaneJob for KernelJob<'_> {
+        type Output = Vec<Vec<u64>>;
+
+        fn run(self) -> Vec<Vec<u64>> {
+            self.bits::<F64x4>()
+        }
+    }
+
     /// The public one-element kernels on each element.
     fn one_element_bits(
         basis: &HexBasis,
         gas: &GasModel,
+        kernel: &KernelOps,
         elements: &[ElementInputs],
     ) -> Vec<Vec<u64>> {
         let npe = basis.nodes_per_element();
@@ -560,26 +493,20 @@ mod tests {
                 } else {
                     convective_flux(&mut ws);
                 }
-                weak_divergence(&mut ws, basis, geom, -1.0);
+                kernel.weak_divergence(&mut ws, basis, geom, -1.0);
                 ws.res.iter().flatten().map(|x| x.to_bits()).collect()
             })
             .collect()
     }
 
-    fn avx2() -> bool {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        return std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        false
-    }
-
     proptest! {
         /// Four lanes compute, lane by lane, the bits the one-element
         /// kernels compute for each element: fused (viscous) and
-        /// convective (inviscid) flux plus the contraction, at orders 1–5
-        /// (so `Runtime(n)` too), on random fields, geometry and prior
-        /// residuals — on the baseline instruction set and, when the CPU
-        /// reports it, inside the AVX2 entry point.
+        /// convective (inviscid) flux plus the sum-factored and the
+        /// full-matrix contraction, at orders 1–5 (so `Runtime(n)` too), on
+        /// random fields, geometry and prior residuals — on the baseline
+        /// instruction set and, when the CPU reports it, inside the AVX2
+        /// entry point.
         #[test]
         fn prop_four_lanes_match_one_lane(
             values in proptest::collection::vec(-3.0f64..3.0, 23 * 216 * ELEMENTS),
@@ -594,11 +521,19 @@ mod tests {
                 let mut next = || x.next().unwrap();
                 let elements: Vec<ElementInputs> =
                     (0..ELEMENTS).map(|_| ElementInputs::draw(npe, &mut next)).collect();
-                let reference = one_element_bits(&basis, &gas, &elements);
-                let job = || KernelJob { basis: &basis, gas: &gas, elements: &elements };
-                prop_assert!(job().run::<f64>() == reference, "order {order}: one lane");
-                prop_assert!(job().run::<F64x4>() == reference, "order {order}: four lanes");
-                prop_assert!(with_lanes(job(), true) == reference, "order {order}: dispatched");
+                for path in [KernelPath::SumFactored, KernelPath::FullMatrix] {
+                    let kernel = KernelOps::resolve(path, &basis);
+                    let reference = one_element_bits(&basis, &gas, &kernel, &elements);
+                    let job = || KernelJob {
+                        basis: &basis,
+                        gas: &gas,
+                        kernel: &kernel,
+                        elements: &elements,
+                    };
+                    prop_assert!(job().bits::<f64>() == reference, "order {order} {path}: one lane");
+                    prop_assert!(job().run() == reference, "order {order} {path}: four lanes");
+                    prop_assert!(with_avx2(job()) == reference, "order {order} {path}: dispatched");
+                }
             }
         }
     }
@@ -612,8 +547,8 @@ mod tests {
 
     #[test]
     fn sweep_with_tails_is_bitwise_the_element_loop() {
-        // 5, 6 and 7 elements leave tails of 1, 2 and 3 after the
-        // four-lane batches; 27 leaves 3 at order 2.
+        // 5, 6 and 7 elements end in padded batches of 1, 2 and 3
+        // elements; 27 ends in 3 at order 2.
         for (nx, ny, nz, order) in [(5, 1, 1, 1), (3, 2, 1, 1), (7, 1, 1, 3), (3, 3, 3, 2)] {
             let mesh = BoxMeshBuilder::new()
                 .elements(nx, ny, nz)
@@ -623,35 +558,29 @@ mod tests {
                 .unwrap();
             let basis = HexBasis::new(order).unwrap();
             let geometry = GeometryCache::build(&mesh, &basis).unwrap();
-            for gas in [TgvConfig::standard().gas(), GasModel::air(0.0)] {
-                let (state, prim) = tgv_state(&mesh, &gas);
-                let mut swept = Conserved::zeros(mesh.num_nodes());
-                assemble_rhs_into(
-                    &mesh,
-                    &basis,
-                    &gas,
-                    &geometry,
-                    &state,
-                    &prim,
-                    KernelPath::SumFactored,
-                    &mut swept,
-                    None,
-                );
-                let ctx = AssemblyContext {
-                    mesh: &mesh,
-                    basis: &basis,
-                    gas: &gas,
-                    geometry: &geometry,
-                    kernel: KernelPath::SumFactored,
-                };
-                let mut looped = Conserved::zeros(mesh.num_nodes());
-                element_loop_into(&ctx, &state, &prim, &mut looped);
-                assert_eq!(
-                    swept.to_bit_vec(),
-                    looped.to_bit_vec(),
-                    "{nx}x{ny}x{nz} order {order} mu {}",
-                    gas.mu
-                );
+            for path in [KernelPath::SumFactored, KernelPath::FullMatrix] {
+                for gas in [TgvConfig::standard().gas(), GasModel::air(0.0)] {
+                    let (state, prim) = tgv_state(&mesh, &gas);
+                    let mut swept = Conserved::zeros(mesh.num_nodes());
+                    assemble_rhs_into(
+                        &mesh, &basis, &gas, &geometry, &state, &prim, path, &mut swept, None,
+                    );
+                    let ctx = AssemblyContext {
+                        mesh: &mesh,
+                        basis: &basis,
+                        gas: &gas,
+                        geometry: &geometry,
+                        kernel: path,
+                    };
+                    let mut looped = Conserved::zeros(mesh.num_nodes());
+                    element_loop_into(&ctx, &state, &prim, &mut looped);
+                    assert_eq!(
+                        swept.to_bit_vec(),
+                        looped.to_bit_vec(),
+                        "{nx}x{ny}x{nz} order {order} {path} mu {}",
+                        gas.mu
+                    );
+                }
             }
         }
     }
@@ -704,7 +633,7 @@ mod tests {
                         prim: &prim,
                         kernel: &kernel,
                     };
-                    let lanes = eval.sweep(
+                    eval.sweep(
                         Elements::List(ids),
                         None,
                         &mut ScatterInto {
@@ -712,7 +641,6 @@ mod tests {
                             out: &mut swept,
                         },
                     );
-                    assert_eq!(lanes, if avx2() { 4 } else { 1 });
                     let ctx = AssemblyContext {
                         mesh: &listed,
                         basis: &basis,
@@ -730,41 +658,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sweep_runs_four_lanes_whenever_the_cpu_has_avx2() {
-        let mesh = BoxMeshBuilder::tgv_box(3).build().unwrap();
-        let basis = HexBasis::new(1).unwrap();
-        let gas = TgvConfig::standard().gas();
-        let geometry = GeometryCache::build(&mesh, &basis).unwrap();
-        let (state, prim) = tgv_state(&mesh, &gas);
-        let mut out = Conserved::zeros(mesh.num_nodes());
-        for (path, wide) in [
-            (KernelPath::SumFactored, true),
-            (KernelPath::FullMatrix, false),
-        ] {
-            let kernel = KernelOps::resolve(path, &basis);
-            let eval = BatchEvaluator {
-                mesh: &mesh,
-                basis: &basis,
-                gas: &gas,
-                geometry: &geometry,
-                conserved: &state,
-                prim: &prim,
-                kernel: &kernel,
-            };
-            let lanes = eval.sweep(
-                Elements::All(mesh.num_elements()),
-                None,
-                &mut ScatterInto {
-                    mesh: &mesh,
-                    out: &mut out,
-                },
-            );
-            let expected = if wide && avx2() { 4 } else { 1 };
-            assert_eq!(lanes, expected, "{path}");
         }
     }
 }

@@ -42,7 +42,8 @@
 //!    walks them in that order. It *evaluates* them in element batches
 //!    (`crate::batch`) — evaluation order is free, since an element's
 //!    residual depends on its own data alone — but records, replays and
-//!    scatters them one element at a time in that order;
+//!    scatters them one element at a time in that order (the spare lanes
+//!    of a padded last batch are never recorded);
 //! 2. an **interior** node (`plan.frontier()[n] == false`) is touched by
 //!    exactly one device, so the direct scatter applies its contributions
 //!    in ascending element order — the serial order restricted to that

@@ -113,12 +113,14 @@
 //! from a geometry-cache group, which stores them lane-interleaved
 //! ([`fem_mesh::geometry::GeometryCache::group`]), and each lane's
 //! residuals are read in place by the scatter. The element-batch evaluator
-//! (`crate::batch`) drives the host assembly sweeps through these
-//! kernels four elements at a time inside one AVX2 entry point when the
-//! CPU has AVX2, and one element at a time otherwise; the full-matrix
-//! reference always runs one element at a time. Lane arithmetic is plain
-//! `[f64; 4]` arrays that the compiler maps to vector instructions — no
-//! `std::simd`, no intrinsics.
+//! (`crate::batch`) drives every host assembly sweep, on both kernel
+//! paths, through the four-lane instantiation alone: inside one AVX2
+//! entry point when the CPU has AVX2, on the baseline instruction set
+//! otherwise, with a last batch of 1–3 elements padded to four lanes.
+//! The `f64` instantiation serves the one-element readers (the public
+//! API, enstrophy, the reference loops of [`crate::oracle`]). Lane
+//! arithmetic is plain `[f64; 4]` arrays that the compiler maps to vector
+//! instructions — no `std::simd`, no intrinsics.
 //!
 //! [`F64x4`]: fem_numerics::tensor::F64x4
 

@@ -14,12 +14,13 @@
 //! The hot path consumes the precomputed [`GeometryCache`] (no per-stage
 //! Jacobian rebuild) and runs the **fused** `F_c − F_v` single-contraction
 //! kernel on viscous elements, four elements at a time through the
-//! element-batch evaluator (`crate::batch`; one at a time without AVX2
-//! and on the full-matrix path). Each batch is scattered lane by lane,
-//! in ascending element order, so the sweep is bitwise the
-//! element-at-a-time loop. Fig 2 attribution of the fused path, timed
-//! once per batch: the gather (the state, plus the geometry copy of a
-//! batch that is not an aligned cache group) is charged to `RK(Other)`; the fused flux assembly (gradients, τ, net
+//! element-batch evaluator (`crate::batch`; on both kernel paths, with
+//! or without AVX2, and a last batch of 1–3 elements padded to four
+//! lanes). Each batch is scattered lane by lane, in ascending element
+//! order, so the sweep is bitwise the element-at-a-time loop. Fig 2
+//! attribution of the fused path, timed once per batch: the gather (the
+//! state, plus the geometry copy of a batch that is not an aligned cache
+//! group) is charged to `RK(Other)`; the fused flux assembly (gradients, τ, net
 //! flux) to `RK(Diffusion)`; the single weak-divergence contraction —
 //! which serves the convective and viscous halves equally — half to
 //! `RK(Convection)` and half to `RK(Diffusion)`; the scatter to
