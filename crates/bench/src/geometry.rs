@@ -15,6 +15,12 @@
 //! reports the cache's memory footprint — the space the optimization
 //! trades for the per-stage Jacobian rebuild.
 //!
+//! Each reported time is the median of [`BLOCKS`] block means. Inside a
+//! block every path compared (the three ladder paths of one mesh, or the
+//! two kernel paths of one order) runs its repetitions in turn, the first
+//! path rotating from block to block, so a burst of host load lands on
+//! one block of every path instead of on one path's whole measurement.
+//!
 //! The study also climbs the **order ladder**: at basis orders `p = 1..=4`
 //! it times one serial RHS assembly under each [`KernelPath`] — the
 //! O(p⁴) sum-factored three-sweep contraction vs the O(p⁶) dense
@@ -49,7 +55,8 @@ pub struct GeometryRow {
     pub nodes: usize,
     /// Path label (`recompute+split`, `cached+split`, `cached+fused`).
     pub path: String,
-    /// Mean wall-clock milliseconds per full RHS assembly.
+    /// Wall-clock milliseconds per full RHS assembly: the median of the
+    /// per-block means.
     pub millis_per_assembly: f64,
     /// Seed (`recompute+split`) time divided by this path's time.
     pub speedup_vs_seed: f64,
@@ -86,9 +93,11 @@ pub struct OrderLadderRung {
     pub nodes_per_element: usize,
     /// Elements in the ladder mesh.
     pub elements: usize,
-    /// Mean wall-clock ms per serial RHS assembly, full-matrix path.
+    /// Wall-clock ms per serial RHS assembly, full-matrix path (median
+    /// of the per-block means).
     pub millis_full_matrix: f64,
-    /// Mean wall-clock ms per serial RHS assembly, sum-factored path.
+    /// Wall-clock ms per serial RHS assembly, sum-factored path (median
+    /// of the per-block means).
     pub millis_sum_factored: f64,
     /// Full-matrix time over sum-factored time (> 1 ⇒ factored wins).
     pub factored_speedup: f64,
@@ -252,13 +261,43 @@ fn bits(c: &Conserved) -> Vec<u64> {
 /// One labeled RHS-assembly path under measurement.
 type AssemblyPath<'a> = (&'a str, Box<dyn Fn(&mut Conserved) + 'a>);
 
+/// Timing blocks per measurement; a reported time is the median of the
+/// per-block means.
+pub const BLOCKS: usize = 11;
+
+/// Times `paths` measurement paths in [`BLOCKS`] blocks: in each block,
+/// every path runs `run(path)` `reps` times in turn, the first path
+/// rotating from block to block. Returns each path's median per-block
+/// mean, in milliseconds.
+fn median_block_millis(paths: usize, reps: usize, mut run: impl FnMut(usize)) -> Vec<f64> {
+    let mut means = vec![Vec::with_capacity(BLOCKS); paths];
+    for block in 0..BLOCKS {
+        for turn in 0..paths {
+            let path = (block + turn) % paths;
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                run(path);
+            }
+            means[path].push(t0.elapsed().as_secs_f64() * 1e3 / reps as f64);
+        }
+    }
+    means
+        .into_iter()
+        .map(|mut m| {
+            m.sort_by(f64::total_cmp);
+            m[BLOCKS / 2]
+        })
+        .collect()
+}
+
 /// Elements per axis of the order-ladder box — small, because the
 /// full-matrix side grows as O(p⁶) per element.
 const LADDER_EDGE: usize = 3;
 /// Highest basis order on the ladder.
 const LADDER_MAX_ORDER: usize = 4;
 
-/// Times one serial RHS assembly under each [`KernelPath`] at orders
+/// Times one serial RHS assembly under each [`KernelPath`] (`reps`
+/// assemblies per path in each of [`BLOCKS`] blocks) at orders
 /// `p = 1..=4` on a viscous TGV box, cross-checking the full-matrix
 /// residual against the sum-factored reference and a 2-device
 /// multi-device assembly on both paths bitwise against the serial one.
@@ -281,26 +320,25 @@ fn run_order_ladder(reps: usize) -> Vec<OrderLadderRung> {
                 .expect("valid ladder plan");
         let counts = KernelOpCounts::for_basis(&basis);
 
+        let assemble = |path: KernelPath, out: &mut Conserved| {
+            assemble_rhs_into(
+                &mesh, &basis, &gas, &geometry, &conserved, &prim, path, out, None,
+            )
+        };
         let mut serial = [
             Conserved::zeros(mesh.num_nodes()),
             Conserved::zeros(mesh.num_nodes()),
         ];
-        let mut millis = [0.0f64; 2];
+        let mut out = Conserved::zeros(mesh.num_nodes());
+        // Warm-up doubles as the correctness snapshot.
+        for (path, snapshot) in KernelPath::ALL.into_iter().zip(&mut serial) {
+            assemble(path, snapshot);
+        }
+        let millis = median_block_millis(KernelPath::ALL.len(), reps, |i| {
+            assemble(KernelPath::ALL[i], &mut out)
+        });
         let mut bitwise = [false; 2];
         for (i, path) in KernelPath::ALL.into_iter().enumerate() {
-            let assemble = |out: &mut Conserved| {
-                assemble_rhs_into(
-                    &mesh, &basis, &gas, &geometry, &conserved, &prim, path, out, None,
-                )
-            };
-            // Warm-up doubles as the correctness snapshot.
-            assemble(&mut serial[i]);
-            let t0 = Instant::now();
-            let mut out = Conserved::zeros(mesh.num_nodes());
-            for _ in 0..reps {
-                assemble(&mut out);
-            }
-            millis[i] = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
             // The multi-device executor must reproduce the serial result
             // bitwise on this path too.
             let ctx = AssemblyContext {
@@ -313,7 +351,7 @@ fn run_order_ladder(reps: usize) -> Vec<OrderLadderRung> {
             multidevice.assemble_rhs(&ctx, &conserved, &prim, &mut out, None);
             bitwise[i] = bits(&out) == bits(&serial[i]);
         }
-        let [millis_factored, millis_full] = millis;
+        let [millis_factored, millis_full] = [millis[0], millis[1]];
         rungs.push(OrderLadderRung {
             order,
             nodes_per_element: basis.nodes_per_element(),
@@ -331,8 +369,8 @@ fn run_order_ladder(reps: usize) -> Vec<OrderLadderRung> {
     rungs
 }
 
-/// Runs the study: `reps` timed assemblies per path on a viscous TGV box
-/// of each `edges` entry.
+/// Runs the study on a viscous TGV box of each `edges` entry: every path
+/// is timed over `reps` assemblies in each of [`BLOCKS`] blocks.
 ///
 /// # Panics
 ///
@@ -392,26 +430,25 @@ pub fn run_geometry_study(edges: &[usize], reps: usize) -> GeometryStudy {
             ),
         ];
 
-        let mut times = [0.0f64; 3];
-        for (i, (label, assemble)) in paths.iter().enumerate() {
-            // Warm-up (also produces the correctness snapshot).
+        // Warm-up, which also produces the correctness snapshots.
+        let mut errors = [0.0f64; 3];
+        for (i, (_, assemble)) in paths.iter().enumerate() {
             assemble(&mut out);
             if i == 0 {
                 seed.copy_from(&out);
             }
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                assemble(&mut out);
-            }
-            let ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
-            times[i] = ms;
+            errors[i] = max_rel_error(&seed, &out);
+        }
+        let times = median_block_millis(paths.len(), reps, |i| (paths[i].1)(&mut out));
+        for (i, (label, _)) in paths.iter().enumerate() {
+            let ms = times[i];
             rows.push(GeometryRow {
                 edge,
                 nodes: mesh.num_nodes(),
                 path: (*label).to_string(),
                 millis_per_assembly: ms,
                 speedup_vs_seed: if ms > 0.0 { times[0] / ms } else { 0.0 },
-                max_rel_error_vs_seed: max_rel_error(&seed, &out),
+                max_rel_error_vs_seed: errors[i],
             });
         }
 
@@ -470,6 +507,24 @@ mod tests {
         let shown = format!("{study}");
         assert!(shown.contains("cached+fused"), "{shown}");
         assert!(shown.contains("Order ladder"), "{shown}");
+    }
+
+    #[test]
+    fn blocks_alternate_the_paths() {
+        let mut calls = Vec::new();
+        let millis = median_block_millis(3, 2, |path| calls.push(path));
+        assert_eq!(millis.len(), 3);
+        assert!(millis.iter().all(|ms| ms.is_finite() && *ms >= 0.0));
+        // Each block runs every path `reps` times in turn, starting one
+        // path later than the block before.
+        let firsts: Vec<usize> = calls.chunks(6).map(|block| block[0]).collect();
+        assert_eq!(firsts, (0..BLOCKS).map(|b| b % 3).collect::<Vec<_>>());
+        for block in calls.chunks(6) {
+            let mut order = block.to_vec();
+            order.dedup();
+            assert_eq!(order.len(), 3, "{block:?}");
+        }
+        assert_eq!(calls.len(), BLOCKS * 3 * 2);
     }
 
     #[test]

@@ -4,6 +4,36 @@
 //! fourth-order Runge-Kutta method (RK4, §II-B). The integrator here is
 //! generic over a [`StateOps`] vector space so the solver can drive its
 //! multi-field solution state through it, while tests exercise scalar ODEs.
+//!
+//! # Low storage
+//!
+//! [`ExplicitRk`] keeps only the state-sized buffers a step needs:
+//!
+//! * one **stage state** `y + Σ_j dt·a_ij·k_j`, formed in one pass by
+//!   [`StateOps::assign_axpy`] plus one [`StateOps::axpy`] per further
+//!   non-zero `a_ij`. A stage whose `a` row is all zero reads `y` itself.
+//! * one **accumulator** `acc = y + Σ_i dt·b_i·k_i`, updated right after
+//!   stage `i` evaluates `k_i` and swapped into `y` at the end of the step.
+//! * only the **stage derivatives a later stage reads**. Derivative `k_m`
+//!   lives until the last stage whose `a` row reads it has formed its
+//!   state; a stage writes its derivative into a buffer whose previous
+//!   derivative is dead by then. The buffer plan is worked out once, in
+//!   [`ExplicitRk::new`]: one buffer for Euler, Heun2 and RK4 (each
+//!   stage reads only the newest derivative), two for Kutta3 (its last
+//!   stage reads `k_0` and `k_1`).
+//!
+//! Classical RK4 thus holds three state-sized buffers (stage, accumulator,
+//! one derivative) instead of five (stage and four derivatives), and makes
+//! seven passes over the state per step instead of eleven.
+//!
+//! The scheme is **bitwise** identical to the full-storage step (copy `y`
+//! into the stage, add each `dt·a_ij·k_j`, then add every `dt·b_i·k_i`
+//! into `y`): every element sees the same operations on the same operands
+//! in the same order. `y + a·x` in one pass is the one rounding of
+//! copying `y` and adding `a·x`; a zero `a_ij` or `b_i` is skipped in
+//! both; the accumulator starts from `y` and adds the `b_i` terms in stage
+//! order, as the full-storage step adds them into `y`; and a stage reading
+//! `y` itself reads the same bits as its copy.
 
 /// Vector-space operations an ODE state must support.
 ///
@@ -17,6 +47,13 @@ pub trait StateOps: Clone {
     fn axpy(&mut self, a: f64, x: &Self);
     /// `self *= a`.
     fn scale(&mut self, a: f64);
+    /// `self = y + a * x`: [`StateOps::copy_from`] then
+    /// [`StateOps::axpy`], with the same rounding. Override it to make
+    /// one pass over the state instead of two.
+    fn assign_axpy(&mut self, y: &Self, a: f64, x: &Self) {
+        self.copy_from(y);
+        self.axpy(a, x);
+    }
 }
 
 impl StateOps for Vec<f64> {
@@ -166,7 +203,8 @@ impl ButcherTableau {
     }
 }
 
-/// An explicit Runge-Kutta integrator with preallocated stage storage.
+/// An explicit Runge-Kutta integrator with preallocated, low-storage
+/// stage buffers (see the [module docs](self)).
 ///
 /// # Example
 ///
@@ -195,21 +233,54 @@ impl ButcherTableau {
 #[derive(Debug, Clone)]
 pub struct ExplicitRk<S: StateOps> {
     tableau: ButcherTableau,
-    stage_derivatives: Vec<S>,
+    /// `slot[i]`: the buffer of `derivatives` stage `i` writes `k_i` to.
+    slot: Vec<usize>,
+    derivatives: Vec<S>,
     stage_state: S,
+    acc: S,
+}
+
+/// The derivative buffer of each stage, and the buffer count: stage `i`
+/// takes the first buffer whose derivative no stage after `i − 1` reads
+/// (stage `i` forms its state before it writes `k_i`).
+fn derivative_slots(tableau: &ButcherTableau) -> (Vec<usize>, usize) {
+    let stages = tableau.stages();
+    // The last stage whose state reads k_m (m itself if none does).
+    let last_read: Vec<usize> = (0..stages)
+        .map(|m| {
+            (m + 1..stages)
+                .rfind(|&i| tableau.a[i][m] != 0.0)
+                .unwrap_or(m)
+        })
+        .collect();
+    // The stage whose derivative each buffer holds.
+    let mut holder: Vec<usize> = Vec::new();
+    let slot = (0..stages)
+        .map(|i| match holder.iter().position(|&m| last_read[m] <= i) {
+            Some(b) => {
+                holder[b] = i;
+                b
+            }
+            None => {
+                holder.push(i);
+                holder.len() - 1
+            }
+        })
+        .collect();
+    (slot, holder.len())
 }
 
 impl<S: StateOps> ExplicitRk<S> {
     /// Creates an integrator; `prototype` fixes the state shape for the
     /// preallocated stage buffers.
     pub fn new(tableau: ButcherTableau, prototype: &S) -> Self {
-        let stage_derivatives = (0..tableau.stages())
-            .map(|_| prototype.zeros_like())
-            .collect();
+        let (slot, buffers) = derivative_slots(&tableau);
         ExplicitRk {
             tableau,
-            stage_derivatives,
+            slot,
+            derivatives: (0..buffers).map(|_| prototype.zeros_like()).collect(),
             stage_state: prototype.zeros_like(),
+            acc: prototype.zeros_like(),
         }
     }
 
@@ -226,23 +297,40 @@ impl<S: StateOps> ExplicitRk<S> {
         dt: f64,
         y: &mut S,
     ) {
-        let stages = self.tableau.stages();
-        for i in 0..stages {
-            self.stage_state.copy_from(y);
-            let a_row = self.tableau.a[i].clone();
-            for (j, &aij) in a_row.iter().enumerate() {
-                if aij != 0.0 {
-                    self.stage_state.axpy(dt * aij, &self.stage_derivatives[j]);
+        let ExplicitRk {
+            tableau,
+            slot,
+            derivatives,
+            stage_state,
+            acc,
+        } = self;
+        let mut accumulated = false;
+        for i in 0..tableau.stages() {
+            let mut terms = tableau.a[i].iter().enumerate().filter(|(_, &a)| a != 0.0);
+            let stage: &S = match terms.next() {
+                None => y,
+                Some((j, &aij)) => {
+                    stage_state.assign_axpy(y, dt * aij, &derivatives[slot[j]]);
+                    for (j, &aij) in terms {
+                        stage_state.axpy(dt * aij, &derivatives[slot[j]]);
+                    }
+                    stage_state
+                }
+            };
+            let k = &mut derivatives[slot[i]];
+            system.rhs(t + tableau.c[i] * dt, stage, k);
+            let bi = tableau.b[i];
+            if bi != 0.0 {
+                if accumulated {
+                    acc.axpy(dt * bi, k);
+                } else {
+                    acc.assign_axpy(y, dt * bi, k);
+                    accumulated = true;
                 }
             }
-            let ti = t + self.tableau.c[i] * dt;
-            system.rhs(ti, &self.stage_state, &mut self.stage_derivatives[i]);
         }
-        for i in 0..stages {
-            let bi = self.tableau.b[i];
-            if bi != 0.0 {
-                y.axpy(dt * bi, &self.stage_derivatives[i]);
-            }
+        if accumulated {
+            std::mem::swap(y, acc);
         }
     }
 }
@@ -275,14 +363,119 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_tableaus_are_consistent() {
-        for t in [
+    /// The full-storage step the low-storage [`ExplicitRk::step`] must
+    /// reproduce bit for bit: every stage derivative kept, each stage
+    /// state copied from `y` before its `dt·a_ij·k_j` terms are added, and
+    /// every `dt·b_i·k_i` added into `y` at the end.
+    fn full_storage_step<Sys: OdeSystem>(
+        tableau: &ButcherTableau,
+        system: &mut Sys,
+        t: f64,
+        dt: f64,
+        y: &mut Sys::State,
+    ) {
+        let stages = tableau.stages();
+        let mut k: Vec<Sys::State> = (0..stages).map(|_| y.zeros_like()).collect();
+        let mut stage_state = y.zeros_like();
+        for i in 0..stages {
+            stage_state.copy_from(y);
+            for (j, &aij) in tableau.a_row(i).iter().enumerate() {
+                if aij != 0.0 {
+                    stage_state.axpy(dt * aij, &k[j]);
+                }
+            }
+            system.rhs(t + tableau.c()[i] * dt, &stage_state, &mut k[i]);
+        }
+        for (i, &bi) in tableau.b().iter().enumerate() {
+            if bi != 0.0 {
+                y.axpy(dt * bi, &k[i]);
+            }
+        }
+    }
+
+    /// A nonlinear, non-autonomous three-component system (a forced
+    /// Lorenz-like flow), so every stage term reaches every component.
+    /// It logs the bits of every stage time and stage state it is called
+    /// with: a stage state that differs in one ulp may round away in the
+    /// step's output, but not in the log.
+    #[derive(Default)]
+    struct Forced {
+        seen: Vec<u64>,
+    }
+
+    impl OdeSystem for Forced {
+        type State = Vec<f64>;
+        fn rhs(&mut self, t: f64, y: &Vec<f64>, dydt: &mut Vec<f64>) {
+            self.seen.push(t.to_bits());
+            self.seen.extend(y.iter().map(|v| v.to_bits()));
+            dydt[0] = 10.0 * (y[1] - y[0]) + t.sin();
+            dydt[1] = y[0] * (28.0 - y[2]) - y[1];
+            dydt[2] = y[0] * y[1] - 8.0 / 3.0 * y[2] + 0.1 * t * y[2] * y[2];
+        }
+    }
+
+    fn all_tableaus() -> [ButcherTableau; 4] {
+        [
             ButcherTableau::euler(),
             ButcherTableau::heun2(),
             ButcherTableau::kutta3(),
             ButcherTableau::rk4(),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn low_storage_matches_full_storage_bit_for_bit() {
+        for tableau in all_tableaus() {
+            let y0 = vec![1.0, 1.5, 20.0];
+            let mut low = y0.clone();
+            let mut full = y0;
+            let (mut low_sys, mut full_sys) = (Forced::default(), Forced::default());
+            let mut rk = ExplicitRk::new(tableau.clone(), &low);
+            let dt = 1.0e-3;
+            for s in 0..400 {
+                let t = s as f64 * dt;
+                rk.step(&mut low_sys, t, dt, &mut low);
+                full_storage_step(&tableau, &mut full_sys, t, dt, &mut full);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&low), bits(&full), "{} step {s}", tableau.name());
+                assert!(
+                    low_sys.seen == full_sys.seen,
+                    "{} step {s}: stage inputs",
+                    tableau.name()
+                );
+            }
+            assert_eq!(low_sys.seen.len(), 400 * tableau.stages() * 4);
+            assert!(low.iter().all(|v| v.is_finite()), "{}", tableau.name());
+        }
+    }
+
+    #[test]
+    fn only_the_derivatives_a_later_stage_reads_are_kept() {
+        for (tableau, buffers) in all_tableaus().into_iter().zip([1, 1, 2, 1]) {
+            let rk = ExplicitRk::new(tableau, &vec![0.0; 3]);
+            assert_eq!(rk.derivatives.len(), buffers, "{}", rk.tableau().name());
+            assert_eq!(rk.slot.len(), rk.tableau().stages());
+        }
+        // Kutta3's last stage reads k0 and k1, so they take two buffers,
+        // and k2 reuses the first once its state is formed.
+        let rk = ExplicitRk::new(ButcherTableau::kutta3(), &vec![0.0]);
+        assert_eq!(rk.slot, vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn default_assign_axpy_is_copy_then_axpy() {
+        let y = vec![1.0, -2.0, 0.1];
+        let x = vec![0.3, 0.7, -1.0 / 3.0];
+        let mut a = vec![9.0; 3];
+        a.assign_axpy(&y, 0.25, &x);
+        let mut b = y.clone();
+        b.axpy(0.25, &x);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn all_tableaus_are_consistent() {
+        for t in all_tableaus() {
             assert!(t.is_consistent(), "{} inconsistent", t.name());
             assert_eq!(t.a.len(), t.stages());
             assert_eq!(t.c().len(), t.stages());
@@ -306,12 +499,7 @@ mod tests {
     #[test]
     fn observed_convergence_orders() {
         // Halving dt should reduce error by ~2^order.
-        for tableau in [
-            ButcherTableau::euler(),
-            ButcherTableau::heun2(),
-            ButcherTableau::kutta3(),
-            ButcherTableau::rk4(),
-        ] {
+        for tableau in all_tableaus() {
             let order = tableau.order() as f64;
             let exact = (-1.0f64).exp();
             let e1 = (integrate_decay(tableau.clone(), 0.1, 1.0) - exact).abs();

@@ -588,9 +588,11 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::Scenario;
     use crate::tgv::TgvConfig;
     use fem_mesh::generator::BoxMeshBuilder;
     use fem_numerics::linalg::Vec3;
+    use fem_numerics::rk::StateOps;
 
     fn uniform_state(mesh: &HexMesh, gas: &GasModel, u: Vec3) -> Conserved {
         let mut c = Conserved::zeros(mesh.num_nodes());
@@ -783,6 +785,61 @@ mod tests {
                 "{}: trajectory drift",
                 sim.backend().name()
             );
+        }
+    }
+
+    /// Classical RK4 in full storage, as textbooks write it: all four
+    /// stage derivatives kept, each stage state copied from `y` before its
+    /// `dt·a_ij·k_j` terms are added, and `Σ dt·b_i·k_i` added into `y`
+    /// at the end.
+    fn textbook_rk4_step(core: &mut SolverCore, t: f64, dt: f64, y: &mut Conserved) {
+        let rk4 = ButcherTableau::rk4();
+        let mut k: Vec<Conserved> = (0..4).map(|_| y.zeros_like()).collect();
+        for i in 0..4 {
+            let mut stage = y.clone();
+            for (j, &aij) in rk4.a_row(i).iter().enumerate() {
+                if aij != 0.0 {
+                    stage.axpy(dt * aij, &k[j]);
+                }
+            }
+            core.rhs(t + rk4.c()[i] * dt, &stage, &mut k[i]);
+        }
+        for (ki, &bi) in k.iter().zip(rk4.b()) {
+            y.axpy(dt * bi, ki);
+        }
+    }
+
+    #[test]
+    fn low_storage_rk4_matches_textbook_rk4_bit_for_bit() {
+        // The periodic TGV, and the lid-driven cavity with its Dirichlet
+        // boundary condition zeroing the pinned residuals and resetting
+        // the pinned state after every step.
+        for (scenario, walled) in [
+            (Scenario::taylor_green(), false),
+            (Scenario::lid_cavity(), true),
+        ] {
+            let build = || scenario.builder(4, 2).unwrap().build().unwrap();
+            let mut sim = build();
+            let mut textbook = build();
+            assert_eq!(sim.bc().is_some(), walled, "{}", scenario.name());
+            let initial = sim.conserved().to_bit_vec();
+            let dt = sim.suggest_dt(scenario.default_cfl());
+            for step in 1..=4 {
+                sim.step(dt).unwrap();
+                let t = textbook.time;
+                textbook_rk4_step(&mut textbook.core, t, dt, &mut textbook.conserved);
+                if let Some(bc) = &textbook.core.bc {
+                    bc.apply_state(&mut textbook.conserved);
+                }
+                textbook.time += dt;
+                assert_eq!(
+                    sim.conserved().to_bit_vec(),
+                    textbook.conserved.to_bit_vec(),
+                    "{} step {step}",
+                    scenario.name()
+                );
+            }
+            assert_ne!(sim.conserved().to_bit_vec(), initial, "{}", scenario.name());
         }
     }
 

@@ -221,9 +221,14 @@ impl ExecutionBackend for ReferenceBackend {
 
 // ------------------------------------------------------- stream counts
 
-/// State-array gather streams per shard — one per DDR-resident input
-/// array (5 conserved + T/p/E/μ + 3 coordinates + connectivity, matching
-/// `fem_accel`'s roofline accounting).
+/// State-array gather streams per shard of the modelled accelerator —
+/// one per DDR-resident input array (5 conserved + T/p/E/μ + 3
+/// coordinates + connectivity, matching `fem_accel`'s roofline
+/// accounting).
+///
+/// This counts the accelerator's arrays, per-node μ (`mu_fluid`)
+/// included, not the host gather: the host reads μ from the gas model
+/// and gathers seven node fields ([`crate::kernels::ElementWorkspace`]).
 pub const GATHER_STREAMS_PER_SHARD: usize = 12;
 
 /// Residual scatter streams per shard (the 5 RHS arrays).

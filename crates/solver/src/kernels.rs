@@ -141,6 +141,10 @@ pub const NUM_VARS: usize = 5;
 /// elements lane-interleaved, lane `j` being the `j`-th element of the
 /// batch.
 ///
+/// The gather loads seven node fields (ρ, E, u, T, p); the viscosity is
+/// not gathered, because the gas is constant-μ and the viscous kernels
+/// read `GasModel::mu` directly.
+///
 /// [`F64x4`]: fem_numerics::tensor::F64x4
 #[derive(Debug, Clone)]
 pub struct ElementWorkspace<L: Lane = f64> {
@@ -155,8 +159,6 @@ pub struct ElementWorkspace<L: Lane = f64> {
     pub pres: Vec<L>,
     /// Gathered total energy.
     pub energy: Vec<L>,
-    /// Gathered per-node viscosity.
-    pub mu: Vec<L>,
     /// Reference-space gradients of (u_x, u_y, u_z, T).
     pub(crate) grad_ref: [Vec<[L; 3]>; 4],
     /// Flux tensor per conserved variable: `flux[v][q]` is the flux vector
@@ -217,7 +219,6 @@ impl<L: Lane> ElementWorkspace<L> {
             temp: f(),
             pres: f(),
             energy: f(),
-            mu: f(),
             grad_ref: [v(), v(), v(), v()],
             flux: [v(), v(), v(), v(), v()],
             g: [v(), v(), v(), v(), v()],
@@ -246,12 +247,11 @@ impl<L: Lane> ElementWorkspace<L> {
     ) {
         assert_eq!(elements.len(), L::WIDTH, "one element per lane");
         let npe = self.npe;
-        let [rho, energy, temp, pres, mu] = [
+        let [rho, energy, temp, pres] = [
             &mut self.rho,
             &mut self.energy,
             &mut self.temp,
             &mut self.pres,
-            &mut self.mu,
         ]
         .map(|f| &mut f[..npe]);
         let [vx, vy, vz] = self.vel.each_mut().map(|v| &mut v[..npe]);
@@ -269,7 +269,6 @@ impl<L: Lane> ElementWorkspace<L> {
             vz[q] = L::from_fn(|j| prim.vel[2][node(j)]);
             temp[q] = L::from_fn(|j| prim.temp[node(j)]);
             pres[q] = L::from_fn(|j| prim.pressure[node(j)]);
-            mu[q] = L::from_fn(|j| prim.mu[node(j)]);
         }
     }
 
@@ -491,6 +490,7 @@ pub(crate) fn lane_fused_flux<L: Lane>(
     basis.lane_gradient(&ws.vel[2], &mut head[2]);
     basis.lane_gradient(&ws.temp, &mut tail[0]);
     let kappa = L::splat(gas.kappa());
+    let mu = L::splat(gas.mu);
     let two_thirds = L::splat(2.0 / 3.0);
     // Every input and output re-sliced to `npe` once, so the node loop
     // carries no per-access bounds checks.
@@ -498,12 +498,7 @@ pub(crate) fn lane_fused_flux<L: Lane>(
     let geom = geom.nodes(npe);
     let [gx, gy, gz, gt] = ws.grad_ref.each_ref().map(|g| &g[..npe]);
     let [vx, vy, vz] = ws.vel.each_ref().map(|v| &v[..npe]);
-    let (rhos, pres, energy, mus) = (
-        &ws.rho[..npe],
-        &ws.pres[..npe],
-        &ws.energy[..npe],
-        &ws.mu[..npe],
-    );
+    let (rhos, pres, energy) = (&ws.rho[..npe], &ws.pres[..npe], &ws.energy[..npe]);
     let [f0, f1, f2, f3, f4] = ws.flux.each_mut().map(|f| &mut f[..npe]);
     let z = L::ZERO;
     for q in 0..npe {
@@ -511,7 +506,6 @@ pub(crate) fn lane_fused_flux<L: Lane>(
         // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
         let l = [mul_vec(&m, gx[q]), mul_vec(&m, gy[q]), mul_vec(&m, gz[q])];
         let grad_t = mul_vec(&m, gt[q]);
-        let mu = mus[q];
         let div_u = l[0][0] + l[1][1] + l[2][2];
         // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I, entry by entry as `Mat3` computes
         // it: (L + Lᵀ)·μ minus the identity's entry times ⅔ μ ∇·u.

@@ -141,7 +141,7 @@ pub fn viscous_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis,
             inv_jt.mul_vec(ws.grad_ref[2][q].into()),
         );
         let grad_t = inv_jt.mul_vec(ws.grad_ref[3][q].into());
-        let mu = ws.mu[q];
+        let mu = gas.mu;
         let div_u = l.trace();
         // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I
         let tau =

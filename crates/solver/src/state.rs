@@ -60,16 +60,19 @@ impl Conserved {
 
     /// Returns true if every node has positive density and internal energy —
     /// the physical-realizability check used by the driver to detect
-    /// blow-up.
+    /// blow-up. NaN and ±∞ in either count as unphysical.
+    ///
+    /// Every node is evaluated and the verdicts combined with `&`, with no
+    /// early exit, so the loop vectorizes.
     pub fn is_physical(&self) -> bool {
-        (0..self.len()).all(|n| {
-            let rho = self.rho[n];
-            if rho <= 0.0 || !rho.is_finite() {
-                return false;
-            }
-            let m = self.momentum(n);
-            let internal = self.energy[n] - 0.5 * m.norm_sq() / rho;
-            internal > 0.0 && internal.is_finite()
+        let n = self.len();
+        let (rho, energy) = (&self.rho[..n], &self.energy[..n]);
+        let [mx, my, mz] = self.mom.each_ref().map(|m| &m[..n]);
+        (0..n).fold(true, |ok, i| {
+            let r = rho[i];
+            let m = Vec3::new(mx[i], my[i], mz[i]);
+            let internal = energy[i] - 0.5 * m.norm_sq() / r;
+            ok & (r > 0.0) & r.is_finite() & (internal > 0.0) & internal.is_finite()
         })
     }
 
@@ -119,6 +122,19 @@ impl StateOps for Conserved {
         apply(&mut self.energy, &x.energy);
     }
 
+    fn assign_axpy(&mut self, y: &Self, a: f64, x: &Self) {
+        let apply = |dst: &mut [f64], y: &[f64], src: &[f64]| {
+            for ((d, &y), &s) in dst.iter_mut().zip(y).zip(src) {
+                *d = y + a * s;
+            }
+        };
+        apply(&mut self.rho, &y.rho, &x.rho);
+        for d in 0..3 {
+            apply(&mut self.mom[d], &y.mom[d], &x.mom[d]);
+        }
+        apply(&mut self.energy, &y.energy, &x.energy);
+    }
+
     fn scale(&mut self, a: f64) {
         let apply = |dst: &mut [f64]| {
             for d in dst.iter_mut() {
@@ -133,9 +149,13 @@ impl StateOps for Conserved {
     }
 }
 
-/// Primitive variables per node: velocity, temperature, pressure, and the
-/// per-node viscosity array the accelerator streams (`mu_fluid` in the
-/// paper's Fig 4).
+/// Primitive variables per node: velocity, temperature and pressure.
+///
+/// The dynamic viscosity is not stored per node: the gas is constant-μ,
+/// so the flux kernels read `GasModel::mu` directly. The accelerator
+/// model still streams a per-node `mu_fluid` array (the paper's Fig 4),
+/// and counts it among its gather streams
+/// ([`GATHER_STREAMS_PER_SHARD`](crate::engine::GATHER_STREAMS_PER_SHARD)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Primitives {
     /// Velocity components.
@@ -144,9 +164,6 @@ pub struct Primitives {
     pub temp: Vec<f64>,
     /// Pressure.
     pub pressure: Vec<f64>,
-    /// Dynamic viscosity (constant-μ gas ⇒ uniform array, but stored
-    /// per-node to mirror the accelerator's memory layout).
-    pub mu: Vec<f64>,
 }
 
 impl Primitives {
@@ -160,7 +177,6 @@ impl Primitives {
             ],
             temp: vec![0.0; num_nodes],
             pressure: vec![0.0; num_nodes],
-            mu: vec![0.0; num_nodes],
         }
     }
 
@@ -196,7 +212,6 @@ impl Primitives {
             self.vel[2][n] = vel.z;
             self.temp[n] = t;
             self.pressure[n] = p;
-            self.mu[n] = gas.mu;
         }
     }
 
@@ -211,6 +226,104 @@ impl Primitives {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The early-exit check [`Conserved::is_physical`] must agree with.
+    fn is_physical_early_exit(c: &Conserved) -> bool {
+        (0..c.len()).all(|n| {
+            let rho = c.rho[n];
+            if rho <= 0.0 || !rho.is_finite() {
+                return false;
+            }
+            let m = c.momentum(n);
+            let internal = c.energy[n] - 0.5 * m.norm_sq() / rho;
+            internal > 0.0 && internal.is_finite()
+        })
+    }
+
+    /// Values that reach every branch of the check: ordinary, tiny, zero
+    /// of both signs, negative, huge, infinite and NaN.
+    const SPECIAL: [f64; 12] = [
+        1.0,
+        2.5e5,
+        0.3,
+        1.0e-300,
+        0.0,
+        -0.0,
+        -1.0,
+        -2.5e5,
+        1.0e300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// A state whose node fields are drawn from [`SPECIAL`], five picks
+    /// per `u64`.
+    fn special_state(codes: &[u64]) -> Conserved {
+        let mut c = Conserved::zeros(codes.len());
+        for (n, &code) in codes.iter().enumerate() {
+            let pick = |k: u32| SPECIAL[((code >> (8 * k)) % SPECIAL.len() as u64) as usize];
+            c.rho[n] = pick(0);
+            c.mom[0][n] = pick(1);
+            c.mom[1][n] = pick(2);
+            c.mom[2][n] = pick(3);
+            c.energy[n] = pick(4);
+        }
+        c
+    }
+
+    proptest! {
+        /// The branch-free check returns the early-exit check's verdict on
+        /// states mixing ordinary, zero, negative, infinite and NaN fields.
+        #[test]
+        fn prop_is_physical_matches_early_exit(
+            codes in proptest::collection::vec(0u64..u64::MAX, 1..9)
+        ) {
+            let c = special_state(&codes);
+            prop_assert_eq!(c.is_physical(), is_physical_early_exit(&c));
+        }
+
+        /// The same on physical states with one field of one node spoiled,
+        /// so each failure reason is seen on its own.
+        #[test]
+        fn prop_is_physical_matches_early_exit_one_bad_field(
+            nodes in 1usize..12,
+            at in 0usize..12,
+            field in 0usize..5,
+            value in 0usize..12,
+        ) {
+            let mut c = special_state(&vec![0; nodes]);
+            c.energy.fill(10.0);
+            let at = at % nodes;
+            let v = SPECIAL[value];
+            match field {
+                0 => c.rho[at] = v,
+                4 => c.energy[at] = v,
+                d => c.mom[d - 1][at] = v,
+            }
+            prop_assert_eq!(c.is_physical(), is_physical_early_exit(&c));
+        }
+    }
+
+    #[test]
+    fn assign_axpy_is_copy_then_axpy() {
+        let mut y = Conserved::zeros(3);
+        let mut x = Conserved::zeros(3);
+        for n in 0..3 {
+            y.rho[n] = 1.0 + n as f64;
+            y.mom[1][n] = -0.1 * n as f64;
+            y.energy[n] = 1.0 / 3.0 + n as f64;
+            x.rho[n] = 0.7 - n as f64;
+            x.mom[2][n] = 1.0 / 7.0;
+            x.energy[n] = -2.0e-3;
+        }
+        let mut one_pass = Conserved::zeros(3);
+        one_pass.assign_axpy(&y, 0.1, &x);
+        let mut two_pass = y.clone();
+        two_pass.axpy(0.1, &x);
+        assert_eq!(one_pass.to_bit_vec(), two_pass.to_bit_vec());
+    }
 
     #[test]
     fn state_ops_on_conserved() {
@@ -244,6 +357,18 @@ mod tests {
         assert!(!c.is_physical());
         c.energy[1] = f64::NAN;
         assert!(!c.is_physical());
+        c.energy[1] = f64::INFINITY;
+        assert!(!c.is_physical());
+        c.energy[1] = c.energy[0];
+        assert!(c.is_physical());
+        for bad in [0.0, -0.0, f64::INFINITY, f64::NAN] {
+            c.rho[1] = bad;
+            assert!(!c.is_physical(), "rho = {bad}");
+        }
+        c.rho[1] = 1.0;
+        c.mom[2][1] = f64::INFINITY;
+        assert!(!c.is_physical());
+        assert!(Conserved::zeros(0).is_physical());
     }
 
     #[test]
@@ -267,7 +392,6 @@ mod tests {
             let t = 280.0 + 10.0 * n as f64;
             assert!((p.temp[n] - t).abs() < 1e-9);
             assert!((p.pressure[n] - gas.pressure(rho, t)).abs() < 1e-9);
-            assert_eq!(p.mu[n], gas.mu);
         }
         assert!(p.max_speed() > 0.0);
     }
