@@ -646,18 +646,29 @@ mod tests {
 
     #[test]
     fn fig2_breakdown_sums_to_hundred_and_rk_dominates() {
-        let r = run_fig2(&[8], 2).unwrap();
-        let sum: f64 = r.average_percent.iter().sum();
-        assert!((sum - 100.0).abs() < 1e-6);
+        // The shares are wall-clock measurements: one run on a loaded host
+        // can land on either side of a threshold, so the share checks read
+        // the median of five runs.
+        let runs: Vec<Fig2Result> = (0..5).map(|_| run_fig2(&[8], 2).unwrap()).collect();
+        for r in &runs {
+            let sum: f64 = r.average_percent.iter().sum();
+            assert!((sum - 100.0).abs() < 1e-6);
+        }
+        let median = |share: fn(&Fig2Result) -> f64| {
+            let mut v: Vec<f64> = runs.iter().map(share).collect();
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let diffusion = median(|r| r.average_percent[0]);
+        let convection = median(|r| r.average_percent[1]);
         // Diffusion should be the largest RK phase, as in the paper.
         assert!(
-            r.average_percent[0] > r.average_percent[1],
-            "diffusion {}% vs convection {}%",
-            r.average_percent[0],
-            r.average_percent[1]
+            diffusion > convection,
+            "diffusion {diffusion}% vs convection {convection}%"
         );
         // The RK method dominates.
-        assert!(r.rows[0].rk_fraction_percent > 50.0);
+        let rk = median(|r| r.rows[0].rk_fraction_percent);
+        assert!(rk > 50.0, "RK {rk}%");
     }
 
     #[test]

@@ -4,12 +4,19 @@
 //! A sweep walks a list of elements in batches of four. Each batch
 //! gathers its elements' state node by node into one lane-interleaved
 //! [`ElementWorkspace<F64x4>`] (lane `j` = the batch's `j`-th element),
-//! runs the fused flux (or the convective flux when μ = 0) and the
-//! contraction of the resolved [`KernelOps`] (sum-factored or full-matrix)
-//! once for all lanes, and hands the residuals to a [`ResidualSink`] lane
-//! 0, 1, 2, 3 — the list order — each read in place from its lane. A last
-//! batch of 1–3 elements is still four lanes: its spare lanes repeat its
-//! last element, are evaluated and are never sunk.
+//! runs the flux and the contraction once for all lanes, and hands the
+//! residuals to a [`ResidualSink`] lane 0, 1, 2, 3 — the list order — each
+//! read in place from its lane. A last batch of 1–3 elements is still four
+//! lanes: its spare lanes repeat its last element, are evaluated and are
+//! never sunk.
+//!
+//! The flux loop streams the contraction input: per node it computes the
+//! net flux (fused, or convective when μ = 0), transforms it into
+//! `G = w·J⁻¹F` with the node's `J⁻ᵀ` and `det·w` loaded once, and stores
+//! `G`. The contraction of the resolved [`KernelOps`] (sum-factored or
+//! full-matrix) then reads `G` only. No flux tensor is stored: at order 3
+//! the batch workspace and its geometry group come to about 100 KB, where
+//! storing the flux and reading it back cost about 130 KB.
 //!
 //! The geometry cache stores elements `4g … 4g + 3` lane-interleaved as
 //! group `g` ([`GeometryCache::group`]). A batch of an aligned group — every
@@ -35,10 +42,7 @@
 //! element-at-a-time loop.
 
 use crate::gas::GasModel;
-use crate::kernels::{
-    lane_convective_flux, lane_fused_flux, resolved, ElementWorkspace, KernelOps, NodeGeometry,
-    NUM_VARS,
-};
+use crate::kernels::{lane_flux_g, resolved, ElementWorkspace, KernelOps, NodeGeometry, NUM_VARS};
 use crate::profile::{Phase, PhaseProfiler};
 use crate::state::{Conserved, Primitives};
 use fem_mesh::geometry::GeometryCache;
@@ -253,39 +257,42 @@ impl BatchEvaluator<'_> {
         let aligned = first.is_multiple_of(WIDTH)
             && g < cache.num_groups()
             && ids.iter().enumerate().all(|(j, &e)| e == first + j);
-        if aligned {
-            self.compute(ws, cache.group(g), clock);
+        let geom = if aligned {
+            cache.group(g)
         } else {
             geo.copy(cache, ids);
-            self.compute(ws, (&geo.inv_jt[..], &geo.det_w[..]), clock);
-        }
+            (&geo.inv_jt[..], &geo.det_w[..])
+        };
+        compute(self.gas, self.basis, self.kernel, ws, geom, clock);
         for (lane, &e) in ids[..live].iter().enumerate() {
             sink.element(e, Residuals { ws, lane });
         }
         clock.lap(&[Phase::RkOther]);
     }
+}
 
-    /// The batch's flux and contraction on its geometry `geom`, after the
-    /// gather (charged to `RK(Other)`).
-    #[inline(always)]
-    fn compute(
-        &self,
-        ws: &mut ElementWorkspace<F64x4>,
-        geom: impl NodeGeometry<F64x4>,
-        clock: &mut StageClock<'_>,
-    ) {
-        clock.lap(&[Phase::RkOther]);
-        if self.gas.mu > 0.0 {
-            lane_fused_flux(ws, self.gas, self.basis, geom);
-            clock.lap(&[Phase::RkDiffusion]);
-            // One contraction serves the convective and viscous halves.
-            self.kernel.lane_weak_divergence(ws, self.basis, geom, 1.0);
-            clock.lap(&[Phase::RkConvection, Phase::RkDiffusion]);
-        } else {
-            lane_convective_flux(ws);
-            self.kernel.lane_weak_divergence(ws, self.basis, geom, 1.0);
-            clock.lap(&[Phase::RkConvection]);
-        }
+/// A batch's flux and contraction on its geometry `geom`, after the gather
+/// (charged to `RK(Other)`): the flux loop writes the contraction input `G`
+/// straight into the workspace, and the contraction reads `G` only.
+#[inline(always)]
+fn compute(
+    gas: &GasModel,
+    basis: &HexBasis,
+    kernel: &KernelOps,
+    ws: &mut ElementWorkspace<F64x4>,
+    geom: impl NodeGeometry<F64x4>,
+    clock: &mut StageClock<'_>,
+) {
+    clock.lap(&[Phase::RkOther]);
+    lane_flux_g(ws, gas, basis, geom);
+    if gas.mu > 0.0 {
+        clock.lap(&[Phase::RkDiffusion]);
+        // One contraction serves the convective and viscous halves.
+        kernel.lane_contract(ws, basis, 1.0);
+        clock.lap(&[Phase::RkConvection, Phase::RkDiffusion]);
+    } else {
+        kernel.lane_contract(ws, basis, 1.0);
+        clock.lap(&[Phase::RkConvection]);
     }
 }
 
@@ -419,8 +426,9 @@ mod tests {
         }
     }
 
-    /// The flux and contraction of every element, one batch at a time, as
-    /// each element's residual bits.
+    /// The batch flux and contraction ([`compute`], as every sweep runs
+    /// it) of every element, one four-lane batch at a time, as each
+    /// element's residual bits.
     struct KernelJob<'a> {
         basis: &'a HexBasis,
         gas: &'a GasModel,
@@ -428,48 +436,40 @@ mod tests {
         elements: &'a [ElementInputs],
     }
 
-    impl KernelJob<'_> {
-        /// The residual bits with `L`-wide batches.
-        fn bits<L: Lane>(&self) -> Vec<Vec<u64>> {
+    impl LaneJob for KernelJob<'_> {
+        type Output = Vec<Vec<u64>>;
+
+        fn run(self) -> Vec<Vec<u64>> {
             let npe = self.basis.nodes_per_element();
             let mut bits = Vec::new();
-            for batch in self.elements.chunks(L::WIDTH) {
-                let mut ws = ElementWorkspace::<L>::zeroed(npe);
-                let mut inv_jt = vec![[[L::ZERO; 3]; 3]; npe];
-                let mut det_w = vec![L::ZERO; npe];
+            for batch in self.elements.chunks(WIDTH) {
+                let mut ws = ElementWorkspace::<F64x4>::zeroed(npe);
+                let mut geo = LaneGeometry::new(npe);
                 for (j, el) in batch.iter().enumerate() {
                     el.load(&mut ws, j);
-                    for (dst, src) in inv_jt.iter_mut().zip(&el.inv_jt) {
+                    for (dst, src) in geo.inv_jt.iter_mut().zip(&el.inv_jt) {
                         for (d, &s) in dst.iter_mut().flatten().zip(src.m.iter().flatten()) {
                             *d.lane_mut(j) = s;
                         }
                     }
-                    for (d, &s) in det_w.iter_mut().zip(&el.det_w) {
+                    for (d, &s) in geo.det_w.iter_mut().zip(&el.det_w) {
                         *d.lane_mut(j) = s;
                     }
                 }
-                let geom = (&inv_jt[..], &det_w[..]);
-                if self.gas.mu > 0.0 {
-                    lane_fused_flux(&mut ws, self.gas, self.basis, geom);
-                } else {
-                    lane_convective_flux(&mut ws);
-                }
-                self.kernel
-                    .lane_weak_divergence(&mut ws, self.basis, geom, -1.0);
-                for j in 0..L::WIDTH {
+                compute(
+                    self.gas,
+                    self.basis,
+                    self.kernel,
+                    &mut ws,
+                    (&geo.inv_jt[..], &geo.det_w[..]),
+                    &mut StageClock::start(None),
+                );
+                for j in 0..WIDTH {
                     let r = ws.res.iter().flat_map(|r| r.iter().map(|x| x.lane(j)));
                     bits.push(r.map(f64::to_bits).collect());
                 }
             }
             bits
-        }
-    }
-
-    impl LaneJob for KernelJob<'_> {
-        type Output = Vec<Vec<u64>>;
-
-        fn run(self) -> Vec<Vec<u64>> {
-            self.bits::<F64x4>()
         }
     }
 
@@ -492,20 +492,21 @@ mod tests {
                 } else {
                     convective_flux(&mut ws);
                 }
-                kernel.weak_divergence(&mut ws, basis, geom, -1.0);
+                kernel.weak_divergence(&mut ws, basis, geom, 1.0);
                 ws.res.iter().flatten().map(|x| x.to_bits()).collect()
             })
             .collect()
     }
 
     proptest! {
-        /// Four lanes compute, lane by lane, the bits the one-element
-        /// kernels compute for each element: fused (viscous) and
-        /// convective (inviscid) flux plus the sum-factored and the
-        /// full-matrix contraction, at orders 1–5 (so `Runtime(n)` too), on
-        /// random fields, geometry and prior residuals — on the baseline
-        /// instruction set and, when the CPU reports it, inside the AVX2
-        /// entry point.
+        /// The batch's flux and contraction ([`compute`]: the flux loop
+        /// writing `G`, then the contraction of `G`) compute, lane by lane,
+        /// the bits the public one-element kernels compute for each
+        /// element: fused (viscous) and convective (inviscid) flux plus the
+        /// sum-factored and the full-matrix contraction, at orders 1–5 (so
+        /// `Runtime(n)` too), on random fields, geometry and prior
+        /// residuals — on the baseline instruction set and, when the CPU
+        /// reports it, inside the AVX2 entry point.
         #[test]
         fn prop_four_lanes_match_one_lane(
             values in proptest::collection::vec(-3.0f64..3.0, 22 * 216 * ELEMENTS),
@@ -529,7 +530,6 @@ mod tests {
                         kernel: &kernel,
                         elements: &elements,
                     };
-                    prop_assert!(job().bits::<f64>() == reference, "order {order} {path}: one lane");
                     prop_assert!(job().run() == reference, "order {order} {path}: four lanes");
                     prop_assert!(with_avx2(job()) == reference, "order {order} {path}: dispatched");
                 }

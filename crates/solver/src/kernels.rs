@@ -19,8 +19,9 @@
 //! ```
 //!
 //! [`ElementWorkspace`] owns all per-element buffers (gathered fields,
-//! gradients, flux tensors, residuals) so the hot loop never allocates;
-//! [`fused_flux`] + [`weak_divergence`] implement the fused pipeline;
+//! gradients, flux tensors, `G`, residuals) so the hot loop never
+//! allocates; [`fused_flux`] + [`weak_divergence`] implement the fused
+//! pipeline one element at a time;
 //! [`convective_flux`] is the inviscid flux (and the convective half of
 //! the seed split kernels, whose viscous half and element loop live in
 //! [`crate::oracle`]).
@@ -101,26 +102,41 @@
 //!
 //! # Element batches
 //!
-//! Every stage is also written once over a [`Lane`], the per-node value
-//! type: the gather, the reference gradients
-//! ([`HexBasis::lane_gradient`]), the fused and convective fluxes, the
-//! `G` transform and both contractions. `f64` is one element; the
-//! public [`ElementWorkspace`], [`fused_flux`], [`convective_flux`] and
-//! [`weak_divergence`] are that one-lane instantiation, reading geometry
-//! in place from a [`GeomRef`]. [`F64x4`] runs four elements side by
-//! side in an `ElementWorkspace<F64x4>`: the gather builds each node's
-//! lanes from one load per element, `J⁻ᵀ` and `det·w` are read in place
-//! from a geometry-cache group, which stores them lane-interleaved
-//! ([`fem_mesh::geometry::GeometryCache::group`]), and each lane's
-//! residuals are read in place by the scatter. The element-batch evaluator
-//! (`crate::batch`) drives every host assembly sweep, on both kernel
-//! paths, through the four-lane instantiation alone: inside one AVX2
-//! entry point when the CPU has AVX2, on the baseline instruction set
-//! otherwise, with a last batch of 1–3 elements padded to four lanes.
-//! The `f64` instantiation serves the one-element readers (the public
-//! API, enstrophy, the reference loops of [`crate::oracle`]). Lane
-//! arithmetic is plain `[f64; 4]` arrays that the compiler maps to vector
-//! instructions — no `std::simd`, no intrinsics.
+//! The per-node physics is written once over a [`Lane`], the per-node
+//! value type: the gather, the reference gradients
+//! ([`HexBasis::lane_gradient`]), the net flux of a node (fused, or
+//! convective when μ = 0), its `G` transform and both contractions. `f64`
+//! is one element; [`F64x4`] runs four elements side by side. Each
+//! contraction has two halves: a transform that writes `G` and a contract
+//! half that reads `G` only.
+//!
+//! * The public one-element API is the `f64` instantiation, reading
+//!   geometry in place from a [`GeomRef`]: [`fused_flux`] and
+//!   [`convective_flux`] store the net flux in the workspace's flux
+//!   tensors, and [`weak_divergence`] (like [`KernelOps::weak_divergence`]
+//!   and [`weak_divergence_full_matrix`]) transforms them into `G` and
+//!   contracts it.
+//! * The element-batch evaluator (`crate::batch`) runs an
+//!   `ElementWorkspace<F64x4>`. Its flux loop transforms each node's net
+//!   flux as soon as it is computed and stores `G` straight away, with the
+//!   node's `J⁻ᵀ` and `det·w` loaded once; its contraction is the contract
+//!   half alone. The flux tensors make no round trip through memory, and
+//!   a batch workspace does not even allocate them. The gather builds each
+//!   node's lanes from one load per element, `J⁻ᵀ` and `det·w` are read in
+//!   place from a geometry-cache group, which stores them lane-interleaved
+//!   ([`fem_mesh::geometry::GeometryCache::group`]), and each lane's
+//!   residuals are read in place by the scatter.
+//!
+//! The batch evaluator drives every host assembly sweep, on both kernel
+//! paths, through the four-lane instantiation alone: inside one AVX2 entry
+//! point when the CPU has AVX2, on the baseline instruction set otherwise,
+//! with a last batch of 1–3 elements padded to four lanes. The `f64`
+//! instantiation serves the one-element readers (the public API,
+//! enstrophy, the reference loops of [`crate::oracle`]). Both orders of
+//! work compute the same bits: `G` comes from the same flux values through
+//! the same operations, and the contraction sums it in the same order.
+//! Lane arithmetic is plain `[f64; 4]` arrays that the compiler maps to
+//! vector instructions — no `std::simd`, no intrinsics.
 //!
 //! [`F64x4`]: fem_numerics::tensor::F64x4
 
@@ -162,10 +178,13 @@ pub struct ElementWorkspace<L: Lane = f64> {
     /// Reference-space gradients of (u_x, u_y, u_z, T).
     pub(crate) grad_ref: [Vec<[L; 3]>; 4],
     /// Flux tensor per conserved variable: `flux[v][q]` is the flux vector
-    /// of variable `v` at node `q`.
+    /// of variable `v` at node `q`. Only the one-lane kernels and the
+    /// oracle use it; a four-lane batch workspace leaves it empty, because
+    /// its flux loop writes `g` directly.
     pub(crate) flux: [Vec<[L; 3]>; NUM_VARS],
     /// Quadrature-weighted, Jacobian-transformed flux (`G` in the module
-    /// docs): contraction input.
+    /// docs): the contraction input, and the only buffer the contraction
+    /// reads.
     g: [Vec<[L; 3]>; NUM_VARS],
     /// Element residual accumulator per variable.
     pub res: [Vec<L>; NUM_VARS],
@@ -174,7 +193,10 @@ pub struct ElementWorkspace<L: Lane = f64> {
 impl ElementWorkspace {
     /// Allocates buffers for elements with `nodes_per_element` nodes.
     pub fn new(nodes_per_element: usize) -> Self {
-        ElementWorkspace::zeroed(nodes_per_element)
+        ElementWorkspace {
+            flux: std::array::from_fn(|_| vec![[0.0; 3]; nodes_per_element]),
+            ..ElementWorkspace::zeroed(nodes_per_element)
+        }
     }
 
     /// Gathers the element's node data from the global arrays — the
@@ -208,7 +230,7 @@ impl ElementWorkspace {
 
 impl<L: Lane> ElementWorkspace<L> {
     /// Allocates zeroed buffers for `L::WIDTH` elements with
-    /// `nodes_per_element` nodes each.
+    /// `nodes_per_element` nodes each, all but `flux`, which stays empty.
     pub(crate) fn zeroed(nodes_per_element: usize) -> Self {
         let f = || vec![L::ZERO; nodes_per_element];
         let v = || vec![[L::ZERO; 3]; nodes_per_element];
@@ -220,7 +242,7 @@ impl<L: Lane> ElementWorkspace<L> {
             pres: f(),
             energy: f(),
             grad_ref: [v(), v(), v(), v()],
-            flux: [v(), v(), v(), v(), v()],
+            flux: Default::default(),
             g: [v(), v(), v(), v(), v()],
             res: [f(), f(), f(), f(), f()],
         }
@@ -424,33 +446,171 @@ fn mul_vec<L: Lane>(m: &[[L; 3]; 3], v: [L; 3]) -> [L; 3] {
     [dot(m[0], v), dot(m[1], v), dot(m[2], v)]
 }
 
+/// One node's gathered state, as the fluxes read it.
+#[derive(Clone, Copy)]
+struct NodeState<L> {
+    rho: L,
+    u: [L; 3],
+    p: L,
+    e: L,
+}
+
+/// The viscous part of one node's flux: the stress `τ` and the heat flux
+/// `κ∇T`.
+struct Viscous<L> {
+    tau: [[L; 3]; 3],
+    heat: [L; 3],
+}
+
+/// The gas constants of the viscous flux, in every lane.
+#[derive(Clone, Copy)]
+struct ViscousCoefficients<L> {
+    mu: L,
+    kappa: L,
+    two_thirds: L,
+}
+
+impl<L: Lane> ViscousCoefficients<L> {
+    #[inline(always)]
+    fn of(gas: &GasModel) -> Self {
+        ViscousCoefficients {
+            mu: L::splat(gas.mu),
+            kappa: L::splat(gas.kappa()),
+            two_thirds: L::splat(2.0 / 3.0),
+        }
+    }
+}
+
+/// What a flux loop reads: the gathered state and the reference
+/// gradients, each re-sliced to `npe` once so the node loop carries no
+/// per-access bounds checks.
+struct FluxInputs<'a, L> {
+    rho: &'a [L],
+    vel: [&'a [L]; 3],
+    pres: &'a [L],
+    energy: &'a [L],
+    grad: [&'a [[L; 3]]; 4],
+}
+
+impl<L: Lane> FluxInputs<'_, L> {
+    #[inline(always)]
+    fn state(&self, q: usize) -> NodeState<L> {
+        NodeState {
+            rho: self.rho[q],
+            u: [self.vel[0][q], self.vel[1][q], self.vel[2][q]],
+            p: self.pres[q],
+            e: self.energy[q],
+        }
+    }
+
+    /// `τ` and `κ∇T` at node `q`, whose `J⁻ᵀ` is `m`.
+    #[inline(always)]
+    fn viscous(&self, q: usize, m: &[[L; 3]; 3], c: ViscousCoefficients<L>) -> Viscous<L> {
+        let [gx, gy, gz, gt] = self.grad;
+        // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
+        let l = [mul_vec(m, gx[q]), mul_vec(m, gy[q]), mul_vec(m, gz[q])];
+        let grad_t = mul_vec(m, gt[q]);
+        let div_u = l[0][0] + l[1][1] + l[2][2];
+        // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I, entry by entry as `Mat3` computes
+        // it: (L + Lᵀ)·μ minus the identity's entry times ⅔ μ ∇·u.
+        let iso = c.two_thirds * c.mu * div_u;
+        let mut tau = [[L::ZERO; 3]; 3];
+        for (r, row) in tau.iter_mut().enumerate() {
+            for (col, t) in row.iter_mut().enumerate() {
+                let identity = L::splat(if r == col { 1.0 } else { 0.0 });
+                *t = (l[r][col] + l[col][r]) * c.mu - identity * iso;
+            }
+        }
+        Viscous {
+            tau,
+            heat: scale(c.kappa, grad_t),
+        }
+    }
+}
+
+/// The net flux of one node, one vector per conserved variable: the
+/// convective (Euler) flux, minus the viscous flux when `viscous` is given.
+///
+/// * mass: `ρu`
+/// * momentum `i`: `ρ u_i u + p e_i − τ_i`
+/// * energy: `(E + p) u − (τ·u + κ∇T)`
+#[inline(always)]
+fn net_flux<L: Lane>(s: NodeState<L>, viscous: Option<Viscous<L>>) -> [[L; 3]; NUM_VARS] {
+    let NodeState { rho, u, p, e } = s;
+    let z = L::ZERO;
+    let convective = [
+        scale(rho, u),
+        add(scale(rho * u[0], u), [p, z, z]),
+        add(scale(rho * u[1], u), [z, p, z]),
+        add(scale(rho * u[2], u), [z, z, p]),
+        scale(e + p, u),
+    ];
+    let Some(Viscous { tau, heat }) = viscous else {
+        return convective;
+    };
+    // Mass has no viscous contribution.
+    let [f0, f1, f2, f3, f4] = convective;
+    [
+        f0,
+        sub(f1, tau[0]),
+        sub(f2, tau[1]),
+        sub(f3, tau[2]),
+        sub(f4, add(mul_vec(&tau, u), heat)),
+    ]
+}
+
+/// One node's contraction input `G = w det(J) · J⁻¹ F` of one flux vector
+/// `f`; with `m = J⁻ᵀ` stored, `(J⁻¹ F)_d = F · column d of J⁻ᵀ`.
+#[inline(always)]
+fn transform_node<L: Lane>(f: [L; 3], m: &[[L; 3]; 3], w: L) -> [L; 3] {
+    [
+        w * dot(f, [m[0][0], m[1][0], m[2][0]]),
+        w * dot(f, [m[0][1], m[1][1], m[2][1]]),
+        w * dot(f, [m[0][2], m[1][2], m[2][2]]),
+    ]
+}
+
+impl<L: Lane> ElementWorkspace<L> {
+    /// Reference gradients of the three velocity components and `T`, the
+    /// viscous flux's input.
+    #[inline(always)]
+    pub(crate) fn reference_gradients(&mut self, basis: &HexBasis) {
+        let (head, tail) = self.grad_ref.split_at_mut(3);
+        basis.lane_gradient(&self.vel[0], &mut head[0]);
+        basis.lane_gradient(&self.vel[1], &mut head[1]);
+        basis.lane_gradient(&self.vel[2], &mut head[2]);
+        basis.lane_gradient(&self.temp, &mut tail[0]);
+    }
+
+    /// Splits the workspace into a flux loop's inputs and the five buffers
+    /// it writes: `g` when `to_g`, `flux` otherwise.
+    #[inline(always)]
+    fn flux_io(&mut self, to_g: bool) -> (FluxInputs<'_, L>, [&mut [[L; 3]]; NUM_VARS]) {
+        let npe = self.npe;
+        let out = if to_g { &mut self.g } else { &mut self.flux };
+        let inputs = FluxInputs {
+            rho: &self.rho[..npe],
+            vel: self.vel.each_ref().map(|v| &v[..npe]),
+            pres: &self.pres[..npe],
+            energy: &self.energy[..npe],
+            grad: self.grad_ref.each_ref().map(|g| &g[..npe]),
+        };
+        (inputs, out.each_mut().map(|f| &mut f[..npe]))
+    }
+}
+
 /// Fills the workspace flux tensors with the **convective** (Euler) fluxes:
 ///
 /// * mass: `ρu`
 /// * momentum `i`: `ρ u_i u + p e_i`
 /// * energy: `(E + p) u`
 pub fn convective_flux(ws: &mut ElementWorkspace) {
-    lane_convective_flux(ws);
-}
-
-/// [`convective_flux`] of every lane.
-#[inline(always)]
-pub(crate) fn lane_convective_flux<L: Lane>(ws: &mut ElementWorkspace<L>) {
     let npe = ws.npe;
-    let [vx, vy, vz] = ws.vel.each_ref().map(|v| &v[..npe]);
-    let (rhos, pres, energy) = (&ws.rho[..npe], &ws.pres[..npe], &ws.energy[..npe]);
-    let [f0, f1, f2, f3, f4] = ws.flux.each_mut().map(|f| &mut f[..npe]);
-    let z = L::ZERO;
+    let (inputs, mut out) = ws.flux_io(false);
     for q in 0..npe {
-        let rho = rhos[q];
-        let u = [vx[q], vy[q], vz[q]];
-        let p = pres[q];
-        let e = energy[q];
-        f0[q] = scale(rho, u);
-        f1[q] = add(scale(rho * u[0], u), [p, z, z]);
-        f2[q] = add(scale(rho * u[1], u), [z, p, z]);
-        f3[q] = add(scale(rho * u[2], u), [z, z, p]);
-        f4[q] = scale(e + p, u);
+        for (o, f) in out.iter_mut().zip(net_flux(inputs.state(q), None)) {
+            o[q] = f;
+        }
     }
 }
 
@@ -471,81 +631,79 @@ pub(crate) fn lane_convective_flux<L: Lane>(ws: &mut ElementWorkspace<L>) {
 /// Matches the split path to rounding (the per-node flux subtraction
 /// regroups the floating-point accumulation), not bitwise.
 pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, geom: GeomRef) {
-    resolved!(geom, |g| lane_fused_flux(ws, gas, basis, g));
+    resolved!(geom, |g| {
+        ws.reference_gradients(basis);
+        let c = ViscousCoefficients::of(gas);
+        let npe = ws.npe;
+        let g = g.nodes(npe);
+        let (inputs, mut out) = ws.flux_io(false);
+        for q in 0..npe {
+            let m = g.inv_jt(q);
+            let f = net_flux(inputs.state(q), Some(inputs.viscous(q, &m, c)));
+            for (o, f) in out.iter_mut().zip(f) {
+                o[q] = f;
+            }
+        }
+    });
 }
 
-/// [`fused_flux`] of every lane, with lane `j` reading its `J⁻ᵀ` from
-/// lane `j` of `geom`.
+/// The element batches' flux loop: the net flux of every lane — fused
+/// when μ > 0, convective otherwise — written straight into `ws.g` as the
+/// contraction input, each node's `J⁻ᵀ` and `det·w` loaded once. Each
+/// lane gets the bits of [`fused_flux`] (or [`convective_flux`]) followed
+/// by the transform half of [`weak_divergence`]. Never touches `ws.flux`.
 #[inline(always)]
-pub(crate) fn lane_fused_flux<L: Lane>(
+pub(crate) fn lane_flux_g<L: Lane>(
     ws: &mut ElementWorkspace<L>,
     gas: &GasModel,
     basis: &HexBasis,
     geom: impl NodeGeometry<L>,
 ) {
-    // Reference gradients of the three velocity components and T.
-    let (head, tail) = ws.grad_ref.split_at_mut(3);
-    basis.lane_gradient(&ws.vel[0], &mut head[0]);
-    basis.lane_gradient(&ws.vel[1], &mut head[1]);
-    basis.lane_gradient(&ws.vel[2], &mut head[2]);
-    basis.lane_gradient(&ws.temp, &mut tail[0]);
-    let kappa = L::splat(gas.kappa());
-    let mu = L::splat(gas.mu);
-    let two_thirds = L::splat(2.0 / 3.0);
-    // Every input and output re-sliced to `npe` once, so the node loop
-    // carries no per-access bounds checks.
-    let npe = ws.npe;
-    let geom = geom.nodes(npe);
-    let [gx, gy, gz, gt] = ws.grad_ref.each_ref().map(|g| &g[..npe]);
-    let [vx, vy, vz] = ws.vel.each_ref().map(|v| &v[..npe]);
-    let (rhos, pres, energy) = (&ws.rho[..npe], &ws.pres[..npe], &ws.energy[..npe]);
-    let [f0, f1, f2, f3, f4] = ws.flux.each_mut().map(|f| &mut f[..npe]);
-    let z = L::ZERO;
-    for q in 0..npe {
-        let m = geom.inv_jt(q);
-        // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
-        let l = [mul_vec(&m, gx[q]), mul_vec(&m, gy[q]), mul_vec(&m, gz[q])];
-        let grad_t = mul_vec(&m, gt[q]);
-        let div_u = l[0][0] + l[1][1] + l[2][2];
-        // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I, entry by entry as `Mat3` computes
-        // it: (L + Lᵀ)·μ minus the identity's entry times ⅔ μ ∇·u.
-        let iso = two_thirds * mu * div_u;
-        let mut tau = [[z; 3]; 3];
-        for (r, row) in tau.iter_mut().enumerate() {
-            for (c, t) in row.iter_mut().enumerate() {
-                let identity = L::splat(if r == c { 1.0 } else { 0.0 });
-                *t = (l[r][c] + l[c][r]) * mu - identity * iso;
-            }
-        }
-        let rho = rhos[q];
-        let u = [vx[q], vy[q], vz[q]];
-        let p = pres[q];
-        let e = energy[q];
-        // Net flux per variable: convective minus viscous (mass has no
-        // viscous contribution).
-        f0[q] = scale(rho, u);
-        f1[q] = sub(add(scale(rho * u[0], u), [p, z, z]), tau[0]);
-        f2[q] = sub(add(scale(rho * u[1], u), [z, p, z]), tau[1]);
-        f3[q] = sub(add(scale(rho * u[2], u), [z, z, p]), tau[2]);
-        f4[q] = sub(scale(e + p, u), add(mul_vec(&tau, u), scale(kappa, grad_t)));
+    if gas.mu > 0.0 {
+        ws.reference_gradients(basis);
+        flux_g_nodes::<L, true>(ws, gas, geom);
+    } else {
+        flux_g_nodes::<L, false>(ws, gas, geom);
     }
 }
 
-/// Writes `G = w det(J) · J⁻¹ F` per node, the contraction input; with
-/// `inv_jt = J⁻ᵀ` stored, `(J⁻¹ F)_d = F · column d of J⁻ᵀ`.
+/// The node loop of [`lane_flux_g`], with the viscous flux or without.
 #[inline(always)]
-fn transform_flux<L: Lane>(flux: &[[L; 3]], geom: impl NodeGeometry<L>, g: &mut [[L; 3]]) {
-    let npe = g.len();
-    let (flux, geom) = (&flux[..npe], geom.nodes(npe));
+fn flux_g_nodes<L: Lane, const VISCOUS: bool>(
+    ws: &mut ElementWorkspace<L>,
+    gas: &GasModel,
+    geom: impl NodeGeometry<L>,
+) {
+    let c = ViscousCoefficients::of(gas);
+    let npe = ws.npe;
+    let geom = geom.nodes(npe);
+    let (inputs, mut g) = ws.flux_io(true);
     for q in 0..npe {
-        let f = flux[q];
-        let m = geom.inv_jt(q);
-        let w = geom.det_w(q);
-        g[q] = [
-            w * dot(f, [m[0][0], m[1][0], m[2][0]]),
-            w * dot(f, [m[0][1], m[1][1], m[2][1]]),
-            w * dot(f, [m[0][2], m[1][2], m[2][2]]),
-        ];
+        let (m, w) = (geom.inv_jt(q), geom.det_w(q));
+        let viscous = if VISCOUS {
+            Some(inputs.viscous(q, &m, c))
+        } else {
+            None
+        };
+        for (g, f) in g.iter_mut().zip(net_flux(inputs.state(q), viscous)) {
+            g[q] = transform_node(f, &m, w);
+        }
+    }
+}
+
+/// Writes `ws.g` from the one-lane flux tensors: the transform half of
+/// the one-lane contractions, each node's `J⁻ᵀ` and `det·w` loaded once.
+#[inline(always)]
+fn transform_flux(ws: &mut ElementWorkspace, geom: impl NodeGeometry<f64>) {
+    let npe = ws.npe;
+    let geom = geom.nodes(npe);
+    let flux = ws.flux.each_ref().map(|f| &f[..npe]);
+    let mut g = ws.g.each_mut().map(|g| &mut g[..npe]);
+    for q in 0..npe {
+        let (m, w) = (geom.inv_jt(q), geom.det_w(q));
+        for (g, f) in g.iter_mut().zip(flux) {
+            g[q] = transform_node(f[q], &m, w);
+        }
     }
 }
 
@@ -560,35 +718,30 @@ fn transform_flux<L: Lane>(flux: &[[L; 3]], geom: impl NodeGeometry<L>, g: &mut 
 ///
 /// Panics if the workspace was sized for a different element.
 pub fn weak_divergence(ws: &mut ElementWorkspace, basis: &HexBasis, geom: GeomRef, sign: f64) {
-    resolved!(geom, |g| lane_weak_divergence(ws, basis, g, sign));
+    resolved!(geom, |g| transform_flux(ws, g));
+    contract_factored(ws, basis, sign);
 }
 
-/// [`weak_divergence`] of every lane.
+/// The contract half of [`weak_divergence`] on every lane: reads `ws.g`
+/// only.
 #[inline(always)]
-pub(crate) fn lane_weak_divergence<L: Lane>(
-    ws: &mut ElementWorkspace<L>,
-    basis: &HexBasis,
-    geom: impl NodeGeometry<L>,
-    sign: f64,
-) {
+fn contract_factored<L: Lane>(ws: &mut ElementWorkspace<L>, basis: &HexBasis, sign: f64) {
     assert_eq!(ws.npe, basis.nodes_per_element(), "element node count");
-    basis.with_node_count(WeakDivergence {
+    basis.with_node_count(ContractFactored {
         ws,
         dmat: basis.dmat(),
-        geom,
         sign,
     });
 }
 
-/// The loop nest of [`weak_divergence`].
-struct WeakDivergence<'a, L: Lane, G> {
+/// The loop nest of [`contract_factored`].
+struct ContractFactored<'a, L: Lane> {
     ws: &'a mut ElementWorkspace<L>,
     dmat: &'a [f64],
-    geom: G,
     sign: f64,
 }
 
-impl<L: Lane, G: NodeGeometry<L>> NodeKernel for WeakDivergence<'_, L, G> {
+impl<L: Lane> NodeKernel for ContractFactored<'_, L> {
     type Output = ();
 
     #[inline(always)]
@@ -598,14 +751,11 @@ impl<L: Lane, G: NodeGeometry<L>> NodeKernel for WeakDivergence<'_, L, G> {
         let d = &self.dmat[..n * n];
         let sign = L::splat(self.sign);
         let ws = self.ws;
-        for v in 0..NUM_VARS {
-            let g = &mut ws.g[v][..npe];
-            transform_flux(&ws.flux[v], self.geom, g);
+        for (g, res) in ws.g.iter().zip(&mut ws.res) {
             // res_i += Σ_m D[m][i1] G(m,i2,i3).x
             //        + Σ_m D[m][i2] G(i1,m,i3).y
             //        + Σ_m D[m][i3] G(i1,i2,m).z
-            let g = &ws.g[v][..npe];
-            let res = &mut ws.res[v][..npe];
+            let (g, res) = (&g[..npe], &mut res[..npe]);
             for i3 in 0..n {
                 for i2 in 0..n {
                     for i1 in 0..n {
@@ -734,32 +884,28 @@ pub fn weak_divergence_full_matrix(
     geom: GeomRef,
     sign: f64,
 ) {
-    resolved!(geom, |g| lane_weak_divergence_full_matrix(ws, op, g, sign));
+    resolved!(geom, |g| transform_flux(ws, g));
+    contract_full_matrix(ws, op, sign);
 }
 
-/// [`weak_divergence_full_matrix`] of every lane.
+/// The contract half of [`weak_divergence_full_matrix`] on every lane:
+/// reads `ws.g` only.
 #[inline(always)]
-fn lane_weak_divergence_full_matrix<L: Lane>(
-    ws: &mut ElementWorkspace<L>,
-    op: &FullMatrixOperator,
-    geom: impl NodeGeometry<L>,
-    sign: f64,
-) {
+fn contract_full_matrix<L: Lane>(ws: &mut ElementWorkspace<L>, op: &FullMatrixOperator, sign: f64) {
     let npe = ws.npe;
     assert_eq!(op.npe, npe, "operator element size");
     let sign = L::splat(sign);
-    for v in 0..NUM_VARS {
-        transform_flux(&ws.flux[v], geom, &mut ws.g[v][..npe]);
-        for i in 0..npe {
+    for (g, res) in ws.g.iter().zip(&mut ws.res) {
+        let (g, res) = (&g[..npe], &mut res[..npe]);
+        for (i, r) in res.iter_mut().enumerate() {
             let row = i * npe;
             let mut acc = L::ZERO;
-            for q in 0..npe {
-                let g = ws.g[v][q];
+            for (q, g) in g.iter().enumerate() {
                 acc += L::splat(op.cx[row + q]) * g[0]
                     + L::splat(op.cy[row + q]) * g[1]
                     + L::splat(op.cz[row + q]) * g[2];
             }
-            ws.res[v][i] += sign * acc;
+            *r += sign * acc;
         }
     }
 }
@@ -802,21 +948,23 @@ impl KernelOps {
         geom: GeomRef,
         sign: f64,
     ) {
-        resolved!(geom, |g| self.lane_weak_divergence(ws, basis, g, sign));
+        resolved!(geom, |g| transform_flux(ws, g));
+        self.lane_contract(ws, basis, sign);
     }
 
-    /// [`KernelOps::weak_divergence`] of every lane.
+    /// The contract half of [`KernelOps::weak_divergence`] on every lane:
+    /// accumulates `sign ·` the contraction of `ws.g` into the residuals,
+    /// reading `ws.g` only.
     #[inline(always)]
-    pub(crate) fn lane_weak_divergence<L: Lane>(
+    pub(crate) fn lane_contract<L: Lane>(
         &self,
         ws: &mut ElementWorkspace<L>,
         basis: &HexBasis,
-        geom: impl NodeGeometry<L>,
         sign: f64,
     ) {
         match self {
-            KernelOps::SumFactored => lane_weak_divergence(ws, basis, geom, sign),
-            KernelOps::FullMatrix(op) => lane_weak_divergence_full_matrix(ws, op, geom, sign),
+            KernelOps::SumFactored => contract_factored(ws, basis, sign),
+            KernelOps::FullMatrix(op) => contract_full_matrix(ws, op, sign),
         }
     }
 }
@@ -1314,13 +1462,13 @@ mod tests {
         n: N,
     ) -> Vec<u64> {
         let mut ws = ws.clone();
-        resolved!(geom, |g| WeakDivergence {
+        resolved!(geom, |g| transform_flux(&mut ws, g));
+        ContractFactored {
             ws: &mut ws,
             dmat: basis.dmat(),
-            geom: g,
             sign: -1.0,
         }
-        .run(n));
+        .run(n);
         ws.res.iter().flatten().map(|x| x.to_bits()).collect()
     }
 

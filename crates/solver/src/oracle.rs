@@ -125,12 +125,7 @@ fn sweep(
 /// * momentum `i`: row `i` of `τ = μ(∇u + ∇uᵀ − ⅔(∇·u)I)`
 /// * energy: `τ·u + κ∇T`
 pub fn viscous_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, geom: GeomRef) {
-    // Reference gradients of the three velocity components and T.
-    let (head, tail) = ws.grad_ref.split_at_mut(3);
-    basis.lane_gradient(&ws.vel[0], &mut head[0]);
-    basis.lane_gradient(&ws.vel[1], &mut head[1]);
-    basis.lane_gradient(&ws.vel[2], &mut head[2]);
-    basis.lane_gradient(&ws.temp, &mut tail[0]);
+    ws.reference_gradients(basis);
     let kappa = gas.kappa();
     for q in 0..ws.nodes_per_element() {
         let inv_jt = geom.inv_jt(q);

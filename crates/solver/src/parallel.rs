@@ -20,11 +20,13 @@
 //! order, so the sweep is bitwise the element-at-a-time loop. Fig 2
 //! attribution of the fused path, timed once per batch: the gather (the
 //! state, plus the geometry copy of a batch that is not an aligned cache
-//! group) is charged to `RK(Other)`; the fused flux assembly (gradients, τ, net
-//! flux) to `RK(Diffusion)`; the single weak-divergence contraction —
-//! which serves the convective and viscous halves equally — half to
+//! group) is charged to `RK(Other)`; the fused flux loop (gradients, τ,
+//! net flux and its transform into the contraction input `G`) to
+//! `RK(Diffusion)`; the single weak-divergence contraction of `G` — which
+//! serves the convective and viscous halves equally — half to
 //! `RK(Convection)` and half to `RK(Diffusion)`; the scatter to
-//! `RK(Other)`.
+//! `RK(Other)`. An inviscid batch charges its flux loop and contraction
+//! to `RK(Convection)`.
 //!
 //! The element-at-a-time loop this sweep must match bit for bit, and the
 //! seed split-contraction kernels the fused flux is validated against,

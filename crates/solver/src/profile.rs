@@ -13,7 +13,8 @@ use std::time::{Duration, Instant};
 /// one shared weak-divergence contraction: its time is charged half to
 /// [`Phase::RkConvection`] and half to [`Phase::RkDiffusion`] (it serves
 /// both halves of the fused `F_c − F_v` stage), while the fused flux
-/// assembly (gradients, τ, net flux) is all diffusion. Per-stage geometry
+/// loop (gradients, τ, net flux and, in the element batches, its
+/// transform into the contraction input `G`) is all diffusion. Per-stage geometry
 /// rebuild time no longer exists — the one-time [`GeometryCache`] build
 /// is charged to [`Phase::NonRk`] at construction.
 ///
