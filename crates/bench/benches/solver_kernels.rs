@@ -29,7 +29,7 @@ fn bench_kernels(c: &mut Criterion) {
     let mut ws = ElementWorkspace::new(npe);
     let mut scratch = GeometryScratch::new(npe);
     let mut geom = ElementGeometry::with_capacity(npe);
-    mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom)
+    mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom, 0)
         .unwrap();
     ws.gather(mesh.element_nodes(0), &conserved, &prim);
 
@@ -39,20 +39,20 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| convective_flux(&mut ws));
     });
     group.bench_function("viscous_flux", |b| {
-        b.iter(|| viscous_flux(&mut ws, &gas, &basis, geom.view()));
+        b.iter(|| viscous_flux(&mut ws, &gas, &basis, geom.view(0)));
     });
     group.bench_function("fused_flux", |b| {
-        b.iter(|| fused_flux(&mut ws, &gas, &basis, geom.view()));
+        b.iter(|| fused_flux(&mut ws, &gas, &basis, geom.view(0)));
     });
     group.bench_function("weak_divergence", |b| {
         b.iter(|| {
             ws.zero_residuals();
-            weak_divergence(&mut ws, &basis, geom.view(), 1.0);
+            weak_divergence(&mut ws, &basis, geom.view(0), 1.0);
         });
     });
     group.bench_function("geometry", |b| {
         b.iter(|| {
-            mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom)
+            mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom, 0)
                 .unwrap()
         });
     });
@@ -68,14 +68,14 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function("full_element_rkl_split_recompute", |b| {
         b.iter(|| {
-            mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom)
+            mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom, 0)
                 .unwrap();
             ws.gather(mesh.element_nodes(0), &conserved, &prim);
             ws.zero_residuals();
             convective_flux(&mut ws);
-            weak_divergence(&mut ws, &basis, geom.view(), 1.0);
-            viscous_flux(&mut ws, &gas, &basis, geom.view());
-            weak_divergence(&mut ws, &basis, geom.view(), -1.0);
+            weak_divergence(&mut ws, &basis, geom.view(0), 1.0);
+            viscous_flux(&mut ws, &gas, &basis, geom.view(0));
+            weak_divergence(&mut ws, &basis, geom.view(0), -1.0);
         });
     });
     group.finish();

@@ -225,15 +225,16 @@ pub fn assemble_seed_recompute_split(
     let mut geom = ElementGeometry::with_capacity(npe);
     out.set_zero();
     for e in 0..mesh.num_elements() {
-        mesh.fill_element_geometry(e, basis, &mut scratch, &mut geom)
+        mesh.fill_element_geometry(e, basis, &mut scratch, &mut geom, 0)
             .expect("valid mesh geometry");
+        let geom = geom.view(0);
         ws.gather(mesh.element_nodes(e), conserved, prim);
         ws.zero_residuals();
         convective_flux(&mut ws);
-        weak_divergence(&mut ws, basis, geom.view(), 1.0);
+        weak_divergence(&mut ws, basis, geom, 1.0);
         if gas.mu > 0.0 {
-            viscous_flux(&mut ws, gas, basis, geom.view());
-            weak_divergence(&mut ws, basis, geom.view(), -1.0);
+            viscous_flux(&mut ws, gas, basis, geom);
+            weak_divergence(&mut ws, basis, geom, -1.0);
         }
         ws.scatter_add(mesh.element_nodes(e), out);
     }

@@ -588,10 +588,13 @@ pub struct ScenarioWorkload {
     pub streaming_bytes_out_per_stage: u64,
     /// Peak unique-node footprint of any batch (on-chip buffer sizing).
     pub peak_batch_nodes: usize,
-    /// Bytes of precomputed geometric factors the mesh carries
-    /// (`J⁻ᵀ` + `det(J)·w` per element node) — pinned to
-    /// [`fem_mesh::geometry::GeometryCache::memory_bytes`] by test so
-    /// the two memory accountings cannot drift.
+    /// Bytes of precomputed geometric factors the accelerator streams
+    /// (`J⁻ᵀ` + `det(J)·w` per element node, no padding) — pinned by test
+    /// to [`fem_mesh::geometry::GeometryCache::BYTES_PER_ELEMENT_NODE`]
+    /// and to the host cache's
+    /// [`memory_bytes`](fem_mesh::geometry::GeometryCache::memory_bytes),
+    /// which also counts the zero lanes that pad its last four-element
+    /// group, so the memory accountings cannot drift.
     pub geometry_cache_bytes: u64,
 }
 
@@ -789,16 +792,27 @@ mod tests {
         // The quote's geometry-byte and streaming-footprint numbers must
         // match the real artifacts: the built GeometryCache and the
         // partition module's footprint, recomputed here independently.
+        // The accelerator streams no padding; the host cache pads its
+        // last group to four elements (edge 5: 125 elements, 128 lanes).
+        use fem_mesh::geometry::GeometryCache;
         use fem_numerics::tensor::HexBasis;
         for scenario in fem_solver::scenarios::Scenario::registry() {
             let mesh = scenario.mesh(5).unwrap();
             let q = scenario_workload(scenario.name(), &mesh);
             let basis = HexBasis::new(mesh.order()).unwrap();
-            let cache = fem_mesh::geometry::GeometryCache::build(&mesh, &basis).unwrap();
+            let cache = GeometryCache::build(&mesh, &basis).unwrap();
+            let (ne, npe) = (mesh.num_elements(), mesh.nodes_per_element());
+            let per_node = GeometryCache::BYTES_PER_ELEMENT_NODE;
             assert_eq!(
                 q.geometry_cache_bytes,
-                cache.memory_bytes() as u64,
-                "{}: geometry accounting drifted",
+                (ne * npe * per_node) as u64,
+                "{}: geometry quote drifted",
+                scenario.name()
+            );
+            assert_eq!(
+                cache.memory_bytes(),
+                ne.div_ceil(4) * 4 * npe * per_node,
+                "{}: geometry cache accounting drifted",
                 scenario.name()
             );
             let fp = fem_mesh::partition::streaming_footprint(&mesh, q.streaming_batch_elements)

@@ -10,15 +10,17 @@
 //! sweep at construction and borrowed factors afterwards.
 //!
 //! The host assembly evaluates four elements at a time, one per lane of
-//! an [`F64x4`]. The cache stores the factors in that shape: elements
-//! `4g … 4g + 3` form group `g`, and node `q` of the group holds one
-//! `[[F64x4; 3]; 3]` (`J⁻ᵀ`) and one [`F64x4`] (`det·w`) whose lane `j`
-//! belongs to element `4g + j`. A batch of an aligned group borrows its
-//! factors ([`GeometryCache::group`]) as the kernels read them, with no
-//! per-batch transpose. The last `num_elements % 4` elements, which the
-//! sweeps run one at a time, stay element-major, so the cache holds each
-//! factor exactly once and carries no padding. [`GeometryCache::element`]
-//! reads any one element, from its lane or from the tail.
+//! an [`F64x4`]. The cache stores the factors in that shape, the one layout
+//! of element geometry ([`ElementGeometry`]): elements `4g … 4g + 3` form
+//! group `g`, and node `q` of the group holds one `[[F64x4; 3]; 3]`
+//! (`J⁻ᵀ`) and one [`F64x4`] (`det·w`) whose lane `j` belongs to element
+//! `4g + j`. Every element is lane `e % 4` of group `e / 4`. When the
+//! element count is not a multiple of four, the last group's spare lanes
+//! hold zero factors, which add nothing to a volume or a mass. A batch
+//! whose elements are a group's, in order, borrows the group's factors
+//! ([`GeometryCache::group`]) as the kernels read them, with no per-batch
+//! transpose; [`GeometryCache::element`] reads any one element as its
+//! lane.
 
 use crate::hex::{ElementGeometry, GeomRef, GeometryScratch};
 use crate::{HexMesh, MeshError};
@@ -59,10 +61,6 @@ pub struct GeometryCache {
     inv_jt: Vec<[[F64x4; 3]; 3]>,
     /// `det(J) · w` per group node, lane `j` = the group's element `j`.
     det_w: Vec<F64x4>,
-    /// `J⁻ᵀ` of the elements after the last full group, element-major.
-    tail_inv_jt: Vec<Mat3>,
-    /// `det(J) · w` of the elements after the last full group.
-    tail_det_w: Vec<f64>,
 }
 
 impl GeometryCache {
@@ -81,41 +79,28 @@ impl GeometryCache {
         assert_eq!(basis.order(), mesh.order(), "basis order mismatch");
         let ne = mesh.num_elements();
         let npe = mesh.nodes_per_element();
-        let groups = ne / GROUP;
+        let groups = ne.div_ceil(GROUP);
         let mut scratch = GeometryScratch::new(npe);
-        let mut lanes: [ElementGeometry; GROUP] =
-            std::array::from_fn(|_| ElementGeometry::with_capacity(npe));
+        let mut geom = ElementGeometry::with_capacity(npe);
         let mut inv_jt = Vec::with_capacity(groups * npe);
         let mut det_w = Vec::with_capacity(groups * npe);
         for g in 0..groups {
-            for (j, geom) in lanes.iter_mut().enumerate() {
-                mesh.fill_element_geometry(g * GROUP + j, basis, &mut scratch, geom)?;
+            let lanes = GROUP.min(ne - g * GROUP);
+            if lanes < GROUP {
+                // The spare lanes of the last group hold zero factors.
+                geom = ElementGeometry::with_capacity(npe);
             }
-            let src_inv_jt = lanes.each_ref().map(|l| &l.inv_jt[..npe]);
-            let src_det_w = lanes.each_ref().map(|l| &l.det_w[..npe]);
-            for q in 0..npe {
-                inv_jt.push(std::array::from_fn(|r| {
-                    std::array::from_fn(|c| F64x4::from_fn(|j| src_inv_jt[j][q].m[r][c]))
-                }));
-                det_w.push(F64x4::from_fn(|j| src_det_w[j][q]));
+            for j in 0..lanes {
+                mesh.fill_element_geometry(g * GROUP + j, basis, &mut scratch, &mut geom, j)?;
             }
-        }
-        let tail = ne - groups * GROUP;
-        let mut tail_inv_jt = Vec::with_capacity(tail * npe);
-        let mut tail_det_w = Vec::with_capacity(tail * npe);
-        let geom = &mut lanes[0];
-        for e in groups * GROUP..ne {
-            mesh.fill_element_geometry(e, basis, &mut scratch, geom)?;
-            tail_inv_jt.extend_from_slice(&geom.inv_jt);
-            tail_det_w.extend_from_slice(&geom.det_w);
+            inv_jt.extend_from_slice(&geom.inv_jt);
+            det_w.extend_from_slice(&geom.det_w);
         }
         Ok(GeometryCache {
             num_elements: ne,
             nodes_per_element: npe,
             inv_jt,
             det_w,
-            tail_inv_jt,
-            tail_det_w,
         })
     }
 
@@ -129,14 +114,14 @@ impl GeometryCache {
         self.nodes_per_element
     }
 
-    /// Number of full four-element groups: elements `0 … 4·num_groups()`
-    /// are grouped, the rest form the element-major tail.
+    /// Number of four-element groups, `num_elements().div_ceil(4)`.
     pub fn num_groups(&self) -> usize {
-        self.num_elements / GROUP
+        self.num_elements.div_ceil(GROUP)
     }
 
     /// The lane-interleaved `J⁻ᵀ` and `det·w` of group `g`, one entry per
-    /// element node; lane `j` belongs to element `4g + j`.
+    /// element node; lane `j` belongs to element `4g + j`, and the spare
+    /// lanes of a last group of 1–3 elements are zero.
     ///
     /// # Panics
     ///
@@ -151,7 +136,7 @@ impl GeometryCache {
     }
 
     /// The factors of element `e` as a kernel-ready [`GeomRef`]: lane
-    /// `e % 4` of its group, or its tail slices.
+    /// `e % 4` of group `e / 4`.
     ///
     /// # Panics
     ///
@@ -163,43 +148,33 @@ impl GeometryCache {
             "element {e} of {}",
             self.num_elements
         );
-        let s = self.nodes_per_element;
-        if e < self.num_groups() * GROUP {
-            let (inv_jt, det_w) = self.group(e / GROUP);
-            GeomRef::lane(inv_jt, det_w, e % GROUP)
-        } else {
-            let t = e - self.num_groups() * GROUP;
-            GeomRef::new(
-                &self.tail_inv_jt[t * s..(t + 1) * s],
-                &self.tail_det_w[t * s..(t + 1) * s],
-            )
-        }
+        let (inv_jt, det_w) = self.group(e / GROUP);
+        GeomRef::lane(inv_jt, det_w, e % GROUP)
     }
 
     /// Cached bytes per element node: one `Mat3` (`J⁻ᵀ`) plus one `f64`
-    /// (`det(J)·w`), in a group or in the tail. The single source of
-    /// truth every other memory accounting (streaming footprints,
-    /// accelerator workload quotes) is tested against.
+    /// (`det(J)·w`), one lane of a group node. The single source of truth
+    /// every other memory accounting (streaming footprints, accelerator
+    /// workload quotes) is tested against.
     pub const BYTES_PER_ELEMENT_NODE: usize =
         std::mem::size_of::<Mat3>() + std::mem::size_of::<f64>();
 
     /// Heap bytes held by the cached factor arrays.
     ///
-    /// [`GeometryCache::BYTES_PER_ELEMENT_NODE`] (80 B) per element node,
-    /// e.g. ~1.1 MiB for the 12³-element TGV box — the memory the cache
-    /// trades for skipping the Jacobian rebuild on every RK stage.
+    /// [`GeometryCache::BYTES_PER_ELEMENT_NODE`] (80 B) per node of every
+    /// lane of every group, the zero spare lanes of a last group of 1–3
+    /// elements included: `4 · num_groups() · npe · 80` B, e.g. ~1.1 MiB
+    /// for the 12³-element TGV box — the memory the cache trades for
+    /// skipping the Jacobian rebuild on every RK stage.
     pub fn memory_bytes(&self) -> usize {
         self.inv_jt.len() * std::mem::size_of::<[[F64x4; 3]; 3]>()
             + self.det_w.len() * std::mem::size_of::<F64x4>()
-            + self.tail_inv_jt.len() * std::mem::size_of::<Mat3>()
-            + self.tail_det_w.len() * std::mem::size_of::<f64>()
     }
 
     /// Total mesh volume `Σ det(J)·w` over all cached quadrature nodes —
     /// a cheap integrity check against the analytic domain volume.
     pub fn total_volume(&self) -> f64 {
-        let grouped: f64 = self.det_w.par_iter().map(|w| w.0.iter().sum::<f64>()).sum();
-        grouped + self.tail_det_w.iter().sum::<f64>()
+        self.det_w.par_iter().map(|w| w.0.iter().sum::<f64>()).sum()
     }
 }
 
@@ -207,21 +182,41 @@ impl GeometryCache {
 mod tests {
     use super::*;
     use crate::generator::BoxMeshBuilder;
+    use fem_numerics::linalg::Vec3;
 
-    /// Meshes whose element counts leave tails of 0–3 after the groups:
-    /// 27 (3), 30 (2), 13 (1) and 16 (0) elements.
+    /// Meshes whose element counts leave 3, 2, 1 and 0 elements in the
+    /// last group: 27, 30, 13 and 16 elements. A smooth displacement of
+    /// every node gives each element its own geometry.
     fn ragged_meshes(order: usize) -> Vec<HexMesh> {
         [(3, 3, 3), (5, 3, 2), (13, 1, 1), (4, 2, 2)]
             .into_iter()
             .map(|(nx, ny, nz)| {
-                BoxMeshBuilder::new()
+                let mesh = BoxMeshBuilder::new()
                     .elements(nx, ny, nz)
                     .order(order)
                     .periodic(false, false, false)
                     .build()
-                    .unwrap()
+                    .unwrap();
+                let coords = mesh
+                    .coords()
+                    .iter()
+                    .map(|p| {
+                        *p + 0.02
+                            * Vec3::new(
+                                (3.1 * p.y + 1.7 * p.z).sin(),
+                                (2.3 * p.z + 0.7 * p.x).sin(),
+                                (1.9 * p.x + 2.9 * p.y).sin(),
+                            )
+                    })
+                    .collect();
+                let conn = mesh.connectivity().to_vec();
+                HexMesh::new(order, coords, conn, Vec::new(), [None; 3]).unwrap()
             })
             .collect()
+    }
+
+    fn mat_bits(m: Mat3) -> [[u64; 3]; 3] {
+        m.m.map(|r| r.map(f64::to_bits))
     }
 
     #[test]
@@ -233,33 +228,37 @@ mod tests {
                 let cache = GeometryCache::build(&mesh, &basis).unwrap();
                 assert_eq!(cache.num_elements(), ne);
                 assert_eq!(cache.nodes_per_element(), mesh.nodes_per_element());
-                assert_eq!(cache.num_groups(), ne / 4);
+                assert_eq!(cache.num_groups(), ne.div_ceil(4));
                 let npe = mesh.nodes_per_element();
                 let mut scratch = GeometryScratch::new(npe);
                 let mut geom = ElementGeometry::with_capacity(npe);
                 for e in 0..ne {
-                    mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom)
+                    let lane = e % 4;
+                    mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom, lane)
                         .unwrap();
-                    let g = cache.element(e);
-                    assert_eq!(g.len(), npe);
-                    let group = (e < cache.num_groups() * 4).then(|| cache.group(e / 4));
+                    let (want, got) = (geom.view(lane), cache.element(e));
+                    assert_eq!(got.len(), npe);
                     for q in 0..npe {
-                        let (inv_jt, det_w) = (geom.inv_jt[q], geom.det_w[q]);
                         let at = format!("e={e} q={q} order={order} of {ne}");
-                        assert_eq!(g.det_w(q).to_bits(), det_w.to_bits(), "det_w {at}");
                         assert_eq!(
-                            g.inv_jt(q).m.map(|r| r.map(f64::to_bits)),
-                            inv_jt.m.map(|r| r.map(f64::to_bits)),
+                            got.det_w(q).to_bits(),
+                            want.det_w(q).to_bits(),
+                            "det_w {at}"
+                        );
+                        assert_eq!(
+                            mat_bits(got.inv_jt(q)),
+                            mat_bits(want.inv_jt(q)),
                             "inv_jt {at}"
                         );
-                        if let Some((g_inv_jt, g_det_w)) = group {
-                            let j = e % 4;
-                            assert_eq!(g_det_w[q].lane(j).to_bits(), det_w.to_bits(), "{at}");
-                            assert_eq!(
-                                g_inv_jt[q].map(|r| r.map(|x| x.lane(j).to_bits())),
-                                inv_jt.m.map(|r| r.map(f64::to_bits)),
-                                "group {at}"
-                            );
+                    }
+                }
+                // Every spare lane of the last group is zero.
+                let (inv_jt, det_w) = cache.group(cache.num_groups() - 1);
+                for lane in (ne - 1) % 4 + 1..4 {
+                    for q in 0..npe {
+                        assert_eq!(det_w[q].lane(lane).to_bits(), 0, "det_w pad {lane} of {ne}");
+                        for x in inv_jt[q].iter().flatten() {
+                            assert_eq!(x.lane(lane).to_bits(), 0, "inv_jt pad {lane} of {ne}");
                         }
                     }
                 }
@@ -277,10 +276,10 @@ mod tests {
                 let mut geom = ElementGeometry::with_capacity(npe);
                 let mut mass = vec![0.0f64; mesh.num_nodes()];
                 for e in 0..mesh.num_elements() {
-                    mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom)
+                    mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom, 0)
                         .unwrap();
-                    for (&n, &w) in mesh.element_nodes(e).iter().zip(&geom.det_w) {
-                        mass[n as usize] += w;
+                    for (q, &n) in mesh.element_nodes(e).iter().enumerate() {
+                        mass[n as usize] += geom.view(0).det_w(q);
                     }
                 }
                 let ctx = crate::SharedMeshContext::build(mesh).unwrap();
@@ -301,19 +300,20 @@ mod tests {
             cache.memory_bytes(),
             mesh.num_elements() * mesh.nodes_per_element() * per_node
         );
-        // A ragged tail is stored element-major, without padding.
+        // A ragged mesh's last group is padded to four lanes.
         for mesh in ragged_meshes(2) {
             let cache = GeometryCache::build(&mesh, &HexBasis::new(2).unwrap()).unwrap();
             assert_eq!(
                 cache.memory_bytes(),
-                mesh.num_elements() * mesh.nodes_per_element() * per_node
+                mesh.num_elements().div_ceil(4) * 4 * mesh.nodes_per_element() * per_node
             );
         }
     }
 
     #[test]
     fn total_volume_matches_domain() {
-        // 125 elements: 31 groups and a one-element tail.
+        // 125 elements: 32 groups, the last with one element and three
+        // zero lanes.
         let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
         let basis = HexBasis::new(1).unwrap();
         let cache = GeometryCache::build(&mesh, &basis).unwrap();

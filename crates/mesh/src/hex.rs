@@ -49,105 +49,93 @@ impl BoundaryTag {
     }
 }
 
-/// Per-element, per-node geometric factors needed by FEM kernels.
+/// Per-node geometric factors of one four-element group: the one layout
+/// every reader of element geometry shares.
 ///
 /// For each element node `q`: the transposed inverse Jacobian
 /// `inv_jt[q]` (maps reference gradients to physical gradients) and the
 /// quadrature factor `det_w[q] = det(J_q) · w_q` (volume scaling times GLL
-/// weight). Reused across elements to avoid per-element allocation.
+/// weight), each an [`F64x4`] whose lane `j` belongs to the group's element
+/// `j`. [`HexMesh::fill_element_geometry`] writes one element into one
+/// lane and [`ElementGeometry::view`] reads one lane back. A group of the
+/// [`GeometryCache`](crate::geometry::GeometryCache) has this shape, and so
+/// does the geometry buffer of an element batch. Reused across elements to
+/// avoid per-element allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ElementGeometry {
-    /// `J⁻ᵀ` at each element node.
-    pub inv_jt: Vec<Mat3>,
-    /// `det(J) · w` at each element node.
-    pub det_w: Vec<f64>,
+    /// `J⁻ᵀ` at each element node, lane `j` = the group's element `j`.
+    pub inv_jt: Vec<[[F64x4; 3]; 3]>,
+    /// `det(J) · w` at each element node, lane `j` = the group's element `j`.
+    pub det_w: Vec<F64x4>,
 }
 
 impl ElementGeometry {
-    /// Creates storage for an element with `nodes_per_element` nodes.
+    /// Creates zeroed storage for a group of elements with
+    /// `nodes_per_element` nodes.
     pub fn with_capacity(nodes_per_element: usize) -> Self {
         ElementGeometry {
-            inv_jt: vec![Mat3::ZERO; nodes_per_element],
-            det_w: vec![0.0; nodes_per_element],
+            inv_jt: vec![[[F64x4::ZERO; 3]; 3]; nodes_per_element],
+            det_w: vec![F64x4::ZERO; nodes_per_element],
         }
     }
 
-    /// Borrowed view of the factors, in the form the FEM kernels consume.
-    pub fn view(&self) -> GeomRef<'_> {
-        GeomRef::new(&self.inv_jt, &self.det_w)
-    }
-}
-
-/// Borrowed per-element geometric factors: the common currency between
-/// on-the-fly geometry ([`ElementGeometry::view`]) and the precomputed
-/// lane-grouped cache ([`crate::geometry::GeometryCache::element`]).
-///
-/// It reads node `q` of one element, whether the element owns its arrays
-/// or is one lane of a cached four-element group.
-#[derive(Debug, Clone, Copy)]
-pub struct GeomRef<'a>(Factors<'a>);
-
-/// Where a [`GeomRef`] reads its factors ([`GeomRef::factors`]): one
-/// entry per element node in either case.
-#[derive(Debug, Clone, Copy)]
-pub enum Factors<'a> {
-    /// The element's own arrays.
-    Element {
-        /// `J⁻ᵀ` at each node.
-        inv_jt: &'a [Mat3],
-        /// `det(J) · w` at each node.
-        det_w: &'a [f64],
-    },
-    /// Lane `lane` (below 4) of a group's lane-interleaved arrays.
-    Lane {
-        /// `J⁻ᵀ` of the group's elements at each node.
-        inv_jt: &'a [[[F64x4; 3]; 3]],
-        /// `det(J) · w` of the group's elements at each node.
-        det_w: &'a [F64x4],
-        /// The element's lane.
-        lane: usize,
-    },
-}
-
-impl<'a> GeomRef<'a> {
-    /// One element's factors, `inv_jt[q]` and `det_w[q]` at node `q`.
+    /// The factors of the group's element `lane`, in the form the FEM
+    /// kernels consume.
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length.
-    pub fn new(inv_jt: &'a [Mat3], det_w: &'a [f64]) -> Self {
-        assert_eq!(inv_jt.len(), det_w.len(), "one factor pair per node");
-        GeomRef(Factors::Element { inv_jt, det_w })
+    /// Panics if `lane >= 4`.
+    pub fn view(&self, lane: usize) -> GeomRef<'_> {
+        GeomRef::lane(&self.inv_jt, &self.det_w, lane)
     }
+}
 
-    /// Lane `lane` of a group's lane-interleaved factors.
+/// One element's geometric factors, borrowed: lane `lane` of a four-element
+/// group's arrays, from on-the-fly geometry ([`ElementGeometry::view`]) or
+/// from the precomputed cache
+/// ([`crate::geometry::GeometryCache::element`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GeomRef<'a> {
+    inv_jt: &'a [[[F64x4; 3]; 3]],
+    det_w: &'a [F64x4],
+    lane: usize,
+}
+
+impl<'a> GeomRef<'a> {
+    /// Lane `lane` of a group's factors.
     pub(crate) fn lane(inv_jt: &'a [[[F64x4; 3]; 3]], det_w: &'a [F64x4], lane: usize) -> Self {
         assert!(lane < F64x4::WIDTH, "lane {lane} of a four-lane group");
         assert_eq!(inv_jt.len(), det_w.len(), "one factor pair per node");
-        GeomRef(Factors::Lane {
+        GeomRef {
             inv_jt,
             det_w,
             lane,
-        })
-    }
-
-    /// The storage the factors are read from, for a reader that resolves
-    /// it once per element instead of once per node.
-    pub fn factors(self) -> Factors<'a> {
-        self.0
+        }
     }
 
     /// Number of element nodes.
     pub fn len(&self) -> usize {
-        match self.0 {
-            Factors::Element { det_w, .. } => det_w.len(),
-            Factors::Lane { det_w, .. } => det_w.len(),
-        }
+        self.det_w.len()
     }
 
     /// Whether the element has no nodes.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The first `npe` nodes. Re-sliced once, the view lets a node loop
+    /// bounded by `npe` read every node without a bounds check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `npe > len()`.
+    #[inline(always)]
+    pub fn nodes(self, npe: usize) -> Self {
+        GeomRef {
+            inv_jt: &self.inv_jt[..npe],
+            det_w: &self.det_w[..npe],
+            lane: self.lane,
+        }
     }
 
     /// `J⁻ᵀ` at node `q`.
@@ -157,17 +145,12 @@ impl<'a> GeomRef<'a> {
     /// Panics if `q >= len()`.
     #[inline(always)]
     pub fn inv_jt(&self, q: usize) -> Mat3 {
-        match self.0 {
-            Factors::Element { inv_jt, .. } => inv_jt[q],
-            Factors::Lane { inv_jt, lane, .. } => {
-                let m = &inv_jt[q];
-                // `lane < 4` by construction; the modulo tells the
-                // compiler so, which drops a bounds check per load.
-                let lane = lane % F64x4::WIDTH;
-                Mat3 {
-                    m: std::array::from_fn(|r| std::array::from_fn(|c| m[r][c].0[lane])),
-                }
-            }
+        let m = &self.inv_jt[q];
+        // `lane < 4` by construction; the modulo tells the compiler so,
+        // which drops a bounds check per load.
+        let lane = self.lane % F64x4::WIDTH;
+        Mat3 {
+            m: std::array::from_fn(|r| std::array::from_fn(|c| m[r][c].0[lane])),
         }
     }
 
@@ -178,10 +161,7 @@ impl<'a> GeomRef<'a> {
     /// Panics if `q >= len()`.
     #[inline(always)]
     pub fn det_w(&self, q: usize) -> f64 {
-        match self.0 {
-            Factors::Element { det_w, .. } => det_w[q],
-            Factors::Lane { det_w, lane, .. } => det_w[q].0[lane % F64x4::WIDTH],
-        }
+        self.det_w[q].0[self.lane % F64x4::WIDTH]
     }
 }
 
@@ -379,11 +359,13 @@ impl HexMesh {
         }
     }
 
-    /// Computes per-node geometric factors of element `e` into `geom`.
+    /// Computes the per-node geometric factors of element `e` into lane
+    /// `lane` of the group buffer `geom`, leaving its other lanes as they
+    /// are.
     ///
     /// The Jacobian at each node is assembled from the reference gradients
-    /// of the coordinate fields; `geom.det_w[q]` combines `det(J)` with the
-    /// 3D GLL weight of node `q`.
+    /// of the coordinate fields; lane `lane` of `geom.det_w[q]` combines
+    /// `det(J)` with the 3D GLL weight of node `q`.
     ///
     /// # Errors
     ///
@@ -392,18 +374,21 @@ impl HexMesh {
     ///
     /// # Panics
     ///
-    /// Panics if `basis.order() != self.order()` or if `geom`/`scratch`
-    /// were not sized with [`GeometryScratch::new`].
+    /// Panics if `basis.order() != self.order()`, if `lane >= 4`, or if
+    /// `geom`/`scratch` were not sized for this mesh's elements
+    /// ([`ElementGeometry::with_capacity`], [`GeometryScratch::new`]).
     pub fn fill_element_geometry(
         &self,
         e: usize,
         basis: &HexBasis,
         scratch: &mut GeometryScratch,
         geom: &mut ElementGeometry,
+        lane: usize,
     ) -> Result<(), MeshError> {
         assert_eq!(basis.order(), self.order, "basis order mismatch");
         let nn = self.nodes_per_element();
         assert_eq!(geom.inv_jt.len(), nn, "geometry storage size");
+        assert!(lane < F64x4::WIDTH, "lane {lane} of a four-element group");
         self.element_coords(e, &mut scratch.coords);
         for q in 0..nn {
             scratch.x[q] = scratch.coords[q].x;
@@ -424,11 +409,18 @@ impl HexMesh {
             let inv = j
                 .inverse()
                 .expect("positive determinant implies invertibility");
-            geom.inv_jt[q] = inv.transpose();
+            let inv_jt = inv.transpose();
+            for (d, &s) in geom.inv_jt[q]
+                .iter_mut()
+                .flatten()
+                .zip(inv_jt.m.iter().flatten())
+            {
+                *d.lane_mut(lane) = s;
+            }
             let i = q % n;
             let jj = (q / n) % n;
             let k = q / (n * n);
-            geom.det_w[q] = det * basis.weight_3d(i, jj, k);
+            *geom.det_w[q].lane_mut(lane) = det * basis.weight_3d(i, jj, k);
         }
         Ok(())
     }
@@ -617,16 +609,19 @@ mod tests {
         let basis = HexBasis::new(1).unwrap();
         let mut scratch = GeometryScratch::new(8);
         let mut geom = ElementGeometry::with_capacity(8);
-        mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom)
+        mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom, 2)
             .unwrap();
+        let g = geom.view(2);
         // J = diag(1/2): reference [-1,1]³ → [0,1]³, det = 1/8.
         for q in 0..8 {
-            assert!((geom.inv_jt[q] - Mat3::diagonal(2.0, 2.0, 2.0)).frobenius_norm() < 1e-12);
+            assert!((g.inv_jt(q) - Mat3::diagonal(2.0, 2.0, 2.0)).frobenius_norm() < 1e-12);
             // w = 1 per direction at order 1 → det_w = 1/8.
-            assert!((geom.det_w[q] - 0.125).abs() < 1e-12);
+            assert!((g.det_w(q) - 0.125).abs() < 1e-12);
+            // The other lanes stay untouched.
+            assert_eq!(geom.view(1).det_w(q), 0.0);
         }
         // Total volume = Σ det_w = 1.
-        let vol: f64 = geom.det_w.iter().sum();
+        let vol: f64 = (0..8).map(|q| g.det_w(q)).sum();
         assert!((vol - 1.0).abs() < 1e-12);
     }
 
@@ -641,7 +636,7 @@ mod tests {
         let basis = HexBasis::new(1).unwrap();
         let mut scratch = GeometryScratch::new(8);
         let mut geom = ElementGeometry::with_capacity(8);
-        let err = mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom);
+        let err = mesh.fill_element_geometry(0, &basis, &mut scratch, &mut geom, 0);
         assert!(matches!(err, Err(MeshError::InvertedElement { .. })));
     }
 
@@ -671,9 +666,9 @@ mod tests {
         let mut geom = ElementGeometry::with_capacity(nn);
         let mut vol = 0.0;
         for e in 0..mesh.num_elements() {
-            mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom)
+            mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom, 0)
                 .unwrap();
-            vol += geom.det_w.iter().sum::<f64>();
+            vol += (0..nn).map(|q| geom.view(0).det_w(q)).sum::<f64>();
         }
         let exact = std::f64::consts::TAU.powi(3);
         assert!((vol - exact).abs() < 1e-9 * exact, "{vol} vs {exact}");

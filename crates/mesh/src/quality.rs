@@ -53,8 +53,10 @@ impl MeshStats {
         let weights = rule.weights();
         let n = basis.nodes_per_dim();
         for e in 0..mesh.num_elements() {
-            mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom)?;
-            for (q, &dw) in geom.det_w.iter().enumerate() {
+            mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom, 0)?;
+            let g = geom.view(0);
+            for q in 0..nn {
+                let dw = g.det_w(q);
                 total_volume += dw;
                 let i = q % n;
                 let j = (q / n) % n;

@@ -7,8 +7,8 @@
 //! runs the flux and the contraction once for all lanes, and hands the
 //! residuals to a [`ResidualSink`] lane 0, 1, 2, 3 — the list order — each
 //! read in place from its lane. A last batch of 1–3 elements is still four
-//! lanes: its spare lanes repeat its last element, are evaluated and are
-//! never sunk.
+//! lanes: its spare lanes gather its last element again, are evaluated and
+//! are never sunk.
 //!
 //! The flux loop streams the contraction input: per node it computes the
 //! net flux (fused, or convective when μ = 0), transforms it into
@@ -18,13 +18,16 @@
 //! the batch workspace and its geometry group come to about 100 KB, where
 //! storing the flux and reading it back cost about 130 KB.
 //!
-//! The geometry cache stores elements `4g … 4g + 3` lane-interleaved as
-//! group `g` ([`GeometryCache::group`]). A batch of an aligned group — every
-//! full batch of a whole-mesh sweep — borrows the group's `J⁻ᵀ` and
-//! `det·w` as they are. Any other batch (the element lists of a
-//! [`MultiDevice`](crate::engine::MultiDeviceBackend) device, a padded
-//! last batch) copies its elements' factors lane by lane into a batch
-//! buffer.
+//! Element geometry has one layout, a four-element group with one element
+//! per lane ([`ElementGeometry`]), and the geometry cache stores elements
+//! `4g … 4g + 3` as group `g` ([`GeometryCache::group`]), the spare lanes
+//! of a last group of 1–3 elements zero. A batch whose live lanes are a
+//! group's elements in order borrows the group's `J⁻ᵀ` and `det·w` as they
+//! are: every batch of a whole-mesh sweep does, its padded last batch
+//! included, whose spare lanes read zero factors. Any other batch (the
+//! element lists of a [`MultiDevice`](crate::engine::MultiDeviceBackend)
+//! device) copies its elements' factors lane by lane into a batch buffer
+//! of the same layout.
 //!
 //! [`with_avx2`] runs the one four-lane sweep inside the AVX2 entry point
 //! when the CPU reports AVX2, and on the baseline x86-64 instruction set
@@ -42,10 +45,11 @@
 //! element-at-a-time loop.
 
 use crate::gas::GasModel;
-use crate::kernels::{lane_flux_g, resolved, ElementWorkspace, KernelOps, NodeGeometry, NUM_VARS};
+use crate::kernels::{lane_flux_g, ElementWorkspace, KernelOps, NodeGeometry, NUM_VARS};
 use crate::profile::{Phase, PhaseProfiler};
 use crate::state::{Conserved, Primitives};
 use fem_mesh::geometry::GeometryCache;
+use fem_mesh::hex::ElementGeometry;
 use fem_mesh::HexMesh;
 use fem_numerics::tensor::{F64x4, HexBasis, Lane};
 use std::time::Instant;
@@ -53,39 +57,22 @@ use std::time::Instant;
 /// Elements per batch: the lanes of an [`F64x4`].
 const WIDTH: usize = F64x4::WIDTH;
 
-/// Lane-interleaved geometry of a batch that is not an aligned group.
-struct LaneGeometry {
-    inv_jt: Vec<[[F64x4; 3]; 3]>,
-    det_w: Vec<F64x4>,
-}
-
-impl LaneGeometry {
-    fn new(npe: usize) -> Self {
-        LaneGeometry {
-            inv_jt: vec![[[F64x4::ZERO; 3]; 3]; npe],
-            det_w: vec![F64x4::ZERO; npe],
-        }
-    }
-
-    /// Copies the cached factors of element `ids[j]` into lane `j`.
-    #[inline(always)]
-    fn copy(&mut self, cache: &GeometryCache, ids: &[usize; WIDTH]) {
-        let npe = self.det_w.len();
-        let (inv_jt, det_w) = (&mut self.inv_jt[..npe], &mut self.det_w[..npe]);
-        for (j, &e) in ids.iter().enumerate() {
-            resolved!(cache.element(e), |src| {
-                let src = src.nodes(npe);
-                for (q, (m, w)) in inv_jt.iter_mut().zip(det_w.iter_mut()).enumerate() {
-                    for (d, s) in m
-                        .iter_mut()
-                        .flatten()
-                        .zip(src.inv_jt(q).into_iter().flatten())
-                    {
-                        *d.lane_mut(j) = s;
-                    }
-                    *w.lane_mut(j) = src.det_w(q);
-                }
-            });
+/// Copies the cached factors of element `ids[j]` into lane `j` of `geo`.
+#[inline(always)]
+fn copy_lanes(geo: &mut ElementGeometry, cache: &GeometryCache, ids: &[usize; WIDTH]) {
+    let npe = geo.det_w.len();
+    let (inv_jt, det_w) = (&mut geo.inv_jt[..npe], &mut geo.det_w[..npe]);
+    for (j, &e) in ids.iter().enumerate() {
+        let src = cache.element(e).nodes(npe);
+        for (q, (m, w)) in inv_jt.iter_mut().zip(det_w.iter_mut()).enumerate() {
+            for (d, s) in m
+                .iter_mut()
+                .flatten()
+                .zip(src.inv_jt(q).m.into_iter().flatten())
+            {
+                *d.lane_mut(j) = s;
+            }
+            *w.lane_mut(j) = src.det_w(q);
         }
     }
 }
@@ -241,7 +228,7 @@ impl BatchEvaluator<'_> {
         ids: &[usize; WIDTH],
         live: usize,
         ws: &mut ElementWorkspace<F64x4>,
-        geo: &mut LaneGeometry,
+        geo: &mut ElementGeometry,
         clock: &mut StageClock<'_>,
         sink: &mut (impl ResidualSink + ?Sized),
     ) {
@@ -253,14 +240,12 @@ impl BatchEvaluator<'_> {
         ws.zero_residuals();
         let cache = self.geometry;
         let first = ids[0];
-        let g = first / WIDTH;
         let aligned = first.is_multiple_of(WIDTH)
-            && g < cache.num_groups()
-            && ids.iter().enumerate().all(|(j, &e)| e == first + j);
+            && ids[..live].iter().enumerate().all(|(j, &e)| e == first + j);
         let geom = if aligned {
-            cache.group(g)
+            cache.group(first / WIDTH)
         } else {
-            geo.copy(cache, ids);
+            copy_lanes(geo, cache, ids);
             (&geo.inv_jt[..], &geo.det_w[..])
         };
         compute(self.gas, self.basis, self.kernel, ws, geom, clock);
@@ -318,11 +303,11 @@ impl<S: ResidualSink + ?Sized> LaneJob for Sweep<'_, '_, S> {
         let npe = eval.mesh.nodes_per_element();
         let n = elements.len();
         let mut ws = ElementWorkspace::<F64x4>::zeroed(npe);
-        let mut geo = LaneGeometry::new(npe);
+        let mut geo = ElementGeometry::with_capacity(npe);
         let mut clock = StageClock::start(prof);
         for start in (0..n).step_by(WIDTH) {
-            // The spare lanes of a last batch of 1–3 elements repeat its
-            // last element.
+            // The spare lanes of a last batch of 1–3 elements gather its
+            // last element again.
             let live = WIDTH.min(n - start);
             let ids = std::array::from_fn(|j| elements.get(start + j.min(live - 1)));
             eval.batch(&ids, live, &mut ws, &mut geo, &mut clock, sink);
@@ -366,39 +351,33 @@ mod tests {
     use crate::parallel::assemble_rhs_into;
     use crate::tgv::TgvConfig;
     use fem_mesh::generator::BoxMeshBuilder;
-    use fem_mesh::hex::GeomRef;
-    use fem_numerics::linalg::Mat3;
     use proptest::prelude::*;
 
-    /// Elements in one lane-equivalence case: one four-lane batch.
-    const ELEMENTS: usize = 4;
-
-    /// Random inputs of one element: state, prior residuals, geometry.
-    #[derive(Clone)]
+    /// Random inputs of one element: state and prior residuals.
     struct ElementInputs {
         fields: [Vec<f64>; 7],
         res: [Vec<f64>; NUM_VARS],
-        inv_jt: Vec<Mat3>,
-        det_w: Vec<f64>,
     }
 
     impl ElementInputs {
-        fn draw(npe: usize, next: &mut impl FnMut() -> f64) -> Self {
+        /// Draws an element's inputs, and its geometry into lane `lane` of
+        /// `geo`.
+        fn draw(
+            npe: usize,
+            next: &mut impl FnMut() -> f64,
+            geo: &mut ElementGeometry,
+            lane: usize,
+        ) -> Self {
             let mut field = || (0..npe).map(|_| next()).collect::<Vec<f64>>();
             let fields = std::array::from_fn(|_| field());
             let res = std::array::from_fn(|_| field());
-            let det_w = field();
-            let inv_jt = (0..npe)
-                .map(|_| Mat3 {
-                    m: std::array::from_fn(|_| std::array::from_fn(|_| next())),
-                })
-                .collect();
-            ElementInputs {
-                fields,
-                res,
-                inv_jt,
-                det_w,
+            for w in &mut geo.det_w {
+                *w.lane_mut(lane) = next();
             }
+            for x in geo.inv_jt.iter_mut().flatten().flatten() {
+                *x.lane_mut(lane) = next();
+            }
+            ElementInputs { fields, res }
         }
 
         /// Loads the inputs into lane `j` of `ws`.
@@ -427,66 +406,58 @@ mod tests {
     }
 
     /// The batch flux and contraction ([`compute`], as every sweep runs
-    /// it) of every element, one four-lane batch at a time, as each
-    /// element's residual bits.
+    /// it) of one four-lane batch, lane `j` = element `j` on lane `j` of
+    /// `geometry`, as each element's residual bits.
     struct KernelJob<'a> {
         basis: &'a HexBasis,
         gas: &'a GasModel,
         kernel: &'a KernelOps,
         elements: &'a [ElementInputs],
+        geometry: &'a ElementGeometry,
     }
 
     impl LaneJob for KernelJob<'_> {
         type Output = Vec<Vec<u64>>;
 
         fn run(self) -> Vec<Vec<u64>> {
-            let npe = self.basis.nodes_per_element();
-            let mut bits = Vec::new();
-            for batch in self.elements.chunks(WIDTH) {
-                let mut ws = ElementWorkspace::<F64x4>::zeroed(npe);
-                let mut geo = LaneGeometry::new(npe);
-                for (j, el) in batch.iter().enumerate() {
-                    el.load(&mut ws, j);
-                    for (dst, src) in geo.inv_jt.iter_mut().zip(&el.inv_jt) {
-                        for (d, &s) in dst.iter_mut().flatten().zip(src.m.iter().flatten()) {
-                            *d.lane_mut(j) = s;
-                        }
-                    }
-                    for (d, &s) in geo.det_w.iter_mut().zip(&el.det_w) {
-                        *d.lane_mut(j) = s;
-                    }
-                }
-                compute(
-                    self.gas,
-                    self.basis,
-                    self.kernel,
-                    &mut ws,
-                    (&geo.inv_jt[..], &geo.det_w[..]),
-                    &mut StageClock::start(None),
-                );
-                for j in 0..WIDTH {
-                    let r = ws.res.iter().flat_map(|r| r.iter().map(|x| x.lane(j)));
-                    bits.push(r.map(f64::to_bits).collect());
-                }
+            let mut ws = ElementWorkspace::<F64x4>::zeroed(self.basis.nodes_per_element());
+            for (j, el) in self.elements.iter().enumerate() {
+                el.load(&mut ws, j);
             }
-            bits
+            compute(
+                self.gas,
+                self.basis,
+                self.kernel,
+                &mut ws,
+                (&self.geometry.inv_jt[..], &self.geometry.det_w[..]),
+                &mut StageClock::start(None),
+            );
+            (0..WIDTH)
+                .map(|j| {
+                    let r = ws.res.iter().flat_map(|r| r.iter().map(|x| x.lane(j)));
+                    r.map(f64::to_bits).collect()
+                })
+                .collect()
         }
     }
 
-    /// The public one-element kernels on each element.
+    /// The public one-element kernels on each element, reading its lane
+    /// of `geometry`.
     fn one_element_bits(
         basis: &HexBasis,
         gas: &GasModel,
         kernel: &KernelOps,
         elements: &[ElementInputs],
+        geometry: &ElementGeometry,
     ) -> Vec<Vec<u64>> {
         let npe = basis.nodes_per_element();
         elements
             .iter()
-            .map(|el| {
+            .enumerate()
+            .map(|(j, el)| {
                 let mut ws = ElementWorkspace::new(npe);
                 el.load(&mut ws, 0);
-                let geom = GeomRef::new(&el.inv_jt, &el.det_w);
+                let geom = geometry.view(j);
                 if gas.mu > 0.0 {
                     fused_flux(&mut ws, gas, basis, geom);
                 } else {
@@ -502,14 +473,15 @@ mod tests {
         /// The batch's flux and contraction ([`compute`]: the flux loop
         /// writing `G`, then the contraction of `G`) compute, lane by lane,
         /// the bits the public one-element kernels compute for each
-        /// element: fused (viscous) and convective (inviscid) flux plus the
-        /// sum-factored and the full-matrix contraction, at orders 1–5 (so
-        /// `Runtime(n)` too), on random fields, geometry and prior
-        /// residuals — on the baseline instruction set and, when the CPU
-        /// reports it, inside the AVX2 entry point.
+        /// element on its lane of the same geometry buffer: fused
+        /// (viscous) and convective (inviscid) flux plus the sum-factored
+        /// and the full-matrix contraction, at orders 1–5 (so `Runtime(n)`
+        /// too), on random fields, geometry and prior residuals — on the
+        /// baseline instruction set and, when the CPU reports it, inside
+        /// the AVX2 entry point.
         #[test]
         fn prop_four_lanes_match_one_lane(
-            values in proptest::collection::vec(-3.0f64..3.0, 22 * 216 * ELEMENTS),
+            values in proptest::collection::vec(-3.0f64..3.0, 22 * 216 * WIDTH),
             mu in 0.0f64..0.5,
             viscous in proptest::bool::ANY,
         ) {
@@ -519,16 +491,19 @@ mod tests {
                 let npe = basis.nodes_per_element();
                 let mut x = values.iter().copied();
                 let mut next = || x.next().unwrap();
-                let elements: Vec<ElementInputs> =
-                    (0..ELEMENTS).map(|_| ElementInputs::draw(npe, &mut next)).collect();
+                let mut geometry = ElementGeometry::with_capacity(npe);
+                let elements: Vec<ElementInputs> = (0..WIDTH)
+                    .map(|j| ElementInputs::draw(npe, &mut next, &mut geometry, j))
+                    .collect();
                 for path in [KernelPath::SumFactored, KernelPath::FullMatrix] {
                     let kernel = KernelOps::resolve(path, &basis);
-                    let reference = one_element_bits(&basis, &gas, &kernel, &elements);
+                    let reference = one_element_bits(&basis, &gas, &kernel, &elements, &geometry);
                     let job = || KernelJob {
                         basis: &basis,
                         gas: &gas,
                         kernel: &kernel,
                         elements: &elements,
+                        geometry: &geometry,
                     };
                     prop_assert!(job().run() == reference, "order {order} {path}: four lanes");
                     prop_assert!(with_avx2(job()) == reference, "order {order} {path}: dispatched");
@@ -589,9 +564,10 @@ mod tests {
         // Lists of 4k + 3 ids: every odd id (no batch is an aligned group,
         // so each copies its geometry lane by lane), and an aligned group,
         // a batch that starts a group but skips an id, an unaligned
-        // contiguous run and a tail. The reference is the element loop on
-        // the mesh of the listed elements alone, whose ascending walk is
-        // the list order.
+        // contiguous run and a last batch of a group's first three
+        // elements, which borrows the group. The reference is the element
+        // loop on the mesh of the listed elements alone, whose ascending
+        // walk is the list order.
         let odd: Vec<u32> = (1..30).step_by(2).collect();
         let mixed = [4u32, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 20, 21, 22];
         for order in [1, 2] {

@@ -14,7 +14,7 @@
 //! enstrophy integral reads the precomputed [`GeometryCache`] instead of
 //! rebuilding element Jacobians.
 
-use crate::kernels::{resolved, ElementWorkspace, NodeGeometry};
+use crate::kernels::ElementWorkspace;
 use crate::state::{Conserved, Primitives};
 use fem_mesh::geometry::GeometryCache;
 use fem_mesh::HexMesh;
@@ -106,8 +106,9 @@ impl FlowDiagnostics {
                     basis.reference_gradient(&acc.ws.vel[0], &mut acc.gref[0]);
                     basis.reference_gradient(&acc.ws.vel[1], &mut acc.gref[1]);
                     basis.reference_gradient(&acc.ws.vel[2], &mut acc.gref[2]);
-                    resolved!(geometry.element(e), |geom| for q in 0..npe {
-                        let inv_jt = Mat3 { m: geom.inv_jt(q) };
+                    let geom = geometry.element(e).nodes(npe);
+                    for q in 0..npe {
+                        let inv_jt = geom.inv_jt(q);
                         let l = Mat3::from_rows(
                             inv_jt.mul_vec(acc.gref[0][q]),
                             inv_jt.mul_vec(acc.gref[1][q]),
@@ -120,7 +121,7 @@ impl FlowDiagnostics {
                             l.m[1][0] - l.m[0][1],
                         );
                         acc.sum += geom.det_w(q) * 0.5 * acc.ws.rho[q] * omega.norm_sq();
-                    });
+                    }
                     acc
                 },
             )

@@ -406,11 +406,11 @@ struct DeviceState {
     frontier_elements: Vec<u32>,
     /// Global ids of the rest of its elements, ascending.
     interior_elements: Vec<u32>,
-    /// Double-banked per-neighbor send buffers, indexed by the position
-    /// of the destination in the shard's sorted neighbor list; the bank
-    /// parity flips every assembly, so a buffer still in flight at a
-    /// receiver is never refilled.
-    send: Vec<[Vec<HaloContribution>; 2]>,
+    /// Per-neighbor send buffers, indexed by the position of the
+    /// destination in the shard's sorted neighbor list. Each is taken when
+    /// it is posted, and every receiver has applied it before the assembly
+    /// returns, so the next assembly starts from empty buffers.
+    send: Vec<Vec<HaloContribution>>,
     /// Contributions to frontier nodes this device itself owns (they
     /// never cross a link, but are applied with the received ones).
     pending: Vec<HaloContribution>,
@@ -437,8 +437,6 @@ pub struct MultiDeviceBackend {
     devices: Vec<DeviceState>,
     shared: Vec<DeviceShared>,
     reports: Vec<DeviceExchangeReport>,
-    /// Send-bank parity of the *next* assembly.
-    parity: usize,
 }
 
 impl MultiDeviceBackend {
@@ -538,11 +536,7 @@ impl MultiDeviceBackend {
                     .filter(|e| fe.binary_search(e).is_err())
                     .collect(),
                 frontier_elements: fe,
-                send: shard
-                    .neighbors()
-                    .iter()
-                    .map(|_| [Vec::new(), Vec::new()])
-                    .collect(),
+                send: vec![Vec::new(); shard.neighbors().len()],
                 pending: Vec::new(),
                 replay: Vec::new(),
                 measured: DevicePhaseSeconds::default(),
@@ -562,7 +556,6 @@ impl MultiDeviceBackend {
             devices,
             shared,
             reports,
-            parity: 0,
         })
     }
 
@@ -650,7 +643,7 @@ fn model_exchange(
 }
 
 /// Frontier-sweep sink: buffers every residual for the interior replay
-/// and routes frontier-node records to their owner — the send bank of
+/// and routes frontier-node records to their owner — the send buffer of
 /// the owning neighbor, or `pending` when self-owned.
 struct RouteFrontier<'a> {
     mesh: &'a HexMesh,
@@ -658,10 +651,9 @@ struct RouteFrontier<'a> {
     owner: &'a [u32],
     neighbors: &'a [u32],
     index: usize,
-    parity: usize,
     replay: &'a mut Vec<[f64; NUM_VARS]>,
     pending: &'a mut Vec<HaloContribution>,
-    send: &'a mut [[Vec<HaloContribution>; 2]],
+    send: &'a mut [Vec<HaloContribution>],
 }
 
 impl ResidualSink for RouteFrontier<'_> {
@@ -682,7 +674,7 @@ impl ResidualSink for RouteFrontier<'_> {
                         .neighbors
                         .binary_search(&o)
                         .expect("owner of a shared node is a neighbor");
-                    self.send[j][self.parity].push(rec);
+                    self.send[j].push(rec);
                 }
             }
         });
@@ -750,7 +742,6 @@ fn run_device(
     conserved: &Conserved,
     prim: &Primitives,
     rhs: &SharedRhs,
-    parity: usize,
     profile: bool,
     agg: &Mutex<PhaseProfiler>,
 ) {
@@ -771,15 +762,13 @@ fn run_device(
         kernel: &kernel,
     };
 
-    // Reclaim the emptied send buffers receivers returned earlier.
+    // Reclaim the emptied send buffers receivers returned earlier: every
+    // send buffer was taken when it was last posted.
     {
         let mut pool = boxes[dev.index].recycle.lock().unwrap();
-        for banks in dev.send.iter_mut() {
-            let bank = &mut banks[parity];
-            if bank.capacity() == 0 {
-                if let Some(v) = pool.pop() {
-                    *bank = v;
-                }
+        for buf in dev.send.iter_mut() {
+            if let Some(v) = pool.pop() {
+                *buf = v;
             }
         }
     }
@@ -797,7 +786,6 @@ fn run_device(
         owner,
         neighbors,
         index: dev.index,
-        parity,
         replay: &mut dev.replay,
         pending: &mut dev.pending,
         send: &mut dev.send,
@@ -812,7 +800,7 @@ fn run_device(
     // Post one buffer to every neighbor — empty ones included, so every
     // receiver can detect completion by counting posts.
     for (j, &nb) in neighbors.iter().enumerate() {
-        let buf = std::mem::take(&mut dev.send[j][parity]);
+        let buf = std::mem::take(&mut dev.send[j]);
         boxes[nb as usize].mailbox.post(dev.index as u32, buf);
     }
 
@@ -916,8 +904,6 @@ impl ExecutionBackend for MultiDeviceBackend {
             "assembly context geometry does not match the shard plan's mesh"
         );
         let profile = profiler.is_some();
-        let parity = self.parity;
-        self.parity ^= 1;
 
         out.set_zero();
         let rhs = SharedRhs::new(out);
@@ -930,7 +916,7 @@ impl ExecutionBackend for MultiDeviceBackend {
                 let agg = &agg;
                 scope.spawn(move |_| {
                     run_device(
-                        dev, shard, plan, boxes, ctx, conserved, prim, rhs, parity, profile, agg,
+                        dev, shard, plan, boxes, ctx, conserved, prim, rhs, profile, agg,
                     );
                 });
             }

@@ -25,11 +25,13 @@
 //! [`convective_flux`] is the inviscid flux (and the convective half of
 //! the seed split kernels, whose viscous half and element loop live in
 //! [`crate::oracle`]).
-//! Geometry arrives borrowed, never rebuilt: a one-element [`GeomRef`]
-//! from the per-element recompute
-//! ([`fem_mesh::hex::ElementGeometry::view`]) or from the precomputed
-//! [`fem_mesh::geometry::GeometryCache`], or on the hot path a whole
-//! lane-interleaved group of that cache. The
+//! Geometry arrives borrowed, never rebuilt, and in one layout: a group of
+//! four elements whose factors are lane-interleaved, lane `j` holding the
+//! group's element `j` ([`fem_mesh::hex::ElementGeometry`]). A one-element
+//! kernel reads one lane through a [`GeomRef`], from the per-element
+//! recompute ([`fem_mesh::hex::ElementGeometry::view`]) or from the
+//! precomputed [`fem_mesh::geometry::GeometryCache`]; the hot path reads a
+//! whole group of that cache. The
 //! Galerkin weak form integrates the flux divergence by parts, so a
 //! conserved variable `U` with flux `F` obeys `M dU/dt = R`,
 //! `R_i = ∫ ∇N_i · F dV`, evaluated with GLL quadrature collocated at the
@@ -111,11 +113,11 @@
 //! half that reads `G` only.
 //!
 //! * The public one-element API is the `f64` instantiation, reading
-//!   geometry in place from a [`GeomRef`]: [`fused_flux`] and
-//!   [`convective_flux`] store the net flux in the workspace's flux
-//!   tensors, and [`weak_divergence`] (like [`KernelOps::weak_divergence`]
-//!   and [`weak_divergence_full_matrix`]) transforms them into `G` and
-//!   contracts it.
+//!   geometry in place from one lane of a group through a [`GeomRef`]:
+//!   [`fused_flux`] and [`convective_flux`] store the net flux in the
+//!   workspace's flux tensors, and [`weak_divergence`] (like
+//!   [`KernelOps::weak_divergence`] and [`weak_divergence_full_matrix`])
+//!   transforms them into `G` and contracts it.
 //! * The element-batch evaluator (`crate::batch`) runs an
 //!   `ElementWorkspace<F64x4>`. Its flux loop transforms each node's net
 //!   flux as soon as it is computed and stores `G` straight away, with the
@@ -123,7 +125,7 @@
 //!   half alone. The flux tensors make no round trip through memory, and
 //!   a batch workspace does not even allocate them. The gather builds each
 //!   node's lanes from one load per element, `J⁻ᵀ` and `det·w` are read in
-//!   place from a geometry-cache group, which stores them lane-interleaved
+//!   place from a geometry-cache group
 //!   ([`fem_mesh::geometry::GeometryCache::group`]), and each lane's
 //!   residuals are read in place by the scatter.
 //!
@@ -143,7 +145,6 @@
 use crate::gas::GasModel;
 use crate::state::{Conserved, Primitives};
 use fem_mesh::hex::GeomRef;
-use fem_numerics::linalg::Mat3;
 use fem_numerics::tensor::{F64x4, HexBasis, Lane, NodeCount, NodeKernel};
 
 /// Number of conserved variables (ρ, ρu·3, E).
@@ -302,10 +303,11 @@ impl<L: Lane> ElementWorkspace<L> {
     }
 }
 
-/// A batch's per-node geometry as the kernels read it: one element's
-/// factors ([`fem_mesh::hex::Factors`]), or lane-interleaved `J⁻ᵀ` and `det·w` slices
-/// with one element per lane (a
-/// [`fem_mesh::geometry::GeometryCache::group`]).
+/// Per-node geometry as the kernels read it: one element's factors (a
+/// [`GeomRef`], one lane of a group), or a whole group's lane-interleaved
+/// `J⁻ᵀ` and `det·w`, one element per lane (a
+/// [`fem_mesh::geometry::GeometryCache::group`] or the buffer of a
+/// [`fem_mesh::hex::ElementGeometry`]).
 pub(crate) trait NodeGeometry<L>: Copy {
     /// The rows of `J⁻ᵀ` at node `q`.
     fn inv_jt(&self, q: usize) -> [[L; 3]; 3];
@@ -318,31 +320,31 @@ pub(crate) trait NodeGeometry<L>: Copy {
     fn nodes(self, npe: usize) -> Self;
 }
 
-impl NodeGeometry<f64> for (&[Mat3], &[f64]) {
+impl NodeGeometry<f64> for GeomRef<'_> {
     #[inline(always)]
     fn inv_jt(&self, q: usize) -> [[f64; 3]; 3] {
-        self.0[q].m
+        GeomRef::inv_jt(self, q).m
     }
 
     #[inline(always)]
     fn det_w(&self, q: usize) -> f64 {
-        self.1[q]
+        GeomRef::det_w(self, q)
     }
 
     #[inline(always)]
     fn nodes(self, npe: usize) -> Self {
-        (&self.0[..npe], &self.1[..npe])
+        GeomRef::nodes(self, npe)
     }
 }
 
-impl<L: Lane> NodeGeometry<L> for (&[[[L; 3]; 3]], &[L]) {
+impl NodeGeometry<F64x4> for (&[[[F64x4; 3]; 3]], &[F64x4]) {
     #[inline(always)]
-    fn inv_jt(&self, q: usize) -> [[L; 3]; 3] {
+    fn inv_jt(&self, q: usize) -> [[F64x4; 3]; 3] {
         self.0[q]
     }
 
     #[inline(always)]
-    fn det_w(&self, q: usize) -> L {
+    fn det_w(&self, q: usize) -> F64x4 {
         self.1[q]
     }
 
@@ -351,65 +353,6 @@ impl<L: Lane> NodeGeometry<L> for (&[[[L; 3]; 3]], &[L]) {
         (&self.0[..npe], &self.1[..npe])
     }
 }
-
-/// One lane of a cached group, read one element at a time.
-#[derive(Clone, Copy)]
-pub(crate) struct LaneOf<'a> {
-    pub(crate) inv_jt: &'a [[[F64x4; 3]; 3]],
-    pub(crate) det_w: &'a [F64x4],
-    pub(crate) lane: usize,
-}
-
-impl NodeGeometry<f64> for LaneOf<'_> {
-    #[inline(always)]
-    fn inv_jt(&self, q: usize) -> [[f64; 3]; 3] {
-        // `lane < 4`; the modulo lets the compiler drop the bounds check
-        // of every lane read.
-        let (m, lane) = (&self.inv_jt[q], self.lane % F64x4::WIDTH);
-        std::array::from_fn(|r| std::array::from_fn(|c| m[r][c].0[lane]))
-    }
-
-    #[inline(always)]
-    fn det_w(&self, q: usize) -> f64 {
-        self.det_w[q].0[self.lane % F64x4::WIDTH]
-    }
-
-    #[inline(always)]
-    fn nodes(self, npe: usize) -> Self {
-        LaneOf {
-            inv_jt: &self.inv_jt[..npe],
-            det_w: &self.det_w[..npe],
-            lane: self.lane,
-        }
-    }
-}
-
-/// Evaluates `$body` with `$g` bound to the storage of the [`GeomRef`]
-/// `$geom` as a [`NodeGeometry<f64>`], resolved once per element, so the
-/// node loops inside read it with no per-node dispatch.
-macro_rules! resolved {
-    ($geom:expr, |$g:ident| $body:expr) => {
-        match fem_mesh::hex::GeomRef::factors($geom) {
-            fem_mesh::hex::Factors::Element { inv_jt, det_w } => {
-                let $g = (inv_jt, det_w);
-                $body
-            }
-            fem_mesh::hex::Factors::Lane {
-                inv_jt,
-                det_w,
-                lane,
-            } => {
-                let $g = $crate::kernels::LaneOf {
-                    inv_jt,
-                    det_w,
-                    lane,
-                };
-                $body
-            }
-        }
-    };
-}
-pub(crate) use resolved;
 
 // Three-vector arithmetic on lanes, each in the operation order of the
 // `Vec3`/`Mat3` method it names, so the one-lane kernels keep the bits
@@ -440,7 +383,7 @@ fn dot<L: Lane>(a: [L; 3], b: [L; 3]) -> L {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 }
 
-/// `m v` ([`Mat3::mul_vec`]).
+/// `m v` ([`Mat3::mul_vec`](fem_numerics::linalg::Mat3::mul_vec)).
 #[inline(always)]
 fn mul_vec<L: Lane>(m: &[[L; 3]; 3], v: [L; 3]) -> [L; 3] {
     [dot(m[0], v), dot(m[1], v), dot(m[2], v)]
@@ -631,20 +574,18 @@ pub fn convective_flux(ws: &mut ElementWorkspace) {
 /// Matches the split path to rounding (the per-node flux subtraction
 /// regroups the floating-point accumulation), not bitwise.
 pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, geom: GeomRef) {
-    resolved!(geom, |g| {
-        ws.reference_gradients(basis);
-        let c = ViscousCoefficients::of(gas);
-        let npe = ws.npe;
-        let g = g.nodes(npe);
-        let (inputs, mut out) = ws.flux_io(false);
-        for q in 0..npe {
-            let m = g.inv_jt(q);
-            let f = net_flux(inputs.state(q), Some(inputs.viscous(q, &m, c)));
-            for (o, f) in out.iter_mut().zip(f) {
-                o[q] = f;
-            }
+    ws.reference_gradients(basis);
+    let c = ViscousCoefficients::of(gas);
+    let npe = ws.npe;
+    let geom = geom.nodes(npe);
+    let (inputs, mut out) = ws.flux_io(false);
+    for q in 0..npe {
+        let m = geom.inv_jt(q).m;
+        let f = net_flux(inputs.state(q), Some(inputs.viscous(q, &m, c)));
+        for (o, f) in out.iter_mut().zip(f) {
+            o[q] = f;
         }
-    });
+    }
 }
 
 /// The element batches' flux loop: the net flux of every lane — fused
@@ -718,7 +659,7 @@ fn transform_flux(ws: &mut ElementWorkspace, geom: impl NodeGeometry<f64>) {
 ///
 /// Panics if the workspace was sized for a different element.
 pub fn weak_divergence(ws: &mut ElementWorkspace, basis: &HexBasis, geom: GeomRef, sign: f64) {
-    resolved!(geom, |g| transform_flux(ws, g));
+    transform_flux(ws, geom);
     contract_factored(ws, basis, sign);
 }
 
@@ -884,7 +825,7 @@ pub fn weak_divergence_full_matrix(
     geom: GeomRef,
     sign: f64,
 ) {
-    resolved!(geom, |g| transform_flux(ws, g));
+    transform_flux(ws, geom);
     contract_full_matrix(ws, op, sign);
 }
 
@@ -948,7 +889,7 @@ impl KernelOps {
         geom: GeomRef,
         sign: f64,
     ) {
-        resolved!(geom, |g| transform_flux(ws, g));
+        transform_flux(ws, geom);
         self.lane_contract(ws, basis, sign);
     }
 
@@ -1071,7 +1012,7 @@ mod tests {
     use crate::oracle::{element_loop_into, split_into};
     use fem_mesh::generator::BoxMeshBuilder;
     use fem_mesh::hex::{ElementGeometry, GeometryScratch};
-    use fem_numerics::linalg::{Mat3, Vec3};
+    use fem_numerics::linalg::Vec3;
     use fem_numerics::tensor::{Fixed, Runtime};
     use proptest::prelude::*;
 
@@ -1193,10 +1134,10 @@ mod tests {
         let mut geom = ElementGeometry::with_capacity(npe);
         let mut mass = vec![0.0; mesh.num_nodes()];
         for e in 0..mesh.num_elements() {
-            mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom)
+            mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom, 0)
                 .unwrap();
             for (q, &n) in mesh.element_nodes(e).iter().enumerate() {
-                mass[n as usize] += geom.det_w[q];
+                mass[n as usize] += geom.view(0).det_w(q);
             }
         }
         let mut max_rel = 0.0f64;
@@ -1227,10 +1168,10 @@ mod tests {
         let mut geom = ElementGeometry::with_capacity(npe);
         let mut mass = vec![0.0; mesh.num_nodes()];
         for e in 0..mesh.num_elements() {
-            mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom)
+            mesh.fill_element_geometry(e, &basis, &mut scratch, &mut geom, 0)
                 .unwrap();
             for (q, &n) in mesh.element_nodes(e).iter().enumerate() {
-                mass[n as usize] += geom.det_w[q];
+                mass[n as usize] += geom.view(0).det_w(q);
             }
         }
         let scale = rho0 * gas.r_gas * t1; // |∂p/∂x| amplitude
@@ -1462,7 +1403,7 @@ mod tests {
         n: N,
     ) -> Vec<u64> {
         let mut ws = ws.clone();
-        resolved!(geom, |g| transform_flux(&mut ws, g));
+        transform_flux(&mut ws, geom);
         ContractFactored {
             ws: &mut ws,
             dmat: basis.dmat(),
@@ -1475,10 +1416,11 @@ mod tests {
     proptest! {
         /// Every compile-time node count runs the runtime contraction bit
         /// for bit, and the dispatched `weak_divergence` is that loop —
-        /// on random fluxes, geometry and prior residuals.
+        /// on random fluxes, geometry and prior residuals. The geometry is
+        /// a group with four random lanes, the element reading one of them.
         #[test]
         fn prop_fixed_node_count_matches_runtime(
-            values in proptest::collection::vec(-3.0f64..3.0, 125 * 30),
+            values in proptest::collection::vec(-3.0f64..3.0, 125 * 60),
         ) {
             for order in 1..=4 {
                 let basis = HexBasis::new(order).unwrap();
@@ -1492,17 +1434,16 @@ mod tests {
                         ws.res[v][q] = next();
                     }
                 }
-                let inv_jt: Vec<Mat3> = (0..npe)
-                    .map(|_| {
-                        Mat3::from_rows(
-                            Vec3::new(next(), next(), next()),
-                            Vec3::new(next(), next(), next()),
-                            Vec3::new(next(), next(), next()),
-                        )
-                    })
-                    .collect();
-                let det_w: Vec<f64> = (0..npe).map(|_| next()).collect();
-                let geom = GeomRef::new(&inv_jt, &det_w);
+                let mut group = ElementGeometry::with_capacity(npe);
+                for lane in 0..F64x4::WIDTH {
+                    for (m, w) in group.inv_jt.iter_mut().zip(&mut group.det_w) {
+                        for x in m.iter_mut().flatten() {
+                            *x.lane_mut(lane) = next();
+                        }
+                        *w.lane_mut(lane) = next();
+                    }
+                }
+                let geom = group.view(order - 1);
                 let runtime = contraction_bits(&ws, &basis, geom, Runtime(order + 1));
                 let fixed = match order {
                     1 => contraction_bits(&ws, &basis, geom, Fixed::<2>),

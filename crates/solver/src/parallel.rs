@@ -19,8 +19,9 @@
 //! lanes). Each batch is scattered lane by lane, in ascending element
 //! order, so the sweep is bitwise the element-at-a-time loop. Fig 2
 //! attribution of the fused path, timed once per batch: the gather (the
-//! state, plus the geometry copy of a batch that is not an aligned cache
-//! group) is charged to `RK(Other)`; the fused flux loop (gradients, τ,
+//! state, plus the lane-by-lane geometry copy of a `MultiDevice` list batch
+//! whose elements are not a cache group's) is charged to `RK(Other)`; the
+//! fused flux loop (gradients, τ,
 //! net flux and its transform into the contraction input `G`) to
 //! `RK(Diffusion)`; the single weak-divergence contraction of `G` — which
 //! serves the convective and viscous halves equally — half to
